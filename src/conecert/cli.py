@@ -12,29 +12,28 @@ Report schema (JSON format)::
      "certificates": [{"name": ..., "residual": ..., "pass": ...}, ...],
      "runtime_ms": ...}
 
-All floating-point numbers are serialized with 17 significant digits, so
-re-reading a report reproduces every finite value bit for bit.
+All floating-point numbers are serialized in Python's shortest
+round-trip form, so re-reading a report reproduces every value bit for
+bit.  Non-finite values are refused.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 
 import numpy as np
 
-from .certificates import CertificateCheck
+from .certificates import CertificateReport
 from .cones import project_dual, project_generated, positive_relative_test, verify_characterization
 from .errors import BadInterval, IterationLimit, MomentFitFailed
 from .farkas import FarkasTag, farkas_alternative, generalized_farkas, verify_outcome
-from .legendre import legendre_to_monomial, monomial_to_legendre
+from .legendre import LegendreBasis, chebyshev_points, legendre_to_monomial, monomial_to_legendre
 from .linalg import as_vector, generator_matrix, span_membership
-from .legendre import chebyshev_points
 from .quadrature import EXACTNESS_TOL, integral_moments, positive_quadrature, verify_exactness
-from .shape import LegendrePoly, ShapeProblem, default_grid, eval_poly, project_shape, representer
+from .shape import LegendrePoly, ShapeProblem, default_grid, project_shape
 
 KINDS = ("project", "farkas", "quadrature", "shape", "membership")
 
@@ -43,48 +42,9 @@ class InputError(Exception):
     """Malformed problem file; the message carries a location."""
 
 
-# ---------------------------------------------------------------------------
-# deterministic JSON with 17 significant digits
-
-
-def _format_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError("non-finite value in report")
-    s = format(x, ".17g")
-    if not any(c in s for c in ".eE"):
-        s += ".0"
-    return s
-
-
-def dumps_report(obj, indent: int = 0) -> str:
+def dumps_report(obj) -> str:
     """Serialize a report deterministically (insertion-ordered keys)."""
-    pad = " " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f'{pad}  {json.dumps(k)}: {dumps_report(v, indent + 2)}' for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
-            return "[]"
-        items = [f"{pad}  {dumps_report(v, indent + 2)}" for v in seq]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, float):
-        return _format_float(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if obj is None:
-        return "null"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def _listify(v) -> list:
-    return [float(t) for t in np.asarray(v, dtype=float).ravel()]
+    return json.dumps(obj, indent=2, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------
@@ -124,63 +84,65 @@ def _vector_field(data, name, path, required=True, default=None):
         raise InputError(f"{path}: field '{name}': {exc}") from exc
 
 
-def _vectors_field(data, name, path):
+def _vectors_field(data, name, path, dim: int) -> np.ndarray:
+    """A list of length-``dim`` vectors, as the columns of a dim x m matrix."""
     raw = _field(data, name, path)
     if not isinstance(raw, list):
         raise InputError(f"{path}: field '{name}' must be a list of vectors")
     try:
-        return [as_vector(v) for v in raw]
+        S = generator_matrix(raw, dim=dim)
     except (ValueError, TypeError) as exc:
         raise InputError(f"{path}: field '{name}': {exc}") from exc
+    if S.shape[0] != dim:
+        raise InputError(f"{path}: field '{name}': vectors of length {S.shape[0]}, expected {dim}")
+    return S
 
 
 # ---------------------------------------------------------------------------
-# per-kind handlers: return (result dict, certificate checks)
-
-
-def _check(name, residual, passed) -> CertificateCheck:
-    return CertificateCheck(name, float(residual), bool(passed))
+# per-kind handlers: return (result dict, certificate report)
 
 
 def _handle_project(data: dict, path: str, tol: float, seed: int):
-    generators = _vectors_field(data, "generators", path)
     x = _vector_field(data, "point", path)
+    S = _vectors_field(data, "generators", path, x.size)
     orientation = _field(data, "orientation", path, required=False, default="dual")
     if orientation not in ("dual", "generated"):
         raise InputError(f"{path}: field 'orientation' must be 'dual' or 'generated'")
     witness = _vector_field(data, "witness_e", path, required=False)
-    S = generator_matrix(generators, dim=x.size)
+    if witness is not None and witness.size != x.size:
+        raise InputError(f"{path}: field 'witness_e' has length {witness.size}, expected {x.size}")
     scale = tol * (1.0 + float(np.linalg.norm(x)))
+    kkt_limit = scale * max(1.0, float(np.linalg.norm(S, axis=0).max(initial=0.0)))
+    orth_limit = tol * (1.0 + float(x @ x))
 
     if orientation == "generated":
-        res = project_generated(generators, x, tol)
-        r = x - res.point
-        checks = [
-            _check("multipliers_nonnegative", max(0.0, -float(res.rho.min(initial=0.0))), res.rho.min(initial=0.0) >= 0.0),
-            _check("kkt_inequalities", res.kkt_residual, res.kkt_residual <= scale * max(1.0, float(np.linalg.norm(S, axis=0).max(initial=0.0)))),
-            _check("orthogonality", res.orthogonality_residual, res.orthogonality_residual <= tol * (1.0 + float(x @ x))),
-            _check("representation", float(np.linalg.norm(res.point - S @ res.rho)), float(np.linalg.norm(res.point - S @ res.rho)) <= scale),
-        ]
-        _ = r
+        res = project_generated(S.T, x, tol)
+        report = CertificateReport()
+        min_rho = float(res.rho.min(initial=0.0))
+        report.add("multipliers_nonnegative", max(0.0, -min_rho), min_rho >= 0.0)
+        report.add("kkt_inequalities", res.kkt_residual, res.kkt_residual <= kkt_limit)
+        report.add("orthogonality", res.orthogonality_residual, res.orthogonality_residual <= orth_limit)
+        rep_residual = float(np.linalg.norm(res.point - S @ res.rho))
+        report.add("representation", rep_residual, rep_residual <= scale)
     else:
-        res = project_dual(generators, x, tol)
-        report = verify_characterization(generators, x, res.point, tol, witness_e=witness)
-        checks = list(report.checks)
-        checks.append(_check("kkt_residual", res.kkt_residual, res.kkt_residual <= scale * max(1.0, float(np.linalg.norm(S, axis=0).max(initial=0.0)))))
-        checks.append(_check("orthogonality", res.orthogonality_residual, res.orthogonality_residual <= tol * (1.0 + float(x @ x))))
+        res = project_dual(S.T, x, tol)
+        report = verify_characterization(S.T, x, res.point, tol, witness_e=witness)
+        report.add("kkt_residual", res.kkt_residual, res.kkt_residual <= kkt_limit)
+        report.add("orthogonality", res.orthogonality_residual, res.orthogonality_residual <= orth_limit)
 
     result = {
         "orientation": orientation,
-        "point": _listify(res.point),
-        "rho": _listify(res.rho),
-        "active": [int(i) for i in res.active],
+        "point": res.point.tolist(),
+        "rho": res.rho.tolist(),
+        "active": res.active.tolist(),
         "kkt_residual": float(res.kkt_residual),
         "orthogonality_residual": float(res.orthogonality_residual),
     }
-    return result, checks
+    return result, report
 
 
 def _handle_farkas(data: dict, path: str, tol: float, seed: int):
+    report = CertificateReport()
     if "pairs" in data:
         raw_pairs = _field(data, "pairs", path)
         if not isinstance(raw_pairs, list):
@@ -196,59 +158,50 @@ def _handle_farkas(data: dict, path: str, tol: float, seed: int):
         r = _field(data, "r", path)
         if not isinstance(r, (int, float)):
             raise InputError(f"{path}: field 'r' must be a number")
-        report = generalized_farkas(pairs, b, float(r), tol, seed=seed)
+        gen = generalized_farkas(pairs, b, float(r), tol, seed=seed)
         result = {
-            "member_plain": report.member_plain,
-            "member_augmented": report.member_augmented,
-            "sampled_implication_holds": report.sampled_implication_holds,
-            "hypothesis_verified": report.hypothesis_verified,
-            "feasible_point": None if report.feasible_point is None else _listify(report.feasible_point),
-            "samples_used": report.samples_used,
+            "member_plain": gen.member_plain,
+            "member_augmented": gen.member_augmented,
+            "sampled_implication_holds": gen.sampled_implication_holds,
+            "hypothesis_verified": gen.hypothesis_verified,
+            "feasible_point": None if gen.feasible_point is None else gen.feasible_point.tolist(),
+            "samples_used": gen.samples_used,
         }
-        checks = [
-            _check("membership_monotone", float(report.member_plain and not report.member_augmented), (not report.member_plain) or report.member_augmented),
-            _check("sampled_implication_consistent", float((report.member_plain or report.member_augmented) and not report.sampled_implication_holds), (not (report.member_plain or report.member_augmented)) or report.sampled_implication_holds),
-            _check("feasibility_hypothesis", float(not report.hypothesis_verified), report.hypothesis_verified),
-        ]
-        return result, checks
+        member = gen.member_plain or gen.member_augmented
+        report.add("membership_monotone", float(gen.member_plain and not gen.member_augmented), (not gen.member_plain) or gen.member_augmented)
+        report.add("sampled_implication_consistent", float(member and not gen.sampled_implication_holds), (not member) or gen.sampled_implication_holds)
+        report.add("feasibility_hypothesis", float(not gen.hypothesis_verified), gen.hypothesis_verified)
+        return result, report
 
-    A = _vectors_field(data, "matrix", path)
     b = _vector_field(data, "rhs", path)
-    Am = np.array([list(row) for row in A]) if A else np.zeros((0, b.size))
-    if Am.size and Am.shape[1] != b.size:
-        raise InputError(f"{path}: matrix width {Am.shape[1]} does not match rhs length {b.size}")
-    outcome = farkas_alternative(Am, b, tol)
-    verified = verify_outcome(Am, b, outcome, tol)
+    A = _vectors_field(data, "matrix", path, b.size).T
+    outcome = farkas_alternative(A, b, tol)
+    verified = verify_outcome(A, b, outcome, tol)
     ver = outcome.verification
     if outcome.tag is FarkasTag.SYSTEM1:
-        checks = [
-            _check("primal_residual", ver.primal_residual, ver.primal_residual <= tol * (1.0 + float(np.linalg.norm(b)))),
-            _check("multipliers_nonnegative", ver.dual_violation, ver.dual_violation <= tol),
-        ]
+        report.add("primal_residual", ver.primal_residual, ver.primal_residual <= tol * (1.0 + float(np.linalg.norm(b))))
+        report.add("multipliers_nonnegative", ver.dual_violation, ver.dual_violation <= tol)
     else:
-        x = outcome.x
-        row_norms = np.linalg.norm(Am, axis=1)
+        row_norms = np.linalg.norm(A, axis=1)
         normalized = 0.0
         if row_norms.size:
             with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where(row_norms > 0, (Am @ x) / np.where(row_norms > 0, row_norms, 1.0), 0.0)
-            normalized = max(0.0, float(ratios.max())) / (1.0 + float(np.linalg.norm(x)))
-        checks = [
-            _check("dual_violation_normalized", normalized, normalized <= tol),
-            _check("strict_gap_positive", max(0.0, -ver.strict_gap), ver.strict_gap > 0.0),
-        ]
-    checks.append(_check("certificate_verifies", float(not verified), verified))
+                ratios = np.where(row_norms > 0, (A @ outcome.x) / np.where(row_norms > 0, row_norms, 1.0), 0.0)
+            normalized = max(0.0, float(ratios.max())) / (1.0 + float(np.linalg.norm(outcome.x)))
+        report.add("dual_violation_normalized", normalized, normalized <= tol)
+        report.add("strict_gap_positive", max(0.0, -ver.strict_gap), ver.strict_gap > 0.0)
+    report.add("certificate_verifies", float(not verified), verified)
     result = {
         "tag": outcome.tag.value,
-        "y": None if outcome.y is None else _listify(outcome.y),
-        "x": None if outcome.x is None else _listify(outcome.x),
+        "y": None if outcome.y is None else outcome.y.tolist(),
+        "x": None if outcome.x is None else outcome.x.tolist(),
         "verification": {
             "primal_residual": ver.primal_residual,
             "dual_violation": ver.dual_violation,
             "strict_gap": ver.strict_gap,
         },
     }
-    return result, checks
+    return result, report
 
 
 def _handle_quadrature(data: dict, path: str, tol: float, seed: int):
@@ -273,19 +226,19 @@ def _handle_quadrature(data: dict, path: str, tol: float, seed: int):
 
     exactness = verify_exactness(rule, degree)
     min_weight = float(rule.weights.min(initial=np.inf))
-    checks = [
-        _check("basis_exactness", exactness, exactness <= EXACTNESS_TOL),
-        _check("node_count_bound", float(rule.nodes.size - (degree + 1)), rule.nodes.size <= degree + 1),
-        _check("weights_positive", max(0.0, 1e-12 - min_weight), min_weight > 1e-12),
-        _check("nodes_in_interval", max(0.0, float(a - rule.nodes.min(initial=a)), float(rule.nodes.max(initial=b) - b)), bool(rule.nodes.size == 0 or (rule.nodes.min() >= a - 1e-12 and rule.nodes.max() <= b + 1e-12))),
-    ]
+    outside = max(0.0, float(a - rule.nodes.min(initial=a)), float(rule.nodes.max(initial=b) - b))
+    report = CertificateReport()
+    report.add("basis_exactness", exactness, exactness <= EXACTNESS_TOL)
+    report.add("node_count_bound", float(rule.nodes.size - (degree + 1)), rule.nodes.size <= degree + 1)
+    report.add("weights_positive", max(0.0, 1e-12 - min_weight), min_weight > 1e-12)
+    report.add("nodes_in_interval", outside, rule.nodes.size == 0 or (rule.nodes.min() >= a - 1e-12 and rule.nodes.max() <= b + 1e-12))
     result = {
-        "nodes": _listify(rule.nodes),
-        "weights": _listify(rule.weights),
+        "nodes": rule.nodes.tolist(),
+        "weights": rule.weights.tolist(),
         "degree": degree,
         "interval": [a, b],
     }
-    return result, checks
+    return result, report
 
 
 def _parse_shape_target(data: dict, path: str, n: int) -> LegendrePoly:
@@ -293,9 +246,9 @@ def _parse_shape_target(data: dict, path: str, n: int) -> LegendrePoly:
     if not isinstance(raw, dict) or not ({"legendre", "monomial"} & set(raw)):
         raise InputError(f"{path}: field 'target' must be an object with 'legendre' or 'monomial' coefficients")
     if "legendre" in raw:
-        coeffs = as_vector(raw["legendre"])
+        coeffs = _vector_field(raw, "legendre", path)
     else:
-        coeffs = monomial_to_legendre(as_vector(raw["monomial"]))
+        coeffs = monomial_to_legendre(_vector_field(raw, "monomial", path))
     if coeffs.size > n + 1:
         raise InputError(f"{path}: target degree exceeds n = {n}")
     padded = np.zeros(n + 1)
@@ -309,15 +262,13 @@ def _handle_shape(data: dict, path: str, tol: float, seed: int):
     if not isinstance(n, int) or not isinstance(r, int) or not 0 <= r < n:
         raise InputError(f"{path}: need integers 0 <= r < n")
     target = _parse_shape_target(data, path, n)
-    grid_raw = _field(data, "grid", path, required=False)
+    grid = _vector_field(data, "grid", path, required=False)
     grid_size = _field(data, "grid_size", path, required=False)
-    if grid_raw is not None:
-        grid = as_vector(grid_raw)
-    elif grid_size is not None:
+    if grid is None and grid_size is not None:
         if not isinstance(grid_size, int) or grid_size < n + 1:
             raise InputError(f"{path}: field 'grid_size' must be an integer >= n + 1")
         grid = chebyshev_points(grid_size)
-    else:
+    elif grid is None:
         grid = default_grid(n)
     try:
         problem = ShapeProblem(n=n, r=r, grid=grid, target=target)
@@ -325,58 +276,58 @@ def _handle_shape(data: dict, path: str, tol: float, seed: int):
         raise InputError(f"{path}: {exc}") from exc
     res = project_shape(problem, tol)
 
-    # re-verify the claims through the evaluators, not the solver state
+    # re-verify the claims through the basis evaluator, not the solver state:
+    # column j of `representers` evaluates the r-th derivative at active_alphas[j]
     sol = res.solution
-    scale = tol * (1.0 + target.norm())
-    rep = sol.coeffs - target.coeffs
-    for alpha, weight in zip(res.active_alphas, res.rho):
-        rep = rep - weight * representer(n, r, float(alpha)).coeffs
-    rep_residual = float(np.linalg.norm(rep))
-    active_deriv = max((abs(float(eval_poly(sol, float(alpha), r))) for alpha in res.active_alphas), default=0.0)
-    grid_min = min((float(eval_poly(sol, float(t), r)) for t in problem.grid), default=0.0)
-    checks = [
-        _check("representation", rep_residual, rep_residual <= scale),
-        _check("active_derivative_zero", active_deriv, active_deriv <= tol * (1.0 + sol.norm())),
-        _check("grid_feasibility", max(0.0, -grid_min), grid_min >= -tol * (1.0 + sol.norm())),
-        _check("checkgrid_feasibility", max(0.0, -res.min_derivative_on_checkgrid), res.min_derivative_on_checkgrid >= -1e-7),
-        _check("active_count_bound", float(not res.bound_ok), res.bound_ok),
-    ]
+    basis = LegendreBasis(n)
+    representers = basis.values(res.active_alphas, r)
+    rep_residual = float(np.linalg.norm(sol.coeffs - target.coeffs - representers @ res.rho))
+    active_deriv = float(np.abs(sol.coeffs @ representers).max(initial=0.0))
+    grid_min = float((sol.coeffs @ basis.values(problem.grid, r)).min())
+    sol_scale = tol * (1.0 + sol.norm())
+    report = CertificateReport()
+    report.add("representation", rep_residual, rep_residual <= tol * (1.0 + target.norm()))
+    report.add("active_derivative_zero", active_deriv, active_deriv <= sol_scale)
+    report.add("grid_feasibility", max(0.0, -grid_min), grid_min >= -sol_scale)
+    report.add("checkgrid_feasibility", max(0.0, -res.min_derivative_on_checkgrid), res.min_derivative_on_checkgrid >= -1e-7)
+    report.add("active_count_bound", float(not res.bound_ok), res.bound_ok)
     result = {
-        "legendre_coeffs": _listify(sol.coeffs),
-        "monomial_coeffs": _listify(legendre_to_monomial(sol.coeffs)),
-        "active_alphas": _listify(res.active_alphas),
-        "rho": _listify(res.rho),
+        "legendre_coeffs": sol.coeffs.tolist(),
+        "monomial_coeffs": legendre_to_monomial(sol.coeffs).tolist(),
+        "active_alphas": res.active_alphas.tolist(),
+        "rho": res.rho.tolist(),
         "min_derivative_on_checkgrid": float(res.min_derivative_on_checkgrid),
         "distance": float(np.linalg.norm(sol.coeffs - target.coeffs)),
     }
-    return result, checks
+    return result, report
 
 
 def _handle_membership(data: dict, path: str, tol: float, seed: int):
     mode = _field(data, "mode", path, required=False, default="cone")
     if mode not in ("span", "cone"):
         raise InputError(f"{path}: field 'mode' must be 'span' or 'cone'")
-    vectors = _vectors_field(data, "vectors", path)
     x = _vector_field(data, "point", path)
-    G = generator_matrix(vectors, dim=x.size)
+    G = _vectors_field(data, "vectors", path, x.size)
     scale = tol * (1.0 + float(np.linalg.norm(x)))
 
     if mode == "span":
-        res = span_membership(x, vectors, tol)
+        res = span_membership(x, G.T, tol)
         member = res.member
         coeffs = res.coefficients
         witness = res.residual
     else:
-        res = positive_relative_test(vectors, x, tol)
+        res = positive_relative_test(G.T, x, tol)
         member = res.positive
         coeffs = res.rho
         witness = res.witness if res.witness is not None else np.zeros(x.size)
 
+    report = CertificateReport()
     if member:
-        rep_res = float(np.linalg.norm(x - G @ coeffs))
-        checks = [_check("representation", rep_res, rep_res <= scale)]
+        rep_residual = float(np.linalg.norm(x - G @ coeffs))
+        report.add("representation", rep_residual, rep_residual <= scale)
         if mode == "cone":
-            checks.append(_check("multipliers_nonnegative", max(0.0, -float(coeffs.min(initial=0.0))), coeffs.min(initial=0.0) >= 0.0))
+            min_coeff = float(coeffs.min(initial=0.0))
+            report.add("multipliers_nonnegative", max(0.0, -min_coeff), min_coeff >= 0.0)
     else:
         w = witness
         col_scale = scale * max(1.0, float(np.linalg.norm(G, axis=0).max(initial=0.0)))
@@ -387,18 +338,16 @@ def _handle_membership(data: dict, path: str, tol: float, seed: int):
             ortho = max(0.0, float((G.T @ w).max(initial=0.0)))
             ortho_name = "witness_nonpositive_products"
         gap = float(x @ w) - float(w @ w)
-        checks = [
-            _check("witness_separates", max(0.0, -float(x @ w)), float(x @ w) > 0.0),
-            _check(ortho_name, ortho, ortho <= col_scale),
-            _check("witness_self_product", abs(gap), abs(gap) <= tol * (1.0 + float(x @ x))),
-        ]
+        report.add("witness_separates", max(0.0, -float(x @ w)), float(x @ w) > 0.0)
+        report.add(ortho_name, ortho, ortho <= col_scale)
+        report.add("witness_self_product", abs(gap), abs(gap) <= tol * (1.0 + float(x @ x)))
     result = {
         "mode": mode,
         "member": bool(member),
-        "coefficients": None if coeffs is None else _listify(coeffs),
-        "witness": None if member else _listify(witness),
+        "coefficients": None if coeffs is None else coeffs.tolist(),
+        "witness": None if member else witness.tolist(),
     }
-    return result, checks
+    return result, report
 
 
 _HANDLERS = {
@@ -428,39 +377,30 @@ def _render_text(report: dict) -> str:
     lines.append("certificates:")
     for cert in report["certificates"]:
         status = "pass" if cert["pass"] else "FAIL"
-        lines.append(f"  [{status}] {cert['name']}  residual={_format_float(cert['residual'])}")
-    lines.append(f"runtime_ms: {_format_float(report['runtime_ms'])}")
+        lines.append(f"  [{status}] {cert['name']}  residual={cert['residual']!r}")
+    lines.append(f"runtime_ms: {report['runtime_ms']!r}")
     return "\n".join(lines) + "\n"
 
 
 def _dump_csv(report: dict, csv_path: str) -> None:
     kind = report["kind"]
     result = report["result"] or {}
-    rows = []
     if kind == "quadrature":
-        rows.append("node,weight")
-        for t, w in zip(result.get("nodes", []), result.get("weights", [])):
-            rows.append(f"{_format_float(t)},{_format_float(w)}")
+        rows = ["node,weight"] + [f"{t!r},{w!r}" for t, w in zip(result.get("nodes", []), result.get("weights", []))]
     elif kind == "shape":
         coeffs = result.get("monomial_coeffs", [])
-        rows.append("t,solution")
-        for t in np.linspace(-1.0, 1.0, 201):
+        rows = ["t,solution"]
+        for t in np.linspace(-1.0, 1.0, 201).tolist():
             val = float(np.polynomial.polynomial.polyval(t, coeffs)) if coeffs else 0.0
-            rows.append(f"{_format_float(float(t))},{_format_float(val)}")
-    elif kind == "project":
-        rows.append("component,point")
-        for i, v in enumerate(result.get("point", [])):
-            rows.append(f"{i},{_format_float(v)}")
-    elif kind == "farkas":
-        vec = result.get("y") or result.get("x") or []
-        rows.append("component,value")
-        for i, v in enumerate(vec):
-            rows.append(f"{i},{_format_float(v)}")
+            rows.append(f"{t!r},{val!r}")
     else:
-        vec = result.get("coefficients") or result.get("witness") or []
-        rows.append("component,value")
-        for i, v in enumerate(vec):
-            rows.append(f"{i},{_format_float(v)}")
+        if kind == "project":
+            column, vec = "point", result.get("point", [])
+        elif kind == "farkas":
+            column, vec = "value", result.get("y") or result.get("x") or []
+        else:
+            column, vec = "value", result.get("coefficients") or result.get("witness") or []
+        rows = [f"component,{column}"] + [f"{i},{v!r}" for i, v in enumerate(vec)]
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(rows) + "\n")
 
@@ -468,25 +408,19 @@ def _dump_csv(report: dict, csv_path: str) -> None:
 # ---------------------------------------------------------------------------
 # entry points
 
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="conecert", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="kind", required=True)
-    for kind in KINDS:
-        p = sub.add_parser(kind, help=f"run a '{kind}' problem file")
-        p.add_argument("--input", required=True, help="path to the JSON problem file")
-        p.add_argument("--output", default=None, help="write the report here instead of stdout")
-        p.add_argument("--tol", type=float, default=1e-9, help="certificate tolerance (default 1e-9)")
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--seed", type=int, default=0, help="seed for any sampling the kind performs")
-        p.add_argument("--dump-csv", default=None, help="also write the main result table as CSV")
-    return parser
+_PARSER = argparse.ArgumentParser(prog="conecert", description=__doc__.splitlines()[0])
+_PARSER.add_argument("kind", choices=KINDS, help="problem kind; must match the file's 'kind' field")
+_PARSER.add_argument("--input", required=True, help="path to the JSON problem file")
+_PARSER.add_argument("--output", default=None, help="write the report here instead of stdout")
+_PARSER.add_argument("--tol", type=float, default=1e-9, help="certificate tolerance (default 1e-9)")
+_PARSER.add_argument("--format", choices=("json", "text"), default="json")
+_PARSER.add_argument("--seed", type=int, default=0, help="seed for any sampling the kind performs")
+_PARSER.add_argument("--dump-csv", default=None, help="also write the main result table as CSV")
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
 
@@ -499,22 +433,23 @@ def run(argv=None) -> int:
         data = _load_input(args.input)
         kind = _field(data, "kind", args.input)
         if kind != args.kind:
-            raise InputError(f"{args.input}: file kind '{kind}' does not match subcommand '{args.kind}'")
-        result, checks = _HANDLERS[args.kind](data, args.input, args.tol, args.seed)
+            raise InputError(f"{args.input}: file kind '{kind}' does not match requested kind '{args.kind}'")
+        result, certificates = _HANDLERS[args.kind](data, args.input, args.tol, args.seed)
         error = None
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (IterationLimit, MomentFitFailed) as exc:
         result = None
-        checks = [CertificateCheck("computation_completed", 1.0, False)]
+        certificates = CertificateReport()
+        certificates.add("computation_completed", 1.0, False)
         error = f"{type(exc).__name__}: {exc}"
 
     report = {
         "kind": args.kind,
         "input_echo": {"file": data, "tol": float(args.tol), "seed": int(args.seed)},
         "result": result,
-        "certificates": [{"name": c.name, "residual": c.residual, "pass": c.passed} for c in checks],
+        "certificates": [{"name": c.name, "residual": c.residual, "pass": c.passed} for c in certificates.checks],
         "runtime_ms": (time.perf_counter() - started) * 1000.0,
     }
     if error is not None:
@@ -529,7 +464,7 @@ def run(argv=None) -> int:
     if args.dump_csv:
         _dump_csv(report, args.dump_csv)
 
-    return 0 if all(c.passed for c in checks) else 2
+    return 0 if certificates.passed else 2
 
 
 def main() -> None:

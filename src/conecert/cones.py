@@ -43,28 +43,27 @@ class Orientation(str, Enum):
 
 @dataclass(frozen=True)
 class ConeSpec:
-    """A finite generator list plus the orientation it is read in.
+    """A finite generator set plus the orientation it is read in.
 
-    ``witness_e`` is optional metadata: a vector with ``<k, e> > 0`` for
-    every generator.  When present it is validated here and certified in
+    ``generators`` is converted once, to an m x d array with one generator
+    per row (an empty set becomes a 0 x 0 array).  ``witness_e`` is
+    optional metadata: a vector with ``<k, e> > 0`` for every generator.
+    When present it is validated here and certified in
     `verify_characterization`; no computation requires it.
     """
 
-    generators: tuple
+    generators: np.ndarray
     orientation: Orientation = Orientation.DUAL_FORM
     witness_e: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        gens = tuple(as_vector(g) for g in self.generators)
+        gens = generator_matrix(self.generators, dim=0).T
         object.__setattr__(self, "generators", gens)
         if self.witness_e is not None:
             e = as_vector(self.witness_e)
             object.__setattr__(self, "witness_e", e)
-            if gens and min(float(g @ e) for g in gens) <= 0.0:
+            if gens.size and float((gens @ e).min()) <= 0.0:
                 raise ValueError("witness_e must have strictly positive inner product with every generator")
-
-    def matrix(self, dim: Optional[int] = None) -> np.ndarray:
-        return generator_matrix(self.generators, dim=dim)
 
 
 @dataclass(frozen=True)
@@ -134,15 +133,12 @@ def contains(cone: ConeSpec, x, tol: float = DEFAULT_TOL) -> bool:
     Generated: the nonnegative least-squares residual is below the same
     scaled tolerance.
     """
+    if cone.orientation is Orientation.GENERATED:
+        return positive_relative_test(cone.generators, x, tol).positive
     xv = as_vector(x)
-    S = cone.matrix(dim=xv.size)
-    scale = tol * (1.0 + np.linalg.norm(xv))
-    if cone.orientation is Orientation.DUAL_FORM:
-        if S.shape[1] == 0:
-            return True
-        return bool((S.T @ xv).min() >= -scale)
-    sol = nnls(S, xv, tol)
-    return bool(np.linalg.norm(sol.residual) <= scale)
+    if cone.generators.size == 0:
+        return True
+    return bool((cone.generators @ xv).min() >= -tol * (1.0 + np.linalg.norm(xv)))
 
 
 def positive_relative_test(gamma, x, tol: float = DEFAULT_TOL) -> PositiveRelative:
@@ -180,10 +176,23 @@ def _reduce_active(S: np.ndarray, rho: np.ndarray):
     active = _active_indices(rho)
     if active.size == 0:
         return np.zeros(rho.size), active
-    red = caratheodory_reduce([S[:, i] for i in active], rho[active])
+    red = caratheodory_reduce(S[:, active].T, rho[active])
     out = np.zeros(rho.size)
     out[active[red.indices]] = red.weights
     return out, active[red.indices]
+
+
+def _dual_projection(S: np.ndarray, xv: np.ndarray, rho: np.ndarray, active: np.ndarray) -> ProjectionResult:
+    """The point ``x + S @ rho`` with its KKT and orthogonality residuals."""
+    point = xv + S @ rho
+    kkt = 0.0
+    if S.shape[1]:
+        inner = S.T @ point
+        kkt = max(0.0, float((-inner).max()))
+        if active.size:
+            kkt = max(kkt, float(np.abs(inner[active]).max()))
+    orth = abs(float((xv - point) @ point))
+    return ProjectionResult(point, rho, active, kkt, orth)
 
 
 def project_dual(K, x, tol: float = DEFAULT_TOL) -> ProjectionResult:
@@ -198,16 +207,7 @@ def project_dual(K, x, tol: float = DEFAULT_TOL) -> ProjectionResult:
     S = generator_matrix(K, dim=xv.size)
     sol = nnls(S, -xv, tol)
     rho, active = _reduce_active(S, sol.rho)
-    point = xv + S @ rho
-
-    kkt = 0.0
-    if S.shape[1]:
-        inner = S.T @ point
-        kkt = max(0.0, float((-inner).max()))
-        if active.size:
-            kkt = max(kkt, float(np.abs(inner[active]).max()))
-    orth = abs(float((xv - point) @ point))
-    return ProjectionResult(point, rho, active, kkt, orth)
+    return _dual_projection(S, xv, rho, active)
 
 
 def project_orthonormal(K, x) -> ProjectionResult:
@@ -223,16 +223,7 @@ def project_orthonormal(K, x) -> ProjectionResult:
     if deviation > 1e-8:
         raise NotOrthonormal(f"Gram matrix deviates from identity by {deviation:.3e}")
     rho = np.maximum(0.0, -(S.T @ xv))
-    point = xv + S @ rho
-    active = _active_indices(rho)
-    kkt = 0.0
-    if S.shape[1]:
-        inner = S.T @ point
-        kkt = max(0.0, float((-inner).max()))
-        if active.size:
-            kkt = max(kkt, float(np.abs(inner[active]).max()))
-    orth = abs(float((xv - point) @ point))
-    return ProjectionResult(point, rho, active, kkt, orth)
+    return _dual_projection(S, xv, rho, _active_indices(rho))
 
 
 def moreau_decompose(K, x, tol: float = DEFAULT_TOL) -> MoreauSplit:

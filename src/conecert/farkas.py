@@ -171,15 +171,14 @@ def generalized_farkas(pairs, b, r, tol: float = DEFAULT_TOL, seed: int = 0, sam
         spot-check of the universally quantified statement.
     """
     bv = as_vector(b)
-    svecs = [as_vector(s) for s, _ in pairs]
+    S = generator_matrix([s for s, _ in pairs], dim=bv.size).T
     pvals = np.array([float(p) for _, p in pairs])
-    S = generator_matrix(svecs, dim=bv.size).T if svecs else np.zeros((0, bv.size))
 
-    lifted = [np.append(s, p) for s, p in zip(svecs, pvals)]
+    lifted = np.column_stack([S, pvals])
     target = np.append(bv, float(r))
     plain = positive_relative_test(lifted, target, tol)
     vertical = np.append(np.zeros(bv.size), 1.0)
-    augmented = positive_relative_test(lifted + [vertical], target, tol)
+    augmented = positive_relative_test(np.vstack([lifted, vertical]), target, tol)
 
     feasible = _find_feasible(S, pvals, tol)
     sampled_ok = True

@@ -47,14 +47,6 @@ class LegendreBasis:
         vals = self.norms[:, None] * P[r]
         return vals[:, 0] if scalar else vals
 
-    def derivative_matrix(self, r: int) -> np.ndarray:
-        return derivative_matrix(self.n, r)
-
-
-def legendre_basis(n: int) -> LegendreBasis:
-    """Basis description for degree bound n."""
-    return LegendreBasis(n)
-
 
 def derivative_matrix(n: int, r: int) -> np.ndarray:
     """Matrix of r-fold differentiation in orthonormal Legendre coordinates.
@@ -76,13 +68,19 @@ def derivative_matrix(n: int, r: int) -> np.ndarray:
 
 
 def chebyshev_points(count: int, a: float = -1.0, b: float = 1.0) -> np.ndarray:
-    """Chebyshev-Lobatto points on [a, b]: endpoint-clustered, endpoints included."""
+    """Chebyshev-Lobatto points on [a, b]: endpoint-clustered, endpoints included.
+
+    The end nodes are exactly a and b; the affine map alone can round them
+    one ulp outside the interval.
+    """
     if count < 1:
         raise ValueError("count must be positive")
     if count == 1:
         return np.array([0.5 * (a + b)])
     u = -np.cos(np.pi * np.arange(count) / (count - 1))
-    return 0.5 * (a + b) + 0.5 * (b - a) * u
+    points = 0.5 * (a + b) + 0.5 * (b - a) * u
+    points[0], points[-1] = a, b
+    return points
 
 
 def monomial_to_legendre(coeffs) -> np.ndarray:

@@ -41,20 +41,23 @@ def as_matrix(M) -> np.ndarray:
 
 
 def generator_matrix(vectors, dim: Optional[int] = None) -> np.ndarray:
-    """Stack vectors as the columns of a d x m matrix.
+    """The d x m matrix whose columns are the generators.
 
-    An empty list is legal (it denotes the cone {0} / span {0}), but then
-    `dim` must be supplied.
+    Accepts a sequence of m vectors of length d or an m x d array; either
+    way there is one generator per row (per entry of the sequence).  An
+    empty set is legal (it denotes the cone {0} / span {0}), but then
+    `dim` must be supplied.  The result may be a view of an array input.
     """
-    vecs = [as_vector(v) for v in vectors]
-    if not vecs:
+    G = np.asarray(vectors, dtype=float)
+    if G.size == 0:
         if dim is None:
             raise ValueError("dim is required for an empty generator list")
         return np.zeros((int(dim), 0))
-    d = vecs[0].size
-    if any(v.size != d for v in vecs):
-        raise ValueError("generators must share one dimension")
-    return np.column_stack(vecs)
+    if G.ndim != 2:
+        raise ValueError("generators must be vectors sharing one dimension")
+    if not np.all(np.isfinite(G)):
+        raise ValueError("vector entries must be finite")
+    return G.T
 
 
 @dataclass(frozen=True)
@@ -137,7 +140,7 @@ def span_membership(x, gamma, tol: float = DEFAULT_TOL) -> SpanMembership:
     Parameters
     ----------
     x : array, shape (d,)
-    gamma : sequence of arrays, shape (d,) each (may be empty)
+    gamma : sequence of arrays, shape (d,) each, or an m x d array (may be empty)
     tol : float
         Membership declared when the least-squares residual norm is at
         most ``tol * (1 + ||x||)`` (plain ``tol`` for empty gamma).
@@ -262,7 +265,7 @@ def caratheodory_reduce(vectors, weights) -> CaratheodoryResult:
 
     Parameters
     ----------
-    vectors : sequence of arrays, shape (d,) each
+    vectors : sequence of arrays, shape (d,) each, or an m x d array
     weights : array of matching length, strictly positive
     """
     if len(vectors) == 0:

@@ -98,7 +98,7 @@ def positive_quadrature(spec: MomentSpec, grid_size: int) -> QuadratureRule:
         )
 
     support = np.flatnonzero(sol.rho > 0.0)
-    red = caratheodory_reduce([E[:, j] for j in support], sol.rho[support])
+    red = caratheodory_reduce(E[:, support].T, sol.rho[support])
     nodes = grid[support[red.indices]]
     weights = red.weights
 

@@ -55,18 +55,6 @@ def eval_poly(p: LegendrePoly, t, r: int = 0):
     return float(p.coeffs @ vals) if vals.ndim == 1 else p.coeffs @ vals
 
 
-def representer(n: int, r: int, alpha: float) -> LegendrePoly:
-    """Representer of "the r-th derivative evaluated at alpha" on degree <= n.
-
-    Its coefficients are the derivative values of the basis members, so
-    ``<k_alpha, p> = p^(r)(alpha)`` for every polynomial p of degree at
-    most n.
-    """
-    if not -1.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [-1, 1]")
-    return LegendrePoly(LegendreBasis(n).values(float(alpha), r).copy())
-
-
 def default_grid(n: int) -> np.ndarray:
     """Default constraint grid: 20 (n+1) Chebyshev-distributed points."""
     return chebyshev_points(20 * (n + 1))
@@ -126,7 +114,7 @@ def project_shape(problem: ShapeProblem, tol: float = DEFAULT_TOL) -> ShapeResul
     n, r = problem.n, problem.r
     basis = LegendreBasis(n)
     columns = basis.values(problem.grid, r)  # column j is the representer at grid[j]
-    proj = project_dual(list(columns.T), problem.target.coeffs, tol)
+    proj = project_dual(columns.T, problem.target.coeffs, tol)
     solution = LegendrePoly(proj.point)
 
     check_grid = chebyshev_points(10 * problem.grid.size)
