@@ -147,14 +147,17 @@ def _handle_farkas(data: dict, path: str, tol: float, seed: int):
         raw_pairs = _field(data, "pairs", path)
         if not isinstance(raw_pairs, list):
             raise InputError(f"{path}: field 'pairs' must be a list of [vector, scalar] pairs")
+        b = _vector_field(data, "b", path)
         pairs = []
         for i, entry in enumerate(raw_pairs):
             try:
                 s, p = entry
-                pairs.append((as_vector(s), float(p)))
+                s, p = as_vector(s), float(p)
             except (ValueError, TypeError) as exc:
                 raise InputError(f"{path}: field 'pairs[{i}]': {exc}") from exc
-        b = _vector_field(data, "b", path)
+            if s.size != b.size:
+                raise InputError(f"{path}: field 'pairs[{i}]': vector of length {s.size}, expected {b.size}")
+            pairs.append((s, p))
         r = _field(data, "r", path)
         if not isinstance(r, (int, float)):
             raise InputError(f"{path}: field 'r' must be a number")

@@ -13,7 +13,7 @@ All functions are pure and safe to call concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -24,7 +24,6 @@ from .errors import NotInDualCone, NotOrthonormal
 from .linalg import (
     DEFAULT_TOL,
     as_vector,
-    caratheodory_reduce,
     generator_matrix,
     matrix_rank,
     nnls,
@@ -41,7 +40,7 @@ class Orientation(str, Enum):
     DUAL_FORM = "dual"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConeSpec:
     """A finite generator set plus the orientation it is read in.
 
@@ -66,7 +65,7 @@ class ConeSpec:
                 raise ValueError("witness_e must have strictly positive inner product with every generator")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectionResult:
     """Projected point with multipliers and certificate residuals.
 
@@ -83,7 +82,7 @@ class ProjectionResult:
     orthogonality_residual: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PositiveRelative:
     """Conic membership with representation or separating witness."""
 
@@ -92,13 +91,13 @@ class PositiveRelative:
     witness: Optional[np.ndarray]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MoreauSplit:
     pc: np.ndarray
     pdual: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualDecomposition:
     """Split of a dual-cone element into null-space and pseudoinverse parts."""
 
@@ -108,7 +107,7 @@ class DualDecomposition:
     x0: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ZigDecomposition:
     """Joint cone/dual-cone decomposition through the synthesis operator."""
 
@@ -117,7 +116,7 @@ class ZigDecomposition:
     eta: np.ndarray
     pc: np.ndarray
     pdual: np.ndarray
-    report: CertificateReport = field(compare=False)
+    report: CertificateReport
 
 
 def _active_indices(rho: np.ndarray) -> np.ndarray:
@@ -171,17 +170,6 @@ def project_generated(K, x, tol: float = DEFAULT_TOL) -> ProjectionResult:
     return ProjectionResult(point, sol.rho, _active_indices(sol.rho), kkt, orth)
 
 
-def _reduce_active(S: np.ndarray, rho: np.ndarray):
-    """Prune the active multipliers to an independent set, preserving S @ rho."""
-    active = _active_indices(rho)
-    if active.size == 0:
-        return np.zeros(rho.size), active
-    red = caratheodory_reduce(S[:, active].T, rho[active])
-    out = np.zeros(rho.size)
-    out[active[red.indices]] = red.weights
-    return out, active[red.indices]
-
-
 def _dual_projection(S: np.ndarray, xv: np.ndarray, rho: np.ndarray, active: np.ndarray) -> ProjectionResult:
     """The point ``x + S @ rho`` with its KKT and orthogonality residuals."""
     point = xv + S @ rho
@@ -199,15 +187,14 @@ def project_dual(K, x, tol: float = DEFAULT_TOL) -> ProjectionResult:
     """Project x onto the dual-form cone ``{y : <y, k> >= 0 for all k in K}``.
 
     Computed as ``x + P_cone(K)(-x)``, a consequence of the Moreau
-    decomposition.  The returned multipliers are reduced to a linearly
-    independent active set; the projected point satisfies ``<k_i, x0> = 0``
-    on it.
+    decomposition.  The multipliers are those of the one Lawson-Hanson
+    solve, whose support is linearly independent by construction; the
+    projected point satisfies ``<k_i, x0> = 0`` on the active set.
     """
     xv = as_vector(x)
     S = generator_matrix(K, dim=xv.size)
-    sol = nnls(S, -xv, tol)
-    rho, active = _reduce_active(S, sol.rho)
-    return _dual_projection(S, xv, rho, active)
+    rho = nnls(S, -xv, tol).rho
+    return _dual_projection(S, xv, rho, _active_indices(rho))
 
 
 def project_orthonormal(K, x) -> ProjectionResult:
@@ -234,9 +221,7 @@ def moreau_decompose(K, x, tol: float = DEFAULT_TOL) -> MoreauSplit:
     with generators nonpositive).
     """
     xv = as_vector(x)
-    S = generator_matrix(K, dim=xv.size)
-    sol = nnls(S, xv, tol)
-    pc = S @ sol.rho
+    pc = project_generated(K, xv, tol).point
     return MoreauSplit(pc=pc, pdual=xv - pc)
 
 
@@ -280,13 +265,13 @@ def verify_characterization(K, x, x0, tol: float = DEFAULT_TOL, witness_e=None) 
     res_a = float(np.linalg.norm(sol.residual))
     report.add("difference_in_cone", res_a, res_a <= tol * (1.0 + np.linalg.norm(diff)))
 
-    rho, active = _reduce_active(S, sol.rho)
+    active = _active_indices(sol.rho)
     m = int(active.size)
     report.add("active_set_nonempty", float(m == 0), m >= 1)
     if m:
         rank = matrix_rank(S[:, active])
         report.add("active_set_independent", float(m - rank), rank == m)
-        min_w = float(rho[active].min())
+        min_w = float(sol.rho[active].min())
         report.add("positive_multipliers", max(0.0, -min_w), min_w > 0.0)
         ortho = float(np.abs(S[:, active].T @ x0v).max())
         report.add("active_orthogonality", ortho, ortho <= tol * (1.0 + np.linalg.norm(x0v)))

@@ -24,6 +24,9 @@ from .linalg import DEFAULT_TOL, as_matrix, as_vector, generator_matrix, nnls
 # decidable in floats
 SYSTEM2_RESIDUAL_FACTOR = 1e-7
 
+# most lifted solves `generalized_farkas` makes towards a point passing S x <= p
+FEASIBLE_ROUNDS = 3
+
 
 class FarkasTag(str, Enum):
     SYSTEM1 = "system1"
@@ -45,7 +48,7 @@ class FarkasVerification:
     strict_gap: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FarkasOutcome:
     tag: FarkasTag
     y: Optional[np.ndarray]
@@ -53,15 +56,17 @@ class FarkasOutcome:
     verification: FarkasVerification
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GenFarkasReport:
     """Finite-index generalized Farkas equivalences.
 
     ``member_plain`` tests ``(b, r)`` against the cone of the pairs
-    alone, ``member_augmented`` adds the vertical ray ``(0, 1)``.  The
-    universally quantified implication is only spot-checked on sampled
-    feasible points; when the feasibility heuristic finds no point the
-    report is flagged unverified rather than guessed.
+    alone, ``member_augmented`` adds the vertical ray ``(0, 1)``.
+    Feasibility of ``<s_j, x> <= p_j`` is decided on the lifted pairs
+    (see `generalized_farkas`), and a reported ``feasible_point`` passes
+    ``S x <= p``; the universally quantified implication is only
+    spot-checked on sampled feasible points, and an infeasible system is
+    flagged unverified.
     """
 
     member_plain: bool
@@ -141,23 +146,6 @@ def verify_outcome(A, b, outcome: FarkasOutcome, tol: float = DEFAULT_TOL) -> bo
     return bool(np.all(Am @ x <= slack))
 
 
-def _find_feasible(S: np.ndarray, p: np.ndarray, tol: float, max_iter: int = 5000):
-    """Most-violated-halfspace projections toward ``S x <= p`` from the origin."""
-    x = np.zeros(S.shape[1])
-    slack = tol * (1.0 + float(np.abs(p).max(initial=0.0)))
-    for _ in range(max_iter):
-        gaps = S @ x - p
-        worst = int(np.argmax(gaps)) if gaps.size else 0
-        if gaps.size == 0 or gaps[worst] <= slack:
-            return x
-        s = S[worst]
-        ns2 = float(s @ s)
-        if ns2 == 0.0:
-            return None  # 0 <= p_j is violated outright; system infeasible
-        x = x - (gaps[worst] / ns2) * s
-    return None
-
-
 def generalized_farkas(pairs, b, r, tol: float = DEFAULT_TOL, seed: int = 0, samples: int = 100) -> GenFarkasReport:
     """Membership form of the generalized Farkas theorem for finite pairs.
 
@@ -169,6 +157,14 @@ def generalized_farkas(pairs, b, r, tol: float = DEFAULT_TOL, seed: int = 0, sam
         The candidate consequence ``<b, x> <= r``.
     seed, samples : RNG seed and number of feasible points for the
         spot-check of the universally quantified statement.
+
+    The system is infeasible exactly when ``(0, -1)`` lies in the cone of
+    the lifted pairs ``(s_j, p_j)``; then ``feasible_point`` is None.
+    Otherwise the residual ``(w, t)`` has ``t < 0`` and ``w / -t`` is the
+    feasible point nearest the origin, solved from the pairs carrying
+    multipliers (tight there) rather than divided by the cancelling ``t``.
+    It is kept only if it passes the samples' ``S x <= p`` check; one that
+    misses it is refined by the same step taken from it.
     """
     bv = as_vector(b)
     S = generator_matrix([s for s, _ in pairs], dim=bv.size).T
@@ -180,11 +176,25 @@ def generalized_farkas(pairs, b, r, tol: float = DEFAULT_TOL, seed: int = 0, sam
     vertical = np.append(np.zeros(bv.size), 1.0)
     augmented = positive_relative_test(np.vstack([lifted, vertical]), target, tol)
 
-    feasible = _find_feasible(S, pvals, tol)
+    # dividing the gaps by the worst violation over the largest ||s_j||
+    # balances the lifted pairs; it scales the point, not which pairs are tight
+    slack = tol * (1.0 + float(np.abs(pvals).max(initial=0.0)))
+    row_norm = float(np.linalg.norm(S, axis=1).max(initial=0.0))
+    point, gaps = np.zeros(bv.size), pvals
+    for _ in range(FEASIBLE_ROUNDS):
+        if np.all(gaps >= -slack):
+            break
+        unit = -gaps.min() / row_norm if row_norm else 1.0
+        sol = nnls(np.column_stack([S, gaps / unit]).T, np.append(np.zeros(bv.size), -1.0), tol)
+        if np.linalg.norm(sol.residual) <= 2.0 * tol:
+            break  # (0, -1) is in the lifted cone (`positive_relative_test`'s threshold)
+        tight = np.flatnonzero(sol.rho)
+        point = point + np.linalg.lstsq(S[tight], gaps[tight], rcond=None)[0]
+        gaps = pvals - S @ point
+    feasible = point if np.all(gaps >= -slack) else None
     sampled_ok = True
     used = 0
     if feasible is not None:
-        slack = tol * (1.0 + float(np.abs(pvals).max(initial=0.0)))
         rng = np.random.default_rng(seed)
         points = [feasible]
         attempts = 0
@@ -192,7 +202,7 @@ def generalized_farkas(pairs, b, r, tol: float = DEFAULT_TOL, seed: int = 0, sam
         while len(points) < samples and attempts < 50 * samples:
             attempts += 1
             cand = feasible + spread * rng.standard_normal(bv.size)
-            if pvals.size == 0 or np.all(S @ cand - pvals <= slack):
+            if np.all(S @ cand - pvals <= slack):
                 points.append(cand)
         used = len(points)
         bound = float(r) + tol * (1.0 + abs(float(r)))

@@ -60,7 +60,7 @@ def generator_matrix(vectors, dim: Optional[int] = None) -> np.ndarray:
     return G.T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SvdFactors:
     """Thin SVD truncated at the rank tolerance.
 
@@ -120,7 +120,7 @@ def null_space_projector(M) -> np.ndarray:
     return 0.5 * (P + P.T)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpanMembership:
     """Outcome of a closed-linear-span membership test.
 
@@ -157,7 +157,7 @@ def span_membership(x, gamma, tol: float = DEFAULT_TOL) -> SpanMembership:
     return SpanMembership(member, coeffs if member else None, residual)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NnlsResult:
     """Nonnegative multipliers and the residual ``x - S @ rho``."""
 
@@ -244,7 +244,7 @@ def nnls(S, x, tol: float = DEFAULT_TOL, max_pivots: Optional[int] = None) -> Nn
     return NnlsResult(rho=rho, residual=b - A @ rho)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CaratheodoryResult:
     """Index subset (into the input list) and its strictly positive weights."""
 

@@ -4,8 +4,9 @@ For any degree n there is a rule with at most n + 1 nodes and strictly
 positive weights that integrates every polynomial of degree <= n exactly.
 The construction here fits nonnegative weights on a Chebyshev candidate
 grid to the moments of the orthonormal shifted-Legendre basis (where the
-moment vector is (sqrt(b - a), 0, ..., 0)) and then reduces the support
-to an independent set of evaluation vectors.
+moment vector is (sqrt(b - a), 0, ..., 0)).  The support of that one
+Lawson-Hanson solve is already an independent set of evaluation vectors,
+so it is the rule.
 """
 
 from __future__ import annotations
@@ -17,13 +18,13 @@ import numpy as np
 
 from .errors import BadInterval, MomentFitFailed
 from .legendre import LegendreBasis, chebyshev_points
-from .linalg import caratheodory_reduce, nnls
+from .linalg import nnls
 
 # moment mismatch allowed in a finished rule, scaled by 1 + |moment_0|
 EXACTNESS_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Nodes (strictly increasing) and positive weights, exact to degree n."""
 
@@ -38,7 +39,7 @@ class QuadratureRule:
         object.__setattr__(self, "interval", (float(self.interval[0]), float(self.interval[1])))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentSpec:
     """Target integrals of the orthonormal shifted-Legendre basis on [a, b]."""
 
@@ -72,10 +73,10 @@ def positive_quadrature(spec: MomentSpec, grid_size: int) -> QuadratureRule:
     """Construct a positive rule matching the moments, on <= n + 1 nodes.
 
     Candidate nodes are Chebyshev points of the interval (clustered at
-    the endpoints for conditioning); weights come from a nonnegative
-    least-squares fit to the moments and the support is then reduced to
-    linearly independent evaluation vectors, which caps it at n + 1.
-    Nodes closer than ``1e-12 (b - a)`` are merged, summing weights.
+    the endpoints for conditioning); weights come from one nonnegative
+    least-squares fit to the moments.  The Lawson-Hanson support is a
+    linearly independent set of evaluation vectors in R^(n+1), which caps
+    it at n + 1 nodes; weights at or below 1e-12 are dropped.
 
     Raises
     ------
@@ -97,35 +98,15 @@ def positive_quadrature(spec: MomentSpec, grid_size: int) -> QuadratureRule:
             f"moment fit missed by {float(np.abs(sol.residual).max()):.3e} on a {grid_size}-point grid"
         )
 
-    support = np.flatnonzero(sol.rho > 0.0)
-    red = caratheodory_reduce(E[:, support].T, sol.rho[support])
-    nodes = grid[support[red.indices]]
-    weights = red.weights
-
-    order = np.argsort(nodes)
-    nodes, weights = nodes[order], weights[order]
-
-    merged_nodes, merged_weights = [], []
-    gap = 1e-12 * (b - a)
-    for t, w in zip(nodes, weights):
-        if merged_nodes and t - merged_nodes[-1] <= gap:
-            total = merged_weights[-1] + w
-            merged_nodes[-1] = (merged_nodes[-1] * merged_weights[-1] + t * w) / total
-            merged_weights[-1] = total
-        else:
-            merged_nodes.append(float(t))
-            merged_weights.append(float(w))
-    nodes = np.array(merged_nodes)
-    weights = np.array(merged_weights)
-
-    keep = weights > 1e-12
-    nodes, weights = nodes[keep], weights[keep]
+    # the support indices and the grid both ascend, so the nodes do too
+    support = np.flatnonzero(sol.rho > 1e-12)
+    nodes, weights = grid[support], sol.rho[support]
 
     if nodes.size > n + 1:
-        raise MomentFitFailed("support reduction failed to reach n + 1 nodes")
+        raise MomentFitFailed("weight fit is supported on more than n + 1 nodes")
     rule = QuadratureRule(nodes=nodes, weights=weights, degree=n, interval=(a, b))
     if verify_exactness(rule, n) > EXACTNESS_TOL:
-        raise MomentFitFailed("reduced rule no longer matches the moments")
+        raise MomentFitFailed("rule without its tiny weights misses the moments")
     return rule
 
 

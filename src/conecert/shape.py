@@ -23,7 +23,7 @@ from .legendre import LegendreBasis, chebyshev_points, derivative_matrix
 from .linalg import DEFAULT_TOL, as_vector
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LegendrePoly:
     """Polynomial in orthonormal Legendre coordinates.
 
@@ -44,23 +44,12 @@ class LegendrePoly:
         return float(np.linalg.norm(self.coeffs))
 
 
-def eval_poly(p: LegendrePoly, t, r: int = 0):
-    """Value of p^(r) at t; orders beyond the degree bound give 0."""
-    if r < 0:
-        raise ValueError("derivative order must be nonnegative")
-    n = p.degree_bound
-    if r > n:
-        return np.zeros_like(np.asarray(t, dtype=float)) if np.ndim(t) else 0.0
-    vals = LegendreBasis(n).values(t, r)
-    return float(p.coeffs @ vals) if vals.ndim == 1 else p.coeffs @ vals
-
-
 def default_grid(n: int) -> np.ndarray:
     """Default constraint grid: 20 (n+1) Chebyshev-distributed points."""
     return chebyshev_points(20 * (n + 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShapeProblem:
     """Discretized best-approximation problem over C_{n,r}.
 
@@ -89,12 +78,12 @@ class ShapeProblem:
             raise ValueError("target must carry exactly n + 1 coefficients")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShapeResult:
     """Projected polynomial with the active constraint points.
 
     ``rho`` are the strictly positive multipliers on ``active_alphas``
-    (already reduced to an independent representer set);
+    (the Lawson-Hanson support, an independent representer set);
     ``min_derivative_on_checkgrid`` is the continuum feasibility margin
     and ``bound_ok`` records the active-count bound
     ``m <= (n - r + 2) / 2`` whenever the solution's r-th derivative is

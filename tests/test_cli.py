@@ -12,6 +12,7 @@ import pytest
 
 import conecert.cli as cli
 from conecert import (
+    IterationLimit,
     LegendrePoly,
     ShapeProblem,
     chebyshev_points,
@@ -157,6 +158,33 @@ class TestFarkas:
         assert rep["result"]["samples_used"] == report.samples_used
         _same(rep["result"]["feasible_point"], report.feasible_point)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="CHANGES.md FOUND: generalized_farkas reports the infeasible system "
+        "{x1 <= 1, -x1 <= -2} as hypothesis_verified=False, so the CLI exits 2",
+    )
+    def test_pairs_infeasible_known_fault(self, tmp_path):
+        problem = {"kind": "farkas", "pairs": [[[1.0], 1.0], [[-1.0], -2.0]], "b": [1.0], "r": 0.0}
+        rc, _ = _run(tmp_path, "farkas", problem)
+        assert rc == 0
+
+    def test_pairs_wedge(self, tmp_path):
+        # the origin is infeasible; a point of the wedge must still be found
+        problem = {"kind": "farkas", "pairs": [[[1.0, 0.01], -1.0], [[-1.0, 0.01], -1.0]], "b": [0.0, 1.0], "r": -50.0}
+        rc, rep = _run(tmp_path, "farkas", problem)
+        assert rc == 0
+        assert rep["result"]["hypothesis_verified"] is True
+        assert rep["result"]["member_augmented"] is True
+
+    def test_pairs_far_from_origin(self, tmp_path):
+        # x1 >= 1e8 implies -x1 <= -1e8; the report must be written with a
+        # point that satisfies the pair
+        problem = {"kind": "farkas", "pairs": [[[-1.0], -1e8]], "b": [-1.0], "r": -1e8}
+        rc, rep = _run(tmp_path, "farkas", problem)
+        assert rc == 0
+        assert rep["result"]["hypothesis_verified"] is True
+        assert -rep["result"]["feasible_point"][0] <= -1e8 + 1e-9 * (1.0 + 1e8)
+
 
 class TestQuadrature:
     def test_rule_round_trips(self, tmp_path):
@@ -268,10 +296,71 @@ class TestInputErrors:
         assert rc == 1
         assert rep is None
 
+    @pytest.mark.parametrize(
+        "kind, content, message",
+        [
+            ("project", None, "No such file"),
+            ("project", '{"kind": "project",', "Expecting"),
+            ("project", "[1, 2]", "top-level value must be an object"),
+            ("project", {"kind": "project", "generators": {"k": [1.0]}, "point": X}, "'generators' must be a list"),
+            ("project", {"kind": "project", "orientation": "polar", "generators": K, "point": X}, "'orientation'"),
+            ("farkas", {"kind": "farkas", "pairs": {"s": [1.0]}, "b": [1.0], "r": 1.0}, "'pairs' must be a list"),
+            ("farkas", {"kind": "farkas", "pairs": [[[1.0]]], "b": [1.0], "r": 1.0}, "'pairs[0]'"),
+            ("farkas", {"kind": "farkas", "pairs": [[[1.0], 1.0]], "b": [1.0], "r": "one"}, "'r' must be a number"),
+            ("farkas", {"kind": "farkas", "pairs": [[[1.0, 0.0, 0.0], 1.0]], "b": [1.0, 1.0], "r": 1.0}, "'pairs[0]'"),
+            ("farkas", {"kind": "farkas", "pairs": [[[1.0, 0.0], 1.0], [[1.0], 1.0]], "b": [1.0, 1.0], "r": 1.0}, "'pairs[1]'"),
+            ("quadrature", {"kind": "quadrature", "degree": -1, "interval": [0.0, 1.0]}, "'degree'"),
+            ("quadrature", {"kind": "quadrature", "degree": 2, "interval": 1.0}, "'interval'"),
+            ("quadrature", {"kind": "quadrature", "degree": 2, "interval": [0.0, 1.0], "grid_size": 5}, "'grid_size'"),
+            ("quadrature", {"kind": "quadrature", "degree": 2, "interval": [1.0, 0.0]}, "need a < b"),
+            ("shape", {"kind": "shape", "n": 2, "r": 1, "target": [1.0, 2.0]}, "'target' must be an object"),
+            ("shape", {"kind": "shape", "n": 2, "r": 1, "target": {"legendre": [1.0, 2.0, 3.0, 4.0]}}, "target degree exceeds"),
+            ("shape", {"kind": "shape", "n": 2, "r": 2, "target": {"legendre": [1.0]}}, "0 <= r < n"),
+            ("shape", {"kind": "shape", "n": 2, "r": 1, "grid_size": 2, "target": {"legendre": [1.0]}}, "'grid_size'"),
+            ("shape", {"kind": "shape", "n": 2, "r": 1, "grid": [0.5, 0.0, 1.0], "target": {"legendre": [1.0]}}, "strictly increasing"),
+            ("membership", {"kind": "membership", "mode": "polar", "vectors": [[1.0]], "point": [1.0]}, "'mode'"),
+        ],
+    )
+    def test_malformed_file(self, tmp_path, capsys, kind, content, message):
+        src = tmp_path / "in.json"
+        if content is not None:
+            src.write_text(content if isinstance(content, str) else json.dumps(content))
+        out = tmp_path / "out.json"
+        rc = cli.run([kind, "--input", str(src), "--output", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        assert message in capsys.readouterr().err
+
     def test_unknown_kind(self, tmp_path):
         rc, rep = _run(tmp_path, "cones", {"kind": "cones"})
         assert rc == 1
         assert rep is None
+
+
+class TestGaveUp:
+    @pytest.fixture(autouse=True)
+    def _give_up(self, monkeypatch):
+        def raise_limit(*args, **kwargs):
+            raise IterationLimit("nnls exceeded 0 pivots")
+
+        monkeypatch.setattr(cli, "project_dual", raise_limit)
+
+    def test_json_report(self, tmp_path):
+        rc, rep = _run(tmp_path, "project", {"kind": "project", "generators": K, "point": X})
+        assert rc == 2
+        assert list(rep) == TOP_KEYS + ["error"]
+        assert rep["result"] is None
+        assert rep["certificates"] == [{"name": "computation_completed", "residual": 1.0, "pass": False}]
+        assert rep["error"] == "IterationLimit: nnls exceeded 0 pivots"
+
+    def test_text_report(self, tmp_path):
+        src, out = tmp_path / "in.json", tmp_path / "out.txt"
+        src.write_text(json.dumps({"kind": "project", "generators": K, "point": X}))
+        rc = cli.run(["project", "--input", str(src), "--output", str(out), "--format", "text"])
+        assert rc == 2
+        lines = out.read_text().splitlines()
+        assert lines[:3] == ["kind: project", "result: (none)", "error: IterationLimit: nnls exceeded 0 pivots"]
+        assert "  [FAIL] computation_completed  residual=1.0" in lines
 
 
 class TestOtherFormats:

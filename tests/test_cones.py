@@ -146,6 +146,39 @@ class TestProjectDual:
             assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-9
 
 
+def _duplicated(rng, d, m):
+    S = rng.standard_normal((d, m))
+    return np.hstack([S, S[:, :2], 3.0 * S[:, :1]])
+
+
+def _rank_deficient(rng, d, m):
+    k = max(1, d - 2)
+    return rng.standard_normal((d, k)) @ rng.standard_normal((k, m))
+
+
+def _near_duplicate(rng, d, m):
+    S = rng.standard_normal((d, m))
+    return np.hstack([S, S[:, :2] * (1.0 + 1e-9)])
+
+
+class TestDegenerateGenerators:
+    """Repeated and dependent generators: the solver's support stays independent."""
+
+    @pytest.mark.parametrize("make", [_duplicated, _rank_deficient, _near_duplicate])
+    def test_projection_and_certificate(self, make):
+        rng = np.random.default_rng(107)
+        for _ in range(40):
+            d = int(rng.integers(2, 6))
+            S = make(rng, d, int(rng.integers(2, 6)))
+            x = 2.0 * rng.standard_normal(d)
+            res = project_dual(list(S.T), x)
+            oracle = dual_projection_bruteforce(S, x)
+            assert np.linalg.norm(res.point - oracle) <= 1e-8 * (1.0 + np.linalg.norm(x))
+            if res.active.size:
+                assert matrix_rank(S[:, res.active]) == res.active.size
+            assert verify_characterization(list(S.T), x, res.point).passed
+
+
 class TestProjectOrthonormal:
     def test_single_negative_component(self):
         res = project_orthonormal([[1.0, 0.0], [0.0, 1.0]], [-1.0, 2.0])
@@ -322,3 +355,13 @@ class TestZigDecompose:
             S, x = random_cone_instance(rng, d_max=6, m_max=8)
             dec = zig_decompose(list(S.T), x)
             assert dec.report.passed
+
+
+class TestIdentitySemantics:
+    def test_equality_and_hash_do_not_raise(self):
+        spec = ConeSpec(K_EXAMPLE)
+        res = project_dual(K_EXAMPLE, [2.0, 1.0])
+        for obj in (spec, res):
+            assert obj == obj
+            assert hash(obj) == hash(obj)
+        assert len({spec, res}) == 2

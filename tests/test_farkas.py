@@ -5,6 +5,7 @@ from conecert import (
     FarkasOutcome,
     FarkasTag,
     FarkasVerification,
+    IterationLimit,
     farkas_alternative,
     generalized_farkas,
     verify_outcome,
@@ -160,3 +161,86 @@ class TestGeneralizedFarkas:
         report = generalized_farkas([], [0.0, 0.0], 1.0)
         assert report.hypothesis_verified
         assert report.member_augmented  # (0, 1) alone reaches (0, 0, 1)
+
+    def test_wedge_far_from_origin(self):
+        # the origin violates both constraints; the feasible set is the
+        # wedge x2 <= -100 (1 + |x1|)
+        S = np.array([[1.0, 0.01], [-1.0, 0.01]])
+        p = np.array([-1.0, -1.0])
+        report = generalized_farkas(list(zip(S, p)), [1.0, 0.0], 0.0)
+        assert report.hypothesis_verified
+        x = report.feasible_point
+        assert np.all(S @ x - p <= 1e-9 * (1.0 + np.linalg.norm(x)))
+
+    def test_known_feasible_point_random(self):
+        # systems built around a feasible point away from the origin are
+        # found feasible, with a point satisfying S x <= p at the samples' slack
+        rng = np.random.default_rng(103)
+        for _ in range(200):
+            n = int(rng.integers(1, 5))
+            k = int(rng.integers(1, 7))
+            S = rng.standard_normal((k, n))
+            center = 5.0 * rng.standard_normal(n)
+            p = S @ center + rng.uniform(0.0, 0.5, size=k)
+            report = generalized_farkas(list(zip(S, p)), rng.standard_normal(n), 0.0, samples=1)
+            assert report.hypothesis_verified
+            x = report.feasible_point
+            assert np.all(S @ x - p <= 1e-9 * (1.0 + np.abs(p).max()))
+
+    @pytest.mark.parametrize("far", [1e4, 1e8, 1e12])
+    def test_single_pair_far_from_origin(self, far):
+        # x1 >= far: the lifted residual's last entry cancels to about
+        # 1 / far^2, so the point must not be read off as w / -t
+        report = generalized_farkas([(np.array([-1.0]), -far)], [-1.0], -far)
+        assert report.hypothesis_verified
+        x = report.feasible_point
+        assert -x[0] <= -far + 1e-9 * (1.0 + far)
+        assert x[0] == pytest.approx(far, rel=1e-12)
+        assert report.sampled_implication_holds
+
+    def test_box_far_from_origin(self):
+        # the unit square at (1e6, 1e6), cut by x1 + x2 <= 2e6 + 1
+        c = 1e6
+        S = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 1.0]])
+        p = np.array([c + 1.0, -c, c + 1.0, -c, 2.0 * c + 1.0])
+        report = generalized_farkas(list(zip(S, p)), [1.0, 1.0], 2.0 * c + 1.0)
+        assert report.hypothesis_verified
+        x = report.feasible_point
+        assert np.all(S @ x - p <= 1e-9 * (1.0 + np.abs(p).max()))
+        assert np.allclose(x, [c, c], rtol=1e-12)
+        assert report.sampled_implication_holds
+
+    def test_far_system_needs_refinement(self):
+        # a small triangle near (963000, -400000): the first lifted solve
+        # stops short of the tight pairs, and the refined point must pass
+        S = np.array([[-0.8, -1.0], [-0.4, 1.1], [-1.1, 0.7]])
+        p = np.array([-370399.3, -825199.7, -1339299.1])
+        report = generalized_farkas(list(zip(S, p)), [1.0, 0.0], 0.0)
+        assert report.hypothesis_verified
+        x = report.feasible_point
+        assert np.all(S @ x - p <= 1e-9 * (1.0 + np.abs(p).max()))
+        assert np.allclose(x, [963000.0, -400000.0], rtol=1e-5)
+        assert not report.sampled_implication_holds  # x1 <= 0 fails there
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=IterationLimit,
+        reason="CHANGES.md FOUND: the membership tests on lifted pairs whose p_j are "
+        "~1e6 times their s_j exceed the NNLS pivot budget",
+    )
+    def test_membership_far_from_origin_known_fault(self):
+        S = [
+            [-1.1551410801801176, 0.9534181889978128],
+            [-0.9418959197785431, -0.44692773201164593],
+            [0.975276942477362, -1.2211790049331497],
+            [-0.33091284621125844, 0.7681241158657377],
+        ]
+        p = [-2136622.841726204, 181986.1929662563, 2458060.5598285603, -1390019.2157834629]
+        generalized_farkas(list(zip(S, p)), [1.2508511116576373, 0.323221056611202], 0.0, samples=1)
+
+    def test_infeasible_system(self):
+        # x1 <= 1 and -x1 <= -2: the lifted pairs reach (0, -1)
+        report = generalized_farkas([(np.array([1.0]), 1.0), (np.array([-1.0]), -2.0)], [1.0], 0.0)
+        assert report.feasible_point is None
+        assert not report.hypothesis_verified
+        assert report.samples_used == 0

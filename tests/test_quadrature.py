@@ -78,6 +78,17 @@ class TestPositiveQuadrature:
             assert rule.nodes.min() >= a - 1e-12 and rule.nodes.max() <= b + 1e-12
             assert verify_exactness(rule, n) <= 1e-8
 
+    @pytest.mark.parametrize("n", [40, 60])
+    @pytest.mark.parametrize("interval", [(-1.0, 1.0), (0.0, 1.0), (-3.0, 2.5)])
+    def test_high_degree(self, n, interval):
+        a, b = interval
+        rule = positive_quadrature(integral_moments(n, a, b), 8 * (n + 1))
+        assert rule.nodes.size <= n + 1
+        assert np.all(rule.weights > 1e-12)
+        assert np.all(np.diff(rule.nodes) > 0.0)
+        assert rule.nodes.min() >= a and rule.nodes.max() <= b
+        assert verify_exactness(rule, n) <= 1e-8
+
     def test_random_polynomial_exactness(self):
         rng = np.random.default_rng(101)
         for _ in range(100):
