@@ -1,13 +1,15 @@
 """Dense linear-algebra substrate.
 
 Pseudoinverse and rank machinery, span membership with separating
-witnesses, nonnegative least squares, and Caratheodory reduction of
+witnesses, nonnegative least squares (Lawson-Hanson on a thin QR factor
+of the support that each pivot updates), and Caratheodory reduction of
 positive combinations.  Everything here is a pure function of its
 arguments and safe to call from multiple threads.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -159,10 +161,12 @@ def span_membership(x, gamma, tol: float = DEFAULT_TOL) -> SpanMembership:
 
 @dataclass(frozen=True, eq=False)
 class NnlsResult:
-    """Nonnegative multipliers and the residual ``x - S @ rho``."""
+    """Nonnegative multipliers, the residual ``x - S @ rho``, and ``pivots``,
+    the number of inner least-squares solves performed."""
 
     rho: np.ndarray
     residual: np.ndarray
+    pivots: int
 
 
 def nnls(S, x, tol: float = DEFAULT_TOL, max_pivots: Optional[int] = None) -> NnlsResult:
@@ -175,6 +179,33 @@ def nnls(S, x, tol: float = DEFAULT_TOL, max_pivots: Optional[int] = None) -> Nn
     columns carrying positive multipliers are orthogonal to ``r``
     (complementarity).  ``S @ rho`` is then the nearest point of the
     generated cone.
+
+    The support columns are kept as a thin QR factor
+    ``S[:, support] = Q R`` together with ``Q^T x`` (Lawson & Hanson,
+    *Solving Least Squares Problems*, 1974, ch. 23), in buffers of
+    ``min(d, m)`` columns allocated once per call, so each pivot solves
+    the triangular system ``R z = Q^T x`` instead of a fresh least-squares
+    problem.  An entering column is appended by one Gram-Schmidt step with
+    one reorthogonalisation, O(d k) for a support of k columns; the
+    columns a blocking step leaves are re-factored with one QR, and
+    blocking steps are rarer than additions.  The factor is of the
+    columns themselves, not of the Gram matrix ``S^T S``, whose condition
+    number is the square.
+
+    The gradient ``S^T r`` that picks the entering column is taken from
+    the factor's residual ``x - Q Q^T x``.  It stays accurate where
+    ``x - S @ rho`` would carry rounding of order ``eps ||S|| ||rho||``
+    (large multipliers on badly scaled columns) and could let a column
+    re-enter forever; the returned ``residual`` is ``x - S @ rho``.
+
+    An entering column whose part orthogonal to the support is at or
+    below the library rank rule (``d * eps * ||k_i||``) lies in the span
+    of the support to working precision, so its positive gradient is
+    rounding.  As in Lawson and Hanson's NNLS it is passed over for that
+    choice and the next candidate is tried; when none is left the solve
+    returns.  The support therefore stays linearly independent, with at
+    most ``min(d, m)`` columns, and no multiplier comes from a division by
+    a vanishing pivot.
 
     Parameters
     ----------
@@ -200,48 +231,84 @@ def nnls(S, x, tol: float = DEFAULT_TOL, max_pivots: Optional[int] = None) -> Nn
         raise ValueError("tol must be positive")
     budget = 3 * m * d if max_pivots is None else max_pivots
 
+    colnorm = np.linalg.norm(A, axis=0)
+    slack = tol * (1.0 + np.linalg.norm(b)) * colnorm
+    # an entering column whose remainder is at or below floor * ||a|| is dependent
+    floor = d * _EPS
+    # thin QR of the support: A[:, cols[:k]] = Q[:, :k] @ R[:k, :k]
+    kmax = min(d, m)
+    cols = np.empty(kmax, dtype=np.intp)
+    Q = np.empty((d, kmax))
+    R = np.empty((kmax, kmax))
+    qtb = np.empty(kmax)
+    k = 0
     rho = np.zeros(m)
-    support = np.zeros(m, dtype=bool)
     resid = b.copy()
-    slack = tol * (1.0 + np.linalg.norm(b)) * np.linalg.norm(A, axis=0)
     pivots = 0
 
     while True:
-        grad = A.T @ resid
-        candidates = ~support & (grad > slack)
-        if not candidates.any():
+        score = A.T @ resid
+        score[score <= slack] = -np.inf
+        score[cols[:k]] = -np.inf
+        entering = -1
+        while k < kmax:
+            j = int(score.argmax())
+            if score[j] == -np.inf:
+                break
+            a = A[:, j]
+            Qk = Q[:, :k]
+            c = Qk.T @ a
+            v = a - Qk @ c
+            c2 = Qk.T @ v
+            v -= Qk @ c2
+            rkk = math.sqrt(v @ v)
+            if rkk > floor * colnorm[j]:
+                entering = j
+                break
+            score[j] = -np.inf
+        if entering < 0:
             break
-        entering = int(np.argmax(np.where(candidates, grad, -np.inf)))
-        support[entering] = True
+        cols[k] = entering
+        np.divide(v, rkk, out=Q[:, k])
+        np.add(c, c2, out=R[:k, k])
+        R[k, :k] = 0.0
+        R[k, k] = rkk
+        qtb[k] = Q[:, k] @ b
+        k += 1
 
         while True:
             pivots += 1
             if pivots > budget:
                 raise IterationLimit(f"nnls exceeded {budget} pivots on a {d}x{m} system")
-            sup = np.flatnonzero(support)
-            z, *_ = np.linalg.lstsq(A[:, sup], b, rcond=None)
+            sup = cols[:k]
+            z = np.linalg.solve(R[:k, :k], qtb[:k])
             if z.size and z.min() > 0.0:
-                rho = np.zeros(m)
                 rho[sup] = z
                 break
-            zfull = np.zeros(m)
-            zfull[sup] = z
-            blocking = np.flatnonzero(support & (zfull <= 0.0))
+            blocking = np.flatnonzero(z <= 0.0)
             if blocking.size == 0:
                 raise IterationLimit("nnls inner loop stalled on degenerate input")
-            denom = rho[blocking] - zfull[blocking]
+            current = rho[sup]
+            denom = current[blocking] - z[blocking]
             safe = denom > 0.0
-            ratios = np.where(safe, rho[blocking] / np.where(safe, denom, 1.0), 0.0)
+            ratios = np.where(safe, current[blocking] / np.where(safe, denom, 1.0), 0.0)
             alpha = float(ratios.min())
-            rho = rho + alpha * (zfull - rho)
+            current += alpha * (z - current)
             hit = blocking[ratios <= alpha * (1.0 + 1e-12)]
-            rho[hit] = 0.0
-            np.maximum(rho, 0.0, out=rho)
-            support[hit] = False
-            rho[~support] = 0.0
-        resid = b - A @ rho
+            current[hit] = 0.0
+            np.maximum(current, 0.0, out=current)
+            rho[sup] = current
+            keep = np.ones(k, dtype=bool)
+            keep[hit] = False
+            k = int(keep.sum())
+            cols[:k] = sup[keep]
+            q, r = np.linalg.qr(A[:, cols[:k]])
+            Q[:, :k] = q
+            R[:k, :k] = r
+            qtb[:k] = q.T @ b
+        resid = b - Q[:, :k] @ qtb[:k]
 
-    return NnlsResult(rho=rho, residual=b - A @ rho)
+    return NnlsResult(rho=rho, residual=b - A @ rho, pivots=pivots)
 
 
 @dataclass(frozen=True, eq=False)

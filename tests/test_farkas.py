@@ -5,11 +5,11 @@ from conecert import (
     FarkasOutcome,
     FarkasTag,
     FarkasVerification,
-    IterationLimit,
     farkas_alternative,
     generalized_farkas,
     verify_outcome,
 )
+from oracles import nnls_bruteforce
 
 
 class TestFarkasAlternative:
@@ -222,21 +222,52 @@ class TestGeneralizedFarkas:
         assert np.allclose(x, [963000.0, -400000.0], rtol=1e-5)
         assert not report.sampled_implication_holds  # x1 <= 0 fails there
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=IterationLimit,
-        reason="CHANGES.md FOUND: the membership tests on lifted pairs whose p_j are "
-        "~1e6 times their s_j exceed the NNLS pivot budget",
+    @pytest.mark.parametrize(
+        "S, p, b",
+        [
+            (
+                [
+                    [-1.1551410801801176, 0.9534181889978128],
+                    [-0.9418959197785431, -0.44692773201164593],
+                    [0.975276942477362, -1.2211790049331497],
+                    [-0.33091284621125844, 0.7681241158657377],
+                ],
+                [-2136622.841726204, 181986.1929662563, 2458060.5598285603, -1390019.2157834629],
+                [1.2508511116576373, 0.323221056611202],
+            ),
+            (
+                [[0.6050450937108203, -0.9456142108667503], [-0.5631696304919982, 1.64549819365313]],
+                [102008091.57534093, -170748447.644503],
+                [-1.8168550749412615, 1.2870594888955915],
+            ),
+            (
+                [
+                    [-0.852090895401681, 1.7934749674108597],
+                    [1.1988121870719866, 1.7167396113638904],
+                    [0.07185200202799348, 0.8122824870482084],
+                    [0.43123519142894345, -0.7874371296617452],
+                ],
+                [-49859914.54905547, 150103796.59171444, 22373892.748544473, 27500750.63550458],
+                [-0.5864945198655476, 0.31360834220668277],
+            ),
+        ],
     )
-    def test_membership_far_from_origin_known_fault(self):
-        S = [
-            [-1.1551410801801176, 0.9534181889978128],
-            [-0.9418959197785431, -0.44692773201164593],
-            [0.975276942477362, -1.2211790049331497],
-            [-0.33091284621125844, 0.7681241158657377],
-        ]
-        p = [-2136622.841726204, 181986.1929662563, 2458060.5598285603, -1390019.2157834629]
-        generalized_farkas(list(zip(S, p)), [1.2508511116576373, 0.323221056611202], 0.0, samples=1)
+    def test_membership_far_from_origin(self, S, p, b):
+        # lifted pairs whose p_j are 1e6-1e8 times their s_j: x - S @ rho
+        # carries rounding of order 1 there, and an NNLS that picks entering
+        # columns by gradients of it exceeds its pivot budget
+        S, p, b = np.array(S), np.array(p), np.array(b)
+        report = generalized_farkas(list(zip(S, p)), b, 0.0, samples=1)
+        target = np.append(b, 0.0)
+        threshold = 1e-9 * (1.0 + np.linalg.norm(target))
+        lifted = np.column_stack([S, p]).T
+        augmented = np.column_stack([lifted, np.eye(3)[:, 2]])
+        # unit columns generate the same cone and keep the oracle's
+        # absolute feasibility test meaningful
+        plain, _ = nnls_bruteforce(lifted / np.linalg.norm(lifted, axis=0), target)
+        aug, _ = nnls_bruteforce(augmented / np.linalg.norm(augmented, axis=0), target)
+        assert report.member_plain == bool(np.sqrt(plain) <= threshold)
+        assert report.member_augmented == bool(np.sqrt(aug) <= threshold)
 
     def test_infeasible_system(self):
         # x1 <= 1 and -x1 <= -2: the lifted pairs reach (0, -1)

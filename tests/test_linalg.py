@@ -194,6 +194,193 @@ class TestNnls:
             assert obj >= best - 1e-9
 
 
+
+def _kkt_holds(S, x, res, tol=1e-9):
+    """The stopping conditions the nnls docstring states, at its tolerance."""
+    colnorm = np.linalg.norm(S, axis=0)
+    slack = tol * (1.0 + np.linalg.norm(x)) * colnorm
+    grad = S.T @ res.residual
+    comp = np.abs(res.rho * grad)
+    return (
+        res.rho.min(initial=0.0) >= 0.0
+        and bool(np.all(grad <= slack + 1e-15))
+        and float(comp.max(initial=0.0)) <= tol * (1.0 + np.linalg.norm(x)) * max(1.0, float(colnorm.max(initial=0.0)))
+    )
+
+
+def _objective_matches_oracle(S, x, res, rel=1e-9):
+    # the cone, hence the optimum, does not change when columns are rescaled,
+    # so the oracle sees unit columns and its absolute feasibility test stays fair
+    colnorm = np.linalg.norm(S, axis=0)
+    unit = S / np.where(colnorm > 0.0, colnorm, 1.0)
+    best, _ = nnls_bruteforce(unit, x)
+    obj = float(res.residual @ res.residual)
+    return abs(obj - best) <= rel * (1.0 + float(x @ x))
+
+
+@pytest.fixture
+def solve_sizes(monkeypatch):
+    """Support size at every triangular solve of the factor, in order."""
+    sizes = []
+    solve = np.linalg.solve
+
+    def recording(R, rhs):
+        sizes.append(R.shape[0])
+        return solve(R, rhs)
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    return sizes
+
+
+def _drops(sizes):
+    """Columns removed by each blocking step: the falls between solves."""
+    return [int(a - b) for a, b in zip(sizes, sizes[1:]) if b < a]
+
+
+class TestNnlsFactor:
+    def test_blocking_step_drops_one_column(self, solve_sizes):
+        S = np.array([[-2.0, 2.0, 3.0, -3.0], [-1.0, 1.0, -3.0, 0.0], [1.0, 2.0, 3.0, -1.0]])
+        x = np.array([0.0, 0.0, 3.0])
+        res = nnls(S, x)
+        assert _drops(solve_sizes) == [1]
+        assert res.pivots == len(solve_sizes)
+        assert _kkt_holds(S, x, res)
+        assert _objective_matches_oracle(S, x, res)
+
+    def test_blocking_step_drops_two_columns(self, solve_sizes):
+        S = np.array([[0.0, 1.0, 1.0, -2.0], [0.0, 1.0, 2.0, -1.0], [1.0, 2.0, 0.0, 2.0]])
+        x = np.array([2.0, -3.0, 3.0])
+        res = nnls(S, x)
+        assert _drops(solve_sizes) == [2]
+        assert res.pivots == len(solve_sizes)
+        assert _kkt_holds(S, x, res)
+        assert _objective_matches_oracle(S, x, res)
+
+    def test_drops_random_against_oracle(self, solve_sizes):
+        rng = np.random.default_rng(31)
+        dropped = 0
+        for _ in range(300):
+            S = rng.integers(-2, 3, size=(int(rng.integers(2, 6)), int(rng.integers(3, 8)))).astype(float)
+            x = rng.integers(-3, 4, size=S.shape[0]).astype(float)
+            solve_sizes.clear()
+            res = nnls(S, x)
+            dropped += len(_drops(solve_sizes))
+            assert _kkt_holds(S, x, res)
+            assert _objective_matches_oracle(S, x, res)
+        assert dropped > 0
+
+    def test_support_grows_to_rank_d(self, solve_sizes):
+        rng = np.random.default_rng(37)
+        for _ in range(20):
+            d = int(rng.integers(2, 7))
+            S = rng.standard_normal((d, 2 * d + 3))
+            x = S @ rng.uniform(0.5, 1.5, size=S.shape[1])  # inside the cone
+            solve_sizes.clear()
+            res = nnls(S, x)
+            assert max(solve_sizes) == d
+            assert np.count_nonzero(res.rho) == d
+            assert np.linalg.norm(res.residual) <= 1e-12 * np.linalg.norm(x)
+            assert np.linalg.norm(S @ res.rho - x) <= 1e-12 * np.linalg.norm(x)
+
+    def test_fewer_columns_than_rows(self):
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            d = int(rng.integers(3, 9))
+            m = int(rng.integers(1, d))
+            S = rng.standard_normal((d, m))
+            x = 2.0 * rng.standard_normal(d)
+            res = nnls(S, x)
+            assert res.rho.shape == (m,)
+            assert _kkt_holds(S, x, res)
+            assert _objective_matches_oracle(S, x, res)
+
+    def test_near_duplicate_generators_stay_finite(self):
+        rng = np.random.default_rng(43)
+        cos = 1.0 - 1e-12
+        for trial in range(100):
+            d = int(rng.integers(2, 6))
+            a = rng.standard_normal(d)
+            a /= np.linalg.norm(a)
+            u = rng.standard_normal(d)
+            u -= (u @ a) * a
+            u /= np.linalg.norm(u)
+            twin = cos * a + np.sqrt(1.0 - cos * cos) * u
+            S = np.column_stack([a, twin, rng.standard_normal((d, int(rng.integers(0, 4))))])
+            # half the targets sit just off the thin wedge between the twins
+            x = a + 10.0 ** rng.uniform(-9, -3) * rng.standard_normal(d) if trial % 2 else rng.standard_normal(d)
+            for tol in (1e-9, 1e-12):
+                res = nnls(S, x, tol)
+                assert np.all(np.isfinite(res.rho))
+                assert np.all(np.isfinite(res.residual))
+                assert _objective_matches_oracle(S, x, res)
+
+    def test_dependent_entering_column_is_passed_over(self):
+        # parallel columns with a slack below rounding: after one of them
+        # enters, another can show a positive gradient that is pure rounding
+        # and whose remainder is under the rank rule
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            a = rng.standard_normal(3)
+            c = rng.standard_normal(3)
+            S = np.column_stack([a, a, c, 2.0 * a])
+            x = rng.standard_normal(3)
+            res = nnls(S, x, tol=1e-300)
+            assert np.all(np.isfinite(res.rho))
+            support = np.flatnonzero(res.rho)
+            assert matrix_rank(S[:, support]) == support.size
+            best, _ = nnls_bruteforce(S, x)
+            assert abs(float(res.residual @ res.residual) - best) <= 1e-12 * (1.0 + float(x @ x))
+
+    def test_columns_scaled_from_1e_minus6_to_1e6(self):
+        rng = np.random.default_rng(47)
+        for _ in range(200):
+            d = int(rng.integers(2, 6))
+            m = int(rng.integers(2, 8))
+            S = rng.standard_normal((d, m)) * 10.0 ** rng.uniform(-6.0, 6.0, size=m)
+            x = 2.0 * rng.standard_normal(d)
+            res = nnls(S, x)
+            assert np.all(np.isfinite(res.rho))
+            assert _kkt_holds(S, x, res)
+            assert _objective_matches_oracle(S, x, res)
+
+    def test_final_support_agrees_with_plain_lstsq(self):
+        rng = np.random.default_rng(53)
+        for trial in range(300):
+            d = int(rng.integers(2, 9))
+            m = int(rng.integers(1, 14))
+            S = rng.standard_normal((d, m))
+            if trial % 3 == 0:
+                S *= 10.0 ** rng.uniform(-6.0, 6.0, size=m)
+            x = 2.0 * rng.standard_normal(d)
+            res = nnls(S, x)
+            support = np.flatnonzero(res.rho)
+            if support.size == 0:
+                continue
+            # an SVD solve is not invariant under column scaling (off by 1e-7
+            # relative at scalings of 1e12), so it sees unit columns
+            B = S[:, support]
+            norms = np.linalg.norm(B, axis=0)
+            plain, *_ = np.linalg.lstsq(B / norms, x, rcond=None)
+            assert np.linalg.norm(res.rho[support] * norms - plain) <= 1e-10 * np.linalg.norm(plain)
+
+    def test_pivots_count_inner_solves(self):
+        assert nnls(np.zeros((3, 0)), [1.0, 2.0, 3.0]).pivots == 0
+        assert nnls(np.eye(2), [-1.0, -1.0]).pivots == 0
+        assert nnls(np.eye(2), [1.0, -1.0]).pivots == 1
+        assert nnls(np.eye(3), [1.0, 2.0, 3.0]).pivots == 3
+
+    def test_matches_scipy_on_100_by_1000(self):
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(0)
+        S = rng.standard_normal((100, 1000))
+        x = rng.standard_normal(100)
+        res = nnls(S, x)
+        ref, ref_norm = scipy_optimize.nnls(S, x)
+        obj = float(res.residual @ res.residual)
+        assert abs(obj - ref_norm**2) <= 1e-9 * float(x @ x)
+        assert np.array_equal(np.flatnonzero(res.rho), np.flatnonzero(ref))
+
+
 class TestCaratheodoryReduce:
     def test_duplicate_merge(self):
         res = caratheodory_reduce([[1.0, 0.0], [1.0, 0.0]], [1.0, 1.0])
