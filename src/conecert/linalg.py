@@ -1,10 +1,21 @@
 """Dense linear-algebra substrate.
 
 Pseudoinverse and rank machinery, span membership with separating
-witnesses, nonnegative least squares (Lawson-Hanson on a thin QR factor
-of the support that each pivot updates), and Caratheodory reduction of
+witnesses, nonnegative least squares, and Caratheodory reduction of
 positive combinations.  Everything here is a pure function of its
 arguments and safe to call from multiple threads.
+
+`nnls` is the Lawson-Hanson active-set method on a thin QR factor
+``Q R`` of its support, kept up to date pivot by pivot, together with
+the inverse ``T = R^-1``, so that a pivot costs mat-vecs and no LAPACK
+solve.  T is formed only by bordering, as a column enters, or by
+inverting the triangle of a fresh QR after a blocking step; the rank
+rule keeps every diagonal entry of R away from zero.  A caller that
+knows where the support probably lies passes it as ``prefer``: those
+columns are tried first, while the stopping test still runs over every
+column, so the result is optimal whatever the preference.  Each
+`NnlsResult` reports its ``pivots`` and, in ``drops``, how many columns
+each blocking step removed.
 """
 
 from __future__ import annotations
@@ -161,15 +172,40 @@ def span_membership(x, gamma, tol: float = DEFAULT_TOL) -> SpanMembership:
 
 @dataclass(frozen=True, eq=False)
 class NnlsResult:
-    """Nonnegative multipliers, the residual ``x - S @ rho``, and ``pivots``,
-    the number of inner least-squares solves performed."""
+    """Nonnegative multipliers, the residual ``x - S @ rho``, ``pivots``, the
+    number of inner least-squares solves performed, and ``drops``, the
+    number of columns each blocking step removed from the support, in
+    order."""
 
     rho: np.ndarray
     residual: np.ndarray
     pivots: int
+    drops: tuple
 
 
-def nnls(S, x, tol: float = DEFAULT_TOL, max_pivots: Optional[int] = None) -> NnlsResult:
+def _preferred_columns(prefer, m: int) -> Optional[np.ndarray]:
+    """Sorted distinct column indices of `prefer`, or None for no preference."""
+    if prefer is None:
+        return None
+    idx = np.array(list(prefer))
+    if idx.size == 0:
+        return None
+    if idx.ndim != 1 or idx.dtype.kind not in "iu":
+        raise ValueError("prefer must hold integer column indices")
+    if int(idx.min()) < 0 or int(idx.max()) >= m:
+        raise ValueError(f"prefer holds an index outside 0..{m - 1}")
+    chosen = np.zeros(m, dtype=bool)
+    chosen[idx] = True
+    return np.flatnonzero(chosen)
+
+
+def nnls(
+    S,
+    x,
+    tol: float = DEFAULT_TOL,
+    max_pivots: Optional[int] = None,
+    prefer=None,
+) -> NnlsResult:
     """Active-set solve of ``min ||S @ rho - x||`` over ``rho >= 0``.
 
     Lawson-Hanson iteration with lowest-index tie-breaking on entering
@@ -181,16 +217,28 @@ def nnls(S, x, tol: float = DEFAULT_TOL, max_pivots: Optional[int] = None) -> Nn
     generated cone.
 
     The support columns are kept as a thin QR factor
-    ``S[:, support] = Q R`` together with ``Q^T x`` (Lawson & Hanson,
-    *Solving Least Squares Problems*, 1974, ch. 23), in buffers of
-    ``min(d, m)`` columns allocated once per call, so each pivot solves
-    the triangular system ``R z = Q^T x`` instead of a fresh least-squares
-    problem.  An entering column is appended by one Gram-Schmidt step with
-    one reorthogonalisation, O(d k) for a support of k columns; the
-    columns a blocking step leaves are re-factored with one QR, and
-    blocking steps are rarer than additions.  The factor is of the
-    columns themselves, not of the Gram matrix ``S^T S``, whose condition
-    number is the square.
+    ``S[:, support] = Q R`` together with ``Q^T x`` and the inverse
+    ``T = R^-1`` (Lawson & Hanson, *Solving Least Squares Problems*, 1974,
+    ch. 23), in buffers of ``min(d, m)`` columns allocated once per
+    call.  Each pivot's least-squares solution on the support is then one
+    product ``z = T Q^T x``: no fresh least-squares problem and no LU
+    solve.  The factor is of the columns themselves, not of the Gram
+    matrix ``S^T S``, whose condition number is the square.
+
+    * An entering column is appended to Q and R by one Gram-Schmidt step
+      with one reorthogonalisation, O(d k) for a support of k columns, and
+      borders T with one mat-vec: ``T[k, k] = 1 / r_kk`` and
+      ``T[:k, k] = -T[:k, :k] R[:k, k] / r_kk``.
+    * A blocking step re-factors the columns it leaves with one QR and
+      forms T again as the inverse of the new triangle.  Blocking steps
+      are rarer than additions.
+
+    T is safe to keep because it is formed only by bordering or by
+    inverting the triangle of a fresh QR, never carried through a
+    downdate.  Every diagonal entry of R passed the rank rule below when
+    its column entered, and dropping columns only lengthens the part of
+    each later column orthogonal to those before it, so no ``1 / r_kk``
+    divides by a vanishing pivot.
 
     The gradient ``S^T r`` that picks the entering column is taken from
     the factor's residual ``x - Q Q^T x``.  It stays accurate where
@@ -207,6 +255,16 @@ def nnls(S, x, tol: float = DEFAULT_TOL, max_pivots: Optional[int] = None) -> Nn
     most ``min(d, m)`` columns, and no multiplier comes from a division by
     a vanishing pivot.
 
+    ``prefer`` narrows the entering rule, not the stopping test: while a
+    preferred column has a gradient above its slack (and passes the rank
+    rule), only preferred columns may enter, the largest gradient first
+    and the lowest index on ties; when none qualifies, every column is a
+    candidate again.  The solve still stops only when no column of S
+    qualifies, so the optimality conditions above hold over all m columns
+    whatever ``prefer`` holds.  A good preference (for a dual projection,
+    the generators orthogonal to the projected point) brings the support
+    in with fewer pivots and fewer blocking steps.
+
     Parameters
     ----------
     S : array, shape (d, m)
@@ -216,11 +274,16 @@ def nnls(S, x, tol: float = DEFAULT_TOL, max_pivots: Optional[int] = None) -> Nn
         Relative KKT slack used as the stopping threshold.
     max_pivots : int, optional
         Pivot budget, default ``3 * m * d``.
+    prefer : iterable of int, optional
+        Column indices to try first; ``None`` or empty for none.
 
     Raises
     ------
     IterationLimit
         If the pivot budget is exhausted (numerically degenerate input).
+    ValueError
+        On mismatched shapes, a nonpositive ``tol``, or a ``prefer`` entry
+        that is not an integer index into the columns.
     """
     A = as_matrix(S)
     b = as_vector(x)
@@ -229,22 +292,28 @@ def nnls(S, x, tol: float = DEFAULT_TOL, max_pivots: Optional[int] = None) -> Nn
         raise ValueError("dimension mismatch between S and x")
     if tol <= 0:
         raise ValueError("tol must be positive")
+    preferred = _preferred_columns(prefer, m)
     budget = 3 * m * d if max_pivots is None else max_pivots
 
     colnorm = np.linalg.norm(A, axis=0)
     slack = tol * (1.0 + np.linalg.norm(b)) * colnorm
     # an entering column whose remainder is at or below floor * ||a|| is dependent
     floor = d * _EPS
-    # thin QR of the support: A[:, cols[:k]] = Q[:, :k] @ R[:k, :k]
+    # thin QR of the support, A[:, cols[:k]] = Q[:, :k] @ R[:k, :k], and T = R^-1
     kmax = min(d, m)
     cols = np.empty(kmax, dtype=np.intp)
     Q = np.empty((d, kmax))
-    R = np.empty((kmax, kmax))
+    # R and T are upper triangular: an entering column writes on and above
+    # the diagonal, a blocking step a QR triangle and its inverse, so the
+    # zeros below it are written once, here
+    R = np.zeros((kmax, kmax))
+    T = np.zeros((kmax, kmax))
     qtb = np.empty(kmax)
     k = 0
     rho = np.zeros(m)
     resid = b.copy()
     pivots = 0
+    drops = []
 
     while True:
         score = A.T @ resid
@@ -252,9 +321,16 @@ def nnls(S, x, tol: float = DEFAULT_TOL, max_pivots: Optional[int] = None) -> Nn
         score[cols[:k]] = -np.inf
         entering = -1
         while k < kmax:
-            j = int(score.argmax())
-            if score[j] == -np.inf:
-                break
+            j = -1
+            if preferred is not None:
+                face = score[preferred]
+                i = int(face.argmax())
+                if face[i] != -np.inf:
+                    j = int(preferred[i])
+            if j < 0:
+                j = int(score.argmax())
+                if score[j] == -np.inf:
+                    break
             a = A[:, j]
             Qk = Q[:, :k]
             c = Qk.T @ a
@@ -271,8 +347,10 @@ def nnls(S, x, tol: float = DEFAULT_TOL, max_pivots: Optional[int] = None) -> Nn
         cols[k] = entering
         np.divide(v, rkk, out=Q[:, k])
         np.add(c, c2, out=R[:k, k])
-        R[k, :k] = 0.0
         R[k, k] = rkk
+        # border T: the new column of R^-1 is one mat-vec with the old ones
+        T[k, k] = 1.0 / rkk
+        T[:k, k] = (T[:k, :k] @ R[:k, k]) * -T[k, k]
         qtb[k] = Q[:, k] @ b
         k += 1
 
@@ -281,7 +359,7 @@ def nnls(S, x, tol: float = DEFAULT_TOL, max_pivots: Optional[int] = None) -> Nn
             if pivots > budget:
                 raise IterationLimit(f"nnls exceeded {budget} pivots on a {d}x{m} system")
             sup = cols[:k]
-            z = np.linalg.solve(R[:k, :k], qtb[:k])
+            z = T[:k, :k] @ qtb[:k]
             if z.size and z.min() > 0.0:
                 rho[sup] = z
                 break
@@ -298,6 +376,7 @@ def nnls(S, x, tol: float = DEFAULT_TOL, max_pivots: Optional[int] = None) -> Nn
             current[hit] = 0.0
             np.maximum(current, 0.0, out=current)
             rho[sup] = current
+            drops.append(int(hit.size))
             keep = np.ones(k, dtype=bool)
             keep[hit] = False
             k = int(keep.sum())
@@ -305,10 +384,11 @@ def nnls(S, x, tol: float = DEFAULT_TOL, max_pivots: Optional[int] = None) -> Nn
             q, r = np.linalg.qr(A[:, cols[:k]])
             Q[:, :k] = q
             R[:k, :k] = r
+            T[:k, :k] = np.linalg.inv(r)
             qtb[:k] = q.T @ b
         resid = b - Q[:, :k] @ qtb[:k]
 
-    return NnlsResult(rho=rho, residual=b - A @ rho, pivots=pivots)
+    return NnlsResult(rho=rho, residual=b - A @ rho, pivots=pivots, drops=tuple(drops))
 
 
 @dataclass(frozen=True, eq=False)

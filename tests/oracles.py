@@ -20,20 +20,30 @@ def nnls_bruteforce(S, x, feas_tol=1e-12):
     constrained optimum is attained on some independent subset with
     nonnegative coefficients, so the enumeration reaches it.
 
+    Each subset is solved on unit columns, so a coefficient is the
+    contribution ``w_i ||k_i||`` of its column, and it counts as negative
+    only below ``-feas_tol * ||x||``.  Neither the solve nor the test then
+    depends on the columns' scales: on raw columns scaled over many
+    orders of magnitude, the least-squares rank cut-off drops the small
+    columns of a subset and the enumeration can miss the optimum.
+
     Returns (best objective, best point).
     """
     S = np.asarray(S, dtype=float)
     x = np.asarray(x, dtype=float)
     d, m = S.shape
+    colnorm = np.linalg.norm(S, axis=0)
+    unit = S / np.where(colnorm > 0.0, colnorm, 1.0)
+    limit = feas_tol * np.linalg.norm(x)
     best = float(x @ x)
     best_point = np.zeros(d)
     for size in range(1, m + 1):
         for subset in itertools.combinations(range(m), size):
-            cols = S[:, subset]
-            w, *_ = np.linalg.lstsq(cols, x, rcond=None)
-            if w.min(initial=0.0) < -feas_tol:
+            cols = unit[:, subset]
+            contribution, *_ = np.linalg.lstsq(cols, x, rcond=None)
+            if contribution.min(initial=0.0) < -limit:
                 continue
-            point = cols @ np.maximum(w, 0.0)
+            point = cols @ np.maximum(contribution, 0.0)
             obj = float((point - x) @ (point - x))
             if obj < best:
                 best = obj

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import conecert.cones
 from conecert import (
     ConeSpec,
     NotInDualCone,
@@ -10,6 +11,7 @@ from conecert import (
     dual_cone_decompose,
     matrix_rank,
     moreau_decompose,
+    nnls,
     null_space_projector,
     positive_relative_test,
     project_dual,
@@ -291,6 +293,68 @@ class TestVerifyCharacterization:
         )
         assert report["witness_positivity"].passed
         assert report.passed
+
+
+def _recertification_instance(s):
+    """Dual projection problem s of the face-first equivalence set.
+
+    d in 3..8 and m in d..4d; the kinds cycle with s: plain, three
+    duplicated generators, a copied coordinate with every other generator
+    scaled by 1e3, and a near-duplicate of the first generator.
+    """
+    rng = np.random.default_rng(s)
+    d = int(rng.integers(3, 9))
+    m = int(rng.integers(d, 4 * d + 1))
+    K = rng.standard_normal((m, d))
+    kind = s % 4
+    if kind == 1:
+        K = np.vstack([K, K[rng.choice(m, 3, replace=False)]])
+    elif kind == 2:
+        K[:, 1] = K[:, 0]
+        K[::2] *= 1e3
+    elif kind == 3:
+        K = np.vstack([K, K[0] + 1e-12 * rng.standard_normal(d)])
+    return K, 2.0 * rng.standard_normal(d)
+
+
+def _cold_nnls(S, x, tol=1e-9, max_pivots=None, prefer=None):
+    return nnls(S, x, tol, max_pivots)
+
+
+def _checks(report):
+    return [(c.name, c.passed) for c in report.checks]
+
+
+class TestFaceFirstRecertification:
+    """The re-solve tries the face of x0 first; the certificate must read
+    exactly as after a cold re-solve over all generators."""
+
+    def _both(self, monkeypatch, s):
+        K, x = _recertification_instance(s)
+        point = project_dual(K, x).point
+        face_first = verify_characterization(K, x, point)
+        with monkeypatch.context() as patched:
+            patched.setattr(conecert.cones, "nnls", _cold_nnls)
+            cold = verify_characterization(K, x, point)
+        return face_first, cold
+
+    def test_same_checks_as_cold_resolve_600(self, monkeypatch):
+        nontrivial = 0
+        for s in range(600):
+            face_first, cold = self._both(monkeypatch, s)
+            assert _checks(face_first) == _checks(cold), s
+            nontrivial += not cold.trivial_feasible
+        assert nontrivial > 500
+
+    def test_near_duplicate_seed_63(self, monkeypatch):
+        # both twins lie on the face here; a solve that put the whole face
+        # into the factor at once kept weight on both and failed
+        # active_count_bound, where the face-first pivots pick one
+        face_first, cold = self._both(monkeypatch, 63)
+        assert not cold.trivial_feasible
+        assert _checks(face_first) == _checks(cold)
+        assert face_first["active_count_bound"].passed
+        assert face_first.passed
 
 
 class TestDualConeDecompose:

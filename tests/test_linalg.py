@@ -218,66 +218,51 @@ def _objective_matches_oracle(S, x, res, rel=1e-9):
     return abs(obj - best) <= rel * (1.0 + float(x @ x))
 
 
-@pytest.fixture
-def solve_sizes(monkeypatch):
-    """Support size at every triangular solve of the factor, in order."""
-    sizes = []
-    solve = np.linalg.solve
-
-    def recording(R, rhs):
-        sizes.append(R.shape[0])
-        return solve(R, rhs)
-
-    monkeypatch.setattr(np.linalg, "solve", recording)
-    return sizes
-
-
-def _drops(sizes):
-    """Columns removed by each blocking step: the falls between solves."""
-    return [int(a - b) for a, b in zip(sizes, sizes[1:]) if b < a]
+def _pivots_add_up(res):
+    """Each pivot either ends an addition or is a blocking step: the columns
+    added are the final support plus every dropped one."""
+    return res.pivots == np.count_nonzero(res.rho) + sum(res.drops) + len(res.drops)
 
 
 class TestNnlsFactor:
-    def test_blocking_step_drops_one_column(self, solve_sizes):
+    def test_blocking_step_drops_one_column(self):
         S = np.array([[-2.0, 2.0, 3.0, -3.0], [-1.0, 1.0, -3.0, 0.0], [1.0, 2.0, 3.0, -1.0]])
         x = np.array([0.0, 0.0, 3.0])
         res = nnls(S, x)
-        assert _drops(solve_sizes) == [1]
-        assert res.pivots == len(solve_sizes)
+        assert res.drops == (1,)
+        assert _pivots_add_up(res)
         assert _kkt_holds(S, x, res)
         assert _objective_matches_oracle(S, x, res)
 
-    def test_blocking_step_drops_two_columns(self, solve_sizes):
+    def test_blocking_step_drops_two_columns(self):
         S = np.array([[0.0, 1.0, 1.0, -2.0], [0.0, 1.0, 2.0, -1.0], [1.0, 2.0, 0.0, 2.0]])
         x = np.array([2.0, -3.0, 3.0])
         res = nnls(S, x)
-        assert _drops(solve_sizes) == [2]
-        assert res.pivots == len(solve_sizes)
+        assert res.drops == (2,)
+        assert _pivots_add_up(res)
         assert _kkt_holds(S, x, res)
         assert _objective_matches_oracle(S, x, res)
 
-    def test_drops_random_against_oracle(self, solve_sizes):
+    def test_drops_random_against_oracle(self):
         rng = np.random.default_rng(31)
         dropped = 0
         for _ in range(300):
             S = rng.integers(-2, 3, size=(int(rng.integers(2, 6)), int(rng.integers(3, 8)))).astype(float)
             x = rng.integers(-3, 4, size=S.shape[0]).astype(float)
-            solve_sizes.clear()
             res = nnls(S, x)
-            dropped += len(_drops(solve_sizes))
+            dropped += len(res.drops)
+            assert _pivots_add_up(res)
             assert _kkt_holds(S, x, res)
             assert _objective_matches_oracle(S, x, res)
         assert dropped > 0
 
-    def test_support_grows_to_rank_d(self, solve_sizes):
+    def test_support_grows_to_rank_d(self):
         rng = np.random.default_rng(37)
         for _ in range(20):
             d = int(rng.integers(2, 7))
             S = rng.standard_normal((d, 2 * d + 3))
             x = S @ rng.uniform(0.5, 1.5, size=S.shape[1])  # inside the cone
-            solve_sizes.clear()
             res = nnls(S, x)
-            assert max(solve_sizes) == d
             assert np.count_nonzero(res.rho) == d
             assert np.linalg.norm(res.residual) <= 1e-12 * np.linalg.norm(x)
             assert np.linalg.norm(S @ res.rho - x) <= 1e-12 * np.linalg.norm(x)
@@ -313,6 +298,21 @@ class TestNnlsFactor:
                 assert np.all(np.isfinite(res.rho))
                 assert np.all(np.isfinite(res.residual))
                 assert _objective_matches_oracle(S, x, res)
+
+    def test_oracle_and_nnls_agree_with_scipy_on_columns_scaled_1e_minus8_to_1e8(self):
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(71)
+        for _ in range(1000):
+            d = int(rng.integers(2, 6))
+            m = int(rng.integers(2, 7))
+            S = rng.standard_normal((d, m)) * 10.0 ** rng.uniform(-8.0, 8.0, size=m)
+            x = 2.0 * rng.standard_normal(d)
+            _, ref_norm = scipy_optimize.nnls(S, x)
+            best, _ = nnls_bruteforce(S, x)
+            res = nnls(S, x)
+            limit = 1e-9 * (1.0 + float(x @ x))
+            assert abs(best - ref_norm**2) <= limit
+            assert abs(float(res.residual @ res.residual) - ref_norm**2) <= limit
 
     def test_dependent_entering_column_is_passed_over(self):
         # parallel columns with a slack below rounding: after one of them
@@ -379,6 +379,45 @@ class TestNnlsFactor:
         obj = float(res.residual @ res.residual)
         assert abs(obj - ref_norm**2) <= 1e-9 * float(x @ x)
         assert np.array_equal(np.flatnonzero(res.rho), np.flatnonzero(ref))
+
+
+class TestNnlsPrefer:
+    def test_none_and_empty_are_a_cold_call(self):
+        rng = np.random.default_rng(59)
+        for _ in range(200):
+            S, x = random_cone_instance(rng, d_max=6, m_max=9)
+            cold = nnls(S, x)
+            for prefer in (None, [], np.zeros(0, dtype=int)):
+                res = nnls(S, x, prefer=prefer)
+                assert np.array_equal(res.rho, cold.rho)
+                assert res.pivots == cold.pivots
+
+    def test_random_preferences_keep_kkt_and_optimum(self):
+        rng = np.random.default_rng(61)
+        for trial in range(300):
+            S, x = random_cone_instance(rng, d_max=6, m_max=6)
+            if trial % 3 == 0:
+                S = np.hstack([S, S[:, :1]])  # a repeated column
+            prefer = np.flatnonzero(rng.random(S.shape[1]) < 0.5)
+            res = nnls(S, x, prefer=prefer)
+            assert _kkt_holds(S, x, res)
+            best, _ = nnls_bruteforce(S, x)
+            assert abs(float(res.residual @ res.residual) - best) <= 1e-9 * (1.0 + float(x @ x))
+
+    def test_cold_support_as_preference_reproduces_rho(self):
+        rng = np.random.default_rng(67)
+        for _ in range(200):
+            d = int(rng.integers(2, 9))
+            S = rng.standard_normal((d, int(rng.integers(1, 4 * d))))
+            x = 2.0 * rng.standard_normal(d)
+            cold = nnls(S, x)
+            res = nnls(S, x, prefer=set(np.flatnonzero(cold.rho).tolist()))
+            assert np.linalg.norm(res.rho - cold.rho) <= 1e-12 * np.linalg.norm(cold.rho)
+
+    @pytest.mark.parametrize("prefer", [[3], [-1], [0, 7], [0.0], [1.5], ["a"]])
+    def test_rejects_indices_that_name_no_column(self, prefer):
+        with pytest.raises(ValueError):
+            nnls(np.eye(3), [1.0, 2.0, 3.0], prefer=prefer)
 
 
 class TestCaratheodoryReduce:
