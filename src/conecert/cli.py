@@ -102,7 +102,7 @@ def _vectors_field(data, name, path, dim: int) -> np.ndarray:
 # per-kind handlers: return (result dict, certificate report)
 
 
-def _handle_project(data: dict, path: str, tol: float, seed: int):
+def _handle_project(data: dict, path: str, tol: float):
     x = _vector_field(data, "point", path)
     S = _vectors_field(data, "generators", path, x.size)
     orientation = _field(data, "orientation", path, required=False, default="dual")
@@ -141,7 +141,7 @@ def _handle_project(data: dict, path: str, tol: float, seed: int):
     return result, report
 
 
-def _handle_farkas(data: dict, path: str, tol: float, seed: int):
+def _handle_farkas(data: dict, path: str, tol: float):
     report = CertificateReport()
     if "pairs" in data:
         raw_pairs = _field(data, "pairs", path)
@@ -161,7 +161,7 @@ def _handle_farkas(data: dict, path: str, tol: float, seed: int):
         r = _field(data, "r", path)
         if not isinstance(r, (int, float)):
             raise InputError(f"{path}: field 'r' must be a number")
-        gen = generalized_farkas(pairs, b, float(r), tol, seed=seed)
+        gen = generalized_farkas(pairs, b, float(r), tol)
         result = {
             "member_plain": gen.member_plain,
             "member_augmented": gen.member_augmented,
@@ -173,7 +173,8 @@ def _handle_farkas(data: dict, path: str, tol: float, seed: int):
         member = gen.member_plain or gen.member_augmented
         report.add("membership_monotone", float(gen.member_plain and not gen.member_augmented), (not gen.member_plain) or gen.member_augmented)
         report.add("sampled_implication_consistent", float(member and not gen.sampled_implication_holds), (not member) or gen.sampled_implication_holds)
-        report.add("feasibility_hypothesis", float(not gen.hypothesis_verified), gen.hypothesis_verified)
+        decided = gen.hypothesis_verified or gen.infeasibility_multipliers is not None
+        report.add("feasibility_hypothesis", gen.consistency_residual, decided)
         return result, report
 
     b = _vector_field(data, "rhs", path)
@@ -207,7 +208,7 @@ def _handle_farkas(data: dict, path: str, tol: float, seed: int):
     return result, report
 
 
-def _handle_quadrature(data: dict, path: str, tol: float, seed: int):
+def _handle_quadrature(data: dict, path: str, tol: float):
     degree = _field(data, "degree", path)
     interval = _field(data, "interval", path)
     grid_size = _field(data, "grid_size", path, required=False, default=None)
@@ -259,7 +260,7 @@ def _parse_shape_target(data: dict, path: str, n: int) -> LegendrePoly:
     return LegendrePoly(padded)
 
 
-def _handle_shape(data: dict, path: str, tol: float, seed: int):
+def _handle_shape(data: dict, path: str, tol: float):
     n = _field(data, "n", path)
     r = _field(data, "r", path)
     if not isinstance(n, int) or not isinstance(r, int) or not 0 <= r < n:
@@ -305,7 +306,7 @@ def _handle_shape(data: dict, path: str, tol: float, seed: int):
     return result, report
 
 
-def _handle_membership(data: dict, path: str, tol: float, seed: int):
+def _handle_membership(data: dict, path: str, tol: float):
     mode = _field(data, "mode", path, required=False, default="cone")
     if mode not in ("span", "cone"):
         raise InputError(f"{path}: field 'mode' must be 'span' or 'cone'")
@@ -417,7 +418,7 @@ _PARSER.add_argument("--input", required=True, help="path to the JSON problem fi
 _PARSER.add_argument("--output", default=None, help="write the report here instead of stdout")
 _PARSER.add_argument("--tol", type=float, default=1e-9, help="certificate tolerance (default 1e-9)")
 _PARSER.add_argument("--format", choices=("json", "text"), default="json")
-_PARSER.add_argument("--seed", type=int, default=0, help="seed for any sampling the kind performs")
+_PARSER.add_argument("--seed", type=int, default=0, help="echoed in the report's input_echo; no kind samples")
 _PARSER.add_argument("--dump-csv", default=None, help="also write the main result table as CSV")
 
 
@@ -437,7 +438,7 @@ def run(argv=None) -> int:
         kind = _field(data, "kind", args.input)
         if kind != args.kind:
             raise InputError(f"{args.input}: file kind '{kind}' does not match requested kind '{args.kind}'")
-        result, certificates = _HANDLERS[args.kind](data, args.input, args.tol, args.seed)
+        result, certificates = _HANDLERS[args.kind](data, args.input, args.tol)
         error = None
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -158,15 +158,17 @@ class TestFarkas:
         assert rep["result"]["samples_used"] == report.samples_used
         _same(rep["result"]["feasible_point"], report.feasible_point)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="CHANGES.md FOUND: generalized_farkas reports the infeasible system "
-        "{x1 <= 1, -x1 <= -2} as hypothesis_verified=False, so the CLI exits 2",
-    )
-    def test_pairs_infeasible_known_fault(self, tmp_path):
+    def test_pairs_infeasible(self, tmp_path):
+        # x1 <= 1 and -x1 <= -2: the implication holds vacuously, and the
+        # lifted multipliers certify that no point is feasible
         problem = {"kind": "farkas", "pairs": [[[1.0], 1.0], [[-1.0], -2.0]], "b": [1.0], "r": 0.0}
-        rc, _ = _run(tmp_path, "farkas", problem)
+        rc, rep = _run(tmp_path, "farkas", problem)
         assert rc == 0
+        assert rep["result"]["hypothesis_verified"] is False
+        assert rep["result"]["sampled_implication_holds"] is True
+        cert = rep["certificates"][2]
+        assert cert["name"] == "feasibility_hypothesis" and cert["pass"] is True
+        assert cert["residual"] <= 1e-9
 
     def test_pairs_wedge(self, tmp_path):
         # the origin is infeasible; a point of the wedge must still be found

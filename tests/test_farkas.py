@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conecert import (
     FarkasOutcome,
@@ -9,6 +11,7 @@ from conecert import (
     generalized_farkas,
     verify_outcome,
 )
+from conecert.farkas import implication_multipliers_hold, infeasibility_residual, violator_holds
 from oracles import nnls_bruteforce
 
 
@@ -135,7 +138,7 @@ class TestGeneralizedFarkas:
             pairs = [(rng.standard_normal(n), float(rng.standard_normal())) for _ in range(k)]
             b = rng.standard_normal(n)
             r = float(rng.standard_normal())
-            report = generalized_farkas(pairs, b, r, seed=5)
+            report = generalized_farkas(pairs, b, r)
             assert (not report.member_plain) or report.member_augmented
 
     def test_member_implies_sampled_holds(self):
@@ -150,7 +153,7 @@ class TestGeneralizedFarkas:
             weights = rng.uniform(0.0, 2.0, size=k)
             b = sum(w * s for w, (s, _) in zip(weights, pairs))
             r = float(sum(w * p for w, (_, p) in zip(weights, pairs)) + rng.uniform(0.0, 1.0))
-            report = generalized_farkas(pairs, np.asarray(b), r, seed=11)
+            report = generalized_farkas(pairs, np.asarray(b), r)
             if not report.hypothesis_verified:
                 continue
             checked += 1
@@ -182,7 +185,7 @@ class TestGeneralizedFarkas:
             S = rng.standard_normal((k, n))
             center = 5.0 * rng.standard_normal(n)
             p = S @ center + rng.uniform(0.0, 0.5, size=k)
-            report = generalized_farkas(list(zip(S, p)), rng.standard_normal(n), 0.0, samples=1)
+            report = generalized_farkas(list(zip(S, p)), rng.standard_normal(n), 0.0)
             assert report.hypothesis_verified
             x = report.feasible_point
             assert np.all(S @ x - p <= 1e-9 * (1.0 + np.abs(p).max()))
@@ -257,7 +260,7 @@ class TestGeneralizedFarkas:
         # carries rounding of order 1 there, and an NNLS that picks entering
         # columns by gradients of it exceeds its pivot budget
         S, p, b = np.array(S), np.array(p), np.array(b)
-        report = generalized_farkas(list(zip(S, p)), b, 0.0, samples=1)
+        report = generalized_farkas(list(zip(S, p)), b, 0.0)
         target = np.append(b, 0.0)
         threshold = 1e-9 * (1.0 + np.linalg.norm(target))
         lifted = np.column_stack([S, p]).T
@@ -275,3 +278,133 @@ class TestGeneralizedFarkas:
         assert report.feasible_point is None
         assert not report.hypothesis_verified
         assert report.samples_used == 0
+
+
+def _random_system(linprog, rng, far):
+    """A system strictly feasible at a point within `far` of the origin, an r
+    at a clear margin from max <b, x> over it (anywhere if unbounded), and
+    whether the implication holds, by linprog."""
+    n = int(rng.integers(1, 6))
+    k = int(rng.integers(1, 9))
+    S = rng.standard_normal((k, n))
+    direction = rng.standard_normal(n)
+    center = direction / np.linalg.norm(direction) * far * 10.0 ** rng.uniform(-4.0, 0.0)
+    p = S @ center + rng.uniform(0.1, 2.0, size=k)
+    b = rng.standard_normal(n)
+    # the system is feasible, but HiGHS's presolve calls a few unbounded
+    # problems infeasible; without presolve it fails on others
+    for options in ({}, {"presolve": False}):
+        lp = linprog(-b, A_ub=S, b_ub=p, bounds=[(None, None)] * n, method="highs", options=options)
+        if lp.status in (0, 3):  # optimal or unbounded
+            break
+    assert lp.status in (0, 3)
+    if lp.status == 3:
+        return S, p, b, float(b @ center + rng.uniform(-5.0, 5.0)), False
+    top = -float(lp.fun)
+    margin = 10.0 ** rng.uniform(-3.0, 0.0) * (1.0 + abs(top))
+    r = top + margin if rng.random() < 0.5 else top - margin
+    return S, p, b, r, r > top
+
+
+class TestExactImplication:
+    """The implication is decided from checked certificates, as linprog decides it."""
+
+    @pytest.mark.parametrize("count, far, seed", [(1000, 0.0, 107), (500, 1e3, 109)])
+    def test_matches_linprog(self, count, far, seed):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            S, p, b, r, holds = _random_system(linprog, rng, far)
+            report = generalized_farkas(list(zip(S, p)), b, r)
+            assert report.hypothesis_verified
+            assert report.sampled_implication_holds == holds
+            if holds:
+                assert report.violator is None
+            else:
+                assert violator_holds(S, p, b, r, report.violator)
+
+    def test_recession_direction_violator(self):
+        # x2 <= 0 bounds nothing along x1: the residual has t = 0, and the
+        # violator is found along the recession direction
+        S, p, b, r = np.array([[0.0, 1.0]]), np.array([0.0]), np.array([1.0, 0.0]), 5.0
+        report = generalized_farkas(list(zip(S, p)), b, r)
+        assert not report.member_augmented
+        assert not report.sampled_implication_holds
+        x = report.violator
+        assert violator_holds(S, p, b, r, x)
+        assert x[1] <= 0.0 and x[0] > 5.0
+
+    def test_multiplier_check_rejects_perturbed_multipliers(self):
+        # the box |x_i| <= 1 implies x1 + 2 x2 <= 4
+        S = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        p = np.ones(4)
+        b, r = np.array([1.0, 2.0]), 4.0
+        report = generalized_farkas(list(zip(S, p)), b, r)
+        assert report.sampled_implication_holds and report.violator is None
+        lam, mu = report.multipliers[:-1], report.multipliers[-1]
+        assert implication_multipliers_hold(S, p, b, r, lam, mu)
+        assert not implication_multipliers_hold(S, p, b, r, 1.01 * lam, mu)
+        # x1 + 2 x2 <= 3 is the sum of x1 <= 1 and twice x2 <= 1, with mu = 0;
+        # a negative mu is refused even where the equations hold to 1e-15
+        lam = np.array([1.0, 2.0, 0.0, 0.0])
+        assert implication_multipliers_hold(S, p, b, 3.0, lam, 0.0)
+        assert not implication_multipliers_hold(S, p, b, 3.0, lam, -1e-15)
+        # 2 (x2 <= 1) - (-x1 <= 1) with mu = 2 also reads x1 + 2 x2 <= 3, but lam_3 < 0
+        assert not implication_multipliers_hold(S, p, b, 3.0, np.array([0.0, 2.0, -1.0, 0.0]), 2.0)
+
+    def test_violator_check_rejects_point_outside(self):
+        # the box |x_i| <= 1 does not imply x1 + x2 <= 1.5
+        S = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        p = np.ones(4)
+        b, r = np.array([1.0, 1.0]), 1.5
+        report = generalized_farkas(list(zip(S, p)), b, r)
+        x = report.violator
+        assert not report.sampled_implication_holds
+        assert violator_holds(S, p, b, r, x)
+        slack = 1e-9 * (1.0 + np.abs(p).max())
+        j = int(np.argmax(S @ x - p))
+        nudged = x + (p[j] - S[j] @ x + 2.0 * slack) * S[j]
+        assert not violator_holds(S, p, b, r, nudged)
+        assert not violator_holds(S, p, b, float(b @ x), x)
+
+    def test_infeasibility_multipliers_checked(self):
+        # x1 <= 1 and -x1 <= -2: 1 * (x1 <= 1) + 1 * (-x1 <= -2) reads 0 <= -1
+        S, p = np.array([[1.0], [-1.0]]), np.array([1.0, -2.0])
+        report = generalized_farkas(list(zip(S, p)), [1.0], 0.0)
+        lam = report.infeasibility_multipliers
+        assert report.sampled_implication_holds
+        assert report.consistency_residual == infeasibility_residual(S, p, lam) <= 1e-9
+        assert infeasibility_residual(S, p, [1.0, 1.0]) == 0.0
+        # forged: the same rows with lam . p >= 0, and a negative multiplier
+        assert infeasibility_residual(S, np.array([1.0, -1.0]), [1.0, 1.0]) == 1.0
+        assert infeasibility_residual(S, np.array([2.0, -1.0]), [1.0, 1.0]) == 1.0
+        assert infeasibility_residual(S, p, [-1.0, -1.0]) == 1.0
+        assert infeasibility_residual(S, p, [1.0, 0.5]) > 1e-9
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=1, max_size=4),
+                st.lists(st.integers(-3, 5), min_size=4, max_size=4),
+                st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                st.integers(-10, 10),
+                st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n),
+            )
+        )
+    )
+    def test_translation_leaves_decisions_unchanged(self, data):
+        # x -> x + c maps {S x <= p} onto {S x <= p + S c} and the
+        # implication <b, x> <= r onto <b, x> <= r + <b, c>
+        rows, p, b, r, c = data
+        S = np.array(rows, dtype=float)
+        p = np.array(p[: len(rows)], dtype=float)
+        b, c = np.array(b, dtype=float), np.array(c)
+        r = r + 0.5  # integer data keeps max <b, x> away from a half-integer r
+        base = generalized_farkas(list(zip(S, p)), b, r)
+        moved = generalized_farkas(list(zip(S, p + S @ c)), b, r + float(b @ c))
+        for report in (base, moved):
+            consistent = report.hypothesis_verified
+            assert consistent != (report.infeasibility_multipliers is not None)
+        assert moved.hypothesis_verified == base.hypothesis_verified
+        assert moved.sampled_implication_holds == base.sampled_implication_holds
