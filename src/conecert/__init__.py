@@ -21,11 +21,10 @@ from .cones import (
     positive_relative_test,
     project_dual,
     project_generated,
-    project_orthonormal,
     verify_characterization,
     zig_decompose,
 )
-from .errors import BadInterval, IterationLimit, MomentFitFailed, NotInDualCone, NotOrthonormal
+from .errors import BadInterval, IterationLimit, MomentFitFailed, NotInDualCone
 from .farkas import (
     FarkasOutcome,
     FarkasTag,
@@ -51,15 +50,12 @@ from .linalg import (
     caratheodory_reduce,
     matrix_rank,
     nnls,
-    null_space_projector,
-    pseudoinverse,
     span_membership,
     svd_factors,
 )
 from .quadrature import (
     MomentSpec,
     QuadratureRule,
-    apply_rule,
     integral_moments,
     positive_quadrature,
     verify_exactness,
@@ -94,7 +90,6 @@ __all__ = [
     "MoreauSplit",
     "NnlsResult",
     "NotInDualCone",
-    "NotOrthonormal",
     "Orientation",
     "PositiveRelative",
     "ProjectionResult",
@@ -104,7 +99,6 @@ __all__ = [
     "SpanMembership",
     "SvdFactors",
     "ZigDecomposition",
-    "apply_rule",
     "caratheodory_reduce",
     "chebyshev_points",
     "contains",
@@ -119,14 +113,11 @@ __all__ = [
     "monomial_to_legendre",
     "moreau_decompose",
     "nnls",
-    "null_space_projector",
     "positive_quadrature",
     "positive_relative_test",
     "project_dual",
     "project_generated",
-    "project_orthonormal",
     "project_shape",
-    "pseudoinverse",
     "span_membership",
     "svd_factors",
     "verify_characterization",

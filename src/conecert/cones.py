@@ -20,16 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .certificates import CertificateReport
-from .errors import NotInDualCone, NotOrthonormal
-from .linalg import (
-    DEFAULT_TOL,
-    as_vector,
-    generator_matrix,
-    matrix_rank,
-    nnls,
-    null_space_projector,
-    pseudoinverse,
-)
+from .errors import NotInDualCone
+from .linalg import DEFAULT_TOL, as_vector, generator_matrix, matrix_rank, nnls
 
 # multipliers above 1e-10 * max(1, ||rho||_inf) count as active
 ACTIVE_RTOL = 1e-10
@@ -170,19 +162,6 @@ def project_generated(K, x, tol: float = DEFAULT_TOL) -> ProjectionResult:
     return ProjectionResult(point, sol.rho, _active_indices(sol.rho), kkt, orth)
 
 
-def _dual_projection(S: np.ndarray, xv: np.ndarray, rho: np.ndarray, active: np.ndarray) -> ProjectionResult:
-    """The point ``x + S @ rho`` with its KKT and orthogonality residuals."""
-    point = xv + S @ rho
-    kkt = 0.0
-    if S.shape[1]:
-        inner = S.T @ point
-        kkt = max(0.0, float((-inner).max()))
-        if active.size:
-            kkt = max(kkt, float(np.abs(inner[active]).max()))
-    orth = abs(float((xv - point) @ point))
-    return ProjectionResult(point, rho, active, kkt, orth)
-
-
 def project_dual(K, x, tol: float = DEFAULT_TOL) -> ProjectionResult:
     """Project x onto the dual-form cone ``{y : <y, k> >= 0 for all k in K}``.
 
@@ -194,23 +173,16 @@ def project_dual(K, x, tol: float = DEFAULT_TOL) -> ProjectionResult:
     xv = as_vector(x)
     S = generator_matrix(K, dim=xv.size)
     rho = nnls(S, -xv, tol).rho
-    return _dual_projection(S, xv, rho, _active_indices(rho))
-
-
-def project_orthonormal(K, x) -> ProjectionResult:
-    """Closed-form dual-form projection for orthonormal generators.
-
-    ``P_C(x) = x + sum_i max(0, -<x, k_i>) k_i``.  Raises `NotOrthonormal`
-    when the Gram matrix deviates from the identity by more than 1e-8.
-    """
-    xv = as_vector(x)
-    S = generator_matrix(K, dim=xv.size)
-    gram = S.T @ S
-    deviation = float(np.abs(gram - np.eye(S.shape[1])).max(initial=0.0))
-    if deviation > 1e-8:
-        raise NotOrthonormal(f"Gram matrix deviates from identity by {deviation:.3e}")
-    rho = np.maximum(0.0, -(S.T @ xv))
-    return _dual_projection(S, xv, rho, _active_indices(rho))
+    active = _active_indices(rho)
+    point = xv + S @ rho
+    kkt = 0.0
+    if S.shape[1]:
+        inner = S.T @ point
+        kkt = max(0.0, float((-inner).max()))
+        if active.size:
+            kkt = max(kkt, float(np.abs(inner[active]).max()))
+    orth = abs(float((xv - point) @ point))
+    return ProjectionResult(point, rho, active, kkt, orth)
 
 
 def moreau_decompose(K, x, tol: float = DEFAULT_TOL) -> MoreauSplit:
@@ -306,6 +278,11 @@ def dual_cone_decompose(K, y, tol: float = DEFAULT_TOL) -> DualDecomposition:
     orthogonal complement of the null space of ``S^T``, and
     ``nu = y - z`` lies in that null space.  Raises `NotInDualCone` when
     y violates ``<y, k_j> <= 0`` beyond tolerance.
+
+    ``pinv(S^T) @ v`` is computed as the minimum-norm least-squares
+    solution of ``S^T z = v`` (``np.linalg.lstsq`` at numpy's default
+    cut-off ``max(d, m) * eps * sigma_1``, the library's rank rule), one
+    solve for ``eta`` and the ``<y, k_j>``.
     """
     yv = as_vector(y)
     S = generator_matrix(K, dim=yv.size)
@@ -315,10 +292,10 @@ def dual_cone_decompose(K, y, tol: float = DEFAULT_TOL) -> DualDecomposition:
         worst = float(inner.max())
         raise NotInDualCone(f"<y, k_i> = {worst:.3e} > 0 beyond tolerance")
     eta = np.maximum(-inner, 0.0)
-    St_pinv = pseudoinverse(S.T)
-    z = -(St_pinv @ eta)
+    lift, along = np.linalg.lstsq(S.T, np.column_stack([eta, inner]), rcond=None)[0].T
+    z = -lift
     nu = yv - z
-    x0 = yv - St_pinv @ inner
+    x0 = yv - along
     return DualDecomposition(nu=nu, eta=eta, z=z, x0=x0)
 
 
@@ -332,6 +309,12 @@ def zig_decompose(K, x, tol: float = DEFAULT_TOL) -> ZigDecomposition:
       (2) the sign and orthogonality conditions on rho and eta,
       (3) ``pdual = x0 - pinv(S^T) eta`` with ``<x0, pinv(S^T) eta> = 0``,
       (4) both expressions for the cone projection agree.
+
+    ``pinv(S^T) @ v`` is computed as the minimum-norm least-squares
+    solution of ``S^T z = v`` (``np.linalg.lstsq`` at numpy's default
+    cut-off ``max(d, m) * eps * sigma_1``, the library's rank rule), one
+    solve for ``S^T x`` and ``eta``; the residual of the eta column is the
+    part of eta in the null space of S that statement (2) bounds.
     """
     xv = as_vector(x)
     S = generator_matrix(K, dim=xv.size)
@@ -340,17 +323,16 @@ def zig_decompose(K, x, tol: float = DEFAULT_TOL) -> ZigDecomposition:
     pc = S @ rho
     pdual = xv - pc
     eta = np.maximum(-(S.T @ pdual), 0.0)
-    St_pinv = pseudoinverse(S.T)
-    x0 = xv - St_pinv @ (S.T @ xv)
+    along, lift = np.linalg.lstsq(S.T, np.column_stack([S.T @ xv, eta]), rcond=None)[0].T
+    x0 = xv - along
 
     scale = 1.0 + np.linalg.norm(xv)
-    lift = St_pinv @ eta
     report = CertificateReport()
     r1 = float(np.linalg.norm(xv - (pc + x0 - lift)))
     report.add("statement1_decomposition", r1, r1 <= tol * scale)
     r2_sign = max(0.0, -float(rho.min(initial=0.0)), -float(eta.min(initial=0.0)))
     report.add("statement2_sign_conditions", r2_sign, r2_sign <= tol)
-    r2_null = float(np.linalg.norm(null_space_projector(S) @ eta)) if eta.size else 0.0
+    r2_null = float(np.linalg.norm(eta - S.T @ lift))
     report.add("statement2_eta_in_row_space", r2_null, r2_null <= tol * (1.0 + np.linalg.norm(eta)))
     r2_comp = abs(float(rho @ eta))
     report.add(
@@ -362,7 +344,7 @@ def zig_decompose(K, x, tol: float = DEFAULT_TOL) -> ZigDecomposition:
     report.add("statement3_dual_projection", r3, r3 <= tol * scale)
     r3b = abs(float(x0 @ lift))
     report.add("statement3_orthogonality", r3b, r3b <= tol * (1.0 + float(xv @ xv)))
-    r4 = float(np.linalg.norm(pc - St_pinv @ (S.T @ xv + eta)))
+    r4 = float(np.linalg.norm(pc - (along + lift)))
     report.add("statement4_projection_formulas", r4, r4 <= tol * scale)
 
     return ZigDecomposition(rho=rho, x0=x0, eta=eta, pc=pc, pdual=pdual, report=report)

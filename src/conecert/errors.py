@@ -5,10 +5,6 @@ class IterationLimit(RuntimeError):
     """Active-set pivot budget exhausted; the input is numerically degenerate."""
 
 
-class NotOrthonormal(ValueError):
-    """Generator set fails the orthonormality tolerance."""
-
-
 class NotInDualCone(ValueError):
     """Vector violates the dual-cone inequalities beyond tolerance."""
 

@@ -71,7 +71,8 @@ class GenFarkasReport:
     """Finite-index generalized Farkas equivalences, with certificates.
 
     ``member_plain`` tests ``(b, r)`` against the cone of the pairs
-    alone, ``member_augmented`` adds the vertical ray ``(0, 1)``.
+    alone, ``member_augmented`` adds the vertical ray ``(0, 1)`` in a
+    balanced solve whose decision does not depend on the units of r.
     Consistency of ``<s_j, x> <= p_j`` is decided by a checked
     certificate either way: a ``feasible_point`` passing ``S x <= p``
     (then ``hypothesis_verified``), or ``infeasibility_multipliers``.
@@ -218,6 +219,33 @@ def infeasibility_residual(S, p, lam) -> float:
     return float(np.linalg.norm(S.T @ lam) / (lam @ lifted_norms))
 
 
+def _augmented_test(S, gaps, b, r, row_norm: float, tol: float):
+    """Balanced NNLS of ``(b, r)`` over the pairs ``(s_j, gaps_j)`` and ``(0, 1)``.
+
+    The last coordinate is divided by ``unit = max(1, max(|gaps_j|, |r|) /
+    max(max_j ||s_j||, ||b||))``.  That maps the cone onto the cone of
+    the scaled pairs and fixes the ray ``(0, 1)``, so membership is
+    unchanged, but the stopping tolerance and the membership threshold
+    (``tol (1 + ||target||)`` of the scaled target) no longer grow with
+    the gaps and r.  Returns the membership flag, the multipliers
+    ``(lam, mu)`` with mu scaled back up by ``unit``, and the residual
+    ``(u, t)`` with t divided by ``unit``, which still separates:
+    ``<s_j, u> + t gaps_j <= 0``, ``t <= 0`` and ``<b, u> + t r > 0``.
+    """
+    size = max(float(np.abs(gaps).max(initial=0.0)), abs(r))
+    scale = max(row_norm, float(np.linalg.norm(b)))
+    unit = max(size / scale, 1.0) if scale else 1.0
+    columns = np.column_stack([S, gaps / unit])
+    vertical = np.append(np.zeros(b.size), 1.0)
+    target = np.append(b, r / unit)
+    sol = nnls(np.vstack([columns, vertical]).T, target, tol)
+    member = bool(np.linalg.norm(sol.residual) <= tol * (1.0 + np.linalg.norm(target)))
+    rho, w = sol.rho, sol.residual
+    rho[-1] *= unit
+    w[-1] /= unit
+    return member, rho, w
+
+
 def generalized_farkas(pairs, b, r, tol: float = DEFAULT_TOL) -> GenFarkasReport:
     """Membership form of the generalized Farkas theorem for finite pairs.
 
@@ -239,10 +267,15 @@ def generalized_farkas(pairs, b, r, tol: float = DEFAULT_TOL) -> GenFarkasReport
     same step taken from it.
 
     The implication.  For a consistent system it holds exactly when
-    ``(b, r)`` lies in the augmented cone.  Its multipliers ``(lam, mu)``
-    are the proof and are reported once `implication_multipliers_hold`
-    passes.  When it does not, the NNLS residual ``(u, t)`` of the
-    augmented test separates: ``<s_j, u> + t p_j <= 0``, ``t <= 0`` and
+    ``(b, r)`` lies in the augmented cone.  That test is one balanced
+    NNLS solve (`_augmented_test`): the last coordinate is divided so
+    that the p_j and r are no larger than the s_j and b, which leaves
+    membership unchanged but keeps the size of r from setting the
+    stopping tolerance and the membership threshold.  Its multipliers
+    ``(lam, mu)``, mu scaled back to the units of r, are the proof and
+    are reported once `implication_multipliers_hold` passes.  When it
+    does not, the residual ``(u, t)`` of that solve, t brought back to
+    the units of r, separates: ``<s_j, u> + t p_j <= 0``, ``t <= 0`` and
     ``<b, u> + t r > 0``.  So ``a u`` is feasible for ``0 <= a <= 1 / -t``
     (for every a when ``t = 0``, u being a recession direction), and
     ``<b, a u>`` exceeds r from some ``a < 1 / -t`` on.
@@ -251,16 +284,14 @@ def generalized_farkas(pairs, b, r, tol: float = DEFAULT_TOL) -> GenFarkasReport
     ``(s_j, p_j - <s_j, x_f>)`` and the target ``(b, r - <b, x_f>)``: the
     map ``(v, c) -> (v, c - <v, x_f>)`` is invertible and fixes
     ``(0, 1)``, so membership is unchanged, but the witness is measured
-    from a point of the system.  When the centred gaps and
-    ``r - <b, x_f>`` are larger than the ``s_j`` and b, the last
-    coordinate is divided by that ratio, which scales t and keeps the
-    pairs balanced.  When x_f is the origin the centred test is the
-    augmented solve already made, and its residual is reused.  The
-    candidate ``x_f + a u`` takes a at twice the step that reaches
-    ``r + tol (1 + |r|)``, or halfway from there to ``1 / -t`` when that
-    is nearer: the end point ``u / -t`` lies on the pairs tight at the
-    solve, where rounding in u is multiplied by ``1 / -t``.  It is
-    reported once `violator_holds` passes.
+    from a point of the system.  It is balanced in the same way, with the
+    centred gaps and ``r - <b, x_f>`` in place of the p_j and r.  When x_f
+    is the origin the centred test is the augmented solve already made,
+    and its residual is reused.  The candidate ``x_f + a u`` takes a at
+    twice the step that reaches ``r + tol (1 + |r|)``, or halfway from
+    there to ``1 / -t`` when that is nearer: the end point ``u / -t`` lies
+    on the pairs tight at the solve, where rounding in u is multiplied by
+    ``1 / -t``.  It is reported once `violator_holds` passes.
 
     ``sampled_implication_holds`` is False exactly when a violator is
     reported; ``samples_used`` counts the points checked against the
@@ -271,17 +302,13 @@ def generalized_farkas(pairs, b, r, tol: float = DEFAULT_TOL) -> GenFarkasReport
     S = generator_matrix([s for s, _ in pairs], dim=bv.size).T
     pvals = np.array([float(p) for _, p in pairs])
 
-    lifted = np.column_stack([S, pvals])
-    target = np.append(bv, r)
-    plain = positive_relative_test(lifted, target, tol)
-    vertical = np.append(np.zeros(bv.size), 1.0)
-    aug = nnls(np.vstack([lifted, vertical]).T, target, tol)
-    member = bool(np.linalg.norm(aug.residual) <= tol * (1.0 + np.linalg.norm(target)))
+    plain = positive_relative_test(np.column_stack([S, pvals]), np.append(bv, r), tol)
+    row_norm = float(np.linalg.norm(S, axis=1).max(initial=0.0))
+    member, aug, w = _augmented_test(S, pvals, bv, r, row_norm, tol)
 
     # dividing the gaps by the worst violation over the largest ||s_j||
     # balances the lifted pairs; it scales the point, not which pairs are tight
     slack = _slack(pvals, tol)
-    row_norm = float(np.linalg.norm(S, axis=1).max(initial=0.0))
     point, gaps = np.zeros(bv.size), pvals
     refuted = None
     for _ in range(FEASIBLE_ROUNDS):
@@ -305,18 +332,12 @@ def generalized_farkas(pairs, b, r, tol: float = DEFAULT_TOL) -> GenFarkasReport
             refuted = None
 
     multipliers = violator = None
-    if member and implication_multipliers_hold(S, pvals, bv, r, aug.rho[:-1], aug.rho[-1], tol):
-        multipliers = aug.rho
+    if member and implication_multipliers_hold(S, pvals, bv, r, aug[:-1], aug[-1], tol):
+        multipliers = aug
     elif feasible is not None:
         r_c = r - float(bv @ feasible)
-        w = aug.residual
         if feasible.any():
-            size = max(float(np.abs(gaps).max(initial=0.0)), abs(r_c))
-            scale = max(row_norm, float(np.linalg.norm(bv)))
-            unit = max(size / scale, 1.0) if scale else 1.0
-            centred = np.vstack([np.column_stack([S, gaps / unit]), vertical]).T
-            w = nnls(centred, np.append(bv, r_c / unit), tol).residual
-            w[-1] /= unit
+            w = _augmented_test(S, gaps, bv, r_c, row_norm, tol)[2]
         u, t = w[:-1], min(float(w[-1]), 0.0)
         rate = float(bv @ u)
         candidate = feasible

@@ -1,9 +1,12 @@
 """Dense linear-algebra substrate.
 
-Pseudoinverse and rank machinery, span membership with separating
-witnesses, nonnegative least squares, and Caratheodory reduction of
-positive combinations.  Everything here is a pure function of its
-arguments and safe to call from multiple threads.
+The library's rank rule (`svd_factors`, `matrix_rank`), span membership
+with separating witnesses, and nonnegative least squares.  Everything
+here is a pure function of its arguments and safe to call from multiple
+threads.  Caratheodory reduction of positive combinations
+(`caratheodory_reduce`) has had no caller in the library since each
+answer became one Lawson-Hanson solve; it stays only while the
+benchmark's traced run still wraps it and `svd_factors` by name.
 
 `nnls` is the Lawson-Hanson active-set method on a thin QR factor
 ``Q R`` of its support, kept up to date pivot by pivot, together with
@@ -112,27 +115,6 @@ def matrix_rank(M) -> int:
     return svd_factors(M).rank
 
 
-def pseudoinverse(M) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via truncated SVD.
-
-    Singular values at or below ``max(rows, cols) * eps * sigma_1`` are
-    treated as zero, so a zero matrix maps to a zero matrix of the
-    transposed shape.
-    """
-    A = as_matrix(M)
-    f = svd_factors(A)
-    if f.rank == 0:
-        return np.zeros((A.shape[1], A.shape[0]))
-    return (f.vt.T / f.singular_values) @ f.u.T
-
-
-def null_space_projector(M) -> np.ndarray:
-    """Orthogonal projector onto the null space of M (acting on its domain)."""
-    A = as_matrix(M)
-    P = np.eye(A.shape[1]) - pseudoinverse(A) @ A
-    return 0.5 * (P + P.T)
-
-
 @dataclass(frozen=True, eq=False)
 class SpanMembership:
     """Outcome of a closed-linear-span membership test.
@@ -216,18 +198,20 @@ def nnls(
     (complementarity).  ``S @ rho`` is then the nearest point of the
     generated cone.
 
-    The support columns are kept as a thin QR factor
-    ``S[:, support] = Q R`` together with ``Q^T x`` and the inverse
+    The support columns are kept as the factor Q of a thin QR
+    ``S[:, support] = Q R``, together with ``Q^T x`` and the inverse
     ``T = R^-1`` (Lawson & Hanson, *Solving Least Squares Problems*, 1974,
     ch. 23), in buffers of ``min(d, m)`` columns allocated once per
-    call.  Each pivot's least-squares solution on the support is then one
-    product ``z = T Q^T x``: no fresh least-squares problem and no LU
-    solve.  The factor is of the columns themselves, not of the Gram
-    matrix ``S^T S``, whose condition number is the square.
+    call; R itself is not stored.  Each pivot's least-squares solution on
+    the support is then one product ``z = T Q^T x``: no fresh
+    least-squares problem and no LU solve.  The factor is of the columns
+    themselves, not of the Gram matrix ``S^T S``, whose condition number
+    is the square.
 
-    * An entering column is appended to Q and R by one Gram-Schmidt step
-      with one reorthogonalisation, O(d k) for a support of k columns, and
-      borders T with one mat-vec: ``T[k, k] = 1 / r_kk`` and
+    * An entering column is appended to Q by one Gram-Schmidt step with
+      one reorthogonalisation, O(d k) for a support of k columns, which
+      also gives its column ``R[:k, k]`` and ``r_kk`` of R, and borders T
+      with one mat-vec: ``T[k, k] = 1 / r_kk`` and
       ``T[:k, k] = -T[:k, :k] R[:k, k] / r_kk``.
     * A blocking step re-factors the columns it leaves with one QR and
       forms T again as the inverse of the new triangle.  Blocking steps
@@ -299,14 +283,13 @@ def nnls(
     slack = tol * (1.0 + np.linalg.norm(b)) * colnorm
     # an entering column whose remainder is at or below floor * ||a|| is dependent
     floor = d * _EPS
-    # thin QR of the support, A[:, cols[:k]] = Q[:, :k] @ R[:k, :k], and T = R^-1
+    # thin QR of the support, A[:, cols[:k]] = Q[:, :k] @ R, kept as Q and T = R^-1
     kmax = min(d, m)
     cols = np.empty(kmax, dtype=np.intp)
     Q = np.empty((d, kmax))
-    # R and T are upper triangular: an entering column writes on and above
-    # the diagonal, a blocking step a QR triangle and its inverse, so the
-    # zeros below it are written once, here
-    R = np.zeros((kmax, kmax))
+    # T is upper triangular: an entering column writes on and above the
+    # diagonal, a blocking step the inverse of a QR triangle, so the zeros
+    # below it are written once, here
     T = np.zeros((kmax, kmax))
     qtb = np.empty(kmax)
     k = 0
@@ -346,11 +329,9 @@ def nnls(
             break
         cols[k] = entering
         np.divide(v, rkk, out=Q[:, k])
-        np.add(c, c2, out=R[:k, k])
-        R[k, k] = rkk
-        # border T: the new column of R^-1 is one mat-vec with the old ones
+        # border T: one mat-vec of its old columns with R[:k, k] = c + c2
         T[k, k] = 1.0 / rkk
-        T[:k, k] = (T[:k, :k] @ R[:k, k]) * -T[k, k]
+        T[:k, k] = (T[:k, :k] @ (c + c2)) * -T[k, k]
         qtb[k] = Q[:, k] @ b
         k += 1
 
@@ -383,7 +364,6 @@ def nnls(
             cols[:k] = sup[keep]
             q, r = np.linalg.qr(A[:, cols[:k]])
             Q[:, :k] = q
-            R[:k, :k] = r
             T[:k, :k] = np.linalg.inv(r)
             qtb[:k] = q.T @ b
         resid = b - Q[:, :k] @ qtb[:k]

@@ -12,8 +12,6 @@ so it is the rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from .errors import BadInterval, MomentFitFailed
@@ -108,11 +106,6 @@ def positive_quadrature(spec: MomentSpec, grid_size: int) -> QuadratureRule:
     if verify_exactness(rule, n) > EXACTNESS_TOL:
         raise MomentFitFailed("rule without its tiny weights misses the moments")
     return rule
-
-
-def apply_rule(rule: QuadratureRule, f: Callable[[float], float]) -> float:
-    """Evaluate the rule: sum of w_i f(t_i)."""
-    return float(sum(w * float(f(t)) for t, w in zip(rule.nodes, rule.weights)))
 
 
 def verify_exactness(rule: QuadratureRule, n: int) -> float:

@@ -80,6 +80,60 @@ def dual_projection_bruteforce(S, x, feas_tol=1e-9):
     return best
 
 
+def orthonormal_dual_projection(S, x):
+    """Projection of x onto ``{y : S^T y >= 0}`` for orthonormal columns.
+
+    The closed form ``x + sum_i max(0, -<x, k_i>) k_i``: for orthonormal
+    generators the constraints decouple, and each violated one is
+    corrected along its own generator.
+    """
+    S = np.asarray(S, dtype=float)
+    x = np.asarray(x, dtype=float)
+    deviation = float(np.abs(S.T @ S - np.eye(S.shape[1])).max(initial=0.0))
+    if deviation > 1e-8:
+        raise ValueError(f"Gram matrix deviates from the identity by {deviation:.3e}")
+    return x + S @ np.maximum(0.0, -(S.T @ x))
+
+
+def pinv(M):
+    """Moore-Penrose pseudoinverse by numpy's SVD, singular values at or
+    below ``max(rows, cols) * eps * sigma_1`` treated as zero."""
+    return np.linalg.pinv(np.asarray(M, dtype=float), rtol=None)
+
+
+def null_space_part(S, v):
+    """The part of v in the null space of S: ``(I - pinv(S) S) v``."""
+    return v - pinv(S) @ (S @ v)
+
+
+def zig_statement_flags(S, x, rho, tol=1e-9):
+    """Pass flag of each statement check of ``zig_decompose``, by `pinv`.
+
+    Takes the cone multipliers rho and evaluates the statements' formulas
+    and thresholds with an explicit ``pinv(S^T)`` and null-space part.
+    """
+    S = np.asarray(S, dtype=float)
+    x = np.asarray(x, dtype=float)
+    St_pinv = pinv(S.T)
+    pc = S @ rho
+    pdual = x - pc
+    eta = np.maximum(-(S.T @ pdual), 0.0)
+    x0 = x - St_pinv @ (S.T @ x)
+    lift = St_pinv @ eta
+    scale = 1.0 + np.linalg.norm(x)
+    sign = max(0.0, -float(rho.min(initial=0.0)), -float(eta.min(initial=0.0)))
+    return {
+        "statement1_decomposition": np.linalg.norm(x - (pc + x0 - lift)) <= tol * scale,
+        "statement2_sign_conditions": sign <= tol,
+        "statement2_eta_in_row_space": np.linalg.norm(null_space_part(S, eta)) <= tol * (1.0 + np.linalg.norm(eta)),
+        "statement2_complementarity": abs(float(rho @ eta))
+        <= tol * (1.0 + np.linalg.norm(rho) * np.linalg.norm(eta)),
+        "statement3_dual_projection": np.linalg.norm(pdual - (x0 - lift)) <= tol * scale,
+        "statement3_orthogonality": abs(float(x0 @ lift)) <= tol * (1.0 + float(x @ x)),
+        "statement4_projection_formulas": np.linalg.norm(pc - St_pinv @ (S.T @ x + eta)) <= tol * scale,
+    }
+
+
 def dual_cone_rays(S, feas_tol=1e-10):
     """Generating rays of ``{y : S^T y <= 0}`` when the columns span R^d.
 

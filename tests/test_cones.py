@@ -5,22 +5,27 @@ import conecert.cones
 from conecert import (
     ConeSpec,
     NotInDualCone,
-    NotOrthonormal,
     Orientation,
     contains,
     dual_cone_decompose,
     matrix_rank,
     moreau_decompose,
     nnls,
-    null_space_projector,
     positive_relative_test,
     project_dual,
     project_generated,
-    project_orthonormal,
     verify_characterization,
     zig_decompose,
 )
-from oracles import dual_cone_rays, dual_projection_bruteforce, random_cone_instance
+from oracles import (
+    dual_cone_rays,
+    dual_projection_bruteforce,
+    null_space_part,
+    orthonormal_dual_projection,
+    pinv,
+    random_cone_instance,
+    zig_statement_flags,
+)
 
 # the worked two-generator example: C = {y : <y, k> >= 0 for both k}
 K_EXAMPLE = [np.array([0.0, -1.0]), np.array([1.0, 1.0])]
@@ -182,23 +187,26 @@ class TestDegenerateGenerators:
 
 
 class TestProjectOrthonormal:
+    """`project_dual` on orthonormal generators, against the closed form
+    ``x + sum_i max(0, -<x, k_i>) k_i``."""
+
+    def _both(self, x):
+        res = project_dual(np.eye(2), x)
+        closed = orthonormal_dual_projection(np.eye(2), x)
+        assert np.allclose(res.point, closed, atol=1e-14)
+        return res
+
     def test_single_negative_component(self):
-        res = project_orthonormal([[1.0, 0.0], [0.0, 1.0]], [-1.0, 2.0])
+        res = self._both([-1.0, 2.0])
         assert np.allclose(res.point, [0.0, 2.0], atol=1e-14)
 
     def test_feasible_point(self):
-        res = project_orthonormal([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
+        res = self._both([1.0, 1.0])
         assert np.allclose(res.point, [1.0, 1.0], atol=1e-14)
 
     def test_both_negative(self):
-        res = project_orthonormal([[1.0, 0.0], [0.0, 1.0]], [-1.0, -2.0])
+        res = self._both([-1.0, -2.0])
         assert np.allclose(res.point, [0.0, 0.0], atol=1e-14)
-        cross = project_dual([[1.0, 0.0], [0.0, 1.0]], [-1.0, -2.0])
-        assert np.allclose(res.point, cross.point, atol=1e-9)
-
-    def test_rejects_non_orthonormal(self):
-        with pytest.raises(NotOrthonormal):
-            project_orthonormal([[1.0, 0.0], [1.0, 1.0]], [1.0, 1.0])
 
     def test_agrees_with_general_projection(self):
         rng = np.random.default_rng(53)
@@ -208,11 +216,11 @@ class TestProjectOrthonormal:
             Q, _ = np.linalg.qr(rng.standard_normal((d, k)))
             K = list(Q.T)
             x = 2.0 * rng.standard_normal(d)
-            closed = project_orthonormal(K, x)
+            closed = orthonormal_dual_projection(Q, x)
             general = project_dual(K, x)
             oracle = dual_projection_bruteforce(Q, x)
-            assert np.linalg.norm(closed.point - general.point) <= 1e-9 * (1.0 + np.linalg.norm(x))
-            assert np.linalg.norm(closed.point - oracle) <= 1e-9 * (1.0 + np.linalg.norm(x))
+            assert np.linalg.norm(closed - general.point) <= 1e-9 * (1.0 + np.linalg.norm(x))
+            assert np.linalg.norm(closed - oracle) <= 1e-9 * (1.0 + np.linalg.norm(x))
 
 
 class TestMoreau:
@@ -387,7 +395,7 @@ class TestDualConeDecompose:
             assert abs(float(dec.nu @ dec.z)) <= 1e-8 * (1.0 + float(y @ y))
             assert dec.eta.min(initial=0.0) >= 0.0
             assert np.linalg.norm(dec.nu + dec.z - y) <= 1e-9 * (1.0 + np.linalg.norm(y))
-            null_part = null_space_projector(S) @ dec.eta
+            null_part = null_space_part(S, dec.eta)
             assert np.linalg.norm(null_part) <= 1e-7 * (1.0 + np.linalg.norm(dec.eta))
             assert np.linalg.norm(dec.nu - dec.x0) <= 1e-7 * (1.0 + np.linalg.norm(y))
 
@@ -419,6 +427,27 @@ class TestZigDecompose:
             S, x = random_cone_instance(rng, d_max=6, m_max=8)
             dec = zig_decompose(list(S.T), x)
             assert dec.report.passed
+
+    def test_duplicated_and_scaled_generators(self):
+        # the least-squares solves with S^T must decide every statement as
+        # an explicit pseudoinverse does, where S is rank deficient or its
+        # columns differ in scale by up to 1e6
+        rng = np.random.default_rng(73)
+        for trial in range(300):
+            S, x = random_cone_instance(rng, d_max=6, m_max=8)
+            m = S.shape[1]
+            if trial % 3 and m >= 2:
+                S[:, 1 : 1 + trial % 3] = S[:, :1]
+            S = S * 10.0 ** rng.uniform(-3.0, 3.0, size=m)
+            x = x * 10.0 ** rng.uniform(-2.0, 2.0)
+            dec = zig_decompose(list(S.T), x)
+            flags = {c.name: c.passed for c in dec.report.checks}
+            assert flags == zig_statement_flags(S, x, dec.rho), trial
+            dual = dual_cone_decompose(list(S.T), dec.pdual, tol=1e-7)
+            inner = S.T @ dec.pdual
+            scale = 1e-9 * (1.0 + np.linalg.norm(x))
+            assert np.linalg.norm(dual.z + pinv(S.T) @ dual.eta) <= scale, trial
+            assert np.linalg.norm(dual.x0 - (dec.pdual - pinv(S.T) @ inner)) <= scale, trial
 
 
 class TestIdentitySemantics:

@@ -309,7 +309,7 @@ def _random_system(linprog, rng, far):
 class TestExactImplication:
     """The implication is decided from checked certificates, as linprog decides it."""
 
-    @pytest.mark.parametrize("count, far, seed", [(1000, 0.0, 107), (500, 1e3, 109)])
+    @pytest.mark.parametrize("count, far, seed", [(1000, 0.0, 107), (500, 1e3, 109), (500, 1e5, 131)])
     def test_matches_linprog(self, count, far, seed):
         linprog = pytest.importorskip("scipy.optimize").linprog
         rng = np.random.default_rng(seed)
@@ -317,11 +317,36 @@ class TestExactImplication:
             S, p, b, r, holds = _random_system(linprog, rng, far)
             report = generalized_farkas(list(zip(S, p)), b, r)
             assert report.hypothesis_verified
+            assert report.member_augmented == holds
             assert report.sampled_implication_holds == holds
             if holds:
                 assert report.violator is None
             else:
                 assert violator_holds(S, p, b, r, report.violator)
+
+    def test_member_far_from_origin(self):
+        # {x <= -5e4} implies 1.3 x <= -4.5e4 with lam = 1.3 and mu = 2e4; an
+        # augmented solve whose last coordinate is not balanced stops at
+        # lam = 0.9, mu = 0, the vertical column's gradient being under a
+        # stopping tolerance that scales with |r|
+        S, p, b, r = np.array([[1.0]]), np.array([-5e4]), np.array([1.3]), -4.5e4
+        report = generalized_farkas(list(zip(S, p)), b, r)
+        assert report.member_augmented
+        lam, mu = report.multipliers[:-1], report.multipliers[-1]
+        assert implication_multipliers_hold(S, p, b, r, lam, mu)
+        assert np.allclose(report.multipliers, [1.3, 2e4], rtol=1e-9)
+        assert report.sampled_implication_holds and report.violator is None
+
+    def test_violator_with_large_gaps_at_feasible_origin(self):
+        # the origin is feasible and the p_j are ~1e5 times the s_j; max <b, x>
+        # is 243,890 at (-59786, 179333) by linprog, so <b, x> <= 2e5 fails
+        S = np.array([[-2.07, -0.66], [-0.66, 1.95], [1.95, 0.76]])
+        p = np.array([5471.0, 389159.0, 19711.0])
+        b, r = np.array([0.45, 1.51]), 2e5
+        report = generalized_farkas(list(zip(S, p)), b, r)
+        assert not report.member_augmented
+        assert not report.sampled_implication_holds
+        assert violator_holds(S, p, b, r, report.violator)
 
     def test_recession_direction_violator(self):
         # x2 <= 0 bounds nothing along x1: the residual has t = 0, and the

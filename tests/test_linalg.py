@@ -6,58 +6,12 @@ from conecert import (
     caratheodory_reduce,
     matrix_rank,
     nnls,
-    null_space_projector,
-    pseudoinverse,
     span_membership,
     svd_factors,
 )
 from oracles import nnls_bruteforce, random_cone_instance
 
 _EPS = float(np.finfo(float).eps)
-
-
-class TestPseudoinverse:
-    def test_identity(self):
-        assert np.allclose(pseudoinverse(np.eye(3)), np.eye(3), atol=1e-14)
-
-    def test_diagonal_with_zero_singular_value(self):
-        assert np.allclose(pseudoinverse(np.diag([2.0, 0.0])), np.diag([0.5, 0.0]), atol=1e-14)
-
-    def test_zero_matrix_maps_to_transposed_zero(self):
-        out = pseudoinverse(np.zeros((3, 5)))
-        assert out.shape == (5, 3)
-        assert np.all(out == 0.0)
-
-    def test_random_rectangular(self):
-        rng = np.random.default_rng(3)
-        M = rng.standard_normal((4, 3))
-        P = pseudoinverse(M)
-        assert np.linalg.norm(M @ P @ M - M) <= 1e-12 * np.linalg.norm(M)
-
-    def test_moore_penrose_identities_500_random(self):
-        rng = np.random.default_rng(7)
-        for trial in range(500):
-            rows = int(rng.integers(1, 9))
-            cols = int(rng.integers(1, 9))
-            if trial % 3 == 0:
-                k = int(rng.integers(1, min(rows, cols) + 1))
-                M = rng.standard_normal((rows, k)) @ rng.standard_normal((k, cols))
-            else:
-                M = rng.standard_normal((rows, cols))
-            P = pseudoinverse(M)
-            scale = 1e-11 * max(1.0, np.linalg.norm(M))
-            assert np.linalg.norm(M @ P @ M - M) <= scale
-            assert np.linalg.norm(P @ M @ P - P) <= 1e-11 * max(1.0, np.linalg.norm(P))
-            assert np.linalg.norm((M @ P).T - M @ P) <= scale
-            assert np.linalg.norm((P @ M).T - P @ M) <= scale
-
-    def test_projector_properties(self):
-        rng = np.random.default_rng(11)
-        M = rng.standard_normal((5, 3))
-        P = pseudoinverse(M)
-        range_proj = M @ P
-        assert np.linalg.norm(range_proj @ range_proj - range_proj) <= 1e-12
-        assert np.linalg.norm(range_proj @ M - M) <= 1e-12 * np.linalg.norm(M)
 
 
 class TestSvdFactors:
@@ -79,29 +33,6 @@ class TestSvdFactors:
             sigma1 = float(s[0]) if f.rank else 0.0
             bound = 10.0 * _EPS * sigma1 * max(M.shape)
             assert np.linalg.norm(recon - M, 2) <= max(bound, 10.0 * _EPS)
-
-
-class TestNullSpaceProjector:
-    def test_axis_aligned(self):
-        P = null_space_projector(np.array([[1.0, 0.0], [0.0, 0.0]]))
-        assert np.allclose(P, np.diag([0.0, 1.0]), atol=1e-14)
-
-    def test_invertible_gives_zero(self):
-        P = null_space_projector(np.array([[2.0, 1.0], [0.0, 3.0]]))
-        assert np.allclose(P, np.zeros((2, 2)), atol=1e-14)
-
-    def test_wide_row(self):
-        P = null_space_projector(np.array([[1.0, 1.0]]))
-        assert np.allclose(P, 0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]]), atol=1e-14)
-
-    def test_properties_random(self):
-        rng = np.random.default_rng(13)
-        for _ in range(50):
-            M = rng.standard_normal((int(rng.integers(1, 7)), int(rng.integers(1, 7))))
-            P = null_space_projector(M)
-            assert np.linalg.norm(P - P.T) <= 1e-12
-            assert np.linalg.norm(P @ P - P) <= 1e-12
-            assert np.linalg.norm(M @ P) <= 1e-12 * max(1.0, np.linalg.norm(M))
 
 
 class TestSpanMembership:
