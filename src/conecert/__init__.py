@@ -8,14 +8,11 @@ finite-dimensional real Hilbert space.
 
 from .certificates import CertificateCheck, CertificateReport
 from .cones import (
-    ConeSpec,
     DualDecomposition,
     MoreauSplit,
-    Orientation,
     PositiveRelative,
     ProjectionResult,
     ZigDecomposition,
-    contains,
     dual_cone_decompose,
     moreau_decompose,
     positive_relative_test,
@@ -75,7 +72,6 @@ __all__ = [
     "CaratheodoryResult",
     "CertificateCheck",
     "CertificateReport",
-    "ConeSpec",
     "DEFAULT_TOL",
     "DualDecomposition",
     "FarkasOutcome",
@@ -90,7 +86,6 @@ __all__ = [
     "MoreauSplit",
     "NnlsResult",
     "NotInDualCone",
-    "Orientation",
     "PositiveRelative",
     "ProjectionResult",
     "QuadratureRule",
@@ -101,7 +96,6 @@ __all__ = [
     "ZigDecomposition",
     "caratheodory_reduce",
     "chebyshev_points",
-    "contains",
     "default_grid",
     "derivative_matrix",
     "dual_cone_decompose",

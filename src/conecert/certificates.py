@@ -19,7 +19,6 @@ class CertificateCheck:
 @dataclass
 class CertificateReport:
     checks: list[CertificateCheck] = field(default_factory=list)
-    trivial_feasible: bool = False
 
     @property
     def passed(self) -> bool:

@@ -1,10 +1,12 @@
 """Command-line front end.
 
-Reads a JSON problem file, dispatches to the library, re-verifies every
-numeric claim, and emits a certificate report as JSON (the documented
-schema) or as text.  Exit status: 0 when all certificates pass, 2 when a
-result was produced but some certificate failed (or the solver gave up),
-1 on malformed input.
+Reads a JSON problem file, dispatches to the library, and emits the
+result's certificate report as JSON (the documented schema) or as text.
+Every certificate comes from the library's check function beside the
+solver (``*_certificate``); this module only parses, dispatches and
+serializes.  Exit status: 0 when all certificates pass, 2 when a result
+was produced but some certificate failed (or the solver gave up), 1 on
+malformed input.
 
 Report schema (JSON format)::
 
@@ -23,19 +25,25 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import fields, is_dataclass
+from enum import Enum
 
 import numpy as np
 
 from .certificates import CertificateReport
-from .cones import project_dual, project_generated, positive_relative_test, verify_characterization
+from .cones import (cone_membership_certificate, dual_projection_certificate, generated_projection_certificate,
+                    positive_relative_test, project_dual, project_generated)
 from .errors import BadInterval, IterationLimit, MomentFitFailed
-from .farkas import FarkasTag, farkas_alternative, generalized_farkas, verify_outcome
-from .legendre import LegendreBasis, chebyshev_points, legendre_to_monomial, monomial_to_legendre
-from .linalg import as_vector, generator_matrix, span_membership
-from .quadrature import EXACTNESS_TOL, integral_moments, positive_quadrature, verify_exactness
-from .shape import LegendrePoly, ShapeProblem, default_grid, project_shape
+from .farkas import farkas_alternative, farkas_certificate, generalized_farkas, implication_certificate
+from .legendre import chebyshev_points, legendre_to_monomial, monomial_to_legendre
+from .linalg import DEFAULT_TOL, as_vector, generator_matrix, span_membership, span_membership_certificate
+from .quadrature import integral_moments, positive_quadrature, rule_certificate
+from .shape import LegendrePoly, ShapeProblem, default_grid, project_shape, shape_certificate
 
 KINDS = ("project", "farkas", "quadrature", "shape", "membership")
+
+# the fields of a generalized Farkas result that its report shows
+PAIRS_FIELDS = ("member_plain", "member_augmented", "sampled_implication_holds", "hypothesis_verified", "feasible_point", "samples_used")
 
 
 class InputError(Exception):
@@ -45,6 +53,18 @@ class InputError(Exception):
 def dumps_report(obj) -> str:
     """Serialize a report deterministically (insertion-ordered keys)."""
     return json.dumps(obj, indent=2, allow_nan=False)
+
+
+def _json(value, names=None):
+    """A result value as JSON: arrays and tuples become lists, enums their
+    value, a dataclass a dict of its fields (only ``names``, if given)."""
+    if is_dataclass(value):
+        return {name: _json(getattr(value, name)) for name in names or [f.name for f in fields(value)]}
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [_json(v) for v in value]
+    return value.value if isinstance(value, Enum) else value
 
 
 # ---------------------------------------------------------------------------
@@ -111,38 +131,16 @@ def _handle_project(data: dict, path: str, tol: float):
     witness = _vector_field(data, "witness_e", path, required=False)
     if witness is not None and witness.size != x.size:
         raise InputError(f"{path}: field 'witness_e' has length {witness.size}, expected {x.size}")
-    scale = tol * (1.0 + float(np.linalg.norm(x)))
-    kkt_limit = scale * max(1.0, float(np.linalg.norm(S, axis=0).max(initial=0.0)))
-    orth_limit = tol * (1.0 + float(x @ x))
-
     if orientation == "generated":
         res = project_generated(S.T, x, tol)
-        report = CertificateReport()
-        min_rho = float(res.rho.min(initial=0.0))
-        report.add("multipliers_nonnegative", max(0.0, -min_rho), min_rho >= 0.0)
-        report.add("kkt_inequalities", res.kkt_residual, res.kkt_residual <= kkt_limit)
-        report.add("orthogonality", res.orthogonality_residual, res.orthogonality_residual <= orth_limit)
-        rep_residual = float(np.linalg.norm(res.point - S @ res.rho))
-        report.add("representation", rep_residual, rep_residual <= scale)
+        report = generated_projection_certificate(S.T, x, res, tol)
     else:
         res = project_dual(S.T, x, tol)
-        report = verify_characterization(S.T, x, res.point, tol, witness_e=witness)
-        report.add("kkt_residual", res.kkt_residual, res.kkt_residual <= kkt_limit)
-        report.add("orthogonality", res.orthogonality_residual, res.orthogonality_residual <= orth_limit)
-
-    result = {
-        "orientation": orientation,
-        "point": res.point.tolist(),
-        "rho": res.rho.tolist(),
-        "active": res.active.tolist(),
-        "kkt_residual": float(res.kkt_residual),
-        "orthogonality_residual": float(res.orthogonality_residual),
-    }
-    return result, report
+        report = dual_projection_certificate(S.T, x, res, tol, witness_e=witness)
+    return {"orientation": orientation, **_json(res)}, report
 
 
 def _handle_farkas(data: dict, path: str, tol: float):
-    report = CertificateReport()
     if "pairs" in data:
         raw_pairs = _field(data, "pairs", path)
         if not isinstance(raw_pairs, list):
@@ -162,50 +160,12 @@ def _handle_farkas(data: dict, path: str, tol: float):
         if not isinstance(r, (int, float)):
             raise InputError(f"{path}: field 'r' must be a number")
         gen = generalized_farkas(pairs, b, float(r), tol)
-        result = {
-            "member_plain": gen.member_plain,
-            "member_augmented": gen.member_augmented,
-            "sampled_implication_holds": gen.sampled_implication_holds,
-            "hypothesis_verified": gen.hypothesis_verified,
-            "feasible_point": None if gen.feasible_point is None else gen.feasible_point.tolist(),
-            "samples_used": gen.samples_used,
-        }
-        member = gen.member_plain or gen.member_augmented
-        report.add("membership_monotone", float(gen.member_plain and not gen.member_augmented), (not gen.member_plain) or gen.member_augmented)
-        report.add("sampled_implication_consistent", float(member and not gen.sampled_implication_holds), (not member) or gen.sampled_implication_holds)
-        decided = gen.hypothesis_verified or gen.infeasibility_multipliers is not None
-        report.add("feasibility_hypothesis", gen.consistency_residual, decided)
-        return result, report
+        return _json(gen, PAIRS_FIELDS), implication_certificate(pairs, b, gen, tol)
 
     b = _vector_field(data, "rhs", path)
     A = _vectors_field(data, "matrix", path, b.size).T
     outcome = farkas_alternative(A, b, tol)
-    verified = verify_outcome(A, b, outcome, tol)
-    ver = outcome.verification
-    if outcome.tag is FarkasTag.SYSTEM1:
-        report.add("primal_residual", ver.primal_residual, ver.primal_residual <= tol * (1.0 + float(np.linalg.norm(b))))
-        report.add("multipliers_nonnegative", ver.dual_violation, ver.dual_violation <= tol)
-    else:
-        row_norms = np.linalg.norm(A, axis=1)
-        normalized = 0.0
-        if row_norms.size:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where(row_norms > 0, (A @ outcome.x) / np.where(row_norms > 0, row_norms, 1.0), 0.0)
-            normalized = max(0.0, float(ratios.max())) / (1.0 + float(np.linalg.norm(outcome.x)))
-        report.add("dual_violation_normalized", normalized, normalized <= tol)
-        report.add("strict_gap_positive", max(0.0, -ver.strict_gap), ver.strict_gap > 0.0)
-    report.add("certificate_verifies", float(not verified), verified)
-    result = {
-        "tag": outcome.tag.value,
-        "y": None if outcome.y is None else outcome.y.tolist(),
-        "x": None if outcome.x is None else outcome.x.tolist(),
-        "verification": {
-            "primal_residual": ver.primal_residual,
-            "dual_violation": ver.dual_violation,
-            "strict_gap": ver.strict_gap,
-        },
-    }
-    return result, report
+    return _json(outcome), farkas_certificate(A, b, outcome, tol)
 
 
 def _handle_quadrature(data: dict, path: str, tol: float):
@@ -227,22 +187,7 @@ def _handle_quadrature(data: dict, path: str, tol: float):
     except BadInterval as exc:
         raise InputError(f"{path}: {exc}") from exc
     rule = positive_quadrature(spec, grid_size)
-
-    exactness = verify_exactness(rule, degree)
-    min_weight = float(rule.weights.min(initial=np.inf))
-    outside = max(0.0, float(a - rule.nodes.min(initial=a)), float(rule.nodes.max(initial=b) - b))
-    report = CertificateReport()
-    report.add("basis_exactness", exactness, exactness <= EXACTNESS_TOL)
-    report.add("node_count_bound", float(rule.nodes.size - (degree + 1)), rule.nodes.size <= degree + 1)
-    report.add("weights_positive", max(0.0, 1e-12 - min_weight), min_weight > 1e-12)
-    report.add("nodes_in_interval", outside, rule.nodes.size == 0 or (rule.nodes.min() >= a - 1e-12 and rule.nodes.max() <= b + 1e-12))
-    result = {
-        "nodes": rule.nodes.tolist(),
-        "weights": rule.weights.tolist(),
-        "degree": degree,
-        "interval": [a, b],
-    }
-    return result, report
+    return _json(rule), rule_certificate(spec, rule)
 
 
 def _parse_shape_target(data: dict, path: str, n: int) -> LegendrePoly:
@@ -279,31 +224,15 @@ def _handle_shape(data: dict, path: str, tol: float):
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
     res = project_shape(problem, tol)
-
-    # re-verify the claims through the basis evaluator, not the solver state:
-    # column j of `representers` evaluates the r-th derivative at active_alphas[j]
     sol = res.solution
-    basis = LegendreBasis(n)
-    representers = basis.values(res.active_alphas, r)
-    rep_residual = float(np.linalg.norm(sol.coeffs - target.coeffs - representers @ res.rho))
-    active_deriv = float(np.abs(sol.coeffs @ representers).max(initial=0.0))
-    grid_min = float((sol.coeffs @ basis.values(problem.grid, r)).min())
-    sol_scale = tol * (1.0 + sol.norm())
-    report = CertificateReport()
-    report.add("representation", rep_residual, rep_residual <= tol * (1.0 + target.norm()))
-    report.add("active_derivative_zero", active_deriv, active_deriv <= sol_scale)
-    report.add("grid_feasibility", max(0.0, -grid_min), grid_min >= -sol_scale)
-    report.add("checkgrid_feasibility", max(0.0, -res.min_derivative_on_checkgrid), res.min_derivative_on_checkgrid >= -1e-7)
-    report.add("active_count_bound", float(not res.bound_ok), res.bound_ok)
-    result = {
+    return {
         "legendre_coeffs": sol.coeffs.tolist(),
         "monomial_coeffs": legendre_to_monomial(sol.coeffs).tolist(),
         "active_alphas": res.active_alphas.tolist(),
         "rho": res.rho.tolist(),
         "min_derivative_on_checkgrid": float(res.min_derivative_on_checkgrid),
         "distance": float(np.linalg.norm(sol.coeffs - target.coeffs)),
-    }
-    return result, report
+    }, shape_certificate(problem, res, tol)
 
 
 def _handle_membership(data: dict, path: str, tol: float):
@@ -312,46 +241,15 @@ def _handle_membership(data: dict, path: str, tol: float):
         raise InputError(f"{path}: field 'mode' must be 'span' or 'cone'")
     x = _vector_field(data, "point", path)
     G = _vectors_field(data, "vectors", path, x.size)
-    scale = tol * (1.0 + float(np.linalg.norm(x)))
-
     if mode == "span":
         res = span_membership(x, G.T, tol)
-        member = res.member
-        coeffs = res.coefficients
-        witness = res.residual
+        member, coeffs, witness = res.member, res.coefficients, res.residual
+        report = span_membership_certificate(x, G.T, res, tol)
     else:
         res = positive_relative_test(G.T, x, tol)
-        member = res.positive
-        coeffs = res.rho
-        witness = res.witness if res.witness is not None else np.zeros(x.size)
-
-    report = CertificateReport()
-    if member:
-        rep_residual = float(np.linalg.norm(x - G @ coeffs))
-        report.add("representation", rep_residual, rep_residual <= scale)
-        if mode == "cone":
-            min_coeff = float(coeffs.min(initial=0.0))
-            report.add("multipliers_nonnegative", max(0.0, -min_coeff), min_coeff >= 0.0)
-    else:
-        w = witness
-        col_scale = scale * max(1.0, float(np.linalg.norm(G, axis=0).max(initial=0.0)))
-        if mode == "span":
-            ortho = float(np.abs(G.T @ w).max(initial=0.0))
-            ortho_name = "witness_orthogonality"
-        else:
-            ortho = max(0.0, float((G.T @ w).max(initial=0.0)))
-            ortho_name = "witness_nonpositive_products"
-        gap = float(x @ w) - float(w @ w)
-        report.add("witness_separates", max(0.0, -float(x @ w)), float(x @ w) > 0.0)
-        report.add(ortho_name, ortho, ortho <= col_scale)
-        report.add("witness_self_product", abs(gap), abs(gap) <= tol * (1.0 + float(x @ x)))
-    result = {
-        "mode": mode,
-        "member": bool(member),
-        "coefficients": None if coeffs is None else coeffs.tolist(),
-        "witness": None if member else witness.tolist(),
-    }
-    return result, report
+        member, coeffs, witness = res.positive, res.rho, res.witness
+        report = cone_membership_certificate(G.T, x, res, tol)
+    return {"mode": mode, "member": bool(member), "coefficients": _json(coeffs), "witness": None if member else _json(witness)}, report
 
 
 _HANDLERS = {
@@ -416,7 +314,7 @@ _PARSER = argparse.ArgumentParser(prog="conecert", description=__doc__.splitline
 _PARSER.add_argument("kind", choices=KINDS, help="problem kind; must match the file's 'kind' field")
 _PARSER.add_argument("--input", required=True, help="path to the JSON problem file")
 _PARSER.add_argument("--output", default=None, help="write the report here instead of stdout")
-_PARSER.add_argument("--tol", type=float, default=1e-9, help="certificate tolerance (default 1e-9)")
+_PARSER.add_argument("--tol", type=float, default=DEFAULT_TOL, help=f"certificate tolerance (default {DEFAULT_TOL:g})")
 _PARSER.add_argument("--format", choices=("json", "text"), default="json")
 _PARSER.add_argument("--seed", type=int, default=0, help="echoed in the report's input_echo; no kind samples")
 _PARSER.add_argument("--dump-csv", default=None, help="also write the main result table as CSV")

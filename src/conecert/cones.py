@@ -14,47 +14,16 @@ All functions are pure and safe to call concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
 import numpy as np
 
 from .certificates import CertificateReport
 from .errors import NotInDualCone
-from .linalg import DEFAULT_TOL, as_vector, generator_matrix, matrix_rank, nnls
+from .linalg import DEFAULT_TOL, add_representation_check, add_witness_checks, as_vector, generator_matrix, matrix_rank, nnls
 
 # multipliers above 1e-10 * max(1, ||rho||_inf) count as active
 ACTIVE_RTOL = 1e-10
-
-
-class Orientation(str, Enum):
-    GENERATED = "generated"
-    DUAL_FORM = "dual"
-
-
-@dataclass(frozen=True, eq=False)
-class ConeSpec:
-    """A finite generator set plus the orientation it is read in.
-
-    ``generators`` is converted once, to an m x d array with one generator
-    per row (an empty set becomes a 0 x 0 array).  ``witness_e`` is
-    optional metadata: a vector with ``<k, e> > 0`` for every generator.
-    When present it is validated here and certified in
-    `verify_characterization`; no computation requires it.
-    """
-
-    generators: np.ndarray
-    orientation: Orientation = Orientation.DUAL_FORM
-    witness_e: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        gens = generator_matrix(self.generators, dim=0).T
-        object.__setattr__(self, "generators", gens)
-        if self.witness_e is not None:
-            e = as_vector(self.witness_e)
-            object.__setattr__(self, "witness_e", e)
-            if gens.size and float((gens @ e).min()) <= 0.0:
-                raise ValueError("witness_e must have strictly positive inner product with every generator")
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,21 +86,6 @@ def _active_indices(rho: np.ndarray) -> np.ndarray:
     return np.flatnonzero(rho > ACTIVE_RTOL * max(1.0, float(np.abs(rho).max())))
 
 
-def contains(cone: ConeSpec, x, tol: float = DEFAULT_TOL) -> bool:
-    """Membership test for either cone orientation.
-
-    Dual form: all generator inner products at least ``-tol * (1 + ||x||)``.
-    Generated: the nonnegative least-squares residual is below the same
-    scaled tolerance.
-    """
-    if cone.orientation is Orientation.GENERATED:
-        return positive_relative_test(cone.generators, x, tol).positive
-    xv = as_vector(x)
-    if cone.generators.size == 0:
-        return True
-    return bool((cone.generators @ xv).min() >= -tol * (1.0 + np.linalg.norm(xv)))
-
-
 def positive_relative_test(gamma, x, tol: float = DEFAULT_TOL) -> PositiveRelative:
     """Decide membership of x in the closed conical hull of gamma.
 
@@ -147,6 +101,29 @@ def positive_relative_test(gamma, x, tol: float = DEFAULT_TOL) -> PositiveRelati
     return PositiveRelative(False, None, sol.residual)
 
 
+def cone_membership_certificate(gamma, x, result: PositiveRelative, tol: float = DEFAULT_TOL) -> CertificateReport:
+    """Re-check a `positive_relative_test` answer: multipliers >= 0, or ``<g, w> <= 0``."""
+    xv = as_vector(x)
+    G = generator_matrix(gamma, dim=xv.size)
+    report = CertificateReport()
+    if result.positive:
+        add_representation_check(report, G, xv, result.rho, tol)
+        min_coeff = float(result.rho.min(initial=0.0))
+        report.add("multipliers_nonnegative", max(0.0, -min_coeff), min_coeff >= 0.0)
+    else:
+        w = result.witness
+        add_witness_checks(report, G, xv, w, "witness_nonpositive_products", max(0.0, float((G.T @ w).max(initial=0.0))), tol)
+    return report
+
+
+def _add_residual_checks(report: CertificateReport, S, xv, result: ProjectionResult, kkt_name: str, tol: float) -> None:
+    """A projection's KKT residual within ``tol (1 + ||x||) max(1, max ||k_i||)``
+    and its orthogonality residual within ``tol (1 + ||x||^2)``."""
+    kkt_limit = tol * (1.0 + float(np.linalg.norm(xv))) * max(1.0, float(np.linalg.norm(S, axis=0).max(initial=0.0)))
+    report.add(kkt_name, result.kkt_residual, result.kkt_residual <= kkt_limit)
+    report.add("orthogonality", result.orthogonality_residual, result.orthogonality_residual <= tol * (1.0 + float(xv @ xv)))
+
+
 def project_generated(K, x, tol: float = DEFAULT_TOL) -> ProjectionResult:
     """Project x onto cone(K) with the multipliers certifying optimality."""
     xv = as_vector(x)
@@ -160,6 +137,19 @@ def project_generated(K, x, tol: float = DEFAULT_TOL) -> ProjectionResult:
         kkt = max(float(np.maximum(inner, 0.0).max()), float(np.abs(sol.rho * inner).max()))
     orth = abs(float(r @ point))
     return ProjectionResult(point, sol.rho, _active_indices(sol.rho), kkt, orth)
+
+
+def generated_projection_certificate(K, x, result: ProjectionResult, tol: float = DEFAULT_TOL) -> CertificateReport:
+    """Re-check a `project_generated` result: rho >= 0, its residuals, ``point = S rho``."""
+    xv = as_vector(x)
+    S = generator_matrix(K, dim=xv.size)
+    report = CertificateReport()
+    min_rho = float(result.rho.min(initial=0.0))
+    report.add("multipliers_nonnegative", max(0.0, -min_rho), min_rho >= 0.0)
+    _add_residual_checks(report, S, xv, result, "kkt_inequalities", tol)
+    rep_residual = float(np.linalg.norm(result.point - S @ result.rho))
+    report.add("representation", rep_residual, rep_residual <= tol * (1.0 + float(np.linalg.norm(xv))))
+    return report
 
 
 def project_dual(K, x, tol: float = DEFAULT_TOL) -> ProjectionResult:
@@ -237,7 +227,6 @@ def verify_characterization(K, x, x0, tol: float = DEFAULT_TOL, witness_e=None) 
 
     feas_scale = tol * (1.0 + np.linalg.norm(xv))
     if S.shape[1] == 0 or float((S.T @ xv).min(initial=0.0)) >= -feas_scale:
-        report.trivial_feasible = True
         fix = float(np.linalg.norm(x0v - xv))
         report.add("fixed_point", fix, fix <= feas_scale)
         return report
@@ -268,6 +257,15 @@ def verify_characterization(K, x, x0, tol: float = DEFAULT_TOL, witness_e=None) 
 
     min_inner = float((S.T @ xv).min())
     report.add("infeasible_direction_exists", max(0.0, min_inner), min_inner < 0.0)
+    return report
+
+
+def dual_projection_certificate(K, x, result: ProjectionResult, tol: float = DEFAULT_TOL, witness_e=None) -> CertificateReport:
+    """`verify_characterization` of a `project_dual` point, then the result's residuals."""
+    xv = as_vector(x)
+    S = generator_matrix(K, dim=xv.size)
+    report = verify_characterization(S.T, xv, result.point, tol, witness_e=witness_e)
+    _add_residual_checks(report, S, xv, result, "kkt_residual", tol)
     return report
 
 

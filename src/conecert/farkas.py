@@ -4,8 +4,8 @@ Exactly one of the two systems is solvable: either the target is a
 nonnegative combination of the matrix rows, or some vector separates it
 from their cone.  The decision reduces to one nonnegative least-squares
 solve; a zero residual yields the combination, a nonzero residual *is*
-the separating vector.  `verify_outcome` re-checks either certificate
-without the solver.
+the separating vector.  `farkas_certificate` re-checks either
+certificate without the solver.
 
 `generalized_farkas` decides the paper's finite generalized Farkas
 theorem the same way: for a consistent system ``<s_j, x> <= p_j``, the
@@ -26,6 +26,7 @@ from typing import Optional
 
 import numpy as np
 
+from .certificates import CertificateReport
 from .cones import positive_relative_test
 from .linalg import DEFAULT_TOL, as_matrix, as_vector, generator_matrix, nnls
 
@@ -71,15 +72,12 @@ class GenFarkasReport:
     """Finite-index generalized Farkas equivalences, with certificates.
 
     ``member_plain`` tests ``(b, r)`` against the cone of the pairs
-    alone, ``member_augmented`` adds the vertical ray ``(0, 1)`` in a
-    balanced solve whose decision does not depend on the units of r.
+    alone, ``member_augmented`` adds the vertical ray ``(0, 1)``; both
+    are balanced solves whose decisions do not depend on the units of r.
     Consistency of ``<s_j, x> <= p_j`` is decided by a checked
     certificate either way: a ``feasible_point`` passing ``S x <= p``
-    (then ``hypothesis_verified``), or ``infeasibility_multipliers``.
-    ``consistency_residual`` is the worst margin of that check: the
-    largest excess of ``S x`` over ``p`` at the point, or
-    `infeasibility_residual` of the multipliers; 1.0 when neither was
-    found.
+    (then ``hypothesis_verified``), or ``infeasibility_multipliers``;
+    `implication_certificate` reports the margin of that check.
 
     The implication is decided from the augmented test, not sampled.
     ``multipliers`` (``lam`` on the pairs, then ``mu`` on ``(0, 1)``)
@@ -98,7 +96,6 @@ class GenFarkasReport:
     multipliers: Optional[np.ndarray]
     violator: Optional[np.ndarray]
     infeasibility_multipliers: Optional[np.ndarray]
-    consistency_residual: float
 
 
 def farkas_alternative(A, b, tol: float = DEFAULT_TOL) -> FarkasOutcome:
@@ -135,39 +132,43 @@ def farkas_alternative(A, b, tol: float = DEFAULT_TOL) -> FarkasOutcome:
     return FarkasOutcome(FarkasTag.SYSTEM2, y=None, x=x, verification=ver)
 
 
-def verify_outcome(A, b, outcome: FarkasOutcome, tol: float = DEFAULT_TOL) -> bool:
-    """Re-check a Farkas certificate from scratch.
+def farkas_certificate(A, b, outcome: FarkasOutcome, tol: float = DEFAULT_TOL) -> CertificateReport:
+    """Re-check a Farkas certificate from A, b and its own y or x.
 
-    Returns True only when the certificate matching the tag is present
-    and satisfies its system's conditions at the given tolerance.  Used
-    in tests to confirm the two systems are mutually exclusive.
+    ``certificate_verifies``: the certificate of the tag is present, alone
+    and of the right length (else it is the only check), and a system-2
+    ``||x|| > tol (1 + ||b||)``: a shorter one is rounding of an exact fit.
     """
     Am = as_matrix(A)
     bv = as_vector(b)
-    if outcome.tag is FarkasTag.SYSTEM1:
-        if outcome.y is None or outcome.x is not None:
-            return False
-        y = as_vector(outcome.y)
-        if y.size != Am.shape[0]:
-            return False
-        if y.size and y.min() < -tol:
-            return False
-        return bool(np.linalg.norm(Am.T @ y - bv) <= tol * (1.0 + np.linalg.norm(bv)))
-    if outcome.x is None or outcome.y is not None:
-        return False
-    x = as_vector(outcome.x)
-    if x.size != bv.size:
-        return False
-    nx2 = float(x @ x)
-    # strictness in floats: a witness below tolerance scale is noise from
-    # an exact system-1 fit, not a separating vector
-    if not nx2 > (tol * (1.0 + np.linalg.norm(bv))) ** 2:
-        return False
-    if float(bv @ x) < 0.5 * nx2:
-        return False
-    row_norms = np.linalg.norm(Am, axis=1)
-    slack = tol * (1.0 + np.linalg.norm(x)) * row_norms
-    return bool(np.all(Am @ x <= slack))
+    system1 = outcome.tag is FarkasTag.SYSTEM1
+    cert, other, size = (outcome.y, outcome.x, Am.shape[0]) if system1 else (outcome.x, outcome.y, bv.size)
+    report = CertificateReport()
+    if cert is None or other is not None or as_vector(cert).size != size:
+        report.add("certificate_verifies", 1.0, False)
+        return report
+    v = as_vector(cert)
+    if system1:
+        primal = float(np.linalg.norm(Am.T @ v - bv))
+        report.add("primal_residual", primal, primal <= tol * (1.0 + float(np.linalg.norm(bv))))
+        violation = max(0.0, -float(v.min(initial=0.0)))
+        report.add("multipliers_nonnegative", violation, violation <= tol)
+        verified = True
+    else:
+        row_norms = np.linalg.norm(Am, axis=1)
+        ratios = (Am @ v) / np.where(row_norms > 0, row_norms, 1.0)
+        normalized = max(0.0, float(ratios.max(initial=0.0))) / (1.0 + float(np.linalg.norm(v)))
+        report.add("dual_violation_normalized", normalized, normalized <= tol)
+        gap = float(bv @ v - 0.5 * (v @ v))
+        report.add("strict_gap_positive", max(0.0, -gap), gap > 0.0)
+        verified = float(v @ v) > (tol * (1.0 + np.linalg.norm(bv))) ** 2
+    report.add("certificate_verifies", float(not verified), verified)
+    return report
+
+
+def verify_outcome(A, b, outcome: FarkasOutcome, tol: float = DEFAULT_TOL) -> bool:
+    """Whether `farkas_certificate` passes; the benchmark checks Farkas answers with it."""
+    return farkas_certificate(A, b, outcome, tol).passed
 
 
 def _slack(pvals: np.ndarray, tol: float) -> float:
@@ -219,7 +220,18 @@ def infeasibility_residual(S, p, lam) -> float:
     return float(np.linalg.norm(S.T @ lam) / (lam @ lifted_norms))
 
 
-def _augmented_test(S, gaps, b, r, row_norm: float, tol: float):
+def _pairs_matrix(pairs, dim: int):
+    S = generator_matrix([s for s, _ in pairs], dim=dim).T
+    return S, np.array([float(p) for _, p in pairs])
+
+
+def _balance_unit(gaps, r, b, row_norm: float) -> float:
+    size = max(float(np.abs(gaps).max(initial=0.0)), abs(r))
+    scale = max(row_norm, float(np.linalg.norm(b)))
+    return max(size / scale, 1.0) if scale else 1.0
+
+
+def _augmented_test(S, gaps, b, r, unit: float, tol: float):
     """Balanced NNLS of ``(b, r)`` over the pairs ``(s_j, gaps_j)`` and ``(0, 1)``.
 
     The last coordinate is divided by ``unit = max(1, max(|gaps_j|, |r|) /
@@ -232,9 +244,6 @@ def _augmented_test(S, gaps, b, r, row_norm: float, tol: float):
     ``(u, t)`` with t divided by ``unit``, which still separates:
     ``<s_j, u> + t gaps_j <= 0``, ``t <= 0`` and ``<b, u> + t r > 0``.
     """
-    size = max(float(np.abs(gaps).max(initial=0.0)), abs(r))
-    scale = max(row_norm, float(np.linalg.norm(b)))
-    unit = max(size / scale, 1.0) if scale else 1.0
     columns = np.column_stack([S, gaps / unit])
     vertical = np.append(np.zeros(b.size), 1.0)
     target = np.append(b, r / unit)
@@ -271,10 +280,11 @@ def generalized_farkas(pairs, b, r, tol: float = DEFAULT_TOL) -> GenFarkasReport
     NNLS solve (`_augmented_test`): the last coordinate is divided so
     that the p_j and r are no larger than the s_j and b, which leaves
     membership unchanged but keeps the size of r from setting the
-    stopping tolerance and the membership threshold.  Its multipliers
-    ``(lam, mu)``, mu scaled back to the units of r, are the proof and
-    are reported once `implication_multipliers_hold` passes.  When it
-    does not, the residual ``(u, t)`` of that solve, t brought back to
+    stopping tolerance and the membership threshold; ``member_plain`` is
+    the same test without ``(0, 1)``, balanced by the same divisor.  Its
+    multipliers ``(lam, mu)``, mu scaled back to the units of r, are the
+    proof and are reported once `implication_multipliers_hold` passes.
+    When it does not, the residual ``(u, t)`` of that solve, t brought back to
     the units of r, separates: ``<s_j, u> + t p_j <= 0``, ``t <= 0`` and
     ``<b, u> + t r > 0``.  So ``a u`` is feasible for ``0 <= a <= 1 / -t``
     (for every a when ``t = 0``, u being a recession direction), and
@@ -299,12 +309,12 @@ def generalized_farkas(pairs, b, r, tol: float = DEFAULT_TOL) -> GenFarkasReport
     """
     bv = as_vector(b)
     r = float(r)
-    S = generator_matrix([s for s, _ in pairs], dim=bv.size).T
-    pvals = np.array([float(p) for _, p in pairs])
+    S, pvals = _pairs_matrix(pairs, bv.size)
 
-    plain = positive_relative_test(np.column_stack([S, pvals]), np.append(bv, r), tol)
     row_norm = float(np.linalg.norm(S, axis=1).max(initial=0.0))
-    member, aug, w = _augmented_test(S, pvals, bv, r, row_norm, tol)
+    unit = _balance_unit(pvals, r, bv, row_norm)
+    plain = positive_relative_test(np.column_stack([S, pvals / unit]), np.append(bv, r / unit), tol)
+    member, aug, w = _augmented_test(S, pvals, bv, r, unit, tol)
 
     # dividing the gaps by the worst violation over the largest ||s_j||
     # balances the lifted pairs; it scales the point, not which pairs are tight
@@ -324,12 +334,8 @@ def generalized_farkas(pairs, b, r, tol: float = DEFAULT_TOL) -> GenFarkasReport
         gaps = pvals - S @ point
 
     feasible = point if np.all(gaps >= -slack) else None
-    if feasible is not None:
-        consistency = max(0.0, -float(gaps.min(initial=0.0)))
-    else:
-        consistency = 1.0 if refuted is None else infeasibility_residual(S, pvals, refuted)
-        if consistency > tol:
-            refuted = None
+    if refuted is not None and infeasibility_residual(S, pvals, refuted) > tol:
+        refuted = None
 
     multipliers = violator = None
     if member and implication_multipliers_hold(S, pvals, bv, r, aug[:-1], aug[-1], tol):
@@ -337,7 +343,7 @@ def generalized_farkas(pairs, b, r, tol: float = DEFAULT_TOL) -> GenFarkasReport
     elif feasible is not None:
         r_c = r - float(bv @ feasible)
         if feasible.any():
-            w = _augmented_test(S, gaps, bv, r_c, row_norm, tol)[2]
+            w = _augmented_test(S, gaps, bv, r_c, _balance_unit(gaps, r_c, bv, row_norm), tol)[2]
         u, t = w[:-1], min(float(w[-1]), 0.0)
         rate = float(bv @ u)
         candidate = feasible
@@ -358,5 +364,22 @@ def generalized_farkas(pairs, b, r, tol: float = DEFAULT_TOL) -> GenFarkasReport
         multipliers=multipliers,
         violator=violator,
         infeasibility_multipliers=refuted,
-        consistency_residual=consistency,
     )
+
+
+def implication_certificate(pairs, b, result: GenFarkasReport, tol: float = DEFAULT_TOL) -> CertificateReport:
+    """Re-check a `generalized_farkas` report against ``<s_j, x> <= p_j``: its
+    flags agree, and a feasible point or infeasibility multipliers pass."""
+    S, pvals = _pairs_matrix(pairs, as_vector(b).size)
+    plain, aug, holds = result.member_plain, result.member_augmented, result.sampled_implication_holds
+    report = CertificateReport()
+    report.add("membership_monotone", float(plain and not aug), (not plain) or aug)
+    report.add("sampled_implication_consistent", float((plain or aug) and not holds), not (plain or aug) or holds)
+    if result.feasible_point is not None:
+        gaps = pvals - S @ result.feasible_point
+        report.add("feasibility_hypothesis", max(0.0, -float(gaps.min(initial=0.0))), bool(np.all(gaps >= -_slack(pvals, tol))))
+    else:
+        lam = result.infeasibility_multipliers
+        residual = 1.0 if lam is None else infeasibility_residual(S, pvals, lam)
+        report.add("feasibility_hypothesis", residual, lam is not None and residual <= tol)
+    return report

@@ -29,9 +29,13 @@ from typing import Optional
 
 import numpy as np
 
+from .certificates import CertificateReport
 from .errors import IterationLimit
 
 DEFAULT_TOL = 1e-9
+
+# `nnls` gives up after this many pivots per entry of its d x m matrix
+PIVOTS_PER_ENTRY = 3
 
 _EPS = float(np.finfo(float).eps)
 
@@ -152,6 +156,35 @@ def span_membership(x, gamma, tol: float = DEFAULT_TOL) -> SpanMembership:
     return SpanMembership(member, coeffs if member else None, residual)
 
 
+def add_representation_check(report: CertificateReport, G, x, coeffs, tol: float) -> None:
+    """``representation``: ``||x - G coeffs||`` at most ``tol (1 + ||x||)``."""
+    residual = float(np.linalg.norm(x - G @ coeffs))
+    report.add("representation", residual, residual <= tol * (1.0 + float(np.linalg.norm(x))))
+
+
+def add_witness_checks(report: CertificateReport, G, x, w, products_name: str, products: float, tol: float) -> None:
+    """A witness w of x against the columns of G: ``<x, w> > 0``, ``products``
+    at most ``tol (1 + ||x||) max(1, max ||g||)``, and ``<x, w> = ||w||^2``."""
+    col_scale = tol * (1.0 + float(np.linalg.norm(x))) * max(1.0, float(np.linalg.norm(G, axis=0).max(initial=0.0)))
+    gap = float(x @ w) - float(w @ w)
+    report.add("witness_separates", max(0.0, -float(x @ w)), float(x @ w) > 0.0)
+    report.add(products_name, products, products <= col_scale)
+    report.add("witness_self_product", abs(gap), abs(gap) <= tol * (1.0 + float(x @ x)))
+
+
+def span_membership_certificate(x, gamma, result: SpanMembership, tol: float = DEFAULT_TOL) -> CertificateReport:
+    """Re-check a `span_membership` answer: coefficients, or a witness orthogonal to gamma."""
+    xv = as_vector(x)
+    G = generator_matrix(gamma, dim=xv.size)
+    report = CertificateReport()
+    if result.member:
+        add_representation_check(report, G, xv, result.coefficients, tol)
+    else:
+        w = result.residual
+        add_witness_checks(report, G, xv, w, "witness_orthogonality", float(np.abs(G.T @ w).max(initial=0.0)), tol)
+    return report
+
+
 @dataclass(frozen=True, eq=False)
 class NnlsResult:
     """Nonnegative multipliers, the residual ``x - S @ rho``, ``pivots``, the
@@ -181,13 +214,7 @@ def _preferred_columns(prefer, m: int) -> Optional[np.ndarray]:
     return np.flatnonzero(chosen)
 
 
-def nnls(
-    S,
-    x,
-    tol: float = DEFAULT_TOL,
-    max_pivots: Optional[int] = None,
-    prefer=None,
-) -> NnlsResult:
+def nnls(S, x, tol: float = DEFAULT_TOL, prefer=None) -> NnlsResult:
     """Active-set solve of ``min ||S @ rho - x||`` over ``rho >= 0``.
 
     Lawson-Hanson iteration with lowest-index tie-breaking on entering
@@ -256,15 +283,13 @@ def nnls(
     x : array, shape (d,)
     tol : float
         Relative KKT slack used as the stopping threshold.
-    max_pivots : int, optional
-        Pivot budget, default ``3 * m * d``.
     prefer : iterable of int, optional
         Column indices to try first; ``None`` or empty for none.
 
     Raises
     ------
     IterationLimit
-        If the pivot budget is exhausted (numerically degenerate input).
+        If the pivot budget ``PIVOTS_PER_ENTRY * m * d`` runs out (degenerate input).
     ValueError
         On mismatched shapes, a nonpositive ``tol``, or a ``prefer`` entry
         that is not an integer index into the columns.
@@ -277,7 +302,7 @@ def nnls(
     if tol <= 0:
         raise ValueError("tol must be positive")
     preferred = _preferred_columns(prefer, m)
-    budget = 3 * m * d if max_pivots is None else max_pivots
+    budget = PIVOTS_PER_ENTRY * m * d
 
     colnorm = np.linalg.norm(A, axis=0)
     slack = tol * (1.0 + np.linalg.norm(b)) * colnorm

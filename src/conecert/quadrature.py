@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
+from .certificates import CertificateReport
 from .errors import BadInterval, MomentFitFailed
 from .legendre import LegendreBasis, chebyshev_points
 from .linalg import nnls
@@ -99,9 +100,6 @@ def positive_quadrature(spec: MomentSpec, grid_size: int) -> QuadratureRule:
     # the support indices and the grid both ascend, so the nodes do too
     support = np.flatnonzero(sol.rho > 1e-12)
     nodes, weights = grid[support], sol.rho[support]
-
-    if nodes.size > n + 1:
-        raise MomentFitFailed("weight fit is supported on more than n + 1 nodes")
     rule = QuadratureRule(nodes=nodes, weights=weights, degree=n, interval=(a, b))
     if verify_exactness(rule, n) > EXACTNESS_TOL:
         raise MomentFitFailed("rule without its tiny weights misses the moments")
@@ -120,3 +118,18 @@ def verify_exactness(rule: QuadratureRule, n: int) -> float:
     E = shifted_basis_values(n, a, b, rule.nodes)
     err = float(np.abs(E @ rule.weights - spec.moments).max())
     return err / (1.0 + abs(float(spec.moments[0])))
+
+
+def rule_certificate(spec: MomentSpec, rule: QuadratureRule) -> CertificateReport:
+    """Re-check a rule against the degree and interval of ``spec``, at the
+    construction's own thresholds: `EXACTNESS_TOL` and 1e-12."""
+    (a, b), n = spec.interval, spec.degree
+    exactness = verify_exactness(rule, n)
+    min_weight = float(rule.weights.min(initial=np.inf))
+    outside = max(0.0, float(a - rule.nodes.min(initial=a)), float(rule.nodes.max(initial=b) - b))
+    report = CertificateReport()
+    report.add("basis_exactness", exactness, exactness <= EXACTNESS_TOL)
+    report.add("node_count_bound", float(rule.nodes.size - (n + 1)), rule.nodes.size <= n + 1)
+    report.add("weights_positive", max(0.0, 1e-12 - min_weight), min_weight > 1e-12)
+    report.add("nodes_in_interval", outside, rule.nodes.size == 0 or (rule.nodes.min() >= a - 1e-12 and rule.nodes.max() <= b + 1e-12))
+    return report

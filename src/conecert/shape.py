@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import ProjectionResult, project_dual
+from .certificates import CertificateReport
+from .cones import project_dual
 from .legendre import LegendreBasis, chebyshev_points, derivative_matrix
 from .linalg import DEFAULT_TOL, as_vector
 
@@ -84,18 +85,13 @@ class ShapeResult:
 
     ``rho`` are the strictly positive multipliers on ``active_alphas``
     (the Lawson-Hanson support, an independent representer set);
-    ``min_derivative_on_checkgrid`` is the continuum feasibility margin
-    and ``bound_ok`` records the active-count bound
-    ``m <= (n - r + 2) / 2`` whenever the solution's r-th derivative is
-    not identically zero.
+    ``min_derivative_on_checkgrid`` is the continuum feasibility margin.
     """
 
     solution: LegendrePoly
     active_alphas: np.ndarray
     rho: np.ndarray
     min_derivative_on_checkgrid: float
-    bound_ok: bool
-    projection: ProjectionResult
 
 
 def project_shape(problem: ShapeProblem, tol: float = DEFAULT_TOL) -> ShapeResult:
@@ -109,15 +105,32 @@ def project_shape(problem: ShapeProblem, tol: float = DEFAULT_TOL) -> ShapeResul
     check_grid = chebyshev_points(10 * problem.grid.size)
     min_deriv = float((solution.coeffs @ basis.values(check_grid, r)).min())
 
-    deriv_norm = float(np.linalg.norm(derivative_matrix(n, r) @ solution.coeffs))
-    m = int(proj.active.size)
-    bound_ok = True if deriv_norm <= 1e-8 else m <= 0.5 * (n - r + 2)
-
     return ShapeResult(
         solution=solution,
         active_alphas=problem.grid[proj.active],
         rho=proj.rho[proj.active],
         min_derivative_on_checkgrid=min_deriv,
-        bound_ok=bool(bound_ok),
-        projection=proj,
     )
+
+
+def shape_certificate(problem: ShapeProblem, result: ShapeResult, tol: float = DEFAULT_TOL) -> CertificateReport:
+    """Re-check a `project_shape` result through `LegendreBasis`, not the solver
+    state, and the bound ``m <= (n - r + 2) / 2`` unless p^(r) vanishes."""
+    sol, target, n, r = result.solution, problem.target, problem.n, problem.r
+    basis = LegendreBasis(n)
+    # column j evaluates the r-th derivative at active_alphas[j]
+    representers = basis.values(result.active_alphas, r)
+    rep_residual = float(np.linalg.norm(sol.coeffs - target.coeffs - representers @ result.rho))
+    active_deriv = float(np.abs(sol.coeffs @ representers).max(initial=0.0))
+    grid_min = float((sol.coeffs @ basis.values(problem.grid, r)).min())
+    sol_scale = tol * (1.0 + sol.norm())
+    check_min = result.min_derivative_on_checkgrid
+    deriv_norm = float(np.linalg.norm(derivative_matrix(n, r) @ sol.coeffs))
+    bound_ok = deriv_norm <= 1e-8 or result.active_alphas.size <= 0.5 * (n - r + 2)
+    report = CertificateReport()
+    report.add("representation", rep_residual, rep_residual <= tol * (1.0 + target.norm()))
+    report.add("active_derivative_zero", active_deriv, active_deriv <= sol_scale)
+    report.add("grid_feasibility", max(0.0, -grid_min), grid_min >= -sol_scale)
+    report.add("checkgrid_feasibility", max(0.0, -check_min), check_min >= -1e-7)
+    report.add("active_count_bound", float(not bound_ok), bound_ok)
+    return report

@@ -267,6 +267,155 @@ class TestMembership:
         _same(rep["result"]["witness"], positive_relative_test(self.CONE, x).witness)
 
 
+BOX = [[[1.0, 0.0], 1.0], [[0.0, 1.0], 1.0], [[-1.0, 0.0], 1.0], [[0.0, -1.0], 1.0]]
+
+# one file per branch of every kind
+BRANCHES = {
+    "dual": {"kind": "project", "generators": K, "point": X},
+    "dual_witness": {"kind": "project", "generators": K, "point": X, "witness_e": [1, 0, 0, 0]},
+    "dual_feasible": {"kind": "project", "generators": K, "point": [1.0, 0.0, 0.0, 0.0]},
+    "generated": {"kind": "project", "orientation": "generated", "generators": K, "point": X},
+    "system1": {"kind": "farkas", "matrix": K, "rhs": (np.array(K).T @ np.array([0.5, 0.0, 1.0, 0.0, 2.0, 0.0])).tolist()},
+    "system2": {"kind": "farkas", "matrix": K, "rhs": [-1.0, 0.2, 0.1, 0.0]},
+    "pairs": {"kind": "farkas", "pairs": BOX, "b": [1.0, 1.0], "r": 3.0},
+    "pairs_infeasible": {"kind": "farkas", "pairs": [[[1.0], 1.0], [[-1.0], -2.0]], "b": [1.0], "r": 0.0},
+    "quadrature": {"kind": "quadrature", "degree": 5, "interval": [0.0, 1.0]},
+    "shape": {"kind": "shape", "n": 2, "r": 1, "grid_size": 12, "target": {"legendre": [0.3, -1.0, 0.5]}},
+    "span_member": {"kind": "membership", "mode": "span", "vectors": TestMembership.SPAN, "point": [2.0, -3.0, 0.0]},
+    "span_nonmember": {"kind": "membership", "mode": "span", "vectors": TestMembership.SPAN, "point": [1.0, 1.0, 1.0]},
+    "cone_member": {"kind": "membership", "vectors": TestMembership.CONE, "point": [2.0, 1.0]},
+    "cone_nonmember": {"kind": "membership", "vectors": TestMembership.CONE, "point": [-1.0, 0.5]},
+}
+
+# (name, residual, pass) of each report as written before the checks moved
+# into the library; residuals are compared bit for bit
+PINNED = {
+    "dual": (
+        ('difference_in_cone', 2.7755575615628914e-16, True),
+        ('active_set_nonempty', 0.0, True),
+        ('active_set_independent', 0.0, True),
+        ('positive_multipliers', 0.0, True),
+        ('active_orthogonality', 1.700029006457271e-16, True),
+        ('point_in_cone', 0.0, True),
+        ('active_count_bound', 0.0, True),
+        ('infeasible_direction_exists', 0.0, True),
+        ('kkt_residual', 1.700029006457271e-16, True),
+        ('orthogonality', 1.2255004495006464e-16, True),
+    ),
+    "dual_witness": (
+        ('witness_positivity', 0.0, True),
+        ('difference_in_cone', 2.7755575615628914e-16, True),
+        ('active_set_nonempty', 0.0, True),
+        ('active_set_independent', 0.0, True),
+        ('positive_multipliers', 0.0, True),
+        ('active_orthogonality', 1.700029006457271e-16, True),
+        ('point_in_cone', 0.0, True),
+        ('active_count_bound', 0.0, True),
+        ('infeasible_direction_exists', 0.0, True),
+        ('kkt_residual', 1.700029006457271e-16, True),
+        ('orthogonality', 1.2255004495006464e-16, True),
+    ),
+    "dual_feasible": (
+        ('fixed_point', 0.0, True),
+        ('kkt_residual', 0.0, True),
+        ('orthogonality', 0.0, True),
+    ),
+    "generated": (
+        ('multipliers_nonnegative', 0.0, True),
+        ('kkt_inequalities', 0.0, True),
+        ('orthogonality', 0.0, True),
+        ('representation', 0.0, True),
+    ),
+    "system1": (
+        ('primal_residual', 1.4087150935148696e-15, True),
+        ('multipliers_nonnegative', 0.0, True),
+        ('certificate_verifies', 0.0, True),
+    ),
+    "system2": (
+        ('dual_violation_normalized', 0.0, True),
+        ('strict_gap_positive', 0.0, True),
+        ('certificate_verifies', 0.0, True),
+    ),
+    "pairs": (
+        ('membership_monotone', 0.0, True),
+        ('sampled_implication_consistent', 0.0, True),
+        ('feasibility_hypothesis', 0.0, True),
+    ),
+    "pairs_infeasible": (
+        ('membership_monotone', 0.0, True),
+        ('sampled_implication_consistent', 0.0, True),
+        ('feasibility_hypothesis', 3.0414723152116605e-17, True),
+    ),
+    "quadrature": (
+        ('basis_exactness', 1.249000902703301e-16, True),
+        ('node_count_bound', 0.0, True),
+        ('weights_positive', 0.0, True),
+        ('nodes_in_interval', 0.0, True),
+    ),
+    "shape": (
+        ('representation', 1.1102230246251565e-16, True),
+        ('active_derivative_zero', 1.1892240361240622e-15, True),
+        ('grid_feasibility', 1.1892240361240622e-15, True),
+        ('checkgrid_feasibility', 1.1892240361240622e-15, True),
+        ('active_count_bound', 0.0, True),
+    ),
+    "span_member": (
+        ('representation', 0.0, True),
+    ),
+    "span_nonmember": (
+        ('witness_separates', 0.0, True),
+        ('witness_orthogonality', 0.0, True),
+        ('witness_self_product', 0.0, True),
+    ),
+    "cone_member": (
+        ('representation', 4.577566798522237e-16, True),
+        ('multipliers_nonnegative', 0.0, True),
+    ),
+    "cone_nonmember": (
+        ('witness_separates', 0.0, True),
+        ('witness_nonpositive_products', 0.0, True),
+        ('witness_self_product', 0.0, True),
+    ),
+}
+
+
+@pytest.mark.parametrize("branch", list(BRANCHES))
+def test_certificates_pinned(tmp_path, branch):
+    problem = BRANCHES[branch]
+    rc, rep = _run(tmp_path, problem["kind"], problem)
+    assert rc == 0
+    assert [(c["name"], c["residual"], c["pass"]) for c in rep["certificates"]] == list(PINNED[branch])
+
+
+class TestEntryPoints:
+    def test_stdout_report(self, tmp_path, capsys):
+        _, written = _run(tmp_path, "project", BRANCHES["dual"])
+        capsys.readouterr()
+        rc = cli.run(["project", "--input", str(tmp_path / "in.json")])
+        assert rc == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed.pop("runtime_ms") >= 0.0
+        written.pop("runtime_ms")
+        assert printed == written
+
+    @pytest.mark.parametrize(
+        "problem, code",
+        [
+            (BRANCHES["dual"], 0),
+            ({"kind": "project", "generators": K}, 1),
+            # <k, e> < 0 for some generator: witness_positivity fails
+            ({"kind": "project", "generators": K, "point": X, "witness_e": [0, 1, 0, 0]}, 2),
+        ],
+    )
+    def test_main_exit_code(self, tmp_path, monkeypatch, capsys, problem, code):
+        src = tmp_path / "in.json"
+        src.write_text(json.dumps(problem))
+        monkeypatch.setattr("sys.argv", ["conecert", problem["kind"], "--input", str(src), "--output", str(tmp_path / "out.json")])
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main()
+        assert exit_info.value.code == code
+
+
 class TestInputErrors:
     def test_missing_field(self, tmp_path):
         rc, rep = _run(tmp_path, "project", {"kind": "project", "generators": K})

@@ -3,10 +3,7 @@ import pytest
 
 import conecert.cones
 from conecert import (
-    ConeSpec,
     NotInDualCone,
-    Orientation,
-    contains,
     dual_cone_decompose,
     matrix_rank,
     moreau_decompose,
@@ -31,30 +28,6 @@ from oracles import (
 K_EXAMPLE = [np.array([0.0, -1.0]), np.array([1.0, 1.0])]
 
 
-class TestContains:
-    def test_dual_form_feasible_point(self):
-        cone = ConeSpec(K_EXAMPLE, Orientation.DUAL_FORM)
-        assert contains(cone, [2.0, 0.0])
-
-    def test_dual_form_infeasible_point(self):
-        cone = ConeSpec(K_EXAMPLE, Orientation.DUAL_FORM)
-        assert not contains(cone, [2.0, 1.0])
-
-    def test_generated_off_ray(self):
-        cone = ConeSpec([np.array([1.0, 0.0])], Orientation.GENERATED)
-        assert not contains(cone, [0.0, 1.0])
-
-    def test_empty_generators(self):
-        assert contains(ConeSpec((), Orientation.DUAL_FORM), [1.0, 2.0])
-        assert not contains(ConeSpec((), Orientation.GENERATED), [1.0, 2.0])
-        assert contains(ConeSpec((), Orientation.GENERATED), [0.0, 0.0])
-
-    def test_witness_e_validation(self):
-        ConeSpec(K_EXAMPLE, Orientation.DUAL_FORM, witness_e=np.array([1.0, -0.5]))
-        with pytest.raises(ValueError):
-            ConeSpec(K_EXAMPLE, Orientation.DUAL_FORM, witness_e=np.array([0.0, 1.0]))
-
-
 class TestPositiveRelative:
     def test_coordinate_cone(self):
         res = positive_relative_test([[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0])
@@ -70,6 +43,13 @@ class TestPositiveRelative:
         res = positive_relative_test(K_EXAMPLE, [2.0, 1.0])
         assert res.positive
         assert np.allclose(res.rho, [1.0, 2.0], atol=1e-10)
+
+    def test_generated_off_ray(self):
+        assert not positive_relative_test([np.array([1.0, 0.0])], [0.0, 1.0]).positive
+
+    def test_empty_generators(self):
+        assert not positive_relative_test((), [1.0, 2.0]).positive
+        assert positive_relative_test((), [0.0, 0.0]).positive
 
     def test_witness_separates(self):
         rng = np.random.default_rng(31)
@@ -250,8 +230,7 @@ class TestMoreau:
             # pdual in the dual cone, pc back in the generated cone
             slack = 1e-8 * (1.0 + nx) * np.linalg.norm(S, axis=0)
             assert np.all(S.T @ ms.pdual <= slack + 1e-15)
-            spec = ConeSpec(tuple(S.T), Orientation.GENERATED)
-            assert contains(spec, ms.pc, tol=1e-8)
+            assert positive_relative_test(tuple(S.T), ms.pc, tol=1e-8).positive
 
 
 class TestBipolarProperty:
@@ -266,11 +245,10 @@ class TestBipolarProperty:
                 continue
             tested += 1
             rays = dual_cone_rays(S)
-            spec = ConeSpec(tuple(S.T), Orientation.GENERATED)
             points = [2.0 * rng.standard_normal(d) for _ in range(3)]
             points.append(S @ rng.uniform(0.1, 1.0, size=m))
             for x in points:
-                member = contains(spec, x, tol=1e-8)
+                member = positive_relative_test(tuple(S.T), x, tol=1e-8).positive
                 slack = 1e-8 * (1.0 + np.linalg.norm(x))
                 by_rays = all(float(x @ ray) <= slack for ray in rays)
                 assert member == by_rays
@@ -282,13 +260,20 @@ class TestVerifyCharacterization:
         res = project_dual(K_EXAMPLE, x)
         report = verify_characterization(K_EXAMPLE, x, res.point)
         assert report.passed
-        assert not report.trivial_feasible
+        assert "fixed_point" not in _names(report)
         assert report["active_count_bound"].passed  # m = 1 <= d - 1 = 1
 
     def test_trivial_feasible(self):
         report = verify_characterization(K_EXAMPLE, [2.0, 0.0], [2.0, 0.0])
-        assert report.trivial_feasible
+        assert _names(report) == ["fixed_point"]
         assert report.passed
+
+    def test_point_in_cone(self):
+        # x0 = (2, 0) satisfies both cone inequalities; (2, 1) has <x0, k_1> = -1
+        assert verify_characterization(K_EXAMPLE, [2.0, 1.0], [2.0, 0.0])["point_in_cone"].passed
+        report = verify_characterization(K_EXAMPLE, [2.0, 1.0], [2.0, 1.0])
+        assert report["point_in_cone"].residual == 1.0
+        assert not report["point_in_cone"].passed
 
     def test_perturbed_point_fails_orthogonality(self):
         report = verify_characterization(K_EXAMPLE, [2.0, 1.0], [2.0, 0.1])
@@ -301,6 +286,13 @@ class TestVerifyCharacterization:
         )
         assert report["witness_positivity"].passed
         assert report.passed
+
+    def test_nonpositive_witness_fails(self):
+        # <k_1, e> = 0 for e = (0, 1): e does not witness a pointed cone
+        report = verify_characterization(K_EXAMPLE, [2.0, 1.0], [2.0, 0.0], witness_e=np.array([0.0, 1.0]))
+        assert report.checks[0].name == "witness_positivity"
+        assert not report["witness_positivity"].passed
+        assert not report.passed
 
 
 def _recertification_instance(s):
@@ -325,8 +317,12 @@ def _recertification_instance(s):
     return K, 2.0 * rng.standard_normal(d)
 
 
-def _cold_nnls(S, x, tol=1e-9, max_pivots=None, prefer=None):
-    return nnls(S, x, tol, max_pivots)
+def _cold_nnls(S, x, tol=1e-9, prefer=None):
+    return nnls(S, x, tol)
+
+
+def _names(report):
+    return [c.name for c in report.checks]
 
 
 def _checks(report):
@@ -351,7 +347,7 @@ class TestFaceFirstRecertification:
         for s in range(600):
             face_first, cold = self._both(monkeypatch, s)
             assert _checks(face_first) == _checks(cold), s
-            nontrivial += not cold.trivial_feasible
+            nontrivial += "fixed_point" not in _names(cold)
         assert nontrivial > 500
 
     def test_near_duplicate_seed_63(self, monkeypatch):
@@ -359,7 +355,7 @@ class TestFaceFirstRecertification:
         # into the factor at once kept weight on both and failed
         # active_count_bound, where the face-first pivots pick one
         face_first, cold = self._both(monkeypatch, 63)
-        assert not cold.trivial_feasible
+        assert "fixed_point" not in _names(cold)
         assert _checks(face_first) == _checks(cold)
         assert face_first["active_count_bound"].passed
         assert face_first.passed
@@ -452,9 +448,9 @@ class TestZigDecompose:
 
 class TestIdentitySemantics:
     def test_equality_and_hash_do_not_raise(self):
-        spec = ConeSpec(K_EXAMPLE)
+        member = positive_relative_test(K_EXAMPLE, [2.0, 1.0])
         res = project_dual(K_EXAMPLE, [2.0, 1.0])
-        for obj in (spec, res):
+        for obj in (member, res):
             assert obj == obj
             assert hash(obj) == hash(obj)
-        assert len({spec, res}) == 2
+        assert len({member, res}) == 2

@@ -11,7 +11,7 @@ from conecert import (
     generalized_farkas,
     verify_outcome,
 )
-from conecert.farkas import implication_multipliers_hold, infeasibility_residual, violator_holds
+from conecert.farkas import implication_certificate, implication_multipliers_hold, infeasibility_residual, violator_holds
 from oracles import nnls_bruteforce
 
 
@@ -140,6 +140,23 @@ class TestGeneralizedFarkas:
             r = float(rng.standard_normal())
             report = generalized_farkas(pairs, b, r)
             assert (not report.member_plain) or report.member_augmented
+
+    def test_plain_members_with_large_p(self):
+        # (b, r) = sum_j lam_j (s_j, p_j) with the p_j up to 1e6 times the
+        # s_j: the plain test must be balanced as the augmented one is, or
+        # the size of r sets its stopping tolerance and threshold
+        rng = np.random.default_rng(3)
+        missed = []
+        for trial in range(500):
+            n = int(rng.integers(1, 4))
+            k = int(rng.integers(1, 6))
+            S = rng.standard_normal((k, n))
+            p = rng.standard_normal(k) * 10.0 ** rng.uniform(0.0, 6.0)
+            lam = rng.uniform(0.0, 2.0, size=k)
+            report = generalized_farkas(list(zip(S, p)), S.T @ lam, float(lam @ p))
+            if not report.member_plain:
+                missed.append(trial)
+        assert missed == []
 
     def test_member_implies_sampled_holds(self):
         # (b, r) in the augmented cone means the implication is a theorem;
@@ -398,7 +415,8 @@ class TestExactImplication:
         report = generalized_farkas(list(zip(S, p)), [1.0], 0.0)
         lam = report.infeasibility_multipliers
         assert report.sampled_implication_holds
-        assert report.consistency_residual == infeasibility_residual(S, p, lam) <= 1e-9
+        consistency = implication_certificate(list(zip(S, p)), [1.0], report)["feasibility_hypothesis"]
+        assert consistency.residual == infeasibility_residual(S, p, lam) <= 1e-9
         assert infeasibility_residual(S, p, [1.0, 1.0]) == 0.0
         # forged: the same rows with lam . p >= 0, and a negative multiplier
         assert infeasibility_residual(S, np.array([1.0, -1.0]), [1.0, 1.0]) == 1.0
