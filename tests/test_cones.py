@@ -28,6 +28,20 @@ from oracles import (
 K_EXAMPLE = [np.array([0.0, -1.0]), np.array([1.0, 1.0])]
 
 
+class TestContains:
+    """Membership in the dual-form cone C, decided by the ``point_in_cone`` check."""
+
+    def test_dual_form_feasible_point(self):
+        # (2, 0) satisfies both cone inequalities
+        assert verify_characterization(K_EXAMPLE, [2.0, 1.0], [2.0, 0.0])["point_in_cone"].passed
+
+    def test_dual_form_infeasible_point(self):
+        # (2, 1) has <(2, 1), k_1> = -1
+        report = verify_characterization(K_EXAMPLE, [2.0, 1.0], [2.0, 1.0])
+        assert report["point_in_cone"].residual == 1.0
+        assert not report["point_in_cone"].passed
+
+
 class TestPositiveRelative:
     def test_coordinate_cone(self):
         res = positive_relative_test([[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0])
@@ -267,13 +281,6 @@ class TestVerifyCharacterization:
         report = verify_characterization(K_EXAMPLE, [2.0, 0.0], [2.0, 0.0])
         assert _names(report) == ["fixed_point"]
         assert report.passed
-
-    def test_point_in_cone(self):
-        # x0 = (2, 0) satisfies both cone inequalities; (2, 1) has <x0, k_1> = -1
-        assert verify_characterization(K_EXAMPLE, [2.0, 1.0], [2.0, 0.0])["point_in_cone"].passed
-        report = verify_characterization(K_EXAMPLE, [2.0, 1.0], [2.0, 1.0])
-        assert report["point_in_cone"].residual == 1.0
-        assert not report["point_in_cone"].passed
 
     def test_perturbed_point_fails_orthogonality(self):
         report = verify_characterization(K_EXAMPLE, [2.0, 1.0], [2.0, 0.1])
