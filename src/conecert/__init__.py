@@ -8,20 +8,16 @@ finite-dimensional real Hilbert space.
 
 from .certificates import CertificateCheck, CertificateReport
 from .cones import (
-    DualDecomposition,
-    MoreauSplit,
     PositiveRelative,
     ProjectionResult,
     ZigDecomposition,
-    dual_cone_decompose,
-    moreau_decompose,
     positive_relative_test,
     project_dual,
     project_generated,
     verify_characterization,
     zig_decompose,
 )
-from .errors import BadInterval, IterationLimit, MomentFitFailed, NotInDualCone
+from .errors import BadInterval, IterationLimit, MomentFitFailed
 from .farkas import (
     FarkasOutcome,
     FarkasTag,
@@ -73,7 +69,6 @@ __all__ = [
     "CertificateCheck",
     "CertificateReport",
     "DEFAULT_TOL",
-    "DualDecomposition",
     "FarkasOutcome",
     "FarkasTag",
     "FarkasVerification",
@@ -83,9 +78,7 @@ __all__ = [
     "LegendrePoly",
     "MomentFitFailed",
     "MomentSpec",
-    "MoreauSplit",
     "NnlsResult",
-    "NotInDualCone",
     "PositiveRelative",
     "ProjectionResult",
     "QuadratureRule",
@@ -98,14 +91,12 @@ __all__ = [
     "chebyshev_points",
     "default_grid",
     "derivative_matrix",
-    "dual_cone_decompose",
     "farkas_alternative",
     "generalized_farkas",
     "integral_moments",
     "legendre_to_monomial",
     "matrix_rank",
     "monomial_to_legendre",
-    "moreau_decompose",
     "nnls",
     "positive_quadrature",
     "positive_relative_test",

@@ -22,6 +22,7 @@ bit.  Non-finite values are refused.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -70,6 +71,21 @@ def _json(value, names=None):
 # ---------------------------------------------------------------------------
 # input handling
 
+_FLOAT_MAX = sys.float_info.max
+
+
+def _finite(literal, parse=float):
+    """A number of the problem file; NaN, Infinity and literals beyond the
+    float range are refused."""
+    value = parse(literal)
+    # false for NaN; an integer is compared exactly, without conversion
+    if -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        return value
+    raise ValueError(f"{literal} is not a finite number")
+
+
+_DECODER = json.JSONDecoder(parse_float=_finite, parse_int=functools.partial(_finite, parse=int), parse_constant=_finite)
+
 
 def _load_input(path: str) -> dict:
     try:
@@ -78,9 +94,11 @@ def _load_input(path: str) -> dict:
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from exc
     try:
-        data = json.loads(text)
+        data = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # refused by _finite, or by int() past sys.get_int_max_str_digits() digits
+        raise InputError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError(f"{path}:1:1: top-level value must be an object")
     return data
@@ -94,9 +112,23 @@ def _field(data: dict, name: str, path: str, required=True, default=None):
     return data[name]
 
 
-def _vector_field(data, name, path, required=True, default=None):
-    raw = _field(data, name, path, required, default)
+def _int_field(data, name, path, low: int, required=True):
+    """An integer of at least ``low``; JSON's true and false are not integers.
+    An optional field that is absent or null reads as None."""
+    value = _field(data, name, path, required)
+    if value is None and not required:
+        return None
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise InputError(f"{path}: field '{name}' must be an integer >= {low}")
+    return value
+
+
+def _vector_field(data, name, path, required=True):
+    """A finite vector; an optional field that is absent or null reads as None."""
+    raw = _field(data, name, path, required)
     if raw is None:
+        if required:
+            raise InputError(f"{path}: field '{name}' must be a vector, not null")
         return None
     try:
         return as_vector(raw)
@@ -157,7 +189,7 @@ def _handle_farkas(data: dict, path: str, tol: float):
                 raise InputError(f"{path}: field 'pairs[{i}]': vector of length {s.size}, expected {b.size}")
             pairs.append((s, p))
         r = _field(data, "r", path)
-        if not isinstance(r, (int, float)):
+        if isinstance(r, bool) or not isinstance(r, (int, float)):
             raise InputError(f"{path}: field 'r' must be a number")
         gen = generalized_farkas(pairs, b, float(r), tol)
         return _json(gen, PAIRS_FIELDS), implication_certificate(pairs, b, gen, tol)
@@ -169,19 +201,15 @@ def _handle_farkas(data: dict, path: str, tol: float):
 
 
 def _handle_quadrature(data: dict, path: str, tol: float):
-    degree = _field(data, "degree", path)
+    degree = _int_field(data, "degree", path, 0)
     interval = _field(data, "interval", path)
-    grid_size = _field(data, "grid_size", path, required=False, default=None)
-    if not isinstance(degree, int) or degree < 0:
-        raise InputError(f"{path}: field 'degree' must be a nonnegative integer")
     try:
         a, b = (float(v) for v in interval)
     except (TypeError, ValueError) as exc:
         raise InputError(f"{path}: field 'interval' must be [a, b]") from exc
+    grid_size = _int_field(data, "grid_size", path, 4 * (degree + 1), required=False)
     if grid_size is None:
         grid_size = 8 * (degree + 1)
-    if not isinstance(grid_size, int) or grid_size < 4 * (degree + 1):
-        raise InputError(f"{path}: field 'grid_size' must be an integer >= 4 (degree + 1)")
     try:
         spec = integral_moments(degree, a, b)
     except BadInterval as exc:
@@ -206,19 +234,15 @@ def _parse_shape_target(data: dict, path: str, n: int) -> LegendrePoly:
 
 
 def _handle_shape(data: dict, path: str, tol: float):
-    n = _field(data, "n", path)
-    r = _field(data, "r", path)
-    if not isinstance(n, int) or not isinstance(r, int) or not 0 <= r < n:
+    n = _int_field(data, "n", path, 1)
+    r = _int_field(data, "r", path, 0)
+    if r >= n:
         raise InputError(f"{path}: need integers 0 <= r < n")
     target = _parse_shape_target(data, path, n)
     grid = _vector_field(data, "grid", path, required=False)
-    grid_size = _field(data, "grid_size", path, required=False)
-    if grid is None and grid_size is not None:
-        if not isinstance(grid_size, int) or grid_size < n + 1:
-            raise InputError(f"{path}: field 'grid_size' must be an integer >= n + 1")
-        grid = chebyshev_points(grid_size)
-    elif grid is None:
-        grid = default_grid(n)
+    if grid is None:
+        grid_size = _int_field(data, "grid_size", path, n + 1, required=False)
+        grid = default_grid(n) if grid_size is None else chebyshev_points(grid_size)
     try:
         problem = ShapeProblem(n=n, r=r, grid=grid, target=target)
     except ValueError as exc:
@@ -326,8 +350,8 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
 
-    if args.tol <= 0:
-        print("error: --tol must be positive", file=sys.stderr)
+    if not (np.isfinite(args.tol) and args.tol > 0):
+        print("error: --tol must be positive and finite", file=sys.stderr)
         return 1
 
     started = time.perf_counter()

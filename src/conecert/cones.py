@@ -8,6 +8,15 @@ back with the multipliers, the active generators, and residuals for the
 optimality conditions.  ``verify_characterization`` re-checks a claimed
 projection independently and reports each condition separately.
 
+``zig_decompose`` is the one decomposition of x through the synthesis
+operator S of cone(K): ``x = S rho + x0 + z`` with ``z = -pinv(S^T) eta``.
+Its corollaries are read off its fields rather than computed again:
+Moreau's split ``x = pc + pdual`` (``pc`` is `project_generated`'s point,
+``pdual`` lies in the polar cone ``K^- = {y : <y, k> <= 0}``), and for y
+in ``K^-`` (up to the NNLS slack; exactly when ``rho`` is all zero) the
+split ``y = x0 + z`` into its parts in and orthogonal to the null space
+of ``S^T``.
+
 All functions are pure and safe to call concurrently.
 """
 
@@ -19,7 +28,6 @@ from typing import Optional
 import numpy as np
 
 from .certificates import CertificateReport
-from .errors import NotInDualCone
 from .linalg import DEFAULT_TOL, add_representation_check, add_witness_checks, as_vector, generator_matrix, matrix_rank, nnls
 
 # multipliers above 1e-10 * max(1, ||rho||_inf) count as active
@@ -53,28 +61,19 @@ class PositiveRelative:
 
 
 @dataclass(frozen=True, eq=False)
-class MoreauSplit:
-    pc: np.ndarray
-    pdual: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class DualDecomposition:
-    """Split of a dual-cone element into null-space and pseudoinverse parts."""
-
-    nu: np.ndarray
-    eta: np.ndarray
-    z: np.ndarray
-    x0: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class ZigDecomposition:
-    """Joint cone/dual-cone decomposition through the synthesis operator."""
+    """Joint cone/dual-cone decomposition through the synthesis operator.
+
+    ``x = pc + x0 + z`` with ``pc = S rho`` and ``z = -pinv(S^T) eta``;
+    ``pc + pdual = x`` is Moreau's split, and when x lies in ``K^-``
+    (``rho`` all zero) ``x0`` and ``z`` are its parts in and orthogonal
+    to the null space of ``S^T``.
+    """
 
     rho: np.ndarray
     x0: np.ndarray
     eta: np.ndarray
+    z: np.ndarray
     pc: np.ndarray
     pdual: np.ndarray
     report: CertificateReport
@@ -175,18 +174,6 @@ def project_dual(K, x, tol: float = DEFAULT_TOL) -> ProjectionResult:
     return ProjectionResult(point, rho, active, kkt, orth)
 
 
-def moreau_decompose(K, x, tol: float = DEFAULT_TOL) -> MoreauSplit:
-    """Split x into its projections onto cone(K) and the dual cone.
-
-    ``pc + pdual == x`` with ``<pc, pdual> == 0`` up to tolerance;
-    ``pc`` lies in cone(K) and ``pdual`` in ``K^-`` (all inner products
-    with generators nonpositive).
-    """
-    xv = as_vector(x)
-    pc = project_generated(K, xv, tol).point
-    return MoreauSplit(pc=pc, pdual=xv - pc)
-
-
 def verify_characterization(K, x, x0, tol: float = DEFAULT_TOL, witness_e=None) -> CertificateReport:
     """Independently certify that x0 is the dual-form projection of x.
 
@@ -269,44 +256,21 @@ def dual_projection_certificate(K, x, result: ProjectionResult, tol: float = DEF
     return report
 
 
-def dual_cone_decompose(K, y, tol: float = DEFAULT_TOL) -> DualDecomposition:
-    """Split y in the dual cone of cone(K) into orthogonal components.
-
-    ``eta_j = -<y, k_j> >= 0``, ``z = -pinv(S^T) @ eta`` lies in the
-    orthogonal complement of the null space of ``S^T``, and
-    ``nu = y - z`` lies in that null space.  Raises `NotInDualCone` when
-    y violates ``<y, k_j> <= 0`` beyond tolerance.
-
-    ``pinv(S^T) @ v`` is computed as the minimum-norm least-squares
-    solution of ``S^T z = v`` (``np.linalg.lstsq`` at numpy's default
-    cut-off ``max(d, m) * eps * sigma_1``, the library's rank rule), one
-    solve for ``eta`` and the ``<y, k_j>``.
-    """
-    yv = as_vector(y)
-    S = generator_matrix(K, dim=yv.size)
-    inner = S.T @ yv
-    allowance = tol * (1.0 + np.linalg.norm(yv)) * np.linalg.norm(S, axis=0)
-    if inner.size and np.any(inner > allowance):
-        worst = float(inner.max())
-        raise NotInDualCone(f"<y, k_i> = {worst:.3e} > 0 beyond tolerance")
-    eta = np.maximum(-inner, 0.0)
-    lift, along = np.linalg.lstsq(S.T, np.column_stack([eta, inner]), rcond=None)[0].T
-    z = -lift
-    nu = yv - z
-    x0 = yv - along
-    return DualDecomposition(nu=nu, eta=eta, z=z, x0=x0)
-
-
 def zig_decompose(K, x, tol: float = DEFAULT_TOL) -> ZigDecomposition:
     """Decompose x through the synthesis operator of cone(K).
 
     Returns ``rho`` and ``eta`` nonnegative with ``<rho, eta> = 0``,
-    ``x0`` the component of x in the null space of ``S^T``, and the two
-    Moreau parts ``pc`` and ``pdual``; the attached report certifies
-      (1) ``x = S rho + x0 - pinv(S^T) eta``,
+    ``x0`` the component of x in the null space of ``S^T``,
+    ``z = -pinv(S^T) eta``, and the two Moreau parts ``pc`` and
+    ``pdual``; the attached report certifies
+      (1) ``x = S rho + x0 + z``,
       (2) the sign and orthogonality conditions on rho and eta,
-      (3) ``pdual = x0 - pinv(S^T) eta`` with ``<x0, pinv(S^T) eta> = 0``,
+      (3) ``pdual = x0 + z`` with ``<x0, z> = 0``,
       (4) both expressions for the cone projection agree.
+
+    y lies in the polar cone ``K^-`` within the NNLS slack
+    ``tol (1 + ||y||) ||k_i||`` exactly when ``rho`` is all zero; then
+    ``pdual = y`` and ``y = x0 + z``.
 
     ``pinv(S^T) @ v`` is computed as the minimum-norm least-squares
     solution of ``S^T z = v`` (``np.linalg.lstsq`` at numpy's default
@@ -345,4 +309,4 @@ def zig_decompose(K, x, tol: float = DEFAULT_TOL) -> ZigDecomposition:
     r4 = float(np.linalg.norm(pc - (along + lift)))
     report.add("statement4_projection_formulas", r4, r4 <= tol * scale)
 
-    return ZigDecomposition(rho=rho, x0=x0, eta=eta, pc=pc, pdual=pdual, report=report)
+    return ZigDecomposition(rho=rho, x0=x0, eta=eta, z=-lift, pc=pc, pdual=pdual, report=report)

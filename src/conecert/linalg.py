@@ -291,16 +291,16 @@ def nnls(S, x, tol: float = DEFAULT_TOL, prefer=None) -> NnlsResult:
     IterationLimit
         If the pivot budget ``PIVOTS_PER_ENTRY * m * d`` runs out (degenerate input).
     ValueError
-        On mismatched shapes, a nonpositive ``tol``, or a ``prefer`` entry
-        that is not an integer index into the columns.
+        On mismatched shapes, a ``tol`` that is not positive and finite,
+        or a ``prefer`` entry that is not an integer index into the columns.
     """
     A = as_matrix(S)
     b = as_vector(x)
     d, m = A.shape
     if b.size != d:
         raise ValueError("dimension mismatch between S and x")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be positive and finite")
     preferred = _preferred_columns(prefer, m)
     budget = PIVOTS_PER_ENTRY * m * d
 

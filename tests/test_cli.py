@@ -432,6 +432,13 @@ class TestInputErrors:
         assert rc == 1
         assert rep is None
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tolerance(self, tmp_path, capsys, tol):
+        rc, rep = _run(tmp_path, "project", {"kind": "project", "generators": K, "point": X}, "--tol", tol)
+        assert rc == 1
+        assert rep is None
+        assert "--tol must be positive and finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "problem",
         [
@@ -470,6 +477,15 @@ class TestInputErrors:
             ("shape", {"kind": "shape", "n": 2, "r": 1, "grid_size": 2, "target": {"legendre": [1.0]}}, "'grid_size'"),
             ("shape", {"kind": "shape", "n": 2, "r": 1, "grid": [0.5, 0.0, 1.0], "target": {"legendre": [1.0]}}, "strictly increasing"),
             ("membership", {"kind": "membership", "mode": "polar", "vectors": [[1.0]], "point": [1.0]}, "'mode'"),
+            ("project", {"kind": "project", "generators": K, "point": None}, "'point' must be a vector, not null"),
+            ("farkas", {"kind": "farkas", "pairs": [[[1.0], 1.0]], "b": [1.0], "r": True}, "'r' must be a number"),
+            ("farkas", {"kind": "farkas", "pairs": [[[1.0], float("nan")]], "b": [1.0], "r": 1.0}, "NaN is not a finite number"),
+            ("quadrature", {"kind": "quadrature", "degree": True, "interval": [0.0, 1.0]}, "'degree' must be an integer"),
+            ("quadrature", {"kind": "quadrature", "degree": 2, "interval": [0.0, float("inf")]}, "Infinity is not a finite number"),
+            ("farkas", '{"kind": "farkas", "pairs": [[[1.0], 1.0]], "b": [1.0], "r": -1e400}', "-1e400 is not a finite number"),
+            ("membership", f'{{"kind": "membership", "vectors": [[1.0]], "point": [{10**400}]}}', "is not a finite number"),
+            ("farkas", '{"kind": "farkas", "pairs": [[[1.0], 1.0]], "b": [1.0], "r": ' + "1" * 5000 + "}", "limit"),
+            ("shape", {"kind": "shape", "n": 2, "r": False, "target": {"legendre": [1.0]}}, "'r' must be an integer"),
         ],
     )
     def test_malformed_file(self, tmp_path, capsys, kind, content, message):
@@ -486,6 +502,33 @@ class TestInputErrors:
         rc, rep = _run(tmp_path, "cones", {"kind": "cones"})
         assert rc == 1
         assert rep is None
+
+
+# one valid file per branch of the input parser
+VALID = {
+    "dual": BRANCHES["dual"],
+    "generated": BRANCHES["generated"],
+    "matrix": BRANCHES["system2"],
+    "pairs": BRANCHES["pairs"],
+    "quadrature": BRANCHES["quadrature"],
+    "shape_grid_size": BRANCHES["shape"],
+    "shape_grid": {"kind": "shape", "n": 2, "r": 1, "grid": np.linspace(-1.0, 1.0, 12).tolist(), "target": {"legendre": [0.3, -1.0, 0.5]}},
+    "cone": BRANCHES["cone_member"],
+    "span": BRANCHES["span_member"],
+}
+# json.dumps writes nan and inf as the NaN and Infinity literals that json.loads accepts
+POOL = [True, False, None, "x", float("nan"), float("inf"), -1, 0, 2.5, [], [[]], {}, [float("nan")], [0, float("inf")]]
+
+
+@pytest.mark.parametrize("branch, field", [(b, f) for b, problem in VALID.items() for f in problem])
+def test_malformed_field_exits_cleanly(tmp_path, branch, field):
+    """With one field replaced by any value of the pool, `run` returns an
+    exit status and raises nothing."""
+    for value in POOL:
+        src = tmp_path / "in.json"
+        src.write_text(json.dumps({**VALID[branch], field: value}))
+        rc = cli.run([VALID[branch]["kind"], "--input", str(src), "--output", str(tmp_path / "out.json")])
+        assert rc in (0, 1, 2), value
 
 
 class TestGaveUp:

@@ -3,10 +3,7 @@ import pytest
 
 import conecert.cones
 from conecert import (
-    NotInDualCone,
-    dual_cone_decompose,
     matrix_rank,
-    moreau_decompose,
     nnls,
     positive_relative_test,
     project_dual,
@@ -218,18 +215,26 @@ class TestProjectOrthonormal:
 
 
 class TestMoreau:
+    """Moreau's split ``x = pc + pdual``, read off `zig_decompose`; ``pc`` is
+    `project_generated`'s point."""
+
+    def _split(self, K, x):
+        dec = zig_decompose(K, x)
+        assert np.array_equal(dec.pc, project_generated(K, x).point)
+        return dec
+
     def test_inside_cone(self):
-        ms = moreau_decompose([[1.0, 0.0]], [2.0, 0.0])
+        ms = self._split([[1.0, 0.0]], [2.0, 0.0])
         assert np.allclose(ms.pc, [2.0, 0.0], atol=1e-12)
         assert np.allclose(ms.pdual, [0.0, 0.0], atol=1e-12)
 
     def test_inside_dual(self):
-        ms = moreau_decompose([[1.0, 0.0]], [-1.0, 0.5])
+        ms = self._split([[1.0, 0.0]], [-1.0, 0.5])
         assert np.allclose(ms.pc, [0.0, 0.0], atol=1e-12)
         assert np.allclose(ms.pdual, [-1.0, 0.5], atol=1e-12)
 
     def test_axis_split(self):
-        ms = moreau_decompose([[1.0, 0.0]], [1.0, 1.0])
+        ms = self._split([[1.0, 0.0]], [1.0, 1.0])
         assert np.allclose(ms.pc, [1.0, 0.0], atol=1e-12)
         assert np.allclose(ms.pdual, [0.0, 1.0], atol=1e-12)
 
@@ -237,7 +242,7 @@ class TestMoreau:
         rng = np.random.default_rng(59)
         for _ in range(300):
             S, x = random_cone_instance(rng, d_max=6, m_max=8)
-            ms = moreau_decompose(list(S.T), x)
+            ms = self._split(list(S.T), x)
             nx = np.linalg.norm(x)
             assert np.linalg.norm(ms.pc + ms.pdual - x) <= 1e-10 * (1.0 + nx)
             assert abs(float(ms.pc @ ms.pdual)) <= 1e-9 * (1.0 + nx * nx)
@@ -369,38 +374,45 @@ class TestFaceFirstRecertification:
 
 
 class TestDualConeDecompose:
+    """A dual-cone element y (``rho`` all zero) splits as ``y = nu + z`` with
+    ``nu = pdual - z`` in the null space of ``S^T``."""
+
     def test_zero_vector(self):
-        dec = dual_cone_decompose([[1.0, 0.0]], [0.0, 0.0])
-        assert np.allclose(dec.nu, 0.0) and np.allclose(dec.eta, 0.0) and np.allclose(dec.z, 0.0)
+        dec = zig_decompose([[1.0, 0.0]], [0.0, 0.0])
+        assert not dec.rho.any()
+        assert np.allclose(dec.pdual - dec.z, 0.0) and np.allclose(dec.eta, 0.0) and np.allclose(dec.z, 0.0)
 
     def test_null_space_component(self):
-        dec = dual_cone_decompose([[1.0, 0.0]], [0.0, 1.0])
-        assert np.allclose(dec.nu, [0.0, 1.0], atol=1e-12)
+        dec = zig_decompose([[1.0, 0.0]], [0.0, 1.0])
+        assert not dec.rho.any()
+        assert np.allclose(dec.pdual - dec.z, [0.0, 1.0], atol=1e-12)
         assert np.allclose(dec.eta, [0.0], atol=1e-12)
         assert np.allclose(dec.z, [0.0, 0.0], atol=1e-12)
 
     def test_full_rank_case(self):
-        dec = dual_cone_decompose([[1.0, 0.0], [0.0, 1.0]], [-1.0, -2.0])
-        assert np.allclose(dec.nu, [0.0, 0.0], atol=1e-12)
+        dec = zig_decompose([[1.0, 0.0], [0.0, 1.0]], [-1.0, -2.0])
+        assert not dec.rho.any()
+        assert np.allclose(dec.pdual - dec.z, [0.0, 0.0], atol=1e-12)
         assert np.allclose(dec.eta, [1.0, 2.0], atol=1e-12)
         assert np.allclose(dec.z, [-1.0, -2.0], atol=1e-12)
 
     def test_rejects_point_outside(self):
-        with pytest.raises(NotInDualCone):
-            dual_cone_decompose([[1.0, 0.0]], [1.0, 0.0])
+        assert zig_decompose([[1.0, 0.0]], [1.0, 0.0]).rho.any()
 
     def test_invariants_random(self):
         rng = np.random.default_rng(67)
         for _ in range(100):
             S, x = random_cone_instance(rng, d_max=5, m_max=6)
-            y = moreau_decompose(list(S.T), x).pdual  # a genuine dual-cone element
-            dec = dual_cone_decompose(list(S.T), y, tol=1e-7)
-            assert abs(float(dec.nu @ dec.z)) <= 1e-8 * (1.0 + float(y @ y))
+            y = zig_decompose(list(S.T), x).pdual  # a genuine dual-cone element
+            dec = zig_decompose(list(S.T), y, tol=1e-7)
+            assert not dec.rho.any()
+            nu = dec.pdual - dec.z
+            assert abs(float(nu @ dec.z)) <= 1e-8 * (1.0 + float(y @ y))
             assert dec.eta.min(initial=0.0) >= 0.0
-            assert np.linalg.norm(dec.nu + dec.z - y) <= 1e-9 * (1.0 + np.linalg.norm(y))
+            assert np.linalg.norm(nu + dec.z - y) <= 1e-9 * (1.0 + np.linalg.norm(y))
             null_part = null_space_part(S, dec.eta)
             assert np.linalg.norm(null_part) <= 1e-7 * (1.0 + np.linalg.norm(dec.eta))
-            assert np.linalg.norm(dec.nu - dec.x0) <= 1e-7 * (1.0 + np.linalg.norm(y))
+            assert np.linalg.norm(nu - dec.x0) <= 1e-7 * (1.0 + np.linalg.norm(y))
 
 
 class TestZigDecompose:
@@ -446,9 +458,11 @@ class TestZigDecompose:
             dec = zig_decompose(list(S.T), x)
             flags = {c.name: c.passed for c in dec.report.checks}
             assert flags == zig_statement_flags(S, x, dec.rho), trial
-            dual = dual_cone_decompose(list(S.T), dec.pdual, tol=1e-7)
-            inner = S.T @ dec.pdual
             scale = 1e-9 * (1.0 + np.linalg.norm(x))
+            assert np.linalg.norm(dec.z + pinv(S.T) @ dec.eta) <= scale, trial
+            dual = zig_decompose(list(S.T), dec.pdual, tol=1e-7)
+            assert not dual.rho.any(), trial
+            inner = S.T @ dec.pdual
             assert np.linalg.norm(dual.z + pinv(S.T) @ dual.eta) <= scale, trial
             assert np.linalg.norm(dual.x0 - (dec.pdual - pinv(S.T) @ inner)) <= scale, trial
 

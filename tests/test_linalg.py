@@ -98,6 +98,12 @@ class TestNnls:
         assert res.rho.size == 0
         assert np.allclose(res.residual, [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf")])
+    def test_rejects_tolerance_not_positive_and_finite(self, tol):
+        rng = np.random.default_rng(29)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            nnls(rng.standard_normal((5, 12)), rng.standard_normal(5), tol)
+
     def test_iteration_limit_raised(self, monkeypatch):
         monkeypatch.setattr(conecert.linalg, "PIVOTS_PER_ENTRY", 0)
         with pytest.raises(IterationLimit):
