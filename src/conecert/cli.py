@@ -112,6 +112,19 @@ def _field(data: dict, name: str, path: str, required=True, default=None):
     return data[name]
 
 
+def _numbers(raw, where: str):
+    """``raw`` itself if it is a number or a (nested) list of numbers.  JSON's
+    true, false, null and strings are refused here, where the field is read:
+    numpy would take them as 1.0, 0.0, NaN and the number a string spells."""
+    items = [raw]
+    for item in items:  # grows by the entries of each nested list it meets
+        if type(item) is list:
+            items.extend(item)
+        elif type(item) is not float and type(item) is not int:  # a bool is neither
+            raise InputError(f"{where} must hold numbers, not {json.dumps(item)}")
+    return raw
+
+
 def _int_field(data, name, path, low: int, required=True):
     """An integer of at least ``low``; JSON's true and false are not integers.
     An optional field that is absent or null reads as None."""
@@ -131,7 +144,7 @@ def _vector_field(data, name, path, required=True):
             raise InputError(f"{path}: field '{name}' must be a vector, not null")
         return None
     try:
-        return as_vector(raw)
+        return as_vector(_numbers(raw, f"{path}: field '{name}'"))
     except (ValueError, TypeError) as exc:
         raise InputError(f"{path}: field '{name}': {exc}") from exc
 
@@ -142,7 +155,7 @@ def _vectors_field(data, name, path, dim: int) -> np.ndarray:
     if not isinstance(raw, list):
         raise InputError(f"{path}: field '{name}' must be a list of vectors")
     try:
-        S = generator_matrix(raw, dim=dim)
+        S = generator_matrix(_numbers(raw, f"{path}: field '{name}'"), dim=dim)
     except (ValueError, TypeError) as exc:
         raise InputError(f"{path}: field '{name}': {exc}") from exc
     if S.shape[0] != dim:
@@ -180,13 +193,14 @@ def _handle_farkas(data: dict, path: str, tol: float):
         b = _vector_field(data, "b", path)
         pairs = []
         for i, entry in enumerate(raw_pairs):
+            where = f"{path}: field 'pairs[{i}]'"
             try:
                 s, p = entry
-                s, p = as_vector(s), float(p)
+                s, p = as_vector(_numbers(s, where)), float(_numbers(p, where))
             except (ValueError, TypeError) as exc:
-                raise InputError(f"{path}: field 'pairs[{i}]': {exc}") from exc
+                raise InputError(f"{where}: {exc}") from exc
             if s.size != b.size:
-                raise InputError(f"{path}: field 'pairs[{i}]': vector of length {s.size}, expected {b.size}")
+                raise InputError(f"{where}: vector of length {s.size}, expected {b.size}")
             pairs.append((s, p))
         r = _field(data, "r", path)
         if isinstance(r, bool) or not isinstance(r, (int, float)):
@@ -202,7 +216,7 @@ def _handle_farkas(data: dict, path: str, tol: float):
 
 def _handle_quadrature(data: dict, path: str, tol: float):
     degree = _int_field(data, "degree", path, 0)
-    interval = _field(data, "interval", path)
+    interval = _numbers(_field(data, "interval", path), f"{path}: field 'interval'")
     try:
         a, b = (float(v) for v in interval)
     except (TypeError, ValueError) as exc:

@@ -31,20 +31,24 @@ class LegendreBasis:
         scalar = np.isscalar(t) or np.ndim(t) == 0
         ts = np.atleast_1d(np.asarray(t, dtype=float))
         n = self.n
-        # P[s, k] = s-th derivative of the classic polynomial P_k at ts
-        P = np.zeros((r + 1, n + 1, ts.size))
+        # P[k, s] = s-th derivative of the classic polynomial P_k at ts
+        P = np.zeros((n + 1, r + 1, ts.size))
         P[0, 0] = 1.0
         if n >= 1:
-            P[0, 1] = ts
+            P[1, 0] = ts
             if r >= 1:
                 P[1, 1] = 1.0
+        # the recurrence differentiated s times, for all orders at once:
+        # (k + 1) P_{k+1}^(s) = (2k + 1) (t P_k^(s) + s P_k^(s-1)) - k P_{k-1}^(s)
+        orders = np.arange(1, r + 1)[:, None]
         for k in range(1, n):
-            for s in range(r + 1):
-                term = ts * P[s, k]
-                if s:
-                    term = term + s * P[s - 1, k]
-                P[s, k + 1] = ((2 * k + 1) * term - k * P[s, k - 1]) / (k + 1)
-        vals = self.norms[:, None] * P[r]
+            term = ts * P[k]
+            if r:
+                term[1:] += orders * P[k, :-1]
+            term *= 2 * k + 1
+            term -= k * P[k - 1]
+            np.divide(term, k + 1, out=P[k + 1])
+        vals = self.norms[:, None] * P[:, r]
         return vals[:, 0] if scalar else vals
 
 

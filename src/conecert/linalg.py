@@ -11,14 +11,18 @@ benchmark's traced run still wraps it and `svd_factors` by name.
 `nnls` is the Lawson-Hanson active-set method on a thin QR factor
 ``Q R`` of its support, kept up to date pivot by pivot, together with
 the inverse ``T = R^-1``, so that a pivot costs mat-vecs and no LAPACK
-solve.  T is formed only by bordering, as a column enters, or by
-inverting the triangle of a fresh QR after a blocking step; the rank
-rule keeps every diagonal entry of R away from zero.  A caller that
-knows where the support probably lies passes it as ``prefer``: those
-columns are tried first, while the stopping test still runs over every
-column, so the result is optimal whatever the preference.  Each
-`NnlsResult` reports its ``pivots`` and, in ``drops``, how many columns
-each blocking step removed.
+solve.  A blocking step deletes its columns from the factor in place:
+the factor of the columns before the first deleted one stands, and only
+the kept columns after it are re-triangularised, by one small QR.  T is
+formed only by bordering, as a column enters, or from the inverse of
+that fresh triangle, bordered by the block that stands; it is never
+carried through a downdate, and the rank rule keeps every diagonal
+entry of R away from zero.  A caller that knows where the support
+probably lies passes it as ``prefer``: those columns are tried first,
+while the stopping test still runs over every column, so the result is
+optimal whatever the preference.  Each `NnlsResult` reports its
+``pivots`` and, in ``drops``, how many columns each blocking step
+removed.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ DEFAULT_TOL = 1e-9
 PIVOTS_PER_ENTRY = 3
 
 _EPS = float(np.finfo(float).eps)
+_SUBNORMAL = float(np.finfo(float).smallest_subnormal)
 
 
 def as_vector(x) -> np.ndarray:
@@ -214,6 +219,29 @@ def _preferred_columns(prefer, m: int) -> Optional[np.ndarray]:
     return np.flatnonzero(chosen)
 
 
+def _delete_columns(A, Q, T, qtb, cols, k: int, hit) -> int:
+    """Delete the support positions ``hit`` (sorted) from the factor
+    ``A[:, cols[:k]] = Q[:, :k] R`` with ``T = R^-1`` and ``qtb = Q^T b``,
+    in place, as the `nnls` docstring describes; return the new support
+    size."""
+    p = int(hit[0])
+    keep = np.ones(k - p, dtype=bool)
+    keep[hit - p] = False
+    after = cols[p:k][keep]
+    k2 = p + after.size
+    if k2 > p:
+        M = Q[:, :k].T @ A[:, after]
+        qs, rs = np.linalg.qr(M[p:])
+        Q[:, p:k2] = Q[:, p:k] @ qs
+        qtb[p:k2] = qtb[p:k] @ qs
+        T22 = np.linalg.inv(rs)
+        T[p:k2, p:k2] = T22
+        # M[:p] is R12, the new R's block beside R11 = R[:p, :p]
+        T[:p, p:k2] = (T[:p, :p] @ M[:p]) @ -T22
+        cols[p:k2] = after
+    return k2
+
+
 def nnls(S, x, tol: float = DEFAULT_TOL, prefer=None) -> NnlsResult:
     """Active-set solve of ``min ||S @ rho - x||`` over ``rho >= 0``.
 
@@ -240,16 +268,25 @@ def nnls(S, x, tol: float = DEFAULT_TOL, prefer=None) -> NnlsResult:
       also gives its column ``R[:k, k]`` and ``r_kk`` of R, and borders T
       with one mat-vec: ``T[k, k] = 1 / r_kk`` and
       ``T[:k, k] = -T[:k, :k] R[:k, k] / r_kk``.
-    * A blocking step re-factors the columns it leaves with one QR and
-      forms T again as the inverse of the new triangle.  Blocking steps
-      are rarer than additions.
+    * A blocking step deletes its columns from the factor in place
+      (Lawson & Hanson, ch. 24; Golub & Van Loan, *Matrix Computations*,
+      sec. 6.5).  With p the first deleted position and t the kept
+      columns after it, one product ``Q[:, :k]^T S[:, kept]`` gives the
+      block R12 above row p and the (k - p) x t block below it that the
+      deletion leaves out of triangular form; one QR of that block,
+      O(d k t) with the products, rotates Q[:, p:k] and ``Q^T x`` and
+      gives the new triangle, whose inverse is the new block T22, with
+      ``T12 = -T11 R12 T22``; the block T[:p, :p] stands.
+      When only trailing columns go, the factor left is already that of
+      the kept columns, and no QR runs.
 
-    T is safe to keep because it is formed only by bordering or by
-    inverting the triangle of a fresh QR, never carried through a
-    downdate.  Every diagonal entry of R passed the rank rule below when
-    its column entered, and dropping columns only lengthens the part of
-    each later column orthogonal to those before it, so no ``1 / r_kk``
-    divides by a vanishing pivot.
+    T is safe to keep because it is formed only by bordering or from the
+    inverse of a fresh QR triangle, never carried through a downdate.
+    Every diagonal entry of R passed the rank rule below when its column
+    entered, and dropping columns only lengthens the part of each later
+    column orthogonal to those before it, so the diagonal of the fresh
+    triangle is no shorter and no ``1 / r_kk`` divides by a vanishing
+    pivot.
 
     The gradient ``S^T r`` that picks the entering column is taken from
     the factor's residual ``x - Q Q^T x``.  It stays accurate where
@@ -264,7 +301,13 @@ def nnls(S, x, tol: float = DEFAULT_TOL, prefer=None) -> NnlsResult:
     choice and the next candidate is tried; when none is left the solve
     returns.  The support therefore stays linearly independent, with at
     most ``min(d, m)`` columns, and no multiplier comes from a division by
-    a vanishing pivot.
+    a vanishing pivot.  Likewise, as in Lawson and Hanson's NNLS, a
+    candidate is passed over when its trial multiplier ``(Q^T x)_k / r_kk``
+    on the grown support is not positive.  In exact arithmetic a positive
+    gradient makes it positive, so its sign is rounding too; entering such
+    a column would only see it dropped again at once, leave the factor
+    as it was, and pick the same column again until the pivot budget ran
+    out.
 
     ``prefer`` narrows the entering rule, not the stopping test: while a
     preferred column has a gradient above its slack (and passes the rank
@@ -313,8 +356,8 @@ def nnls(S, x, tol: float = DEFAULT_TOL, prefer=None) -> NnlsResult:
     cols = np.empty(kmax, dtype=np.intp)
     Q = np.empty((d, kmax))
     # T is upper triangular: an entering column writes on and above the
-    # diagonal, a blocking step the inverse of a QR triangle, so the zeros
-    # below it are written once, here
+    # diagonal, a blocking step the inverse of a QR triangle and the block
+    # above it, so the zeros below it are written once, here
     T = np.zeros((kmax, kmax))
     qtb = np.empty(kmax)
     k = 0
@@ -347,17 +390,19 @@ def nnls(S, x, tol: float = DEFAULT_TOL, prefer=None) -> NnlsResult:
             v -= Qk @ c2
             rkk = math.sqrt(v @ v)
             if rkk > floor * colnorm[j]:
-                entering = j
-                break
+                np.divide(v, rkk, out=Q[:, k])
+                qtb[k] = Q[:, k] @ b
+                # the column's trial multiplier is qtb[k] / rkk
+                if qtb[k] > 0.0:
+                    entering = j
+                    break
             score[j] = -np.inf
         if entering < 0:
             break
         cols[k] = entering
-        np.divide(v, rkk, out=Q[:, k])
         # border T: one mat-vec of its old columns with R[:k, k] = c + c2
         T[k, k] = 1.0 / rkk
         T[:k, k] = (T[:k, :k] @ (c + c2)) * -T[k, k]
-        qtb[k] = Q[:, k] @ b
         k += 1
 
         while True:
@@ -373,9 +418,10 @@ def nnls(S, x, tol: float = DEFAULT_TOL, prefer=None) -> NnlsResult:
             if blocking.size == 0:
                 raise IterationLimit("nnls inner loop stalled on degenerate input")
             current = rho[sup]
-            denom = current[blocking] - z[blocking]
-            safe = denom > 0.0
-            ratios = np.where(safe, current[blocking] / np.where(safe, denom, 1.0), 0.0)
+            held = current[blocking]
+            # held >= 0 >= z, so the denominator is zero only where held is
+            # zero too, and that ratio is zero
+            ratios = held / np.maximum(held - z[blocking], _SUBNORMAL)
             alpha = float(ratios.min())
             current += alpha * (z - current)
             hit = blocking[ratios <= alpha * (1.0 + 1e-12)]
@@ -383,14 +429,7 @@ def nnls(S, x, tol: float = DEFAULT_TOL, prefer=None) -> NnlsResult:
             np.maximum(current, 0.0, out=current)
             rho[sup] = current
             drops.append(int(hit.size))
-            keep = np.ones(k, dtype=bool)
-            keep[hit] = False
-            k = int(keep.sum())
-            cols[:k] = sup[keep]
-            q, r = np.linalg.qr(A[:, cols[:k]])
-            Q[:, :k] = q
-            T[:k, :k] = np.linalg.inv(r)
-            qtb[:k] = q.T @ b
+            k = _delete_columns(A, Q, T, qtb, cols, k, hit)
         resid = b - Q[:, :k] @ qtb[:k]
 
     return NnlsResult(rho=rho, residual=b - A @ rho, pivots=pivots, drops=tuple(drops))

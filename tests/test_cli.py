@@ -327,7 +327,7 @@ PINNED = {
         ('representation', 0.0, True),
     ),
     "system1": (
-        ('primal_residual', 1.4087150935148696e-15, True),
+        ('primal_residual', 0.0, True),
         ('multipliers_nonnegative', 0.0, True),
         ('certificate_verifies', 0.0, True),
     ),
@@ -486,6 +486,10 @@ class TestInputErrors:
             ("membership", f'{{"kind": "membership", "vectors": [[1.0]], "point": [{10**400}]}}', "is not a finite number"),
             ("farkas", '{"kind": "farkas", "pairs": [[[1.0], 1.0]], "b": [1.0], "r": ' + "1" * 5000 + "}", "limit"),
             ("shape", {"kind": "shape", "n": 2, "r": False, "target": {"legendre": [1.0]}}, "'r' must be an integer"),
+            ("project", {"kind": "project", "generators": K, "point": [True, False]}, "'point' must hold numbers, not true"),
+            ("quadrature", {"kind": "quadrature", "degree": 2, "interval": [False, True]}, "'interval' must hold numbers, not false"),
+            ("farkas", {"kind": "farkas", "pairs": [[[1.0], "2"]], "b": [1.0], "r": 1.0}, "'pairs[0]' must hold numbers, not \"2\""),
+            ("membership", {"kind": "membership", "vectors": [[1.0, "0"]], "point": [1.0, 0.0]}, "'vectors' must hold numbers"),
         ],
     )
     def test_malformed_file(self, tmp_path, capsys, kind, content, message):

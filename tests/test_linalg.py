@@ -11,6 +11,8 @@ from conecert import (
     span_membership,
     svd_factors,
 )
+from conecert.legendre import LegendreBasis, chebyshev_points
+from conecert.linalg import _delete_columns
 from oracles import nnls_bruteforce, random_cone_instance
 
 _EPS = float(np.finfo(float).eps)
@@ -148,12 +150,15 @@ def _kkt_holds(S, x, res, tol=1e-9):
     )
 
 
-def _objective_matches_oracle(S, x, res, rel=1e-9):
-    # the cone, hence the optimum, does not change when columns are rescaled,
-    # so the oracle sees unit columns and its absolute feasibility test stays fair
-    colnorm = np.linalg.norm(S, axis=0)
-    unit = S / np.where(colnorm > 0.0, colnorm, 1.0)
-    best, _ = nnls_bruteforce(unit, x)
+def _objective_matches_oracle(S, x, res, rel=1e-9, best=None):
+    """The objective against ``best``, the optimum of an instance built to
+    have a known one, or else the optimum by subset enumeration."""
+    if best is None:
+        # the cone, hence the optimum, does not change when columns are rescaled,
+        # so the oracle sees unit columns and its absolute feasibility test stays fair
+        colnorm = np.linalg.norm(S, axis=0)
+        unit = S / np.where(colnorm > 0.0, colnorm, 1.0)
+        best, _ = nnls_bruteforce(unit, x)
     obj = float(res.residual @ res.residual)
     return abs(obj - best) <= rel * (1.0 + float(x @ x))
 
@@ -162,6 +167,34 @@ def _pivots_add_up(res):
     """Each pivot either ends an addition or is a blocking step: the columns
     added are the final support plus every dropped one."""
     return res.pivots == np.count_nonzero(res.rho) + sum(res.drops) + len(res.drops)
+
+
+@pytest.fixture
+def qr_blocks(monkeypatch):
+    """The shape of every block that a blocking step of `nnls`
+    re-triangularises, in order: ``(k - p, t)`` for a support of k columns,
+    first deleted position p and t kept columns after it."""
+    shapes = []
+    qr = np.linalg.qr
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", spy)
+    return shapes
+
+
+def _legendre_polar_target(grid, points, r):
+    """Orthonormal Legendre coefficients of a polynomial q of degree
+    len(points) * 2 + r with q^(r) = -prod (t - c)^2 over c in points:
+    q^(r) <= 0 on the grid and zero exactly at the points."""
+    P = np.polynomial.polynomial
+    c = np.array([-1.0])
+    for t in points:
+        c = P.polymul(c, [t * t, -2.0 * t, 1.0])
+    leg = np.polynomial.legendre.poly2leg(P.polyint(c, r))
+    return leg * np.sqrt(2.0 / (2 * np.arange(leg.size) + 1))
 
 
 class TestNnlsFactor:
@@ -182,6 +215,128 @@ class TestNnlsFactor:
         assert _pivots_add_up(res)
         assert _kkt_holds(S, x, res)
         assert _objective_matches_oracle(S, x, res)
+
+    # Integer instances whose one blocking step deletes a known position.
+    # Each case: S, x, drops, and the block shape (k - p, t) of its QR.
+    @pytest.mark.parametrize(
+        "S, x, drops, blocks",
+        [
+            pytest.param([[-3, -3, -2, 0], [-2, 2, -3, -2], [3, 2, 3, 1]], [0, -2, 2], (1,), [(3, 2)], id="first-of-3"),
+            pytest.param(
+                [[0, 1, -3, -3, 1], [2, 3, 2, 0, 3], [-3, 1, 0, 1, 3], [-2, 2, -3, 0, -3]], [-2, 3, -1, 1], (1,), [(4, 3)],
+                id="first-of-4",
+            ),
+            pytest.param(
+                [[-1, 0, 3, -2, 2, -2], [-1, 3, -1, 0, -1, -3], [-1, 1, 0, 2, -1, 1]], [2, 3, -1], (1,), [(2, 1)],
+                id="middle-of-3",
+            ),
+            pytest.param(
+                [[3, -3, 2, 1, 1, 1], [2, 2, 2, -1, -2, 0], [1, -1, 2, 1, 3, 1], [3, 0, 3, 1, -3, -1]], [-1, 2, 0, -1], (1,),
+                [(3, 2)], id="middle-of-4",
+            ),
+            # positions 0 and 2 of 4 reach zero at the same step
+            pytest.param(
+                [[0, 1, 0, 1, 0, 0, -1, 0], [0, 1, -1, 1, 0, 0, -1, -1], [-1, -1, 1, 0, -1, 1, -1, 0], [1, 1, -1, -1, 1, -1, 0, -1]],
+                [0, -3, -2, -1], (2,), [(4, 2)], id="two-non-adjacent",
+            ),
+        ],
+    )
+    def test_blocking_step_deletes_a_known_position(self, qr_blocks, S, x, drops, blocks):
+        S = np.array(S, dtype=float)
+        x = np.array(x, dtype=float)
+        res = nnls(S, x)
+        assert res.drops == drops
+        assert qr_blocks == blocks
+        assert _pivots_add_up(res)
+        assert _kkt_holds(S, x, res)
+        assert _objective_matches_oracle(S, x, res)
+
+    @pytest.mark.parametrize(
+        "k, hit",
+        [
+            (6, [0]),
+            (6, [3]),
+            (6, [5]),
+            (6, [4, 5]),
+            (6, [1, 4]),
+            (7, [0, 2, 5]),
+            (45, [22]),
+            (45, [0]),
+            (45, [10, 30]),
+        ],
+    )
+    def test_delete_columns_leaves_the_factor_of_the_kept_columns(self, monkeypatch, k, hit):
+        rng = np.random.default_rng(k + 100 * hit[0])
+        d, m = 60, 80
+        A = rng.standard_normal((d, m))
+        b = rng.standard_normal(d)
+        cols = rng.permutation(m)[:d].astype(np.intp)
+        Q = np.full((d, d), np.nan)
+        T = np.zeros((d, d))
+        qtb = np.full(d, np.nan)
+        q, r = np.linalg.qr(A[:, cols[:k]])
+        Q[:, :k], T[:k, :k], qtb[:k] = q, np.linalg.inv(r), q.T @ b
+        hit = np.array(hit)
+        p = int(hit[0])
+        before = Q[:, :p].copy(), T[:p, :p].copy(), qtb[:p].copy()
+        kept = np.delete(cols[:k], hit)
+        if hit[-1] == k - 1 and hit.size == k - p:
+            # only trailing positions go: the factor left stands and no QR runs
+            monkeypatch.setattr(np.linalg, "qr", None)
+        k2 = _delete_columns(A, Q, T, qtb, cols, k, hit)
+        assert k2 == kept.size
+        assert np.array_equal(cols[:k2], kept)
+        Qk, Tk = Q[:, :k2], T[:k2, :k2]
+        assert np.array_equal(Qk[:, :p], before[0])
+        assert np.array_equal(Tk[:p, :p], before[1])
+        assert np.array_equal(qtb[:p], before[2])
+        assert not np.tril(Tk, -1).any()
+        assert np.linalg.norm(Qk.T @ Qk - np.eye(k2)) <= 1e-13
+        assert np.linalg.norm(A[:, kept] @ Tk - Qk) <= 1e-13 * np.linalg.norm(Qk)
+        assert np.linalg.norm(qtb[:k2] - Qk.T @ b) <= 1e-13 * np.linalg.norm(b)
+
+    def test_in_cone_targets_with_long_blocks_after_the_deleted_column(self, qr_blocks):
+        rng = np.random.default_rng(73)
+        for d in (20, 30, 40, 50, 60):
+            for _ in range(2):
+                # a pointed cone and a sparse positive combination of its
+                # generators: the support grows past the combination's and
+                # shrinks back through blocking steps
+                S = rng.standard_normal((d, 5 * d))
+                S[0] = np.abs(S[0]) + 1.0
+                cols = rng.choice(5 * d, size=d // 3, replace=False)
+                x = S[:, cols] @ rng.uniform(0.5, 1.5, size=cols.size)
+                res = nnls(S, x)
+                assert len(res.drops) > 0
+                assert _pivots_add_up(res)
+                assert _kkt_holds(S, x, res)
+                assert _objective_matches_oracle(S, x, res, best=0.0)
+        # some blocking step re-triangularised twenty or more columns after p
+        assert max(t for _, t in qr_blocks) >= 20
+
+    def test_near_parallel_legendre_representers(self, qr_blocks):
+        # the shape cone at n = 12, r = 2 on 260 Chebyshev points: the columns
+        # are the second-derivative representers, neighbours nearly parallel.
+        # The target is a point of the cone of five columns J plus the
+        # polynomial q of `_legendre_polar_target` at their points: q is in
+        # the polar cone and orthogonal to the five, so the projection is the
+        # point and the optimum ||q||^2
+        grid = chebyshev_points(260)
+        V = LegendreBasis(12).values(grid, 2)
+        rng = np.random.default_rng(79)
+        for scale in (1e-2, 1.0, 1e2):
+            J = np.sort(rng.choice(np.arange(10, 250), size=5, replace=False))
+            q = scale * _legendre_polar_target(grid, grid[J], 2)
+            assert float((V.T @ q).max()) <= 1e-12 * scale
+            x = V[:, J] @ rng.uniform(0.5, 1.5, size=5) + q
+            # a tolerance below the default, so that the objective is the
+            # optimum to far below the default's slack on columns of norm ~1e4
+            res = nnls(V, x, tol=1e-12)
+            assert len(res.drops) >= 10
+            assert _pivots_add_up(res)
+            assert _kkt_holds(V, x, res, tol=1e-12)
+            assert _objective_matches_oracle(V, x, res, best=float(q @ q))
+        assert len(qr_blocks) >= 30
 
     def test_drops_random_against_oracle(self):
         rng = np.random.default_rng(31)
@@ -270,6 +425,25 @@ class TestNnlsFactor:
             assert matrix_rank(S[:, support]) == support.size
             best, _ = nnls_bruteforce(S, x)
             assert abs(float(res.residual @ res.residual) - best) <= 1e-12 * (1.0 + float(x @ x))
+
+    def test_entering_column_with_a_rounding_multiplier_is_passed_over(self):
+        # x = a + u with u orthogonal to both a and c = a + 1e-3 w: after a
+        # enters, c's gradient <u, c> is zero up to rounding, and at a slack
+        # below rounding a positive one lets c through the stopping test and
+        # the rank rule while its trial multiplier has a rounding sign.
+        # Entered on a sign at or below zero, c would be dropped at once,
+        # leave the factor as it was and be picked again until the pivot
+        # budget ran out
+        rng = np.random.default_rng(83)
+        for _ in range(2000):
+            R, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+            a, u, w = R.T
+            S = np.column_stack([a, a + 1e-3 * w])
+            x = a + u
+            for tol in (1e-300, 1e-16):
+                res = nnls(S, x, tol)
+                assert np.all(np.isfinite(res.rho))
+                assert abs(float(res.residual @ res.residual) - 1.0) <= 1e-12
 
     def test_columns_scaled_from_1e_minus6_to_1e6(self):
         rng = np.random.default_rng(47)
