@@ -41,7 +41,6 @@ from .linalg import (
     SpanMembership,
     SvdFactors,
     caratheodory_reduce,
-    matrix_rank,
     nnls,
     span_membership,
     svd_factors,
@@ -95,7 +94,6 @@ __all__ = [
     "generalized_farkas",
     "integral_moments",
     "legendre_to_monomial",
-    "matrix_rank",
     "monomial_to_legendre",
     "nnls",
     "positive_quadrature",

@@ -5,8 +5,9 @@ generated cone ``cone(K)`` of all nonnegative combinations, and its
 dual-form partner ``C = {y : <y, k> >= 0 for all k in K}``.  Projections
 onto both are computed from one nonnegative least-squares solve and come
 back with the multipliers, the active generators, and residuals for the
-optimality conditions.  ``verify_characterization`` re-checks a claimed
-projection independently and reports each condition separately.
+optimality conditions.  The certificates re-check a result from its own
+multipliers and solve nothing.  ``verify_characterization`` checks a
+dual-form projection given only as a point, each condition separately.
 
 ``zig_decompose`` is the one decomposition of x through the synthesis
 operator S of cone(K): ``x = S rho + x0 + z`` with ``z = -pinv(S^T) eta``.
@@ -28,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .certificates import CertificateReport
-from .linalg import DEFAULT_TOL, add_representation_check, add_witness_checks, as_vector, generator_matrix, matrix_rank, nnls
+from .linalg import DEFAULT_TOL, _member, add_representation_check, add_witness_checks, as_vector, generator_matrix, nnls
 
 # multipliers above 1e-10 * max(1, ||rho||_inf) count as active
 ACTIVE_RTOL = 1e-10
@@ -95,7 +96,7 @@ def positive_relative_test(gamma, x, tol: float = DEFAULT_TOL) -> PositiveRelati
     xv = as_vector(x)
     G = generator_matrix(gamma, dim=xv.size)
     sol = nnls(G, xv, tol)
-    if np.linalg.norm(sol.residual) <= tol * (1.0 + np.linalg.norm(xv)):
+    if _member(sol.residual, xv, tol):
         return PositiveRelative(True, sol.rho, None)
     return PositiveRelative(False, None, sol.residual)
 
@@ -123,45 +124,41 @@ def _add_residual_checks(report: CertificateReport, S, xv, result: ProjectionRes
     report.add("orthogonality", result.orthogonality_residual, result.orthogonality_residual <= tol * (1.0 + float(xv @ xv)))
 
 
-def project_generated(K, x, tol: float = DEFAULT_TOL) -> ProjectionResult:
-    """Project x onto cone(K) with the multipliers certifying optimality."""
-    xv = as_vector(x)
-    S = generator_matrix(K, dim=xv.size)
-    sol = nnls(S, xv, tol)
-    point = S @ sol.rho
+def _generated_result(S, xv, rho) -> ProjectionResult:
+    """The projection ``S rho`` onto cone(K), its active set and residuals."""
+    point = S @ rho
     r = xv - point
     inner = S.T @ r
     kkt = 0.0
     if inner.size:
-        kkt = max(float(np.maximum(inner, 0.0).max()), float(np.abs(sol.rho * inner).max()))
+        kkt = max(float(np.maximum(inner, 0.0).max()), float(np.abs(rho * inner).max()))
     orth = abs(float(r @ point))
-    return ProjectionResult(point, sol.rho, _active_indices(sol.rho), kkt, orth)
+    return ProjectionResult(point, rho, _active_indices(rho), kkt, orth)
+
+
+def project_generated(K, x, tol: float = DEFAULT_TOL) -> ProjectionResult:
+    """Project x onto cone(K) with the multipliers certifying optimality."""
+    xv = as_vector(x)
+    S = generator_matrix(K, dim=xv.size)
+    return _generated_result(S, xv, nnls(S, xv, tol).rho)
 
 
 def generated_projection_certificate(K, x, result: ProjectionResult, tol: float = DEFAULT_TOL) -> CertificateReport:
-    """Re-check a `project_generated` result: rho >= 0, its residuals, ``point = S rho``."""
+    """Re-check a `project_generated` result: rho >= 0, the residuals rho
+    gives (not the reported ones), ``point = S rho``."""
     xv = as_vector(x)
     S = generator_matrix(K, dim=xv.size)
     report = CertificateReport()
     min_rho = float(result.rho.min(initial=0.0))
     report.add("multipliers_nonnegative", max(0.0, -min_rho), min_rho >= 0.0)
-    _add_residual_checks(report, S, xv, result, "kkt_inequalities", tol)
+    _add_residual_checks(report, S, xv, _generated_result(S, xv, result.rho), "kkt_inequalities", tol)
     rep_residual = float(np.linalg.norm(result.point - S @ result.rho))
     report.add("representation", rep_residual, rep_residual <= tol * (1.0 + float(np.linalg.norm(xv))))
     return report
 
 
-def project_dual(K, x, tol: float = DEFAULT_TOL) -> ProjectionResult:
-    """Project x onto the dual-form cone ``{y : <y, k> >= 0 for all k in K}``.
-
-    Computed as ``x + P_cone(K)(-x)``, a consequence of the Moreau
-    decomposition.  The multipliers are those of the one Lawson-Hanson
-    solve, whose support is linearly independent by construction; the
-    projected point satisfies ``<k_i, x0> = 0`` on the active set.
-    """
-    xv = as_vector(x)
-    S = generator_matrix(K, dim=xv.size)
-    rho = nnls(S, -xv, tol).rho
+def _dual_result(S, xv, rho) -> ProjectionResult:
+    """The projection ``x + S rho`` onto the dual-form cone, its active set and residuals."""
     active = _active_indices(rho)
     point = xv + S @ rho
     kkt = 0.0
@@ -174,36 +171,22 @@ def project_dual(K, x, tol: float = DEFAULT_TOL) -> ProjectionResult:
     return ProjectionResult(point, rho, active, kkt, orth)
 
 
-def verify_characterization(K, x, x0, tol: float = DEFAULT_TOL, witness_e=None) -> CertificateReport:
-    """Independently certify that x0 is the dual-form projection of x.
+def project_dual(K, x, tol: float = DEFAULT_TOL) -> ProjectionResult:
+    """Project x onto the dual-form cone ``{y : <y, k> >= 0 for all k in K}``.
 
-    Checks (each a named report entry):
-      * the difference ``x0 - x`` lies in cone(K) with strictly positive
-        multipliers on a linearly independent subset,
-      * every active generator is orthogonal to x0,
-      * x0 satisfies the cone inequalities,
-      * the active count m obeys ``m <= d`` (and ``m <= d - 1`` when
-        ``||x0|| > 1e-8``),
-      * some generator has negative inner product with x (so x was
-        genuinely infeasible).
-
-    The multipliers come from an NNLS re-solve of ``x0 - x`` over all of
-    K.  By the characterization only generators orthogonal to x0 can carry
-    weight, so the re-solve tries that face of x0 first (``nnls``'s
-    ``prefer``, the generators with ``|<k_i, x0>|`` within the
-    ``active_orthogonality`` threshold) and falls back to every generator
-    only when none of them can enter.  That order changes the work, not
-    the checks: the re-solve still stops only at the optimum over all of
-    K, and every check, threshold and name above is the same as for a
-    cold re-solve.
-
-    When x already lies in the cone the report instead records the
-    trivial fixed-point check ``x0 == x``.  A provided ``witness_e`` adds
-    a positivity check of the compactness/pointedness hypothesis.
+    Computed as ``x + P_cone(K)(-x)``, a consequence of the Moreau
+    decomposition.  The multipliers are those of the one Lawson-Hanson
+    solve, whose support is linearly independent by construction; the
+    projected point satisfies ``<k_i, x0> = 0`` on the active set.
     """
     xv = as_vector(x)
-    x0v = as_vector(x0)
     S = generator_matrix(K, dim=xv.size)
+    return _dual_result(S, xv, nnls(S, -xv, tol).rho)
+
+
+def _characterization(S, xv, x0v, tol: float, witness_e, multipliers) -> CertificateReport:
+    """`verify_characterization`'s checks on ``rho = multipliers(x0 - x, face)``,
+    ``face`` the generators within the ``active_orthogonality`` threshold."""
     d = xv.size
     report = CertificateReport()
 
@@ -221,18 +204,19 @@ def verify_characterization(K, x, x0, tol: float = DEFAULT_TOL, witness_e=None) 
     inner = S.T @ x0v
     orth_scale = tol * (1.0 + np.linalg.norm(x0v))
     diff = x0v - xv
-    sol = nnls(S, diff, tol, prefer=np.flatnonzero(np.abs(inner) <= orth_scale))
-    res_a = float(np.linalg.norm(sol.residual))
-    report.add("difference_in_cone", res_a, res_a <= tol * (1.0 + np.linalg.norm(diff)))
+    rho = multipliers(diff, np.flatnonzero(np.abs(inner) <= orth_scale))
+    gap = diff - S @ rho
+    report.add("difference_in_cone", float(np.linalg.norm(gap)), _member(gap, diff, tol))
 
-    active = _active_indices(sol.rho)
+    active = _active_indices(rho)
     m = int(active.size)
     report.add("active_set_nonempty", float(m == 0), m >= 1)
     if m:
-        rank = matrix_rank(S[:, active])
+        rank = np.linalg.matrix_rank(S[:, active])
         report.add("active_set_independent", float(m - rank), rank == m)
-        min_w = float(sol.rho[active].min())
-        report.add("positive_multipliers", max(0.0, -min_w), min_w > 0.0)
+        # the active multipliers are positive by their threshold; the rest must not be negative
+        min_w = float(rho.min())
+        report.add("positive_multipliers", max(0.0, -min_w), min_w >= 0.0)
         ortho = float(np.abs(inner[active]).max())
         report.add("active_orthogonality", ortho, ortho <= orth_scale)
 
@@ -247,12 +231,46 @@ def verify_characterization(K, x, x0, tol: float = DEFAULT_TOL, witness_e=None) 
     return report
 
 
-def dual_projection_certificate(K, x, result: ProjectionResult, tol: float = DEFAULT_TOL, witness_e=None) -> CertificateReport:
-    """`verify_characterization` of a `project_dual` point, then the result's residuals."""
+def verify_characterization(K, x, x0, tol: float = DEFAULT_TOL, witness_e=None) -> CertificateReport:
+    """Independently certify that x0 is the dual-form projection of x.
+
+    Checks (each a named report entry):
+      * the difference ``x0 - x`` is ``S rho`` with rho >= 0, strictly
+        positive on a linearly independent subset,
+      * every active generator is orthogonal to x0,
+      * x0 satisfies the cone inequalities,
+      * the active count m obeys ``m <= d`` (and ``m <= d - 1`` when
+        ``||x0|| > 1e-8``),
+      * some generator has negative inner product with x (so x was
+        genuinely infeasible).
+
+    rho comes from an NNLS re-solve of ``x0 - x`` over all of K, made only
+    because a point carries no multipliers; `dual_projection_certificate`
+    reads them off the result.  By the characterization only generators
+    orthogonal to x0 can carry weight, so the re-solve tries that face of
+    x0 first (``nnls``'s ``prefer``, the generators with ``|<k_i, x0>|``
+    within the ``active_orthogonality`` threshold) and falls back to every
+    generator only when none of them can enter.  That order changes the
+    work, not the checks: the re-solve still stops only at the optimum
+    over all of K, and every check, threshold and name above is the same
+    as for a cold re-solve.
+
+    When x already lies in the cone the report instead records the
+    trivial fixed-point check ``x0 == x``.  A provided ``witness_e`` adds
+    a positivity check of the compactness/pointedness hypothesis.
+    """
     xv = as_vector(x)
     S = generator_matrix(K, dim=xv.size)
-    report = verify_characterization(S.T, xv, result.point, tol, witness_e=witness_e)
-    _add_residual_checks(report, S, xv, result, "kkt_residual", tol)
+    return _characterization(S, xv, as_vector(x0), tol, witness_e, lambda diff, face: nnls(S, diff, tol, prefer=face).rho)
+
+
+def dual_projection_certificate(K, x, result: ProjectionResult, tol: float = DEFAULT_TOL, witness_e=None) -> CertificateReport:
+    """`verify_characterization`'s checks on a `project_dual` result's own
+    rho, with no solve, then the residuals rho gives (not those reported)."""
+    xv = as_vector(x)
+    S = generator_matrix(K, dim=xv.size)
+    report = _characterization(S, xv, as_vector(result.point), tol, witness_e, lambda diff, face: result.rho)
+    _add_residual_checks(report, S, xv, _dual_result(S, xv, result.rho), "kkt_residual", tol)
     return report
 
 

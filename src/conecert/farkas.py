@@ -4,8 +4,9 @@ Exactly one of the two systems is solvable: either the target is a
 nonnegative combination of the matrix rows, or some vector separates it
 from their cone.  The decision reduces to one nonnegative least-squares
 solve; a zero residual yields the combination, a nonzero residual *is*
-the separating vector.  `farkas_certificate` re-checks either
-certificate without the solver.
+the separating vector.  Every membership decision and check here is the
+library's one rule, ``||residual|| <= tol (1 + ||target||)``.
+`farkas_certificate` re-checks either certificate without the solver.
 
 `generalized_farkas` decides the paper's finite generalized Farkas
 theorem the same way: for a consistent system ``<s_j, x> <= p_j``, the
@@ -28,12 +29,7 @@ import numpy as np
 
 from .certificates import CertificateReport
 from .cones import positive_relative_test
-from .linalg import DEFAULT_TOL, as_matrix, as_vector, generator_matrix, nnls
-
-# residual norms above this (times 1 + ||b||) classify as system 2; the
-# dichotomy is exact in exact arithmetic, a single threshold keeps it
-# decidable in floats
-SYSTEM2_RESIDUAL_FACTOR = 1e-7
+from .linalg import DEFAULT_TOL, _member, as_matrix, as_vector, generator_matrix, nnls
 
 # most lifted solves `generalized_farkas` makes towards a point passing S x <= p
 FEASIBLE_ROUNDS = 3
@@ -103,21 +99,20 @@ def farkas_alternative(A, b, tol: float = DEFAULT_TOL) -> FarkasOutcome:
 
     System 1: ``A^T y = b`` with ``y >= 0``.  System 2: ``A x <= 0`` with
     ``<b, x> > 0``.  The nonnegative least-squares fit of b over the rows
-    of A supplies y; when its residual is substantially nonzero the
-    residual itself is the system-2 witness, since at optimality it has
-    nonpositive inner product with every row and
-    ``<b, x> = ||x||^2 > 0``.
+    of A supplies y when the membership rule puts b in the cone (residual
+    at most ``tol (1 + ||b||)``).  Otherwise the residual itself is the
+    system-2 witness, since at optimality it has nonpositive inner
+    product with every row and ``<b, x> = ||x||^2 > 0``.
     """
     Am = as_matrix(A)
     bv = as_vector(b)
     if Am.shape[1] != bv.size:
         raise ValueError("A and b have mismatched widths")
     sol = nnls(Am.T, bv, tol)
-    rnorm = float(np.linalg.norm(sol.residual))
-    if rnorm <= SYSTEM2_RESIDUAL_FACTOR * (1.0 + np.linalg.norm(bv)):
+    if _member(sol.residual, bv, tol):
         y = sol.rho
         ver = FarkasVerification(
-            primal_residual=rnorm,
+            primal_residual=float(np.linalg.norm(sol.residual)),
             dual_violation=max(0.0, -float(y.min(initial=0.0))),
             strict_gap=0.0,
         )
@@ -136,8 +131,8 @@ def farkas_certificate(A, b, outcome: FarkasOutcome, tol: float = DEFAULT_TOL) -
     """Re-check a Farkas certificate from A, b and its own y or x.
 
     ``certificate_verifies``: the certificate of the tag is present, alone
-    and of the right length (else it is the only check), and a system-2
-    ``||x|| > tol (1 + ||b||)``: a shorter one is rounding of an exact fit.
+    and of the right length (else it is the only check), and a system-2 x
+    fails the membership rule: a shorter one is rounding of an exact fit.
     """
     Am = as_matrix(A)
     bv = as_vector(b)
@@ -149,8 +144,8 @@ def farkas_certificate(A, b, outcome: FarkasOutcome, tol: float = DEFAULT_TOL) -
         return report
     v = as_vector(cert)
     if system1:
-        primal = float(np.linalg.norm(Am.T @ v - bv))
-        report.add("primal_residual", primal, primal <= tol * (1.0 + float(np.linalg.norm(bv))))
+        primal = Am.T @ v - bv
+        report.add("primal_residual", float(np.linalg.norm(primal)), _member(primal, bv, tol))
         violation = max(0.0, -float(v.min(initial=0.0)))
         report.add("multipliers_nonnegative", violation, violation <= tol)
         verified = True
@@ -161,7 +156,7 @@ def farkas_certificate(A, b, outcome: FarkasOutcome, tol: float = DEFAULT_TOL) -
         report.add("dual_violation_normalized", normalized, normalized <= tol)
         gap = float(bv @ v - 0.5 * (v @ v))
         report.add("strict_gap_positive", max(0.0, -gap), gap > 0.0)
-        verified = float(v @ v) > (tol * (1.0 + np.linalg.norm(bv))) ** 2
+        verified = not _member(v, bv, tol)
     report.add("certificate_verifies", float(not verified), verified)
     return report
 
@@ -180,15 +175,13 @@ def implication_multipliers_hold(S, p, b, r, lam, mu, tol: float = DEFAULT_TOL) 
     """Check that ``(lam, mu)`` prove ``<b, x> <= r`` on ``{S x <= p}``.
 
     Requires ``lam >= 0``, ``mu >= 0`` and ``(S^T lam, lam . p + mu) =
-    (b, r)`` within the membership threshold ``tol (1 + ||(b, r)||)``.
+    (b, r)`` by the membership rule, within ``tol (1 + ||(b, r)||)``.
     Then ``<b, x> = <lam, S x> <= lam . p <= r`` for every feasible x.
     """
     lam = as_vector(lam)
-    target = np.append(b, r)
     if (lam.size and lam.min() < 0.0) or mu < 0.0:
         return False
-    residual = np.append(S.T @ lam - b, lam @ p + mu - r)
-    return bool(np.linalg.norm(residual) <= tol * (1.0 + np.linalg.norm(target)))
+    return _member(np.append(S.T @ lam - b, lam @ p + mu - r), np.append(b, r), tol)
 
 
 def violator_holds(S, p, b, r, x, tol: float = DEFAULT_TOL) -> bool:
@@ -248,7 +241,7 @@ def _augmented_test(S, gaps, b, r, unit: float, tol: float):
     vertical = np.append(np.zeros(b.size), 1.0)
     target = np.append(b, r / unit)
     sol = nnls(np.vstack([columns, vertical]).T, target, tol)
-    member = bool(np.linalg.norm(sol.residual) <= tol * (1.0 + np.linalg.norm(target)))
+    member = _member(sol.residual, target, tol)
     rho, w = sol.rho, sol.residual
     rho[-1] *= unit
     w[-1] /= unit
@@ -320,14 +313,15 @@ def generalized_farkas(pairs, b, r, tol: float = DEFAULT_TOL) -> GenFarkasReport
     # balances the lifted pairs; it scales the point, not which pairs are tight
     slack = _slack(pvals, tol)
     point, gaps = np.zeros(bv.size), pvals
+    below = np.append(np.zeros(bv.size), -1.0)
     refuted = None
     for _ in range(FEASIBLE_ROUNDS):
         if np.all(gaps >= -slack):
             break
         unit = -gaps.min() / row_norm if row_norm else 1.0
-        sol = nnls(np.column_stack([S, gaps / unit]).T, np.append(np.zeros(bv.size), -1.0), tol)
-        if np.linalg.norm(sol.residual) <= 2.0 * tol:
-            refuted = sol.rho  # (0, -1) is in the lifted cone (`positive_relative_test`'s threshold)
+        sol = nnls(np.column_stack([S, gaps / unit]).T, below, tol)
+        if _member(sol.residual, below, tol):
+            refuted = sol.rho  # (0, -1) is in the lifted cone
             break
         tight = np.flatnonzero(sol.rho)
         point = point + np.linalg.lstsq(S[tight], gaps[tight], rcond=None)[0]

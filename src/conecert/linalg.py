@@ -1,6 +1,7 @@
 """Dense linear-algebra substrate.
 
-The library's rank rule (`svd_factors`, `matrix_rank`), span membership
+The library's rank rule (`svd_factors`; numpy's ``matrix_rank`` applies
+the same cut-off), its one membership rule (`_member`), span membership
 with separating witnesses, and nonnegative least squares.  Everything
 here is a pure function of its arguments and safe to call from multiple
 threads.  Caratheodory reduction of positive combinations
@@ -119,9 +120,10 @@ def svd_factors(M) -> SvdFactors:
     return SvdFactors(u=u[:, keep], singular_values=s[keep], vt=vt[keep], rank_tol=cutoff)
 
 
-def matrix_rank(M) -> int:
-    """Numerical rank at the library rank tolerance."""
-    return svd_factors(M).rank
+def _member(residual, target, tol: float) -> bool:
+    """The membership rule: a least-squares fit of ``target`` over a cone or
+    span reaches it when ``||residual|| <= tol (1 + ||target||)``."""
+    return bool(np.linalg.norm(residual) <= tol * (1.0 + np.linalg.norm(target)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,14 +159,14 @@ def span_membership(x, gamma, tol: float = DEFAULT_TOL) -> SpanMembership:
         return SpanMembership(member, coeffs, xv.copy())
     coeffs, *_ = np.linalg.lstsq(G, xv, rcond=None)
     residual = xv - G @ coeffs
-    member = bool(np.linalg.norm(residual) <= tol * (1.0 + np.linalg.norm(xv)))
+    member = _member(residual, xv, tol)
     return SpanMembership(member, coeffs if member else None, residual)
 
 
 def add_representation_check(report: CertificateReport, G, x, coeffs, tol: float) -> None:
     """``representation``: ``||x - G coeffs||`` at most ``tol (1 + ||x||)``."""
-    residual = float(np.linalg.norm(x - G @ coeffs))
-    report.add("representation", residual, residual <= tol * (1.0 + float(np.linalg.norm(x))))
+    residual = x - G @ coeffs
+    report.add("representation", float(np.linalg.norm(residual)), _member(residual, x, tol))
 
 
 def add_witness_checks(report: CertificateReport, G, x, w, products_name: str, products: float, tol: float) -> None:

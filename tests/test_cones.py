@@ -3,7 +3,7 @@ import pytest
 
 import conecert.cones
 from conecert import (
-    matrix_rank,
+    ProjectionResult,
     nnls,
     positive_relative_test,
     project_dual,
@@ -11,6 +11,7 @@ from conecert import (
     verify_characterization,
     zig_decompose,
 )
+from conecert.cones import dual_projection_certificate, generated_projection_certificate
 from oracles import (
     dual_cone_rays,
     dual_projection_bruteforce,
@@ -93,6 +94,15 @@ class TestProjectGenerated:
         res = project_generated([[1.0, 1.0]], [1.0, 0.0])
         assert np.allclose(res.point, [0.5, 0.5], atol=1e-12)
 
+    def test_certificate_recomputes_reported_residuals(self):
+        # the point 0 with rho = 0 reports zero residuals, but x - 0 = (1, 2)
+        # has positive products with both generators
+        forged = ProjectionResult(np.zeros(2), np.zeros(2), np.zeros(0, dtype=int), 0.0, 0.0)
+        report = generated_projection_certificate(np.eye(2), [1.0, 2.0], forged)
+        assert report["kkt_inequalities"].residual == 2.0
+        assert not report["kkt_inequalities"].passed
+        assert not report.passed
+
 
 class TestProjectDual:
     def test_worked_example(self):
@@ -132,7 +142,7 @@ class TestProjectDual:
             if np.linalg.norm(res.point) > 1e-8:
                 assert res.active.size <= d - 1
             if res.active.size:
-                assert matrix_rank(S[:, res.active]) == res.active.size
+                assert np.linalg.matrix_rank(S[:, res.active]) == res.active.size
 
     def test_nonexpansive(self):
         rng = np.random.default_rng(47)
@@ -173,7 +183,7 @@ class TestDegenerateGenerators:
             oracle = dual_projection_bruteforce(S, x)
             assert np.linalg.norm(res.point - oracle) <= 1e-8 * (1.0 + np.linalg.norm(x))
             if res.active.size:
-                assert matrix_rank(S[:, res.active]) == res.active.size
+                assert np.linalg.matrix_rank(S[:, res.active]) == res.active.size
             assert verify_characterization(list(S.T), x, res.point).passed
 
 
@@ -260,7 +270,7 @@ class TestBipolarProperty:
             d = int(rng.integers(1, 5))
             m = int(rng.integers(d, 7))
             S = rng.standard_normal((d, m))
-            if matrix_rank(S) < d:
+            if np.linalg.matrix_rank(S) < d:
                 continue
             tested += 1
             rays = dual_cone_rays(S)
@@ -305,6 +315,67 @@ class TestVerifyCharacterization:
         assert report.checks[0].name == "witness_positivity"
         assert not report["witness_positivity"].passed
         assert not report.passed
+
+
+def _near_duplicate_instance(s):
+    """Dual projection problem s of a near-duplicate generator set: d in
+    2..8, m in 1..15 standard normal generators, two of them repeated
+    with 1e-9 normal noise, and x of norm scaled by 10^U(-2, 2)."""
+    rng = np.random.default_rng(s)
+    d = int(rng.integers(2, 9))
+    m = int(rng.integers(1, 16))
+    K = rng.standard_normal((m, d))
+    K = np.vstack([K, K[rng.integers(0, m, size=2)] + 1e-9 * rng.standard_normal((2, d))])
+    return K, rng.standard_normal(d) * 10.0 ** rng.uniform(-2, 2)
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("a certificate called the solver")
+
+
+class TestDualProjectionCertificate:
+    """The certificate checks the result's own multipliers and solves nothing."""
+
+    def test_reads_multipliers_without_solving(self, monkeypatch):
+        K, x = _recertification_instance(5)
+        res = project_dual(K, x)
+        monkeypatch.setattr(conecert.cones, "nnls", _no_solve)
+        report = dual_projection_certificate(K, x, res)
+        assert "fixed_point" not in _names(report)
+        assert report.passed
+
+    @pytest.mark.parametrize("seed", [1977, 2142])
+    def test_near_duplicate_generators(self, seed):
+        # verify_characterization's re-solve of x0 - x stops at residuals
+        # 2.6e-8 and 1.0e-8 here, though the point is right; rho reaches it
+        K, x = _near_duplicate_instance(seed)
+        res = project_dual(K, x)
+        report = dual_projection_certificate(K, x, res)
+        assert report.passed
+        oracle = dual_projection_bruteforce(K.T, x)
+        assert np.linalg.norm(res.point - oracle) <= 1e-8 * (1.0 + np.linalg.norm(x))
+
+    def test_negative_multiplier_fails(self):
+        # x0 - x = (-1, 1) = S rho with rho = (-1, 1): the point 0 passes
+        # every other check, but (1, 0) is the projection of (1, -1)
+        forged = ProjectionResult(np.zeros(2), np.array([-1.0, 1.0]), np.array([1]), 0.0, 0.0)
+        report = dual_projection_certificate(np.eye(2), [1.0, -1.0], forged)
+        assert report["positive_multipliers"].residual == 1.0
+        assert not report["positive_multipliers"].passed
+        assert [c.name for c in report.checks if not c.passed] == ["positive_multipliers"]
+
+    def test_point_off_its_multipliers_fails(self):
+        res = project_dual(K_EXAMPLE, [2.0, 1.0])
+        moved = ProjectionResult(res.point + [0.0, 0.5], res.rho, res.active, 0.0, 0.0)
+        report = dual_projection_certificate(K_EXAMPLE, [2.0, 1.0], moved)
+        assert not report["difference_in_cone"].passed
+
+    def test_same_checks_as_point_only_verification(self):
+        for s in range(200):
+            K, x = _recertification_instance(s)
+            res = project_dual(K, x)
+            report = dual_projection_certificate(K, x, res)
+            assert _checks(report)[: len(report.checks) - 2] == _checks(verify_characterization(K, x, res.point)), s
 
 
 def _recertification_instance(s):

@@ -11,7 +11,7 @@ from conecert import (
     generalized_farkas,
     verify_outcome,
 )
-from conecert.farkas import implication_certificate, implication_multipliers_hold, infeasibility_residual, violator_holds
+from conecert.farkas import farkas_certificate, implication_certificate, implication_multipliers_hold, infeasibility_residual, violator_holds
 from oracles import nnls_bruteforce
 
 
@@ -79,6 +79,21 @@ class TestFarkasAlternative:
             assert verify_outcome(A, b, out, tol=1e-7)
         assert both == 0
         assert neither == 0
+
+
+class TestMembershipRule:
+    """System 1 exactly when the residual is within ``tol (1 + ||b||)``, about 2e-9 here."""
+
+    @pytest.mark.parametrize("gap, tag", [(5e-8, FarkasTag.SYSTEM2), (5e-9, FarkasTag.SYSTEM2), (1e-9, FarkasTag.SYSTEM1)])
+    def test_decision_and_certificate_agree(self, gap, tag):
+        A, b = np.array([[1.0, 0.0]]), np.array([1.0, gap])
+        out = farkas_alternative(A, b)
+        assert out.tag is tag
+        if tag is FarkasTag.SYSTEM2:
+            assert np.array_equal(out.x, [0.0, gap])
+        else:
+            assert out.verification.primal_residual == gap
+        assert farkas_certificate(A, b, out).passed
 
 
 class TestVerifyOutcome:

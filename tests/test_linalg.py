@@ -6,7 +6,6 @@ import conecert.linalg
 from conecert import (
     IterationLimit,
     caratheodory_reduce,
-    matrix_rank,
     nnls,
     span_membership,
     svd_factors,
@@ -422,7 +421,7 @@ class TestNnlsFactor:
             res = nnls(S, x, tol=1e-300)
             assert np.all(np.isfinite(res.rho))
             support = np.flatnonzero(res.rho)
-            assert matrix_rank(S[:, support]) == support.size
+            assert np.linalg.matrix_rank(S[:, support]) == support.size
             best, _ = nnls_bruteforce(S, x)
             assert abs(float(res.residual @ res.residual) - best) <= 1e-12 * (1.0 + float(x @ x))
 
@@ -581,7 +580,7 @@ class TestCaratheodoryReduce:
             assert np.all(res.weights > 0.0)
             if res.indices.size:
                 sel = V[:, res.indices]
-                assert matrix_rank(sel) == res.indices.size
+                assert np.linalg.matrix_rank(sel) == res.indices.size
                 err = np.linalg.norm(sel @ res.weights - target)
             else:
                 err = np.linalg.norm(target)
