@@ -29,7 +29,8 @@ from typing import Optional
 import numpy as np
 
 from .certificates import CertificateReport
-from .linalg import DEFAULT_TOL, _member, add_representation_check, add_witness_checks, as_vector, generator_matrix, nnls
+from .linalg import (DEFAULT_TOL, _member, _products_limit, _scale, add_member_check, add_witness_checks, as_vector,
+                     generator_matrix, nnls)
 
 # multipliers above 1e-10 * max(1, ||rho||_inf) count as active
 ACTIVE_RTOL = 1e-10
@@ -107,7 +108,7 @@ def cone_membership_certificate(gamma, x, result: PositiveRelative, tol: float =
     G = generator_matrix(gamma, dim=xv.size)
     report = CertificateReport()
     if result.positive:
-        add_representation_check(report, G, xv, result.rho, tol)
+        add_member_check(report, "representation", xv - G @ result.rho, xv, tol)
         min_coeff = float(result.rho.min(initial=0.0))
         report.add("multipliers_nonnegative", max(0.0, -min_coeff), min_coeff >= 0.0)
     else:
@@ -117,10 +118,9 @@ def cone_membership_certificate(gamma, x, result: PositiveRelative, tol: float =
 
 
 def _add_residual_checks(report: CertificateReport, S, xv, result: ProjectionResult, kkt_name: str, tol: float) -> None:
-    """A projection's KKT residual within ``tol (1 + ||x||) max(1, max ||k_i||)``
-    and its orthogonality residual within ``tol (1 + ||x||^2)``."""
-    kkt_limit = tol * (1.0 + float(np.linalg.norm(xv))) * max(1.0, float(np.linalg.norm(S, axis=0).max(initial=0.0)))
-    report.add(kkt_name, result.kkt_residual, result.kkt_residual <= kkt_limit)
+    """A projection's KKT residual within `_products_limit` and its
+    orthogonality residual within ``tol (1 + ||x||^2)``."""
+    report.add(kkt_name, result.kkt_residual, result.kkt_residual <= _products_limit(S, xv, tol))
     report.add("orthogonality", result.orthogonality_residual, result.orthogonality_residual <= tol * (1.0 + float(xv @ xv)))
 
 
@@ -152,8 +152,7 @@ def generated_projection_certificate(K, x, result: ProjectionResult, tol: float 
     min_rho = float(result.rho.min(initial=0.0))
     report.add("multipliers_nonnegative", max(0.0, -min_rho), min_rho >= 0.0)
     _add_residual_checks(report, S, xv, _generated_result(S, xv, result.rho), "kkt_inequalities", tol)
-    rep_residual = float(np.linalg.norm(result.point - S @ result.rho))
-    report.add("representation", rep_residual, rep_residual <= tol * (1.0 + float(np.linalg.norm(xv))))
+    add_member_check(report, "representation", result.point - S @ result.rho, xv, tol)
     return report
 
 
@@ -195,18 +194,15 @@ def _characterization(S, xv, x0v, tol: float, witness_e, multipliers) -> Certifi
         margin = float((S.T @ e).min()) if S.shape[1] else 1.0
         report.add("witness_positivity", max(0.0, -margin), margin > 0.0)
 
-    feas_scale = tol * (1.0 + np.linalg.norm(xv))
-    if S.shape[1] == 0 or float((S.T @ xv).min(initial=0.0)) >= -feas_scale:
-        fix = float(np.linalg.norm(x0v - xv))
-        report.add("fixed_point", fix, fix <= feas_scale)
+    if S.shape[1] == 0 or float((S.T @ xv).min(initial=0.0)) >= -_scale(xv, tol):
+        add_member_check(report, "fixed_point", x0v - xv, xv, tol)
         return report
 
     inner = S.T @ x0v
-    orth_scale = tol * (1.0 + np.linalg.norm(x0v))
+    orth_scale = _scale(x0v, tol)
     diff = x0v - xv
     rho = multipliers(diff, np.flatnonzero(np.abs(inner) <= orth_scale))
-    gap = diff - S @ rho
-    report.add("difference_in_cone", float(np.linalg.norm(gap)), _member(gap, diff, tol))
+    add_member_check(report, "difference_in_cone", diff - S @ rho, diff, tol)
 
     active = _active_indices(rho)
     m = int(active.size)
@@ -306,25 +302,20 @@ def zig_decompose(K, x, tol: float = DEFAULT_TOL) -> ZigDecomposition:
     along, lift = np.linalg.lstsq(S.T, np.column_stack([S.T @ xv, eta]), rcond=None)[0].T
     x0 = xv - along
 
-    scale = 1.0 + np.linalg.norm(xv)
     report = CertificateReport()
-    r1 = float(np.linalg.norm(xv - (pc + x0 - lift)))
-    report.add("statement1_decomposition", r1, r1 <= tol * scale)
+    add_member_check(report, "statement1_decomposition", xv - (pc + x0 - lift), xv, tol)
     r2_sign = max(0.0, -float(rho.min(initial=0.0)), -float(eta.min(initial=0.0)))
     report.add("statement2_sign_conditions", r2_sign, r2_sign <= tol)
-    r2_null = float(np.linalg.norm(eta - S.T @ lift))
-    report.add("statement2_eta_in_row_space", r2_null, r2_null <= tol * (1.0 + np.linalg.norm(eta)))
+    add_member_check(report, "statement2_eta_in_row_space", eta - S.T @ lift, eta, tol)
     r2_comp = abs(float(rho @ eta))
     report.add(
         "statement2_complementarity",
         r2_comp,
         r2_comp <= tol * (1.0 + np.linalg.norm(rho) * np.linalg.norm(eta)),
     )
-    r3 = float(np.linalg.norm(pdual - (x0 - lift)))
-    report.add("statement3_dual_projection", r3, r3 <= tol * scale)
+    add_member_check(report, "statement3_dual_projection", pdual - (x0 - lift), xv, tol)
     r3b = abs(float(x0 @ lift))
     report.add("statement3_orthogonality", r3b, r3b <= tol * (1.0 + float(xv @ xv)))
-    r4 = float(np.linalg.norm(pc - (along + lift)))
-    report.add("statement4_projection_formulas", r4, r4 <= tol * scale)
+    add_member_check(report, "statement4_projection_formulas", pc - (along + lift), xv, tol)
 
     return ZigDecomposition(rho=rho, x0=x0, eta=eta, z=-lift, pc=pc, pdual=pdual, report=report)

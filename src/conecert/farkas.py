@@ -2,9 +2,9 @@
 
 Exactly one of the two systems is solvable: either the target is a
 nonnegative combination of the matrix rows, or some vector separates it
-from their cone.  The decision reduces to one nonnegative least-squares
-solve; a zero residual yields the combination, a nonzero residual *is*
-the separating vector.  Every membership decision and check here is the
+from their cone.  The decision is `positive_relative_test` on the rows;
+a zero residual yields the combination, a nonzero residual *is* the
+separating vector.  Every membership decision and check here is the
 library's one rule, ``||residual|| <= tol (1 + ||target||)``.
 `farkas_certificate` re-checks either certificate without the solver.
 
@@ -29,7 +29,7 @@ import numpy as np
 
 from .certificates import CertificateReport
 from .cones import positive_relative_test
-from .linalg import DEFAULT_TOL, _member, as_matrix, as_vector, generator_matrix, nnls
+from .linalg import DEFAULT_TOL, _member, add_member_check, as_matrix, as_vector, generator_matrix, nnls
 
 # most lifted solves `generalized_farkas` makes towards a point passing S x <= p
 FEASIBLE_ROUNDS = 3
@@ -98,26 +98,26 @@ def farkas_alternative(A, b, tol: float = DEFAULT_TOL) -> FarkasOutcome:
     """Decide which Farkas system is solvable for (A, b).
 
     System 1: ``A^T y = b`` with ``y >= 0``.  System 2: ``A x <= 0`` with
-    ``<b, x> > 0``.  The nonnegative least-squares fit of b over the rows
-    of A supplies y when the membership rule puts b in the cone (residual
-    at most ``tol (1 + ||b||)``).  Otherwise the residual itself is the
-    system-2 witness, since at optimality it has nonpositive inner
-    product with every row and ``<b, x> = ||x||^2 > 0``.
+    ``<b, x> > 0``.  `positive_relative_test` of b against the rows of A
+    supplies y when the membership rule puts b in the cone (residual at
+    most ``tol (1 + ||b||)``).  Otherwise its witness, the residual of the
+    fit, is x: it has nonpositive products with the rows and
+    ``<b, x> = ||x||^2 > 0``.
     """
     Am = as_matrix(A)
     bv = as_vector(b)
     if Am.shape[1] != bv.size:
         raise ValueError("A and b have mismatched widths")
-    sol = nnls(Am.T, bv, tol)
-    if _member(sol.residual, bv, tol):
-        y = sol.rho
+    test = positive_relative_test(Am, bv, tol)
+    if test.positive:
+        y = test.rho
         ver = FarkasVerification(
-            primal_residual=float(np.linalg.norm(sol.residual)),
+            primal_residual=float(np.linalg.norm(bv - Am.T @ y)),
             dual_violation=max(0.0, -float(y.min(initial=0.0))),
             strict_gap=0.0,
         )
         return FarkasOutcome(FarkasTag.SYSTEM1, y=y, x=None, verification=ver)
-    x = sol.residual
+    x = test.witness
     row_products = Am @ x
     ver = FarkasVerification(
         primal_residual=0.0,
@@ -144,8 +144,7 @@ def farkas_certificate(A, b, outcome: FarkasOutcome, tol: float = DEFAULT_TOL) -
         return report
     v = as_vector(cert)
     if system1:
-        primal = Am.T @ v - bv
-        report.add("primal_residual", float(np.linalg.norm(primal)), _member(primal, bv, tol))
+        add_member_check(report, "primal_residual", Am.T @ v - bv, bv, tol)
         violation = max(0.0, -float(v.min(initial=0.0)))
         report.add("multipliers_nonnegative", violation, violation <= tol)
         verified = True

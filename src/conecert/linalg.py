@@ -1,10 +1,11 @@
 """Dense linear-algebra substrate.
 
 The library's rank rule (`svd_factors`; numpy's ``matrix_rank`` applies
-the same cut-off), its one membership rule (`_member`), span membership
-with separating witnesses, and nonnegative least squares.  Everything
-here is a pure function of its arguments and safe to call from multiple
-threads.  Caratheodory reduction of positive combinations
+the same cut-off), its one tolerance scale ``tol (1 + ||v||)`` (`_scale`)
+and membership rule (`_member`, checked by `add_member_check`), span
+membership with separating witnesses, and nonnegative least squares.
+Everything here is a pure function of its arguments and safe to call
+from multiple threads.  Caratheodory reduction of positive combinations
 (`caratheodory_reduce`) has had no caller in the library since each
 answer became one Lawson-Hanson solve; it stays only while the
 benchmark's traced run still wraps it and `svd_factors` by name.
@@ -72,10 +73,11 @@ def generator_matrix(vectors, dim: Optional[int] = None) -> np.ndarray:
     Accepts a sequence of m vectors of length d or an m x d array; either
     way there is one generator per row (per entry of the sequence).  An
     empty set is legal (it denotes the cone {0} / span {0}), but then
-    `dim` must be supplied.  The result may be a view of an array input.
+    `dim` must be supplied; an m x 0 array with ``dim = 0`` is m
+    generators of R^0.  The result may be a view of an array input.
     """
     G = np.asarray(vectors, dtype=float)
-    if G.size == 0:
+    if G.size == 0 and not (G.ndim == 2 and G.shape[1] == dim):
         if dim is None:
             raise ValueError("dim is required for an empty generator list")
         return np.zeros((int(dim), 0))
@@ -120,10 +122,25 @@ def svd_factors(M) -> SvdFactors:
     return SvdFactors(u=u[:, keep], singular_values=s[keep], vt=vt[keep], rank_tol=cutoff)
 
 
+def _scale(v, tol: float) -> float:
+    """The tolerance scale ``tol (1 + ||v||)``: the one place it is written."""
+    return tol * (1.0 + float(np.linalg.norm(v)))
+
+
+def _products_limit(G, x, tol: float) -> float:
+    """``_scale(x) max(1, max ||g||)``: the bound on products ``<g, w>`` of g in G."""
+    return _scale(x, tol) * max(1.0, float(np.linalg.norm(G, axis=0).max(initial=0.0)))
+
+
 def _member(residual, target, tol: float) -> bool:
     """The membership rule: a least-squares fit of ``target`` over a cone or
-    span reaches it when ``||residual|| <= tol (1 + ||target||)``."""
-    return bool(np.linalg.norm(residual) <= tol * (1.0 + np.linalg.norm(target)))
+    span reaches it when ``||residual|| <= _scale(target)``."""
+    return bool(np.linalg.norm(residual) <= _scale(target, tol))
+
+
+def add_member_check(report: CertificateReport, name: str, residual, target, tol: float) -> None:
+    """Check ``name``: ``||residual||`` passes the membership rule for ``target``."""
+    report.add(name, float(np.linalg.norm(residual)), _member(residual, target, tol))
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,33 +166,22 @@ def span_membership(x, gamma, tol: float = DEFAULT_TOL) -> SpanMembership:
     gamma : sequence of arrays, shape (d,) each, or an m x d array (may be empty)
     tol : float
         Membership declared when the least-squares residual norm is at
-        most ``tol * (1 + ||x||)`` (plain ``tol`` for empty gamma).
+        most ``tol * (1 + ||x||)`` (`_member`), for an empty gamma too.
     """
     xv = as_vector(x)
     G = generator_matrix(gamma, dim=xv.size)
-    if G.shape[1] == 0:
-        member = bool(np.linalg.norm(xv) <= tol)
-        coeffs = np.zeros(0) if member else None
-        return SpanMembership(member, coeffs, xv.copy())
     coeffs, *_ = np.linalg.lstsq(G, xv, rcond=None)
     residual = xv - G @ coeffs
     member = _member(residual, xv, tol)
     return SpanMembership(member, coeffs if member else None, residual)
 
 
-def add_representation_check(report: CertificateReport, G, x, coeffs, tol: float) -> None:
-    """``representation``: ``||x - G coeffs||`` at most ``tol (1 + ||x||)``."""
-    residual = x - G @ coeffs
-    report.add("representation", float(np.linalg.norm(residual)), _member(residual, x, tol))
-
-
 def add_witness_checks(report: CertificateReport, G, x, w, products_name: str, products: float, tol: float) -> None:
     """A witness w of x against the columns of G: ``<x, w> > 0``, ``products``
-    at most ``tol (1 + ||x||) max(1, max ||g||)``, and ``<x, w> = ||w||^2``."""
-    col_scale = tol * (1.0 + float(np.linalg.norm(x))) * max(1.0, float(np.linalg.norm(G, axis=0).max(initial=0.0)))
+    within `_products_limit`, and ``<x, w> = ||w||^2``."""
     gap = float(x @ w) - float(w @ w)
     report.add("witness_separates", max(0.0, -float(x @ w)), float(x @ w) > 0.0)
-    report.add(products_name, products, products <= col_scale)
+    report.add(products_name, products, products <= _products_limit(G, x, tol))
     report.add("witness_self_product", abs(gap), abs(gap) <= tol * (1.0 + float(x @ x)))
 
 
@@ -185,7 +191,7 @@ def span_membership_certificate(x, gamma, result: SpanMembership, tol: float = D
     G = generator_matrix(gamma, dim=xv.size)
     report = CertificateReport()
     if result.member:
-        add_representation_check(report, G, xv, result.coefficients, tol)
+        add_member_check(report, "representation", xv - G @ result.coefficients, xv, tol)
     else:
         w = result.residual
         add_witness_checks(report, G, xv, w, "witness_orthogonality", float(np.abs(G.T @ w).max(initial=0.0)), tol)
@@ -350,7 +356,7 @@ def nnls(S, x, tol: float = DEFAULT_TOL, prefer=None) -> NnlsResult:
     budget = PIVOTS_PER_ENTRY * m * d
 
     colnorm = np.linalg.norm(A, axis=0)
-    slack = tol * (1.0 + np.linalg.norm(b)) * colnorm
+    slack = _scale(b, tol) * colnorm
     # an entering column whose remainder is at or below floor * ||a|| is dependent
     floor = d * _EPS
     # thin QR of the support, A[:, cols[:k]] = Q[:, :k] @ R, kept as Q and T = R^-1

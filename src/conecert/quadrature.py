@@ -106,25 +106,26 @@ def positive_quadrature(spec: MomentSpec, grid_size: int) -> QuadratureRule:
     return rule
 
 
-def verify_exactness(rule: QuadratureRule, n: int) -> float:
-    """Worst relative moment error of the rule over basis degrees <= n.
-
-    An empty rule is a complete miss and scores 1.
-    """
+def _moment_error(rule: QuadratureRule, spec: MomentSpec) -> float:
+    """Worst moment error of the rule against ``spec``, on the interval and
+    moments of ``spec``, relative to ``1 + |moment_0|``; 1 for an empty rule."""
     if rule.nodes.size == 0:
         return 1.0
-    a, b = rule.interval
-    spec = integral_moments(n, a, b)
-    E = shifted_basis_values(n, a, b, rule.nodes)
+    E = shifted_basis_values(spec.degree, *spec.interval, rule.nodes)
     err = float(np.abs(E @ rule.weights - spec.moments).max())
     return err / (1.0 + abs(float(spec.moments[0])))
 
 
+def verify_exactness(rule: QuadratureRule, n: int) -> float:
+    """Worst relative moment error over degrees <= n on the rule's own interval."""
+    return _moment_error(rule, integral_moments(n, *rule.interval))
+
+
 def rule_certificate(spec: MomentSpec, rule: QuadratureRule) -> CertificateReport:
-    """Re-check a rule against the degree and interval of ``spec``, at the
-    construction's own thresholds: `EXACTNESS_TOL` and 1e-12."""
+    """Re-check a rule against the degree, interval and moments of ``spec``,
+    at the construction's own thresholds: `EXACTNESS_TOL` and 1e-12."""
     (a, b), n = spec.interval, spec.degree
-    exactness = verify_exactness(rule, n)
+    exactness = _moment_error(rule, spec)
     min_weight = float(rule.weights.min(initial=np.inf))
     outside = max(0.0, float(a - rule.nodes.min(initial=a)), float(rule.nodes.max(initial=b) - b))
     report = CertificateReport()

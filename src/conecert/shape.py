@@ -21,7 +21,7 @@ import numpy as np
 from .certificates import CertificateReport
 from .cones import project_dual
 from .legendre import LegendreBasis, chebyshev_points, derivative_matrix
-from .linalg import DEFAULT_TOL, as_vector
+from .linalg import DEFAULT_TOL, _scale, add_member_check, as_vector
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,6 +94,12 @@ class ShapeResult:
     min_derivative_on_checkgrid: float
 
 
+def _checkgrid_min(problem: ShapeProblem, coeffs) -> float:
+    """Minimum of p^(r) over the check grid, ``chebyshev_points(10 * grid.size)``."""
+    check_grid = chebyshev_points(10 * problem.grid.size)
+    return float((coeffs @ LegendreBasis(problem.n).values(check_grid, problem.r)).min())
+
+
 def project_shape(problem: ShapeProblem, tol: float = DEFAULT_TOL) -> ShapeResult:
     """Best approximation of the target from the grid-discretized cone."""
     n, r = problem.n, problem.r
@@ -101,34 +107,29 @@ def project_shape(problem: ShapeProblem, tol: float = DEFAULT_TOL) -> ShapeResul
     columns = basis.values(problem.grid, r)  # column j is the representer at grid[j]
     proj = project_dual(columns.T, problem.target.coeffs, tol)
     solution = LegendrePoly(proj.point)
-
-    check_grid = chebyshev_points(10 * problem.grid.size)
-    min_deriv = float((solution.coeffs @ basis.values(check_grid, r)).min())
-
     return ShapeResult(
         solution=solution,
         active_alphas=problem.grid[proj.active],
         rho=proj.rho[proj.active],
-        min_derivative_on_checkgrid=min_deriv,
+        min_derivative_on_checkgrid=_checkgrid_min(problem, solution.coeffs),
     )
 
 
 def shape_certificate(problem: ShapeProblem, result: ShapeResult, tol: float = DEFAULT_TOL) -> CertificateReport:
     """Re-check a `project_shape` result through `LegendreBasis`, not the solver
-    state, and the bound ``m <= (n - r + 2) / 2`` unless p^(r) vanishes."""
+    state or the reported minimum, and the bound ``m <= (n - r + 2) / 2`` unless p^(r) vanishes."""
     sol, target, n, r = result.solution, problem.target, problem.n, problem.r
     basis = LegendreBasis(n)
     # column j evaluates the r-th derivative at active_alphas[j]
     representers = basis.values(result.active_alphas, r)
-    rep_residual = float(np.linalg.norm(sol.coeffs - target.coeffs - representers @ result.rho))
     active_deriv = float(np.abs(sol.coeffs @ representers).max(initial=0.0))
     grid_min = float((sol.coeffs @ basis.values(problem.grid, r)).min())
-    sol_scale = tol * (1.0 + sol.norm())
-    check_min = result.min_derivative_on_checkgrid
+    sol_scale = _scale(sol.coeffs, tol)
+    check_min = _checkgrid_min(problem, sol.coeffs)
     deriv_norm = float(np.linalg.norm(derivative_matrix(n, r) @ sol.coeffs))
     bound_ok = deriv_norm <= 1e-8 or result.active_alphas.size <= 0.5 * (n - r + 2)
     report = CertificateReport()
-    report.add("representation", rep_residual, rep_residual <= tol * (1.0 + target.norm()))
+    add_member_check(report, "representation", sol.coeffs - target.coeffs - representers @ result.rho, target.coeffs, tol)
     report.add("active_derivative_zero", active_deriv, active_deriv <= sol_scale)
     report.add("grid_feasibility", max(0.0, -grid_min), grid_min >= -sol_scale)
     report.add("checkgrid_feasibility", max(0.0, -check_min), check_min >= -1e-7)

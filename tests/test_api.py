@@ -1,18 +1,23 @@
-"""The public names, and the names the benchmark's traced run wraps, resolve.
+"""The public names, and the names the benchmark calls or wraps, resolve.
 
 `bench/tracing.py` looks up each name of its ``TARGETS`` with ``getattr``
-on its ``conecert`` module, and ``LegendreBasis.values``; a name deleted
-from the library makes every traced run fail, so it fails here first.
+on its ``conecert`` module, and ``LegendreBasis.values``; `bench/ops.py`
+reads ``conecert.<name>`` attributes at call time.  A name deleted from
+the library makes every benchmark run fail, so it fails here first.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 import conecert
+import conecert.cli
 from conecert.legendre import LegendreBasis
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACING = BENCH / "tracing.py"
+OPS = BENCH / "ops.py"
 
 
 def _tracing_targets() -> dict:
@@ -38,3 +43,32 @@ def test_every_traced_name_resolves():
     ]
     assert missing == []
     assert callable(LegendreBasis.values)
+
+
+def _conecert_reads(source: str) -> set:
+    """Every dotted ``conecert.a.b`` attribute chain in the source, as ``a.b``."""
+    paths = set()
+    for node in ast.walk(ast.parse(source)):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if parts and isinstance(node, ast.Name) and node.id == "conecert":
+            paths.add(".".join(reversed(parts)))
+    return paths
+
+
+def _resolves(path: str) -> bool:
+    obj = conecert
+    for part in path.split("."):
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_every_benchmark_op_name_resolves():
+    paths = _conecert_reads(OPS.read_text(encoding="utf-8"))
+    assert {"project_dual", "verify_outcome", "LegendrePoly", "cli.run"} <= paths
+    assert [path for path in sorted(paths) if not _resolves(path)] == []
+    assert callable(conecert.cli.run)

@@ -59,6 +59,15 @@ class TestSpanMembership:
         assert span_membership([0.0, 0.0], []).member
         assert not span_membership([1e-3, 0.0], []).member
 
+    def test_empty_gamma_takes_the_membership_rule(self):
+        # ||x|| <= 1e-9 (1 + ||x||) holds up to 1e-9 / (1 - 1e-9), as for any other set
+        assert span_membership([1.0000000005e-9], []).member
+        assert not span_membership([1.000000002e-9], []).member
+
+    def test_generators_of_r0(self):
+        assert conecert.linalg.generator_matrix(np.zeros((3, 0)), dim=0).shape == (0, 3)
+        assert span_membership([], np.zeros((3, 0))).coefficients.shape == (3,)
+
     def test_witness_property_random(self):
         rng = np.random.default_rng(17)
         for _ in range(200):

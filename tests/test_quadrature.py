@@ -9,6 +9,7 @@ from conecert import (
     positive_quadrature,
     verify_exactness,
 )
+from conecert.quadrature import rule_certificate
 
 
 def _apply_rule(rule, f):
@@ -139,3 +140,18 @@ class TestVerifyExactness:
 
         empty = QuadratureRule(nodes=np.zeros(0), weights=np.zeros(0), degree=0, interval=(-1.0, 1.0))
         assert verify_exactness(empty, 0) == 1.0
+
+
+class TestRuleCertificate:
+    def test_honest_rule_scores_its_exactness(self):
+        spec = integral_moments(6, 0.0, 1.0)
+        rule = positive_quadrature(spec, 28)
+        report = rule_certificate(spec, rule)
+        assert report.passed
+        assert report["basis_exactness"].residual == verify_exactness(rule, 6)
+
+    def test_moments_come_from_the_spec(self):
+        # the weights of a rule for [0, 1] sum to 1, while [0, 2] has length 2
+        rule = positive_quadrature(integral_moments(6, 0.0, 1.0), 28)
+        report = rule_certificate(integral_moments(6, 0.0, 2.0), rule)
+        assert not report["basis_exactness"].passed

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import legendre as L
 
-from conecert import LegendrePoly, ShapeProblem, chebyshev_points, project_shape
+from conecert import LegendrePoly, ShapeProblem, chebyshev_points, monomial_to_legendre, project_shape
 from conecert.shape import shape_certificate
 
 NAMES = ["representation", "active_derivative_zero", "grid_feasibility", "checkgrid_feasibility", "active_count_bound"]
@@ -73,3 +73,14 @@ def test_perturbed_solution_fails(n, r, target, grid_size):
     assert representation > 1e-7 and active > 1e-7
     assert not report["representation"].passed
     assert not report["active_derivative_zero"].passed
+
+
+def test_checkgrid_minimum_is_recomputed():
+    # t^3 on 16 points dips below zero between them (about -7.2e-4)
+    problem, result = _solve(3, 0, monomial_to_legendre([0.0, 0.0, 0.0, 1.0]), 16)
+    assert result.min_derivative_on_checkgrid < -1e-7
+    assert not shape_certificate(problem, result)["checkgrid_feasibility"].passed
+    forged = dataclasses.replace(result, min_derivative_on_checkgrid=0.0)
+    report = shape_certificate(problem, forged)
+    assert report["checkgrid_feasibility"].residual == -result.min_derivative_on_checkgrid
+    assert not report["checkgrid_feasibility"].passed
