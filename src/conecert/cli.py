@@ -155,12 +155,9 @@ def _vectors_field(data, name, path, dim: int) -> np.ndarray:
     if not isinstance(raw, list):
         raise InputError(f"{path}: field '{name}' must be a list of vectors")
     try:
-        S = generator_matrix(_numbers(raw, f"{path}: field '{name}'"), dim=dim)
+        return generator_matrix(_numbers(raw, f"{path}: field '{name}'"), dim=dim)
     except (ValueError, TypeError) as exc:
         raise InputError(f"{path}: field '{name}': {exc}") from exc
-    if S.shape[0] != dim:
-        raise InputError(f"{path}: field '{name}': vectors of length {S.shape[0]}, expected {dim}")
-    return S
 
 
 # ---------------------------------------------------------------------------

@@ -240,16 +240,18 @@ def verify_characterization(K, x, x0, tol: float = DEFAULT_TOL, witness_e=None) 
       * some generator has negative inner product with x (so x was
         genuinely infeasible).
 
-    rho comes from an NNLS re-solve of ``x0 - x`` over all of K, made only
-    because a point carries no multipliers; `dual_projection_certificate`
-    reads them off the result.  By the characterization only generators
-    orthogonal to x0 can carry weight, so the re-solve tries that face of
-    x0 first (``nnls``'s ``prefer``, the generators with ``|<k_i, x0>|``
-    within the ``active_orthogonality`` threshold) and falls back to every
-    generator only when none of them can enter.  That order changes the
-    work, not the checks: the re-solve still stops only at the optimum
-    over all of K, and every check, threshold and name above is the same
-    as for a cold re-solve.
+    A point carries no multipliers, so rho is solved for here;
+    `dual_projection_certificate` reads them off the result instead.  By
+    the characterization only the face of x0 (the generators with
+    ``|<k_i, x0>|`` within the ``active_orthogonality`` threshold) can
+    carry weight, so ``x0 - x`` is first tested for membership in the
+    cone of the face alone (`positive_relative_test`), with rho zero off
+    the face.  A face fit that passes the membership rule leaves a
+    residual r with ``|<k_i, r>| <= tol (1 + ||x0 - x||) ||k_i||``, the
+    NNLS slack, for every generator, so it is optimal over all of K.
+    Only when the face fit fails is rho one NNLS solve over all of K, so
+    a point that is not the projection is judged on the best multipliers
+    the whole cone offers.
 
     When x already lies in the cone the report instead records the
     trivial fixed-point check ``x0 == x``.  A provided ``witness_e`` adds
@@ -257,7 +259,16 @@ def verify_characterization(K, x, x0, tol: float = DEFAULT_TOL, witness_e=None) 
     """
     xv = as_vector(x)
     S = generator_matrix(K, dim=xv.size)
-    return _characterization(S, xv, as_vector(x0), tol, witness_e, lambda diff, face: nnls(S, diff, tol, prefer=face).rho)
+
+    def multipliers(diff, face):
+        fit = positive_relative_test(S[:, face].T, diff, tol)
+        if not fit.positive:
+            return nnls(S, diff, tol).rho
+        rho = np.zeros(S.shape[1])
+        rho[face] = fit.rho
+        return rho
+
+    return _characterization(S, xv, as_vector(x0), tol, witness_e, multipliers)
 
 
 def dual_projection_certificate(K, x, result: ProjectionResult, tol: float = DEFAULT_TOL, witness_e=None) -> CertificateReport:

@@ -106,8 +106,6 @@ def farkas_alternative(A, b, tol: float = DEFAULT_TOL) -> FarkasOutcome:
     """
     Am = as_matrix(A)
     bv = as_vector(b)
-    if Am.shape[1] != bv.size:
-        raise ValueError("A and b have mismatched widths")
     test = positive_relative_test(Am, bv, tol)
     if test.positive:
         y = test.rho

@@ -19,12 +19,11 @@ the kept columns after it are re-triangularised, by one small QR.  T is
 formed only by bordering, as a column enters, or from the inverse of
 that fresh triangle, bordered by the block that stands; it is never
 carried through a downdate, and the rank rule keeps every diagonal
-entry of R away from zero.  A caller that knows where the support
-probably lies passes it as ``prefer``: those columns are tried first,
-while the stopping test still runs over every column, so the result is
-optimal whatever the preference.  Each `NnlsResult` reports its
-``pivots`` and, in ``drops``, how many columns each blocking step
-removed.
+entry of R away from zero.  Each `NnlsResult` reports its ``pivots``
+and, in ``drops``, how many columns each blocking step removed.  A
+caller that expects the support in some of the columns fits over those
+first (`cones.verify_characterization`'s face test); `nnls` has no
+entry-order option.
 """
 
 from __future__ import annotations
@@ -71,13 +70,16 @@ def generator_matrix(vectors, dim: Optional[int] = None) -> np.ndarray:
     """The d x m matrix whose columns are the generators.
 
     Accepts a sequence of m vectors of length d or an m x d array; either
-    way there is one generator per row (per entry of the sequence).  An
-    empty set is legal (it denotes the cone {0} / span {0}), but then
-    `dim` must be supplied; an m x 0 array with ``dim = 0`` is m
-    generators of R^0.  The result may be a view of an array input.
+    way there is one generator per row (per entry of the sequence), and
+    when `dim` is given the rows must have that length.  A set with no
+    rows is legal (it denotes the cone {0} / span {0}), but then `dim`
+    must be supplied; an m x 0 array with ``dim = 0`` is m generators of
+    R^0.  The result may be a view of an array input.
     """
     G = np.asarray(vectors, dtype=float)
-    if G.size == 0 and not (G.ndim == 2 and G.shape[1] == dim):
+    if G.ndim == 2 and dim is not None and G.shape[1] != dim:
+        raise ValueError(f"vectors of length {G.shape[1]}, expected {dim}")
+    if G.ndim and G.shape[0] == 0:
         if dim is None:
             raise ValueError("dim is required for an empty generator list")
         return np.zeros((int(dim), 0))
@@ -211,22 +213,6 @@ class NnlsResult:
     drops: tuple
 
 
-def _preferred_columns(prefer, m: int) -> Optional[np.ndarray]:
-    """Sorted distinct column indices of `prefer`, or None for no preference."""
-    if prefer is None:
-        return None
-    idx = np.array(list(prefer))
-    if idx.size == 0:
-        return None
-    if idx.ndim != 1 or idx.dtype.kind not in "iu":
-        raise ValueError("prefer must hold integer column indices")
-    if int(idx.min()) < 0 or int(idx.max()) >= m:
-        raise ValueError(f"prefer holds an index outside 0..{m - 1}")
-    chosen = np.zeros(m, dtype=bool)
-    chosen[idx] = True
-    return np.flatnonzero(chosen)
-
-
 def _delete_columns(A, Q, T, qtb, cols, k: int, hit) -> int:
     """Delete the support positions ``hit`` (sorted) from the factor
     ``A[:, cols[:k]] = Q[:, :k] R`` with ``T = R^-1`` and ``qtb = Q^T b``,
@@ -250,7 +236,7 @@ def _delete_columns(A, Q, T, qtb, cols, k: int, hit) -> int:
     return k2
 
 
-def nnls(S, x, tol: float = DEFAULT_TOL, prefer=None) -> NnlsResult:
+def nnls(S, x, tol: float = DEFAULT_TOL) -> NnlsResult:
     """Active-set solve of ``min ||S @ rho - x||`` over ``rho >= 0``.
 
     Lawson-Hanson iteration with lowest-index tie-breaking on entering
@@ -317,15 +303,10 @@ def nnls(S, x, tol: float = DEFAULT_TOL, prefer=None) -> NnlsResult:
     as it was, and pick the same column again until the pivot budget ran
     out.
 
-    ``prefer`` narrows the entering rule, not the stopping test: while a
-    preferred column has a gradient above its slack (and passes the rank
-    rule), only preferred columns may enter, the largest gradient first
-    and the lowest index on ties; when none qualifies, every column is a
-    candidate again.  The solve still stops only when no column of S
-    qualifies, so the optimality conditions above hold over all m columns
-    whatever ``prefer`` holds.  A good preference (for a dual projection,
-    the generators orthogonal to the projected point) brings the support
-    in with fewer pivots and fewer blocking steps.
+    Columns enter by largest gradient alone.  A caller that expects the
+    support in a subset of the columns fits over that subset first and,
+    only when the fit fails, over all of S (the face test of
+    `cones.verify_characterization`).
 
     Parameters
     ----------
@@ -334,16 +315,13 @@ def nnls(S, x, tol: float = DEFAULT_TOL, prefer=None) -> NnlsResult:
     x : array, shape (d,)
     tol : float
         Relative KKT slack used as the stopping threshold.
-    prefer : iterable of int, optional
-        Column indices to try first; ``None`` or empty for none.
 
     Raises
     ------
     IterationLimit
         If the pivot budget ``PIVOTS_PER_ENTRY * m * d`` runs out (degenerate input).
     ValueError
-        On mismatched shapes, a ``tol`` that is not positive and finite,
-        or a ``prefer`` entry that is not an integer index into the columns.
+        On mismatched shapes or a ``tol`` that is not positive and finite.
     """
     A = as_matrix(S)
     b = as_vector(x)
@@ -352,7 +330,6 @@ def nnls(S, x, tol: float = DEFAULT_TOL, prefer=None) -> NnlsResult:
         raise ValueError("dimension mismatch between S and x")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be positive and finite")
-    preferred = _preferred_columns(prefer, m)
     budget = PIVOTS_PER_ENTRY * m * d
 
     colnorm = np.linalg.norm(A, axis=0)
@@ -380,16 +357,9 @@ def nnls(S, x, tol: float = DEFAULT_TOL, prefer=None) -> NnlsResult:
         score[cols[:k]] = -np.inf
         entering = -1
         while k < kmax:
-            j = -1
-            if preferred is not None:
-                face = score[preferred]
-                i = int(face.argmax())
-                if face[i] != -np.inf:
-                    j = int(preferred[i])
-            if j < 0:
-                j = int(score.argmax())
-                if score[j] == -np.inf:
-                    break
+            j = int(score.argmax())
+            if score[j] == -np.inf:
+                break
             a = A[:, j]
             Qk = Q[:, :k]
             c = Qk.T @ a

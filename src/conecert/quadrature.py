@@ -3,10 +3,11 @@
 For any degree n there is a rule with at most n + 1 nodes and strictly
 positive weights that integrates every polynomial of degree <= n exactly.
 The construction here fits nonnegative weights on a Chebyshev candidate
-grid to the moments of the orthonormal shifted-Legendre basis (where the
-moment vector is (sqrt(b - a), 0, ..., 0)).  The support of that one
+grid to the moments of the orthonormal shifted-Legendre basis.  Any
+`MomentSpec` may be fitted; for integration (`integral_moments`) the
+moment vector is (sqrt(b - a), 0, ..., 0).  The support of that one
 Lawson-Hanson solve is already an independent set of evaluation vectors,
-so it is the rule.
+so it is the rule, and it is checked against the spec's own moments.
 """
 
 from __future__ import annotations
@@ -77,10 +78,13 @@ def positive_quadrature(spec: MomentSpec, grid_size: int) -> QuadratureRule:
     linearly independent set of evaluation vectors in R^(n+1), which caps
     it at n + 1 nodes; weights at or below 1e-12 are dropped.
 
+    Any `MomentSpec` is fitted, not only `integral_moments`, and the
+    rule returned is checked against the spec's own moments.
+
     Raises
     ------
     MomentFitFailed
-        If the fitted rule misses a moment by more than
+        If the rule returned misses a moment of ``spec`` by more than
         ``1e-8 (1 + |moment_0|)`` (grid too coarse; retry denser).
     """
     a, b = spec.interval
@@ -90,19 +94,14 @@ def positive_quadrature(spec: MomentSpec, grid_size: int) -> QuadratureRule:
     grid = chebyshev_points(grid_size, a, b)
     E = shifted_basis_values(n, a, b, grid)
 
-    fit_tol = EXACTNESS_TOL * (1.0 + abs(float(spec.moments[0])))
     sol = nnls(E, spec.moments, tol=1e-12)
-    if float(np.abs(sol.residual).max()) > fit_tol:
-        raise MomentFitFailed(
-            f"moment fit missed by {float(np.abs(sol.residual).max()):.3e} on a {grid_size}-point grid"
-        )
 
     # the support indices and the grid both ascend, so the nodes do too
     support = np.flatnonzero(sol.rho > 1e-12)
-    nodes, weights = grid[support], sol.rho[support]
-    rule = QuadratureRule(nodes=nodes, weights=weights, degree=n, interval=(a, b))
-    if verify_exactness(rule, n) > EXACTNESS_TOL:
-        raise MomentFitFailed("rule without its tiny weights misses the moments")
+    rule = QuadratureRule(nodes=grid[support], weights=sol.rho[support], degree=n, interval=(a, b))
+    error = _moment_error(rule, spec)
+    if error > EXACTNESS_TOL:
+        raise MomentFitFailed(f"moment fit missed by {error:.3e} on a {grid_size}-point grid")
     return rule
 
 

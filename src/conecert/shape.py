@@ -41,9 +41,6 @@ class LegendrePoly:
     def degree_bound(self) -> int:
         return self.coeffs.size - 1
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
 
 def default_grid(n: int) -> np.ndarray:
     """Default constraint grid: 20 (n+1) Chebyshev-distributed points."""

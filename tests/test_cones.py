@@ -11,7 +11,7 @@ from conecert import (
     verify_characterization,
     zig_decompose,
 )
-from conecert.cones import dual_projection_certificate, generated_projection_certificate
+from conecert.cones import _characterization, dual_projection_certificate, generated_projection_certificate
 from oracles import (
     dual_cone_rays,
     dual_projection_bruteforce,
@@ -400,10 +400,6 @@ def _recertification_instance(s):
     return K, 2.0 * rng.standard_normal(d)
 
 
-def _cold_nnls(S, x, tol=1e-9, prefer=None):
-    return nnls(S, x, tol)
-
-
 def _names(report):
     return [c.name for c in report.checks]
 
@@ -413,31 +409,51 @@ def _checks(report):
 
 
 class TestFaceFirstRecertification:
-    """The re-solve tries the face of x0 first; the certificate must read
-    exactly as after a cold re-solve over all generators."""
+    """x0 - x is fitted over the face of x0 first, and over all generators
+    only when that fit fails; the certificate must read exactly as with
+    one cold solve over all generators."""
 
-    def _both(self, monkeypatch, s):
-        K, x = _recertification_instance(s)
-        point = project_dual(K, x).point
-        face_first = verify_characterization(K, x, point)
+    def _both(self, monkeypatch, K, x, point):
+        """The face-first report, the cold report, and the number of solves
+        the face-first one made: one for the face fit, two with the fallback."""
+        solves = []
+
+        def counted(S, b, tol):
+            solves.append(S.shape)
+            return nnls(S, b, tol)
+
         with monkeypatch.context() as patched:
-            patched.setattr(conecert.cones, "nnls", _cold_nnls)
-            cold = verify_characterization(K, x, point)
-        return face_first, cold
+            patched.setattr(conecert.cones, "nnls", counted)
+            face_first = verify_characterization(K, x, point)
+        S = K.T
+        cold = _characterization(S, x, point, 1e-9, None, lambda diff, face: nnls(S, diff, 1e-9).rho)
+        return face_first, cold, len(solves)
 
     def test_same_checks_as_cold_resolve_600(self, monkeypatch):
-        nontrivial = 0
+        # each projection, and the same point moved 1% of ||x||: only the
+        # moved points, whose difference misses the face's cone, fall back
+        nontrivial = fallbacks = 0
         for s in range(600):
-            face_first, cold = self._both(monkeypatch, s)
+            K, x = _recertification_instance(s)
+            point = project_dual(K, x).point
+            face_first, cold, solves = self._both(monkeypatch, K, x, point)
             assert _checks(face_first) == _checks(cold), s
+            assert solves <= 1, s
             nontrivial += "fixed_point" not in _names(cold)
+            direction = np.random.default_rng(10_000 + s).standard_normal(x.size)
+            moved = point + 0.01 * np.linalg.norm(x) * direction / np.linalg.norm(direction)
+            face_first, cold, solves = self._both(monkeypatch, K, x, moved)
+            assert _checks(face_first) == _checks(cold), s
+            fallbacks += solves == 2
         assert nontrivial > 500
+        assert fallbacks > 500
 
     def test_near_duplicate_seed_63(self, monkeypatch):
         # both twins lie on the face here; a solve that put the whole face
         # into the factor at once kept weight on both and failed
-        # active_count_bound, where the face-first pivots pick one
-        face_first, cold = self._both(monkeypatch, 63)
+        # active_count_bound, where the face fit's pivots pick one
+        K, x = _recertification_instance(63)
+        face_first, cold, _ = self._both(monkeypatch, K, x, project_dual(K, x).point)
         assert "fixed_point" not in _names(cold)
         assert _checks(face_first) == _checks(cold)
         assert face_first["active_count_bound"].passed

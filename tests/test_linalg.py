@@ -68,6 +68,14 @@ class TestSpanMembership:
         assert conecert.linalg.generator_matrix(np.zeros((3, 0)), dim=0).shape == (0, 3)
         assert span_membership([], np.zeros((3, 0))).coefficients.shape == (3,)
 
+    def test_generators_of_r0_refused_for_wider_points(self):
+        with pytest.raises(ValueError):
+            span_membership([1.0, 2.0, 3.0, 4.0, 5.0], np.zeros((3, 0)))
+
+    def test_generator_width_must_match_point(self):
+        with pytest.raises(ValueError, match="vectors of length 5, expected 3"):
+            span_membership([1.0, 2.0, 3.0], np.ones((2, 5)))
+
     def test_witness_property_random(self):
         rng = np.random.default_rng(17)
         for _ in range(200):
@@ -501,45 +509,6 @@ class TestNnlsFactor:
         obj = float(res.residual @ res.residual)
         assert abs(obj - ref_norm**2) <= 1e-9 * float(x @ x)
         assert np.array_equal(np.flatnonzero(res.rho), np.flatnonzero(ref))
-
-
-class TestNnlsPrefer:
-    def test_none_and_empty_are_a_cold_call(self):
-        rng = np.random.default_rng(59)
-        for _ in range(200):
-            S, x = random_cone_instance(rng, d_max=6, m_max=9)
-            cold = nnls(S, x)
-            for prefer in (None, [], np.zeros(0, dtype=int)):
-                res = nnls(S, x, prefer=prefer)
-                assert np.array_equal(res.rho, cold.rho)
-                assert res.pivots == cold.pivots
-
-    def test_random_preferences_keep_kkt_and_optimum(self):
-        rng = np.random.default_rng(61)
-        for trial in range(300):
-            S, x = random_cone_instance(rng, d_max=6, m_max=6)
-            if trial % 3 == 0:
-                S = np.hstack([S, S[:, :1]])  # a repeated column
-            prefer = np.flatnonzero(rng.random(S.shape[1]) < 0.5)
-            res = nnls(S, x, prefer=prefer)
-            assert _kkt_holds(S, x, res)
-            best, _ = nnls_bruteforce(S, x)
-            assert abs(float(res.residual @ res.residual) - best) <= 1e-9 * (1.0 + float(x @ x))
-
-    def test_cold_support_as_preference_reproduces_rho(self):
-        rng = np.random.default_rng(67)
-        for _ in range(200):
-            d = int(rng.integers(2, 9))
-            S = rng.standard_normal((d, int(rng.integers(1, 4 * d))))
-            x = 2.0 * rng.standard_normal(d)
-            cold = nnls(S, x)
-            res = nnls(S, x, prefer=set(np.flatnonzero(cold.rho).tolist()))
-            assert np.linalg.norm(res.rho - cold.rho) <= 1e-12 * np.linalg.norm(cold.rho)
-
-    @pytest.mark.parametrize("prefer", [[3], [-1], [0, 7], [0.0], [1.5], ["a"]])
-    def test_rejects_indices_that_name_no_column(self, prefer):
-        with pytest.raises(ValueError):
-            nnls(np.eye(3), [1.0, 2.0, 3.0], prefer=prefer)
 
 
 class TestCaratheodoryReduce:

@@ -70,6 +70,13 @@ class TestPositiveQuadrature:
         with pytest.raises(MomentFitFailed):
             positive_quadrature(spec, 32)
 
+    def test_fits_a_spec_other_than_integration(self):
+        # the rule is checked against the spec's own moments, not the integral's
+        spec = MomentSpec(interval=(-1.0, 1.0), degree=4, moments=np.array([np.sqrt(2.0), 0.3, 0.0, 0.0, 0.0]))
+        rule = positive_quadrature(spec, 80)
+        assert rule.nodes.size <= 5
+        assert rule_certificate(spec, rule).passed
+
     def test_positivity_and_count_200_random(self):
         rng = np.random.default_rng(97)
         for _ in range(200):
