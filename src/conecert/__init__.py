@@ -8,12 +8,13 @@ finite-dimensional real Hilbert space.
 
 from .certificates import CertificateCheck, CertificateReport
 from .cones import (
-    PositiveRelative,
+    Membership,
     ProjectionResult,
     ZigDecomposition,
     positive_relative_test,
     project_dual,
     project_generated,
+    span_membership,
     verify_characterization,
     zig_decompose,
 )
@@ -34,24 +35,8 @@ from .legendre import (
     legendre_to_monomial,
     monomial_to_legendre,
 )
-from .linalg import (
-    DEFAULT_TOL,
-    CaratheodoryResult,
-    NnlsResult,
-    SpanMembership,
-    SvdFactors,
-    caratheodory_reduce,
-    nnls,
-    span_membership,
-    svd_factors,
-)
-from .quadrature import (
-    MomentSpec,
-    QuadratureRule,
-    integral_moments,
-    positive_quadrature,
-    verify_exactness,
-)
+from .linalg import DEFAULT_TOL, NnlsResult, nnls
+from .quadrature import MomentSpec, QuadratureRule, integral_moments, positive_quadrature
 from .shape import (
     LegendrePoly,
     ShapeProblem,
@@ -64,7 +49,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BadInterval",
-    "CaratheodoryResult",
     "CertificateCheck",
     "CertificateReport",
     "DEFAULT_TOL",
@@ -75,18 +59,15 @@ __all__ = [
     "IterationLimit",
     "LegendreBasis",
     "LegendrePoly",
+    "Membership",
     "MomentFitFailed",
     "MomentSpec",
     "NnlsResult",
-    "PositiveRelative",
     "ProjectionResult",
     "QuadratureRule",
     "ShapeProblem",
     "ShapeResult",
-    "SpanMembership",
-    "SvdFactors",
     "ZigDecomposition",
-    "caratheodory_reduce",
     "chebyshev_points",
     "default_grid",
     "derivative_matrix",
@@ -102,9 +83,7 @@ __all__ = [
     "project_generated",
     "project_shape",
     "span_membership",
-    "svd_factors",
     "verify_characterization",
-    "verify_exactness",
     "verify_outcome",
     "zig_decompose",
 ]

@@ -33,16 +33,18 @@ import numpy as np
 
 from .certificates import CertificateReport
 from .cones import (cone_membership_certificate, dual_projection_certificate, generated_projection_certificate,
-                    positive_relative_test, project_dual, project_generated)
-from .errors import BadInterval, IterationLimit, MomentFitFailed
+                    positive_relative_test, project_dual, project_generated, span_membership, span_membership_certificate)
+from .errors import IterationLimit, MomentFitFailed
 from .farkas import farkas_alternative, farkas_certificate, generalized_farkas, implication_certificate
 from .legendre import chebyshev_points, legendre_to_monomial, monomial_to_legendre
-from .linalg import DEFAULT_TOL, as_vector, generator_matrix, span_membership, span_membership_certificate
+from .linalg import DEFAULT_TOL, as_vector, generator_matrix
 from .quadrature import integral_moments, positive_quadrature, rule_certificate
 from .shape import LegendrePoly, ShapeProblem, default_grid, project_shape, shape_certificate
 
 KINDS = ("project", "farkas", "quadrature", "shape", "membership")
 
+# the fields of a projection result that its report shows, ``active`` a property
+PROJECT_FIELDS = ("point", "rho", "active", "kkt_residual", "orthogonality_residual")
 # the fields of a generalized Farkas result that its report shows
 PAIRS_FIELDS = ("member_plain", "member_augmented", "sampled_implication_holds", "hypothesis_verified", "feasible_point", "samples_used")
 
@@ -179,7 +181,7 @@ def _handle_project(data: dict, path: str, tol: float):
     else:
         res = project_dual(S.T, x, tol)
         report = dual_projection_certificate(S.T, x, res, tol, witness_e=witness)
-    return {"orientation": orientation, **_json(res)}, report
+    return {"orientation": orientation, **_json(res, PROJECT_FIELDS)}, report
 
 
 def _handle_farkas(data: dict, path: str, tol: float):
@@ -223,7 +225,7 @@ def _handle_quadrature(data: dict, path: str, tol: float):
         grid_size = 8 * (degree + 1)
     try:
         spec = integral_moments(degree, a, b)
-    except BadInterval as exc:
+    except ValueError as exc:  # BadInterval, or moments past the float range
         raise InputError(f"{path}: {exc}") from exc
     rule = positive_quadrature(spec, grid_size)
     return _json(rule), rule_certificate(spec, rule)
@@ -270,21 +272,22 @@ def _handle_shape(data: dict, path: str, tol: float):
     }, shape_certificate(problem, res, tol)
 
 
+# membership mode -> (solve, certify), both taking (gamma, x, ...)
+MEMBERSHIP = {
+    "span": (span_membership, span_membership_certificate),
+    "cone": (positive_relative_test, cone_membership_certificate),
+}
+
+
 def _handle_membership(data: dict, path: str, tol: float):
     mode = _field(data, "mode", path, required=False, default="cone")
-    if mode not in ("span", "cone"):
+    if not isinstance(mode, str) or mode not in MEMBERSHIP:
         raise InputError(f"{path}: field 'mode' must be 'span' or 'cone'")
     x = _vector_field(data, "point", path)
     G = _vectors_field(data, "vectors", path, x.size)
-    if mode == "span":
-        res = span_membership(x, G.T, tol)
-        member, coeffs, witness = res.member, res.coefficients, res.residual
-        report = span_membership_certificate(x, G.T, res, tol)
-    else:
-        res = positive_relative_test(G.T, x, tol)
-        member, coeffs, witness = res.positive, res.rho, res.witness
-        report = cone_membership_certificate(G.T, x, res, tol)
-    return {"mode": mode, "member": bool(member), "coefficients": _json(coeffs), "witness": None if member else _json(witness)}, report
+    solve, certify = MEMBERSHIP[mode]
+    res = solve(G.T, x, tol)
+    return {"mode": mode, **_json(res)}, certify(G.T, x, res, tol)
 
 
 _HANDLERS = {

@@ -1,13 +1,17 @@
-"""Cone data model and certified projections.
+"""Cone data model, membership and certified projections.
 
 Two orientations of a finitely generated cone appear throughout: the
 generated cone ``cone(K)`` of all nonnegative combinations, and its
 dual-form partner ``C = {y : <y, k> >= 0 for all k in K}``.  Projections
 onto both are computed from one nonnegative least-squares solve and come
 back with the multipliers, the active generators, and residuals for the
-optimality conditions.  The certificates re-check a result from its own
-multipliers and solve nothing.  ``verify_characterization`` checks a
-dual-form projection given only as a point, each condition separately.
+optimality conditions.  Membership of x in the cone
+(`positive_relative_test`) or span (`span_membership`) of gamma has the
+separation theorem's two outcomes, one `Membership`: coefficients, or
+the fit's residual as a separating witness.  The certificates re-check a
+result from its own multipliers or witness and solve nothing.
+``verify_characterization`` checks a dual-form projection given only as
+a point, each condition separately.
 
 ``zig_decompose`` is the one decomposition of x through the synthesis
 operator S of cone(K): ``x = S rho + x0 + z`` with ``z = -pinv(S^T) eta``.
@@ -29,8 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .certificates import CertificateReport
-from .linalg import (DEFAULT_TOL, _member, _products_limit, _scale, add_member_check, add_witness_checks, as_vector,
-                     generator_matrix, nnls)
+from .linalg import DEFAULT_TOL, _member, _products_limit, _scale, add_member_check, as_vector, generator_matrix, nnls
 
 # multipliers above 1e-10 * max(1, ||rho||_inf) count as active
 ACTIVE_RTOL = 1e-10
@@ -40,25 +43,29 @@ ACTIVE_RTOL = 1e-10
 class ProjectionResult:
     """Projected point with multipliers and certificate residuals.
 
-    ``active`` indexes the generators carrying multipliers above the
-    activity threshold; ``kkt_residual`` is the largest violation of the
-    optimality conditions and ``orthogonality_residual`` is
-    ``|<x - point, point>|``.
+    ``kkt_residual`` is the largest violation of the optimality
+    conditions and ``orthogonality_residual`` is ``|<x - point, point>|``.
     """
 
     point: np.ndarray
     rho: np.ndarray
-    active: np.ndarray
     kkt_residual: float
     orthogonality_residual: float
 
+    @property
+    def active(self) -> np.ndarray:
+        """The generators whose multipliers are above the activity threshold."""
+        return _active_indices(self.rho)
+
 
 @dataclass(frozen=True, eq=False)
-class PositiveRelative:
-    """Conic membership with representation or separating witness."""
+class Membership:
+    """Membership of x in a cone or span: a member carries only
+    ``coefficients`` reproducing x, a nonmember only the ``witness`` w,
+    the residual of the fit, with ``<x, w> = ||w||^2 > 0``."""
 
-    positive: bool
-    rho: Optional[np.ndarray]
+    member: bool
+    coefficients: Optional[np.ndarray]
     witness: Optional[np.ndarray]
 
 
@@ -87,34 +94,65 @@ def _active_indices(rho: np.ndarray) -> np.ndarray:
     return np.flatnonzero(rho > ACTIVE_RTOL * max(1.0, float(np.abs(rho).max())))
 
 
-def positive_relative_test(gamma, x, tol: float = DEFAULT_TOL) -> PositiveRelative:
+def positive_relative_test(gamma, x, tol: float = DEFAULT_TOL) -> Membership:
     """Decide membership of x in the closed conical hull of gamma.
 
-    Positive outcome carries nonnegative multipliers reproducing x;
-    negative outcome carries a separating witness w with ``<g, w>``
-    below tolerance for every g in gamma while ``<x, w> = ||w||^2 > 0``.
+    A member's coefficients are nonnegative multipliers reproducing x;
+    otherwise the witness w has ``<g, w>`` below tolerance for every g
+    in gamma while ``<x, w> = ||w||^2 > 0``.
     """
     xv = as_vector(x)
     G = generator_matrix(gamma, dim=xv.size)
     sol = nnls(G, xv, tol)
     if _member(sol.residual, xv, tol):
-        return PositiveRelative(True, sol.rho, None)
-    return PositiveRelative(False, None, sol.residual)
+        return Membership(True, sol.rho, None)
+    return Membership(False, None, sol.residual)
 
 
-def cone_membership_certificate(gamma, x, result: PositiveRelative, tol: float = DEFAULT_TOL) -> CertificateReport:
-    """Re-check a `positive_relative_test` answer: multipliers >= 0, or ``<g, w> <= 0``."""
+def span_membership(gamma, x, tol: float = DEFAULT_TOL) -> Membership:
+    """Decide membership of x in span(gamma) by one least-squares fit,
+    whose residual is the witness, orthogonal to gamma.  An empty gamma
+    spans {0}; the decision is `_member`'s rule, for an empty gamma too."""
+    xv = as_vector(x)
+    G = generator_matrix(gamma, dim=xv.size)
+    coeffs, *_ = np.linalg.lstsq(G, xv, rcond=None)
+    residual = xv - G @ coeffs
+    if _member(residual, xv, tol):
+        return Membership(True, coeffs, None)
+    return Membership(False, None, residual)
+
+
+def _membership_checks(gamma, x, result: Membership, tol: float, products_name: str, products) -> CertificateReport:
+    """A member's ``representation``, or the checks of a witness w:
+    ``<x, w> > 0``, ``products(G^T w)`` within `_products_limit`, and
+    ``<x, w> = ||w||^2``."""
     xv = as_vector(x)
     G = generator_matrix(gamma, dim=xv.size)
     report = CertificateReport()
-    if result.positive:
-        add_member_check(report, "representation", xv - G @ result.rho, xv, tol)
-        min_coeff = float(result.rho.min(initial=0.0))
-        report.add("multipliers_nonnegative", max(0.0, -min_coeff), min_coeff >= 0.0)
-    else:
-        w = result.witness
-        add_witness_checks(report, G, xv, w, "witness_nonpositive_products", max(0.0, float((G.T @ w).max(initial=0.0))), tol)
+    if result.member:
+        add_member_check(report, "representation", xv - G @ result.coefficients, xv, tol)
+        return report
+    w = result.witness
+    residual = products(G.T @ w)
+    gap = float(xv @ w) - float(w @ w)
+    report.add("witness_separates", max(0.0, -float(xv @ w)), float(xv @ w) > 0.0)
+    report.add(products_name, residual, residual <= _products_limit(G, xv, tol))
+    report.add("witness_self_product", abs(gap), abs(gap) <= tol * (1.0 + float(xv @ xv)))
     return report
+
+
+def cone_membership_certificate(gamma, x, result: Membership, tol: float = DEFAULT_TOL) -> CertificateReport:
+    """Re-check a `positive_relative_test` answer: coefficients >= 0, or ``<g, w> <= 0``."""
+    report = _membership_checks(gamma, x, result, tol, "witness_nonpositive_products", lambda p: max(0.0, float(p.max(initial=0.0))))
+    if result.member:
+        min_coeff = float(result.coefficients.min(initial=0.0))
+        report.add("multipliers_nonnegative", max(0.0, -min_coeff), min_coeff >= 0.0)
+    return report
+
+
+def span_membership_certificate(gamma, x, result: Membership, tol: float = DEFAULT_TOL) -> CertificateReport:
+    """Re-check a `span_membership` answer: coefficients, or a witness orthogonal to gamma."""
+    return _membership_checks(gamma, x, result, tol, "witness_orthogonality", lambda p: float(np.abs(p).max(initial=0.0)))
 
 
 def _add_residual_checks(report: CertificateReport, S, xv, result: ProjectionResult, kkt_name: str, tol: float) -> None:
@@ -125,7 +163,7 @@ def _add_residual_checks(report: CertificateReport, S, xv, result: ProjectionRes
 
 
 def _generated_result(S, xv, rho) -> ProjectionResult:
-    """The projection ``S rho`` onto cone(K), its active set and residuals."""
+    """The projection ``S rho`` onto cone(K) and its residuals."""
     point = S @ rho
     r = xv - point
     inner = S.T @ r
@@ -133,7 +171,7 @@ def _generated_result(S, xv, rho) -> ProjectionResult:
     if inner.size:
         kkt = max(float(np.maximum(inner, 0.0).max()), float(np.abs(rho * inner).max()))
     orth = abs(float(r @ point))
-    return ProjectionResult(point, rho, _active_indices(rho), kkt, orth)
+    return ProjectionResult(point, rho, kkt, orth)
 
 
 def project_generated(K, x, tol: float = DEFAULT_TOL) -> ProjectionResult:
@@ -157,7 +195,7 @@ def generated_projection_certificate(K, x, result: ProjectionResult, tol: float 
 
 
 def _dual_result(S, xv, rho) -> ProjectionResult:
-    """The projection ``x + S rho`` onto the dual-form cone, its active set and residuals."""
+    """The projection ``x + S rho`` onto the dual-form cone and its residuals."""
     active = _active_indices(rho)
     point = xv + S @ rho
     kkt = 0.0
@@ -167,7 +205,7 @@ def _dual_result(S, xv, rho) -> ProjectionResult:
         if active.size:
             kkt = max(kkt, float(np.abs(inner[active]).max()))
     orth = abs(float((xv - point) @ point))
-    return ProjectionResult(point, rho, active, kkt, orth)
+    return ProjectionResult(point, rho, kkt, orth)
 
 
 def project_dual(K, x, tol: float = DEFAULT_TOL) -> ProjectionResult:
@@ -245,13 +283,14 @@ def verify_characterization(K, x, x0, tol: float = DEFAULT_TOL, witness_e=None) 
     the characterization only the face of x0 (the generators with
     ``|<k_i, x0>|`` within the ``active_orthogonality`` threshold) can
     carry weight, so ``x0 - x`` is first tested for membership in the
-    cone of the face alone (`positive_relative_test`), with rho zero off
-    the face.  A face fit that passes the membership rule leaves a
+    cone of the face alone (`positive_relative_test`).  When x0 - x is
+    a member, its `Membership` coefficients are rho on the face and rho
+    is zero off it: a fit that passes the membership rule leaves a
     residual r with ``|<k_i, r>| <= tol (1 + ||x0 - x||) ||k_i||``, the
     NNLS slack, for every generator, so it is optimal over all of K.
-    Only when the face fit fails is rho one NNLS solve over all of K, so
-    a point that is not the projection is judged on the best multipliers
-    the whole cone offers.
+    When it carries a witness instead, rho is one NNLS solve over all of
+    K, so a point that is not the projection is judged on the best
+    multipliers the whole cone offers.
 
     When x already lies in the cone the report instead records the
     trivial fixed-point check ``x0 == x``.  A provided ``witness_e`` adds
@@ -262,10 +301,10 @@ def verify_characterization(K, x, x0, tol: float = DEFAULT_TOL, witness_e=None) 
 
     def multipliers(diff, face):
         fit = positive_relative_test(S[:, face].T, diff, tol)
-        if not fit.positive:
+        if not fit.member:
             return nnls(S, diff, tol).rho
         rho = np.zeros(S.shape[1])
-        rho[face] = fit.rho
+        rho[face] = fit.coefficients
         return rho
 
     return _characterization(S, xv, as_vector(x0), tol, witness_e, multipliers)

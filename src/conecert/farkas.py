@@ -2,10 +2,11 @@
 
 Exactly one of the two systems is solvable: either the target is a
 nonnegative combination of the matrix rows, or some vector separates it
-from their cone.  The decision is `positive_relative_test` on the rows;
-a zero residual yields the combination, a nonzero residual *is* the
-separating vector.  Every membership decision and check here is the
-library's one rule, ``||residual|| <= tol (1 + ||target||)``.
+from their cone.  The decision is `positive_relative_test` on the rows:
+its `Membership` coefficients are the combination y, and its witness,
+the residual of the fit, *is* the separating vector x.  Every membership
+decision and check here is the library's one rule,
+``||residual|| <= tol (1 + ||target||)``.
 `farkas_certificate` re-checks either certificate without the solver.
 
 `generalized_farkas` decides the paper's finite generalized Farkas
@@ -99,16 +100,16 @@ def farkas_alternative(A, b, tol: float = DEFAULT_TOL) -> FarkasOutcome:
 
     System 1: ``A^T y = b`` with ``y >= 0``.  System 2: ``A x <= 0`` with
     ``<b, x> > 0``.  `positive_relative_test` of b against the rows of A
-    supplies y when the membership rule puts b in the cone (residual at
-    most ``tol (1 + ||b||)``).  Otherwise its witness, the residual of the
-    fit, is x: it has nonpositive products with the rows and
-    ``<b, x> = ||x||^2 > 0``.
+    supplies y, its coefficients, when the membership rule puts b in the
+    cone (residual at most ``tol (1 + ||b||)``).  Otherwise its witness,
+    the residual of the fit, is x: it has nonpositive products with the
+    rows and ``<b, x> = ||x||^2 > 0``.
     """
     Am = as_matrix(A)
     bv = as_vector(b)
     test = positive_relative_test(Am, bv, tol)
-    if test.positive:
-        y = test.rho
+    if test.member:
+        y = test.coefficients
         ver = FarkasVerification(
             primal_residual=float(np.linalg.norm(bv - Am.T @ y)),
             dual_violation=max(0.0, -float(y.min(initial=0.0))),
@@ -136,11 +137,11 @@ def farkas_certificate(A, b, outcome: FarkasOutcome, tol: float = DEFAULT_TOL) -
     bv = as_vector(b)
     system1 = outcome.tag is FarkasTag.SYSTEM1
     cert, other, size = (outcome.y, outcome.x, Am.shape[0]) if system1 else (outcome.x, outcome.y, bv.size)
+    v = None if cert is None else as_vector(cert)
     report = CertificateReport()
-    if cert is None or other is not None or as_vector(cert).size != size:
+    if v is None or other is not None or v.size != size:
         report.add("certificate_verifies", 1.0, False)
         return report
-    v = as_vector(cert)
     if system1:
         add_member_check(report, "primal_residual", Am.T @ v - bv, bv, tol)
         violation = max(0.0, -float(v.min(initial=0.0)))
@@ -346,7 +347,7 @@ def generalized_farkas(pairs, b, r, tol: float = DEFAULT_TOL) -> GenFarkasReport
             violator = candidate
 
     return GenFarkasReport(
-        member_plain=plain.positive,
+        member_plain=plain.member,
         member_augmented=member,
         sampled_implication_holds=violator is None,
         hypothesis_verified=feasible is not None,

@@ -1,14 +1,17 @@
 """Dense linear-algebra substrate.
 
-The library's rank rule (`svd_factors`; numpy's ``matrix_rank`` applies
-the same cut-off), its one tolerance scale ``tol (1 + ||v||)`` (`_scale`)
-and membership rule (`_member`, checked by `add_member_check`), span
-membership with separating witnesses, and nonnegative least squares.
-Everything here is a pure function of its arguments and safe to call
-from multiple threads.  Caratheodory reduction of positive combinations
-(`caratheodory_reduce`) has had no caller in the library since each
-answer became one Lawson-Hanson solve; it stays only while the
-benchmark's traced run still wraps it and `svd_factors` by name.
+Coercion of vectors and generator sets (`as_vector`, `as_matrix`,
+`generator_matrix`), the library's one tolerance scale
+``tol (1 + ||v||)`` (`_scale`) and membership rule (`_member`, checked
+by `add_member_check`), and nonnegative least squares (`nnls`).  The
+membership tests built on them, with their separating witnesses, are in
+`cones`.  Everything here is a pure function of its arguments and safe
+to call from multiple threads.  The rank rule (`svd_factors`; numpy's
+``matrix_rank`` applies the same cut-off) and Caratheodory reduction of
+positive combinations (`caratheodory_reduce`) have had no caller in the
+library since each answer became one Lawson-Hanson solve; they stay
+here, outside the package namespace, only while the benchmark's traced
+run still wraps them by name.
 
 `nnls` is the Lawson-Hanson active-set method on a thin QR factor
 ``Q R`` of its support, kept up to date pivot by pivot, together with
@@ -143,61 +146,6 @@ def _member(residual, target, tol: float) -> bool:
 def add_member_check(report: CertificateReport, name: str, residual, target, tol: float) -> None:
     """Check ``name``: ``||residual||`` passes the membership rule for ``target``."""
     report.add(name, float(np.linalg.norm(residual)), _member(residual, target, tol))
-
-
-@dataclass(frozen=True, eq=False)
-class SpanMembership:
-    """Outcome of a closed-linear-span membership test.
-
-    When ``member`` is false, ``residual`` is a separating witness: it is
-    orthogonal to every spanning vector while its inner product with the
-    tested point equals ``||residual||^2 > 0``.
-    """
-
-    member: bool
-    coefficients: Optional[np.ndarray]
-    residual: np.ndarray
-
-
-def span_membership(x, gamma, tol: float = DEFAULT_TOL) -> SpanMembership:
-    """Decide whether x lies in span(gamma), with certificate either way.
-
-    Parameters
-    ----------
-    x : array, shape (d,)
-    gamma : sequence of arrays, shape (d,) each, or an m x d array (may be empty)
-    tol : float
-        Membership declared when the least-squares residual norm is at
-        most ``tol * (1 + ||x||)`` (`_member`), for an empty gamma too.
-    """
-    xv = as_vector(x)
-    G = generator_matrix(gamma, dim=xv.size)
-    coeffs, *_ = np.linalg.lstsq(G, xv, rcond=None)
-    residual = xv - G @ coeffs
-    member = _member(residual, xv, tol)
-    return SpanMembership(member, coeffs if member else None, residual)
-
-
-def add_witness_checks(report: CertificateReport, G, x, w, products_name: str, products: float, tol: float) -> None:
-    """A witness w of x against the columns of G: ``<x, w> > 0``, ``products``
-    within `_products_limit`, and ``<x, w> = ||w||^2``."""
-    gap = float(x @ w) - float(w @ w)
-    report.add("witness_separates", max(0.0, -float(x @ w)), float(x @ w) > 0.0)
-    report.add(products_name, products, products <= _products_limit(G, x, tol))
-    report.add("witness_self_product", abs(gap), abs(gap) <= tol * (1.0 + float(x @ x)))
-
-
-def span_membership_certificate(x, gamma, result: SpanMembership, tol: float = DEFAULT_TOL) -> CertificateReport:
-    """Re-check a `span_membership` answer: coefficients, or a witness orthogonal to gamma."""
-    xv = as_vector(x)
-    G = generator_matrix(gamma, dim=xv.size)
-    report = CertificateReport()
-    if result.member:
-        add_member_check(report, "representation", xv - G @ result.coefficients, xv, tol)
-    else:
-        w = result.residual
-        add_witness_checks(report, G, xv, w, "witness_orthogonality", float(np.abs(G.T @ w).max(initial=0.0)), tol)
-    return report
 
 
 @dataclass(frozen=True, eq=False)

@@ -41,11 +41,29 @@ class QuadratureRule:
 
 @dataclass(frozen=True, eq=False)
 class MomentSpec:
-    """Target integrals of the orthonormal shifted-Legendre basis on [a, b]."""
+    """Target integrals of the orthonormal shifted-Legendre basis on [a, b].
+
+    Checked on construction: ``a < b`` (else `BadInterval`), a degree
+    n >= 0, and n + 1 finite moments.
+    """
 
     interval: tuple
     degree: int
     moments: np.ndarray
+
+    def __post_init__(self):
+        a, b = (float(v) for v in self.interval)
+        if not a < b:
+            raise BadInterval(f"need a < b, got [{a}, {b}]")
+        if self.degree < 0:
+            raise ValueError("degree must be nonnegative")
+        moments = np.asarray(self.moments, dtype=float)
+        if moments.shape != (self.degree + 1,):
+            raise ValueError(f"degree {self.degree} needs {self.degree + 1} moments, got shape {moments.shape}")
+        if not np.all(np.isfinite(moments)):
+            raise ValueError("moments must be finite")
+        object.__setattr__(self, "interval", (a, b))
+        object.__setattr__(self, "moments", moments)
 
 
 def shifted_basis_values(n: int, a: float, b: float, t) -> np.ndarray:
@@ -60,13 +78,10 @@ def integral_moments(n: int, a: float, b: float) -> MomentSpec:
     By orthogonality to constants only the degree-0 moment survives:
     it equals sqrt(b - a).
     """
-    if not a < b:
-        raise BadInterval(f"need a < b, got [{a}, {b}]")
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    moments = np.zeros(n + 1)
-    moments[0] = np.sqrt(b - a)
-    return MomentSpec(interval=(float(a), float(b)), degree=int(n), moments=moments)
+    # clipped so that `MomentSpec`, not numpy, refuses n < 0 and b <= a
+    moments = np.zeros(max(n + 1, 0))
+    moments[:1] = np.sqrt(max(b - a, 0.0))
+    return MomentSpec(interval=(a, b), degree=int(n), moments=moments)
 
 
 def positive_quadrature(spec: MomentSpec, grid_size: int) -> QuadratureRule:

@@ -104,10 +104,11 @@ def project_shape(problem: ShapeProblem, tol: float = DEFAULT_TOL) -> ShapeResul
     columns = basis.values(problem.grid, r)  # column j is the representer at grid[j]
     proj = project_dual(columns.T, problem.target.coeffs, tol)
     solution = LegendrePoly(proj.point)
+    active = proj.active
     return ShapeResult(
         solution=solution,
-        active_alphas=problem.grid[proj.active],
-        rho=proj.rho[proj.active],
+        active_alphas=problem.grid[active],
+        rho=proj.rho[active],
         min_derivative_on_checkgrid=_checkgrid_min(problem, solution.coeffs),
     )
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conecert import (
+    CertificateReport,
     LegendrePoly,
     ShapeProblem,
     chebyshev_points,
@@ -24,9 +25,9 @@ from conecert import (
     project_shape,
     span_membership,
 )
-from conecert.cones import cone_membership_certificate, dual_projection_certificate, generated_projection_certificate
+from conecert.cones import (cone_membership_certificate, dual_projection_certificate, generated_projection_certificate,
+                            span_membership_certificate)
 from conecert.farkas import farkas_certificate, implication_certificate
-from conecert.linalg import span_membership_certificate
 from conecert.quadrature import rule_certificate
 from conecert.shape import shape_certificate
 
@@ -40,7 +41,7 @@ SHAPE = ShapeProblem(n=4, r=1, grid=chebyshev_points(30), target=LegendrePoly(np
 def _certificates() -> dict:
     """Each certificate's call, on a result already computed."""
     member = positive_relative_test(K, X)
-    span = span_membership(X, K)
+    span = span_membership(K, X)
     gen = project_generated(K, X)
     dual = project_dual(K, X)
     farkas = farkas_alternative(K, X)
@@ -49,7 +50,7 @@ def _certificates() -> dict:
     shape = project_shape(SHAPE)
     return {
         "cone_membership": lambda: cone_membership_certificate(K, X, member),
-        "span_membership": lambda: span_membership_certificate(X, K, span),
+        "span_membership": lambda: span_membership_certificate(K, X, span),
         "generated_projection": lambda: generated_projection_certificate(K, X, gen),
         "dual_projection": lambda: dual_projection_certificate(K, X, dual),
         "farkas": lambda: farkas_certificate(K, X, farkas),
@@ -74,3 +75,11 @@ def test_certificate_does_not_solve(monkeypatch, name):
         if hasattr(mod, "nnls"):
             monkeypatch.setattr(mod, "nnls", _no_solve)
     assert certify().passed
+
+
+def test_report_lookup_of_an_absent_check():
+    report = CertificateReport()
+    report.add("present", 0.0, True)
+    assert report["present"].passed
+    with pytest.raises(KeyError):
+        report["absent"]

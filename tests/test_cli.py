@@ -246,7 +246,7 @@ class TestMembership:
         _check_layout(rep, "membership", MEMBERSHIP_KEYS, ["representation"])
         assert rep["result"]["member"] is True
         assert rep["result"]["witness"] is None
-        _same(rep["result"]["coefficients"], span_membership(x, self.SPAN).coefficients)
+        _same(rep["result"]["coefficients"], span_membership(self.SPAN, x).coefficients)
 
     def test_span_nonmember(self, tmp_path):
         x = [1.0, 1.0, 1.0]
@@ -255,7 +255,7 @@ class TestMembership:
         certs = ["witness_separates", "witness_orthogonality", "witness_self_product"]
         _check_layout(rep, "membership", MEMBERSHIP_KEYS, certs)
         assert rep["result"]["coefficients"] is None
-        _same(rep["result"]["witness"], span_membership(x, self.SPAN).residual)
+        _same(rep["result"]["witness"], span_membership(self.SPAN, x).witness)
 
     def test_cone_member(self, tmp_path):
         x = [2.0, 1.0]
@@ -263,7 +263,7 @@ class TestMembership:
         assert rc == 0
         _check_layout(rep, "membership", MEMBERSHIP_KEYS, ["representation", "multipliers_nonnegative"])
         assert rep["result"]["mode"] == "cone"
-        _same(rep["result"]["coefficients"], positive_relative_test(self.CONE, x).rho)
+        _same(rep["result"]["coefficients"], positive_relative_test(self.CONE, x).coefficients)
 
     def test_cone_nonmember(self, tmp_path):
         x = [-1.0, 0.5]
@@ -498,6 +498,8 @@ class TestInputErrors:
             ("quadrature", {"kind": "quadrature", "degree": 2, "interval": [False, True]}, "'interval' must hold numbers, not false"),
             ("farkas", {"kind": "farkas", "pairs": [[[1.0], "2"]], "b": [1.0], "r": 1.0}, "'pairs[0]' must hold numbers, not \"2\""),
             ("membership", {"kind": "membership", "vectors": [[1.0, "0"]], "point": [1.0, 0.0]}, "'vectors' must hold numbers"),
+            # b - a overflows, so the degree-0 moment sqrt(b - a) is infinite
+            ("quadrature", {"kind": "quadrature", "degree": 2, "interval": [-1e308, 1e308]}, "moments must be finite"),
         ],
     )
     def test_malformed_file(self, tmp_path, capsys, kind, content, message):

@@ -1,13 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import conecert.cones
 from conecert import (
+    Membership,
     ProjectionResult,
     nnls,
     positive_relative_test,
     project_dual,
     project_generated,
+    span_membership,
     verify_characterization,
     zig_decompose,
 )
@@ -43,38 +47,57 @@ class TestContains:
 class TestPositiveRelative:
     def test_coordinate_cone(self):
         res = positive_relative_test([[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0])
-        assert res.positive
-        assert np.allclose(res.rho, [1.0, 2.0], atol=1e-12)
+        assert res.member
+        assert np.allclose(res.coefficients, [1.0, 2.0], atol=1e-12)
 
     def test_opposite_ray(self):
         res = positive_relative_test([[1.0, 0.0]], [-1.0, 0.0])
-        assert not res.positive
+        assert not res.member
         assert np.allclose(res.witness, [-1.0, 0.0], atol=1e-12)
 
     def test_two_generator_combination(self):
         res = positive_relative_test(K_EXAMPLE, [2.0, 1.0])
-        assert res.positive
-        assert np.allclose(res.rho, [1.0, 2.0], atol=1e-10)
+        assert res.member
+        assert np.allclose(res.coefficients, [1.0, 2.0], atol=1e-10)
 
     def test_generated_off_ray(self):
-        assert not positive_relative_test([np.array([1.0, 0.0])], [0.0, 1.0]).positive
+        assert not positive_relative_test([np.array([1.0, 0.0])], [0.0, 1.0]).member
 
     def test_empty_generators(self):
-        assert not positive_relative_test((), [1.0, 2.0]).positive
-        assert positive_relative_test((), [0.0, 0.0]).positive
+        assert not positive_relative_test((), [1.0, 2.0]).member
+        assert positive_relative_test((), [0.0, 0.0]).member
 
     def test_witness_separates(self):
         rng = np.random.default_rng(31)
         for _ in range(100):
             S, x = random_cone_instance(rng, d_max=5, m_max=5)
             res = positive_relative_test(list(S.T), x)
-            if res.positive:
-                assert np.linalg.norm(S @ res.rho - x) <= 1e-9 * (1.0 + np.linalg.norm(x))
+            if res.member:
+                assert np.linalg.norm(S @ res.coefficients - x) <= 1e-9 * (1.0 + np.linalg.norm(x))
             else:
                 w = res.witness
                 assert float(x @ w) > 0.0
                 slack = 1e-9 * (1.0 + np.linalg.norm(x)) * np.linalg.norm(S, axis=0)
                 assert np.all(S.T @ w <= slack + 1e-15)
+
+
+class TestMembership:
+    """Both membership tests return one `Membership`: coefficients exactly
+    for a member, a witness exactly otherwise."""
+
+    @pytest.mark.parametrize("test", [positive_relative_test, span_membership])
+    def test_one_certificate_per_outcome(self, test):
+        rng = np.random.default_rng(41)
+        outcomes = set()
+        for _ in range(100):
+            S, x = random_cone_instance(rng, d_max=5, m_max=5)
+            res = test(list(S.T), x)
+            assert isinstance(res, Membership)
+            assert type(res.member) is bool
+            assert (res.coefficients is not None) is res.member
+            assert (res.witness is None) is res.member
+            outcomes.add(res.member)
+        assert outcomes == {True, False}
 
 
 class TestProjectGenerated:
@@ -97,11 +120,19 @@ class TestProjectGenerated:
     def test_certificate_recomputes_reported_residuals(self):
         # the point 0 with rho = 0 reports zero residuals, but x - 0 = (1, 2)
         # has positive products with both generators
-        forged = ProjectionResult(np.zeros(2), np.zeros(2), np.zeros(0, dtype=int), 0.0, 0.0)
+        forged = ProjectionResult(np.zeros(2), np.zeros(2), 0.0, 0.0)
         report = generated_projection_certificate(np.eye(2), [1.0, 2.0], forged)
         assert report["kkt_inequalities"].residual == 2.0
         assert not report["kkt_inequalities"].passed
         assert not report.passed
+
+
+class TestProjectionResult:
+    def test_active_is_read_off_rho(self):
+        # 1e-12 is below the activity threshold 1e-10 * max(1, 2)
+        res = ProjectionResult(np.zeros(3), np.array([0.0, 2.0, 1e-12, 0.5]), 0.0, 0.0)
+        assert res.active.tolist() == [1, 3]
+        assert "active" not in [f.name for f in dataclasses.fields(res)]
 
 
 class TestProjectDual:
@@ -259,7 +290,7 @@ class TestMoreau:
             # pdual in the dual cone, pc back in the generated cone
             slack = 1e-8 * (1.0 + nx) * np.linalg.norm(S, axis=0)
             assert np.all(S.T @ ms.pdual <= slack + 1e-15)
-            assert positive_relative_test(tuple(S.T), ms.pc, tol=1e-8).positive
+            assert positive_relative_test(tuple(S.T), ms.pc, tol=1e-8).member
 
 
 class TestBipolarProperty:
@@ -277,7 +308,7 @@ class TestBipolarProperty:
             points = [2.0 * rng.standard_normal(d) for _ in range(3)]
             points.append(S @ rng.uniform(0.1, 1.0, size=m))
             for x in points:
-                member = positive_relative_test(tuple(S.T), x, tol=1e-8).positive
+                member = positive_relative_test(tuple(S.T), x, tol=1e-8).member
                 slack = 1e-8 * (1.0 + np.linalg.norm(x))
                 by_rays = all(float(x @ ray) <= slack for ray in rays)
                 assert member == by_rays
@@ -358,7 +389,7 @@ class TestDualProjectionCertificate:
     def test_negative_multiplier_fails(self):
         # x0 - x = (-1, 1) = S rho with rho = (-1, 1): the point 0 passes
         # every other check, but (1, 0) is the projection of (1, -1)
-        forged = ProjectionResult(np.zeros(2), np.array([-1.0, 1.0]), np.array([1]), 0.0, 0.0)
+        forged = ProjectionResult(np.zeros(2), np.array([-1.0, 1.0]), 0.0, 0.0)
         report = dual_projection_certificate(np.eye(2), [1.0, -1.0], forged)
         assert report["positive_multipliers"].residual == 1.0
         assert not report["positive_multipliers"].passed
@@ -366,7 +397,7 @@ class TestDualProjectionCertificate:
 
     def test_point_off_its_multipliers_fails(self):
         res = project_dual(K_EXAMPLE, [2.0, 1.0])
-        moved = ProjectionResult(res.point + [0.0, 0.5], res.rho, res.active, 0.0, 0.0)
+        moved = ProjectionResult(res.point + [0.0, 0.5], res.rho, 0.0, 0.0)
         report = dual_projection_certificate(K_EXAMPLE, [2.0, 1.0], moved)
         assert not report["difference_in_cone"].passed
 

@@ -126,6 +126,29 @@ class TestVerifyOutcome:
         assert not verify_outcome(np.eye(2), [-1.0, 2.0], fake)
 
 
+class TestMalformedOutcome:
+    """An outcome whose certificate is missing, doubled or of the wrong
+    length gets ``certificate_verifies`` as its only, failing, check."""
+
+    VER = FarkasVerification(0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "tag, y, x",
+        [
+            (FarkasTag.SYSTEM1, [1.0, 1.0], [1.0, 1.0]),
+            (FarkasTag.SYSTEM2, [1.0, 1.0], [1.0, 1.0]),
+            (FarkasTag.SYSTEM1, None, None),
+            (FarkasTag.SYSTEM2, None, None),
+            (FarkasTag.SYSTEM1, [1.0, 1.0, 1.0], None),
+            (FarkasTag.SYSTEM2, None, [1.0]),
+        ],
+    )
+    def test_only_check_fails(self, tag, y, x):
+        y, x = (None if v is None else np.array(v) for v in (y, x))
+        report = farkas_certificate(np.eye(2), [1.0, 1.0], FarkasOutcome(tag, y=y, x=x, verification=self.VER))
+        assert [(c.name, c.residual, c.passed) for c in report.checks] == [("certificate_verifies", 1.0, False)]
+
+
 class TestGeneralizedFarkas:
     def test_ray_scaling(self):
         report = generalized_farkas([(np.array([1.0, 0.0]), 1.0)], [2.0, 0.0], 2.0)

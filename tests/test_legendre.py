@@ -89,3 +89,14 @@ def test_monomial_conversions(n):
     _close(legendre_to_monomial(leg), m)
     _close(_evaluate(leg, T), P.polyval(T, m))
     _close(P.polyval(T, legendre_to_monomial(m)), _evaluate(m, T))
+
+
+def test_chebyshev_single_point_is_the_midpoint():
+    assert chebyshev_points(1).tolist() == [0.0]
+    assert chebyshev_points(1, 1.0, 4.0).tolist() == [2.5]
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_chebyshev_count_must_be_positive(count):
+    with pytest.raises(ValueError, match="count must be positive"):
+        chebyshev_points(count)

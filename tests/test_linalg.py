@@ -3,15 +3,9 @@ import pytest
 
 import conecert.linalg
 
-from conecert import (
-    IterationLimit,
-    caratheodory_reduce,
-    nnls,
-    span_membership,
-    svd_factors,
-)
+from conecert import IterationLimit, nnls, span_membership
 from conecert.legendre import LegendreBasis, chebyshev_points
-from conecert.linalg import _delete_columns
+from conecert.linalg import _delete_columns, caratheodory_reduce, svd_factors
 from oracles import nnls_bruteforce, random_cone_instance
 
 _EPS = float(np.finfo(float).eps)
@@ -41,40 +35,47 @@ class TestSvdFactors:
 class TestSpanMembership:
     def test_element_of_the_set(self):
         gamma = [np.array([1.0, 0.0, 1.0]), np.array([0.0, 1.0, 0.0])]
-        res = span_membership(gamma[0], gamma)
+        res = span_membership(gamma, gamma[0])
         assert res.member
         assert np.allclose(res.coefficients, [1.0, 0.0], atol=1e-12)
 
     def test_orthogonal_complement(self):
-        res = span_membership([0.0, 1.0], [[1.0, 0.0]])
+        res = span_membership([[1.0, 0.0]], [0.0, 1.0])
         assert not res.member
-        assert np.allclose(res.residual, [0.0, 1.0], atol=1e-14)
+        assert np.allclose(res.witness, [0.0, 1.0], atol=1e-14)
 
     def test_two_by_two_solve(self):
-        res = span_membership([3.0, 1.0], [[1.0, 1.0], [1.0, -1.0]])
+        res = span_membership([[1.0, 1.0], [1.0, -1.0]], [3.0, 1.0])
         assert res.member
         assert np.allclose(res.coefficients, [2.0, 1.0], atol=1e-12)
 
     def test_empty_gamma_denotes_zero_span(self):
-        assert span_membership([0.0, 0.0], []).member
-        assert not span_membership([1e-3, 0.0], []).member
+        assert span_membership([], [0.0, 0.0]).member
+        assert not span_membership([], [1e-3, 0.0]).member
 
     def test_empty_gamma_takes_the_membership_rule(self):
         # ||x|| <= 1e-9 (1 + ||x||) holds up to 1e-9 / (1 - 1e-9), as for any other set
-        assert span_membership([1.0000000005e-9], []).member
-        assert not span_membership([1.000000002e-9], []).member
+        assert span_membership([], [1.0000000005e-9]).member
+        assert not span_membership([], [1.000000002e-9]).member
 
     def test_generators_of_r0(self):
         assert conecert.linalg.generator_matrix(np.zeros((3, 0)), dim=0).shape == (0, 3)
-        assert span_membership([], np.zeros((3, 0))).coefficients.shape == (3,)
+        assert span_membership(np.zeros((3, 0)), []).coefficients.shape == (3,)
 
     def test_generators_of_r0_refused_for_wider_points(self):
         with pytest.raises(ValueError):
-            span_membership([1.0, 2.0, 3.0, 4.0, 5.0], np.zeros((3, 0)))
+            span_membership(np.zeros((3, 0)), [1.0, 2.0, 3.0, 4.0, 5.0])
 
     def test_generator_width_must_match_point(self):
         with pytest.raises(ValueError, match="vectors of length 5, expected 3"):
-            span_membership([1.0, 2.0, 3.0], np.ones((2, 5)))
+            span_membership(np.ones((2, 5)), [1.0, 2.0, 3.0])
+
+    def test_old_argument_order_refused(self):
+        # (x, gamma): a 2-d x is not a vector, a 1-d gamma is not a generator set
+        with pytest.raises(ValueError, match="expected a vector"):
+            span_membership([1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="generators must be vectors sharing one dimension"):
+            span_membership([1.0, 0.0], [])
 
     def test_witness_property_random(self):
         rng = np.random.default_rng(17)
@@ -83,17 +84,37 @@ class TestSpanMembership:
             k = int(rng.integers(1, d))
             gamma = [rng.standard_normal(d) for _ in range(k)]
             x = rng.standard_normal(d)
-            res = span_membership(x, gamma)
+            res = span_membership(gamma, x)
             if res.member:
                 continue
-            r = res.residual
+            r = res.witness
             assert float(x @ r) > 0.0
             assert abs(float(x @ r) - float(r @ r)) <= 1e-9 * (1.0 + float(x @ x))
             G = np.column_stack(gamma)
             assert float(np.abs(G.T @ r).max()) <= 1e-9 * (1.0 + np.linalg.norm(x))
 
 
+class TestGeneratorMatrix:
+    @pytest.mark.parametrize("vectors", [[1.0, 2.0], np.zeros((2, 2, 2))])
+    def test_not_a_set_of_vectors(self, vectors):
+        with pytest.raises(ValueError, match="generators must be vectors sharing one dimension"):
+            conecert.linalg.generator_matrix(vectors, dim=2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_entries_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="vector entries must be finite"):
+            conecert.linalg.generator_matrix([[1.0, 0.0], [0.0, bad]])
+
+    def test_empty_set_needs_dim(self):
+        with pytest.raises(ValueError, match="dim is required"):
+            conecert.linalg.generator_matrix([])
+
+
 class TestNnls:
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension mismatch between S and x"):
+            nnls(np.eye(3), [1.0, 2.0])
+
     def test_coordinate_cone(self):
         res = nnls(np.eye(2), [1.0, -1.0])
         assert np.allclose(res.rho, [1.0, 0.0], atol=1e-12)

@@ -7,9 +7,8 @@ from conecert import (
     MomentSpec,
     integral_moments,
     positive_quadrature,
-    verify_exactness,
 )
-from conecert.quadrature import rule_certificate
+from conecert.quadrature import rule_certificate, verify_exactness
 
 
 def _apply_rule(rule, f):
@@ -39,6 +38,33 @@ class TestIntegralMoments:
             integral_moments(2, 1.0, 1.0)
         with pytest.raises(BadInterval):
             integral_moments(2, 2.0, 1.0)
+
+
+class TestMomentSpec:
+    def test_reversed_interval(self):
+        with pytest.raises(BadInterval):
+            MomentSpec((1.0, -1.0), 2, [1.0, 0.0, 0.0])
+
+    def test_negative_degree(self):
+        with pytest.raises(ValueError, match="degree must be nonnegative"):
+            MomentSpec((0.0, 1.0), -1, [])
+        with pytest.raises(ValueError, match="degree must be nonnegative"):
+            integral_moments(-1, 0.0, 1.0)
+
+    @pytest.mark.parametrize("moments", [[1.0, 0.0], [1.0, 0.0, 0.0, 0.0], [[1.0, 0.0, 0.0]]])
+    def test_moment_count(self, moments):
+        with pytest.raises(ValueError, match="degree 2 needs 3 moments"):
+            MomentSpec((-1.0, 1.0), 2, moments)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_moments_finite(self, bad):
+        with pytest.raises(ValueError, match="moments must be finite"):
+            MomentSpec((-1.0, 1.0), 2, [1.0, bad, 0.0])
+
+    def test_interval_and_moments_coerced(self):
+        spec = MomentSpec((-1, 1), 1, [1, 0])
+        assert spec.interval == (-1.0, 1.0)
+        assert spec.moments.dtype == float
 
 
 class TestPositiveQuadrature:

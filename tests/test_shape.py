@@ -84,3 +84,18 @@ def test_checkgrid_minimum_is_recomputed():
     report = shape_certificate(problem, forged)
     assert report["checkgrid_feasibility"].residual == -result.min_derivative_on_checkgrid
     assert not report["checkgrid_feasibility"].passed
+
+
+@pytest.mark.parametrize(
+    "n, r, grid, target, message",
+    [
+        (2, 3, np.linspace(-1.0, 1.0, 5), np.ones(3), "need 0 <= r <= n"),
+        (2, 1, np.linspace(-1.0, 1.5, 5), np.ones(3), "grid must lie in"),
+        (2, 1, np.linspace(-1.5, 1.0, 5), np.ones(3), "grid must lie in"),
+        (2, 1, np.linspace(-1.0, 1.0, 5), np.ones(2), "exactly n \\+ 1 coefficients"),
+        (2, 1, np.linspace(-1.0, 1.0, 5), np.ones(4), "exactly n \\+ 1 coefficients"),
+    ],
+)
+def test_problem_refuses_inconsistent_inputs(n, r, grid, target, message):
+    with pytest.raises(ValueError, match=message):
+        ShapeProblem(n=n, r=r, grid=grid, target=LegendrePoly(target))
