@@ -2,11 +2,11 @@
 
 Reads a JSON problem file, dispatches to the library, and emits the
 result's certificate report as JSON (the documented schema) or as text.
-Every certificate comes from the library's check function beside the
-solver (``*_certificate``); this module only parses, dispatches and
-serializes.  Exit status: 0 when all certificates pass, 2 when a result
-was produced but some certificate failed (or the solver gave up), 1 on
-malformed input.
+A handler per kind only parses and solves; `run` then certifies the
+result with the library's check function for it (``*_certificate``,
+which takes ``(result, tol)``) and serializes.  Exit status: 0 when all
+certificates pass, 2 when a result was produced but some certificate
+failed (or the solver gave up), 1 on malformed input.
 
 Report schema (JSON format)::
 
@@ -35,18 +35,29 @@ from .certificates import CertificateReport
 from .cones import (cone_membership_certificate, dual_projection_certificate, generated_projection_certificate,
                     positive_relative_test, project_dual, project_generated, span_membership, span_membership_certificate)
 from .errors import IterationLimit, MomentFitFailed
-from .farkas import farkas_alternative, farkas_certificate, generalized_farkas, implication_certificate
+from .farkas import FarkasOutcome, GenFarkasReport, farkas_alternative, farkas_certificate, generalized_farkas, implication_certificate
 from .legendre import chebyshev_points, legendre_to_monomial, monomial_to_legendre
 from .linalg import DEFAULT_TOL, as_vector, generator_matrix
-from .quadrature import integral_moments, positive_quadrature, rule_certificate
-from .shape import LegendrePoly, ShapeProblem, default_grid, project_shape, shape_certificate
+from .quadrature import QuadratureRule, integral_moments, positive_quadrature, rule_certificate
+from .shape import LegendrePoly, ShapeProblem, ShapeResult, default_grid, project_shape, shape_certificate
 
 KINDS = ("project", "farkas", "quadrature", "shape", "membership")
 
-# the fields of a projection result that its report shows, ``active`` a property
-PROJECT_FIELDS = ("point", "rho", "active", "kkt_residual", "orthogonality_residual")
-# the fields of a generalized Farkas result that its report shows
+# the fields (some of them properties) of each result that its report shows
+PROJECT_FIELDS = ("orientation", "point", "rho", "active", "kkt_residual", "orthogonality_residual")
 PAIRS_FIELDS = ("member_plain", "member_augmented", "sampled_implication_holds", "hypothesis_verified", "feasible_point", "samples_used")
+
+# the check function of a result, by its type or a projection's orientation or a membership's mode
+CERTIFICATES = {
+    FarkasOutcome: farkas_certificate,
+    GenFarkasReport: implication_certificate,
+    QuadratureRule: rule_certificate,
+    ShapeResult: shape_certificate,
+    "generated": generated_projection_certificate,
+    "dual": dual_projection_certificate,
+    "span": span_membership_certificate,
+    "cone": cone_membership_certificate,
+}
 
 
 class InputError(Exception):
@@ -163,7 +174,7 @@ def _vectors_field(data, name, path, dim: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# per-kind handlers: return (result dict, certificate report)
+# per-kind handlers parse and solve: return (result dict, result, certificate keyword arguments)
 
 
 def _handle_project(data: dict, path: str, tol: float):
@@ -176,12 +187,10 @@ def _handle_project(data: dict, path: str, tol: float):
     if witness is not None and witness.size != x.size:
         raise InputError(f"{path}: field 'witness_e' has length {witness.size}, expected {x.size}")
     if orientation == "generated":
-        res = project_generated(S.T, x, tol)
-        report = generated_projection_certificate(S.T, x, res, tol)
+        res, hypotheses = project_generated(S.T, x, tol), {}
     else:
-        res = project_dual(S.T, x, tol)
-        report = dual_projection_certificate(S.T, x, res, tol, witness_e=witness)
-    return {"orientation": orientation, **_json(res, PROJECT_FIELDS)}, report
+        res, hypotheses = project_dual(S.T, x, tol), {"witness_e": witness}
+    return _json(res, PROJECT_FIELDS), res, hypotheses
 
 
 def _handle_farkas(data: dict, path: str, tol: float):
@@ -205,12 +214,12 @@ def _handle_farkas(data: dict, path: str, tol: float):
         if isinstance(r, bool) or not isinstance(r, (int, float)):
             raise InputError(f"{path}: field 'r' must be a number")
         gen = generalized_farkas(pairs, b, float(r), tol)
-        return _json(gen, PAIRS_FIELDS), implication_certificate(pairs, b, gen, tol)
+        return _json(gen, PAIRS_FIELDS), gen, {}
 
     b = _vector_field(data, "rhs", path)
     A = _vectors_field(data, "matrix", path, b.size).T
     outcome = farkas_alternative(A, b, tol)
-    return _json(outcome), farkas_certificate(A, b, outcome, tol)
+    return _json(outcome, ("tag", "y", "x", "verification")), outcome, {}
 
 
 def _handle_quadrature(data: dict, path: str, tol: float):
@@ -228,7 +237,7 @@ def _handle_quadrature(data: dict, path: str, tol: float):
     except ValueError as exc:  # BadInterval, or moments past the float range
         raise InputError(f"{path}: {exc}") from exc
     rule = positive_quadrature(spec, grid_size)
-    return _json(rule), rule_certificate(spec, rule)
+    return _json(rule, ("nodes", "weights", "degree", "interval")), rule, {}
 
 
 def _parse_shape_target(data: dict, path: str, n: int) -> LegendrePoly:
@@ -269,14 +278,11 @@ def _handle_shape(data: dict, path: str, tol: float):
         "rho": res.rho.tolist(),
         "min_derivative_on_checkgrid": float(res.min_derivative_on_checkgrid),
         "distance": float(np.linalg.norm(sol.coeffs - target.coeffs)),
-    }, shape_certificate(problem, res, tol)
+    }, res, {}
 
 
-# membership mode -> (solve, certify), both taking (gamma, x, ...)
-MEMBERSHIP = {
-    "span": (span_membership, span_membership_certificate),
-    "cone": (positive_relative_test, cone_membership_certificate),
-}
+# membership mode -> solve
+MEMBERSHIP = {"span": span_membership, "cone": positive_relative_test}
 
 
 def _handle_membership(data: dict, path: str, tol: float):
@@ -285,9 +291,8 @@ def _handle_membership(data: dict, path: str, tol: float):
         raise InputError(f"{path}: field 'mode' must be 'span' or 'cone'")
     x = _vector_field(data, "point", path)
     G = _vectors_field(data, "vectors", path, x.size)
-    solve, certify = MEMBERSHIP[mode]
-    res = solve(G.T, x, tol)
-    return {"mode": mode, **_json(res)}, certify(G.T, x, res, tol)
+    res = MEMBERSHIP[mode](G.T, x, tol)
+    return _json(res, ("mode", "member", "coefficients", "witness")), res, {}
 
 
 _HANDLERS = {
@@ -374,7 +379,7 @@ def run(argv=None) -> int:
         kind = _field(data, "kind", args.input)
         if kind != args.kind:
             raise InputError(f"{args.input}: file kind '{kind}' does not match requested kind '{args.kind}'")
-        result, certificates = _HANDLERS[args.kind](data, args.input, args.tol)
+        result, solved, hypotheses = _HANDLERS[args.kind](data, args.input, args.tol)
         error = None
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -382,8 +387,11 @@ def run(argv=None) -> int:
     except (IterationLimit, MomentFitFailed) as exc:
         result = None
         certificates = CertificateReport()
-        certificates.add("computation_completed", 1.0, False)
+        # no result to check: fails at any tol
+        certificates.add("computation_completed", 1.0, 0.0)
         error = f"{type(exc).__name__}: {exc}"
+    else:
+        certificates = CERTIFICATES[getattr(solved, "orientation", getattr(solved, "mode", type(solved)))](solved, args.tol, **hypotheses)
 
     report = {
         "kind": args.kind,

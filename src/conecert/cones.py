@@ -4,23 +4,20 @@ Two orientations of a finitely generated cone appear throughout: the
 generated cone ``cone(K)`` of all nonnegative combinations, and its
 dual-form partner ``C = {y : <y, k> >= 0 for all k in K}``.  Projections
 onto both are computed from one nonnegative least-squares solve and come
-back with the multipliers, the active generators, and residuals for the
-optimality conditions.  Membership of x in the cone
+back with the multipliers, from which the active generators and the
+optimality residuals are derived.  Membership of x in the cone
 (`positive_relative_test`) or span (`span_membership`) of gamma has the
 separation theorem's two outcomes, one `Membership`: coefficients, or
-the fit's residual as a separating witness.  The certificates re-check a
-result from its own multipliers or witness and solve nothing.
+the fit's residual as a separating witness.  Each result holds its
+problem, ``S`` (the generators as columns) and ``x``, and
+``*_certificate(result, tol)`` re-checks it from its own multipliers or
+witness, with no solve and no coercion.
 ``verify_characterization`` checks a dual-form projection given only as
 a point, each condition separately.
 
 ``zig_decompose`` is the one decomposition of x through the synthesis
-operator S of cone(K): ``x = S rho + x0 + z`` with ``z = -pinv(S^T) eta``.
-Its corollaries are read off its fields rather than computed again:
-Moreau's split ``x = pc + pdual`` (``pc`` is `project_generated`'s point,
-``pdual`` lies in the polar cone ``K^- = {y : <y, k> <= 0}``), and for y
-in ``K^-`` (up to the NNLS slack; exactly when ``rho`` is all zero) the
-split ``y = x0 + z`` into its parts in and orthogonal to the null space
-of ``S^T``.
+operator S of cone(K); its corollaries, Moreau's split and the split of
+a polar-cone point by the null space of ``S^T``, are read off its fields.
 
 All functions are pure and safe to call concurrently.
 """
@@ -33,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .certificates import CertificateReport
-from .linalg import DEFAULT_TOL, _member, _products_limit, _scale, add_member_check, as_vector, generator_matrix, nnls
+from .linalg import DEFAULT_TOL, _member, _products_limit, _scale, as_vector, generator_matrix, nnls
 
 # multipliers above 1e-10 * max(1, ||rho||_inf) count as active
 ACTIVE_RTOL = 1e-10
@@ -41,32 +38,44 @@ ACTIVE_RTOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class ProjectionResult:
-    """Projected point with multipliers and certificate residuals.
+    """Projected point and multipliers on the problem ``(S, x)``: ``S rho``
+    onto cone(K) for ``orientation`` ``"generated"``, ``x + S rho`` onto
+    the dual-form cone for ``"dual"``.  ``kkt_residual``, the largest
+    violation of the optimality conditions, and ``orthogonality_residual``,
+    ``|<x - p, p>|``, are derived at the point p that rho gives."""
 
-    ``kkt_residual`` is the largest violation of the optimality
-    conditions and ``orthogonality_residual`` is ``|<x - point, point>|``.
-    """
-
+    orientation: str
     point: np.ndarray
     rho: np.ndarray
-    kkt_residual: float
-    orthogonality_residual: float
+    S: np.ndarray
+    x: np.ndarray
 
     @property
     def active(self) -> np.ndarray:
         """The generators whose multipliers are above the activity threshold."""
         return _active_indices(self.rho)
 
+    @property
+    def kkt_residual(self) -> float:
+        return _optimality(self)[0]
+
+    @property
+    def orthogonality_residual(self) -> float:
+        return _optimality(self)[1]
+
 
 @dataclass(frozen=True, eq=False)
 class Membership:
-    """Membership of x in a cone or span: a member carries only
-    ``coefficients`` reproducing x, a nonmember only the ``witness`` w,
-    the residual of the fit, with ``<x, w> = ||w||^2 > 0``."""
+    """Membership of x in the cone or span (``mode``) of S: a member carries
+    only ``coefficients`` reproducing x, a nonmember only the ``witness``
+    w, the residual of the fit, with ``<x, w> = ||w||^2 > 0``."""
 
+    mode: str
     member: bool
     coefficients: Optional[np.ndarray]
     witness: Optional[np.ndarray]
+    S: np.ndarray
+    x: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,8 +114,8 @@ def positive_relative_test(gamma, x, tol: float = DEFAULT_TOL) -> Membership:
     G = generator_matrix(gamma, dim=xv.size)
     sol = nnls(G, xv, tol)
     if _member(sol.residual, xv, tol):
-        return Membership(True, sol.rho, None)
-    return Membership(False, None, sol.residual)
+        return Membership("cone", True, sol.rho, None, G, xv)
+    return Membership("cone", False, None, sol.residual, G, xv)
 
 
 def span_membership(gamma, x, tol: float = DEFAULT_TOL) -> Membership:
@@ -118,94 +127,84 @@ def span_membership(gamma, x, tol: float = DEFAULT_TOL) -> Membership:
     coeffs, *_ = np.linalg.lstsq(G, xv, rcond=None)
     residual = xv - G @ coeffs
     if _member(residual, xv, tol):
-        return Membership(True, coeffs, None)
-    return Membership(False, None, residual)
+        return Membership("span", True, coeffs, None, G, xv)
+    return Membership("span", False, None, residual, G, xv)
 
 
-def _membership_checks(gamma, x, result: Membership, tol: float, products_name: str, products) -> CertificateReport:
+def _membership_checks(result: Membership, tol: float, products_name: str, products) -> CertificateReport:
     """A member's ``representation``, or the checks of a witness w:
-    ``<x, w> > 0``, ``products(G^T w)`` within `_products_limit`, and
+    ``<x, w> > 0``, ``products(S^T w)`` within `_products_limit`, and
     ``<x, w> = ||w||^2``."""
-    xv = as_vector(x)
-    G = generator_matrix(gamma, dim=xv.size)
+    S, xv = result.S, result.x
     report = CertificateReport()
     if result.member:
-        add_member_check(report, "representation", xv - G @ result.coefficients, xv, tol)
+        report.add("representation", np.linalg.norm(xv - S @ result.coefficients), _scale(xv, tol))
         return report
     w = result.witness
-    residual = products(G.T @ w)
-    gap = float(xv @ w) - float(w @ w)
-    report.add("witness_separates", max(0.0, -float(xv @ w)), float(xv @ w) > 0.0)
-    report.add(products_name, residual, residual <= _products_limit(G, xv, tol))
-    report.add("witness_self_product", abs(gap), abs(gap) <= tol * (1.0 + float(xv @ xv)))
+    report.add_margin("witness_separates", xv @ w)
+    report.add(products_name, products(S.T @ w), _products_limit(S, xv, tol))
+    report.add("witness_self_product", abs(float(xv @ w) - float(w @ w)), tol * (1.0 + float(xv @ xv)))
     return report
 
 
-def cone_membership_certificate(gamma, x, result: Membership, tol: float = DEFAULT_TOL) -> CertificateReport:
+def cone_membership_certificate(result: Membership, tol: float = DEFAULT_TOL) -> CertificateReport:
     """Re-check a `positive_relative_test` answer: coefficients >= 0, or ``<g, w> <= 0``."""
-    report = _membership_checks(gamma, x, result, tol, "witness_nonpositive_products", lambda p: max(0.0, float(p.max(initial=0.0))))
+    report = _membership_checks(result, tol, "witness_nonpositive_products", lambda p: max(0.0, float(p.max(initial=0.0))))
     if result.member:
-        min_coeff = float(result.coefficients.min(initial=0.0))
-        report.add("multipliers_nonnegative", max(0.0, -min_coeff), min_coeff >= 0.0)
+        report.add("multipliers_nonnegative", max(0.0, -float(result.coefficients.min(initial=0.0))), 0.0)
     return report
 
 
-def span_membership_certificate(gamma, x, result: Membership, tol: float = DEFAULT_TOL) -> CertificateReport:
+def span_membership_certificate(result: Membership, tol: float = DEFAULT_TOL) -> CertificateReport:
     """Re-check a `span_membership` answer: coefficients, or a witness orthogonal to gamma."""
-    return _membership_checks(gamma, x, result, tol, "witness_orthogonality", lambda p: float(np.abs(p).max(initial=0.0)))
+    return _membership_checks(result, tol, "witness_orthogonality", lambda p: float(np.abs(p).max(initial=0.0)))
 
 
-def _add_residual_checks(report: CertificateReport, S, xv, result: ProjectionResult, kkt_name: str, tol: float) -> None:
+def _optimality(result: ProjectionResult) -> tuple:
+    """``(kkt, orthogonality)`` residuals of the point that ``rho`` gives:
+    ``S rho`` on cone(K), ``x + S rho`` on the dual-form cone."""
+    S, xv, rho = result.S, result.x, result.rho
+    kkt = 0.0
+    if result.orientation == "generated":
+        point = S @ rho
+        inner = S.T @ (xv - point)
+        if inner.size:
+            kkt = max(float(np.maximum(inner, 0.0).max()), float(np.abs(rho * inner).max()))
+    else:
+        point = xv + S @ rho
+        if S.shape[1]:
+            inner = S.T @ point
+            kkt = max(0.0, float((-inner).max()))
+            active = _active_indices(rho)
+            if active.size:
+                kkt = max(kkt, float(np.abs(inner[active]).max()))
+    return kkt, abs(float((xv - point) @ point))
+
+
+def _add_residual_checks(report: CertificateReport, result: ProjectionResult, kkt_name: str, tol: float) -> None:
     """A projection's KKT residual within `_products_limit` and its
     orthogonality residual within ``tol (1 + ||x||^2)``."""
-    report.add(kkt_name, result.kkt_residual, result.kkt_residual <= _products_limit(S, xv, tol))
-    report.add("orthogonality", result.orthogonality_residual, result.orthogonality_residual <= tol * (1.0 + float(xv @ xv)))
-
-
-def _generated_result(S, xv, rho) -> ProjectionResult:
-    """The projection ``S rho`` onto cone(K) and its residuals."""
-    point = S @ rho
-    r = xv - point
-    inner = S.T @ r
-    kkt = 0.0
-    if inner.size:
-        kkt = max(float(np.maximum(inner, 0.0).max()), float(np.abs(rho * inner).max()))
-    orth = abs(float(r @ point))
-    return ProjectionResult(point, rho, kkt, orth)
+    kkt, orth = _optimality(result)
+    report.add(kkt_name, kkt, _products_limit(result.S, result.x, tol))
+    report.add("orthogonality", orth, tol * (1.0 + float(result.x @ result.x)))
 
 
 def project_generated(K, x, tol: float = DEFAULT_TOL) -> ProjectionResult:
     """Project x onto cone(K) with the multipliers certifying optimality."""
     xv = as_vector(x)
     S = generator_matrix(K, dim=xv.size)
-    return _generated_result(S, xv, nnls(S, xv, tol).rho)
+    rho = nnls(S, xv, tol).rho
+    return ProjectionResult("generated", S @ rho, rho, S, xv)
 
 
-def generated_projection_certificate(K, x, result: ProjectionResult, tol: float = DEFAULT_TOL) -> CertificateReport:
+def generated_projection_certificate(result: ProjectionResult, tol: float = DEFAULT_TOL) -> CertificateReport:
     """Re-check a `project_generated` result: rho >= 0, the residuals rho
-    gives (not the reported ones), ``point = S rho``."""
-    xv = as_vector(x)
-    S = generator_matrix(K, dim=xv.size)
+    gives, ``point = S rho``."""
     report = CertificateReport()
-    min_rho = float(result.rho.min(initial=0.0))
-    report.add("multipliers_nonnegative", max(0.0, -min_rho), min_rho >= 0.0)
-    _add_residual_checks(report, S, xv, _generated_result(S, xv, result.rho), "kkt_inequalities", tol)
-    add_member_check(report, "representation", result.point - S @ result.rho, xv, tol)
+    report.add("multipliers_nonnegative", max(0.0, -float(result.rho.min(initial=0.0))), 0.0)
+    _add_residual_checks(report, result, "kkt_inequalities", tol)
+    report.add("representation", np.linalg.norm(result.point - result.S @ result.rho), _scale(result.x, tol))
     return report
-
-
-def _dual_result(S, xv, rho) -> ProjectionResult:
-    """The projection ``x + S rho`` onto the dual-form cone and its residuals."""
-    active = _active_indices(rho)
-    point = xv + S @ rho
-    kkt = 0.0
-    if S.shape[1]:
-        inner = S.T @ point
-        kkt = max(0.0, float((-inner).max()))
-        if active.size:
-            kkt = max(kkt, float(np.abs(inner[active]).max()))
-    orth = abs(float((xv - point) @ point))
-    return ProjectionResult(point, rho, kkt, orth)
 
 
 def project_dual(K, x, tol: float = DEFAULT_TOL) -> ProjectionResult:
@@ -218,50 +217,43 @@ def project_dual(K, x, tol: float = DEFAULT_TOL) -> ProjectionResult:
     """
     xv = as_vector(x)
     S = generator_matrix(K, dim=xv.size)
-    return _dual_result(S, xv, nnls(S, -xv, tol).rho)
+    rho = nnls(S, -xv, tol).rho
+    return ProjectionResult("dual", xv + S @ rho, rho, S, xv)
 
 
 def _characterization(S, xv, x0v, tol: float, witness_e, multipliers) -> CertificateReport:
     """`verify_characterization`'s checks on ``rho = multipliers(x0 - x, face)``,
     ``face`` the generators within the ``active_orthogonality`` threshold."""
-    d = xv.size
     report = CertificateReport()
 
     if witness_e is not None:
-        e = as_vector(witness_e)
-        margin = float((S.T @ e).min()) if S.shape[1] else 1.0
-        report.add("witness_positivity", max(0.0, -margin), margin > 0.0)
+        report.add_margin("witness_positivity", (S.T @ witness_e).min() if S.shape[1] else 1.0)
 
     if S.shape[1] == 0 or float((S.T @ xv).min(initial=0.0)) >= -_scale(xv, tol):
-        add_member_check(report, "fixed_point", x0v - xv, xv, tol)
+        report.add("fixed_point", np.linalg.norm(x0v - xv), _scale(xv, tol))
         return report
 
     inner = S.T @ x0v
     orth_scale = _scale(x0v, tol)
     diff = x0v - xv
     rho = multipliers(diff, np.flatnonzero(np.abs(inner) <= orth_scale))
-    add_member_check(report, "difference_in_cone", diff - S @ rho, diff, tol)
+    report.add("difference_in_cone", np.linalg.norm(diff - S @ rho), _scale(diff, tol))
 
     active = _active_indices(rho)
     m = int(active.size)
-    report.add("active_set_nonempty", float(m == 0), m >= 1)
+    report.add("active_set_nonempty", float(m == 0), 0.0)
     if m:
-        rank = np.linalg.matrix_rank(S[:, active])
-        report.add("active_set_independent", float(m - rank), rank == m)
+        report.add("active_set_independent", m - np.linalg.matrix_rank(S[:, active]), 0.0)
         # the active multipliers are positive by their threshold; the rest must not be negative
-        min_w = float(rho.min())
-        report.add("positive_multipliers", max(0.0, -min_w), min_w >= 0.0)
-        ortho = float(np.abs(inner[active]).max())
-        report.add("active_orthogonality", ortho, ortho <= orth_scale)
+        report.add("positive_multipliers", max(0.0, -float(rho.min())), 0.0)
+        report.add("active_orthogonality", np.abs(inner[active]).max(), orth_scale)
 
-    viol = max(0.0, -float(inner.min()))
-    report.add("point_in_cone", viol, viol <= orth_scale)
+    report.add("point_in_cone", max(0.0, -float(inner.min())), orth_scale)
 
-    limit = d - 1 if np.linalg.norm(x0v) > 1e-8 else d
-    report.add("active_count_bound", float(m - limit), m <= limit)
+    limit = xv.size - 1 if np.linalg.norm(x0v) > 1e-8 else xv.size
+    report.add("active_count_bound", m - limit, 0.0)
 
-    min_inner = float((S.T @ xv).min())
-    report.add("infeasible_direction_exists", max(0.0, min_inner), min_inner < 0.0)
+    report.add_margin("infeasible_direction_exists", -(S.T @ xv).min())
     return report
 
 
@@ -298,6 +290,8 @@ def verify_characterization(K, x, x0, tol: float = DEFAULT_TOL, witness_e=None) 
     """
     xv = as_vector(x)
     S = generator_matrix(K, dim=xv.size)
+    if witness_e is not None:
+        witness_e = as_vector(witness_e)
 
     def multipliers(diff, face):
         fit = positive_relative_test(S[:, face].T, diff, tol)
@@ -310,13 +304,12 @@ def verify_characterization(K, x, x0, tol: float = DEFAULT_TOL, witness_e=None) 
     return _characterization(S, xv, as_vector(x0), tol, witness_e, multipliers)
 
 
-def dual_projection_certificate(K, x, result: ProjectionResult, tol: float = DEFAULT_TOL, witness_e=None) -> CertificateReport:
+def dual_projection_certificate(result: ProjectionResult, tol: float = DEFAULT_TOL, witness_e=None) -> CertificateReport:
     """`verify_characterization`'s checks on a `project_dual` result's own
-    rho, with no solve, then the residuals rho gives (not those reported)."""
-    xv = as_vector(x)
-    S = generator_matrix(K, dim=xv.size)
-    report = _characterization(S, xv, as_vector(result.point), tol, witness_e, lambda diff, face: result.rho)
-    _add_residual_checks(report, S, xv, _dual_result(S, xv, result.rho), "kkt_residual", tol)
+    rho, with no solve, then the residuals rho gives; a length-d
+    ``witness_e`` adds ``witness_positivity``."""
+    report = _characterization(result.S, result.x, result.point, tol, witness_e, lambda diff, face: result.rho)
+    _add_residual_checks(report, result, "kkt_residual", tol)
     return report
 
 
@@ -353,19 +346,12 @@ def zig_decompose(K, x, tol: float = DEFAULT_TOL) -> ZigDecomposition:
     x0 = xv - along
 
     report = CertificateReport()
-    add_member_check(report, "statement1_decomposition", xv - (pc + x0 - lift), xv, tol)
-    r2_sign = max(0.0, -float(rho.min(initial=0.0)), -float(eta.min(initial=0.0)))
-    report.add("statement2_sign_conditions", r2_sign, r2_sign <= tol)
-    add_member_check(report, "statement2_eta_in_row_space", eta - S.T @ lift, eta, tol)
-    r2_comp = abs(float(rho @ eta))
-    report.add(
-        "statement2_complementarity",
-        r2_comp,
-        r2_comp <= tol * (1.0 + np.linalg.norm(rho) * np.linalg.norm(eta)),
-    )
-    add_member_check(report, "statement3_dual_projection", pdual - (x0 - lift), xv, tol)
-    r3b = abs(float(x0 @ lift))
-    report.add("statement3_orthogonality", r3b, r3b <= tol * (1.0 + float(xv @ xv)))
-    add_member_check(report, "statement4_projection_formulas", pc - (along + lift), xv, tol)
+    report.add("statement1_decomposition", np.linalg.norm(xv - (pc + x0 - lift)), _scale(xv, tol))
+    report.add("statement2_sign_conditions", max(0.0, -float(rho.min(initial=0.0)), -float(eta.min(initial=0.0))), tol)
+    report.add("statement2_eta_in_row_space", np.linalg.norm(eta - S.T @ lift), _scale(eta, tol))
+    report.add("statement2_complementarity", abs(float(rho @ eta)), tol * (1.0 + np.linalg.norm(rho) * np.linalg.norm(eta)))
+    report.add("statement3_dual_projection", np.linalg.norm(pdual - (x0 - lift)), _scale(xv, tol))
+    report.add("statement3_orthogonality", abs(float(x0 @ lift)), tol * (1.0 + float(xv @ xv)))
+    report.add("statement4_projection_formulas", np.linalg.norm(pc - (along + lift)), _scale(xv, tol))
 
     return ZigDecomposition(rho=rho, x0=x0, eta=eta, z=-lift, pc=pc, pdual=pdual, report=report)

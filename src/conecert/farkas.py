@@ -6,23 +6,18 @@ from their cone.  The decision is `positive_relative_test` on the rows:
 its `Membership` coefficients are the combination y, and its witness,
 the residual of the fit, *is* the separating vector x.  Every membership
 decision and check here is the library's one rule,
-``||residual|| <= tol (1 + ||target||)``.
-`farkas_certificate` re-checks either certificate without the solver.
+``||residual|| <= tol (1 + ||target||)``.  Each result holds its
+problem, and `farkas_certificate` and `implication_certificate`
+re-check it from ``(result, tol)`` alone, without the solver.
 
 `generalized_farkas` decides the paper's finite generalized Farkas
-theorem the same way: for a consistent system ``<s_j, x> <= p_j``, the
-implication ``<b, x> <= r`` holds exactly when ``(b, r)`` lies in
-``cone{(s_j, p_j)} + R_+ (0, 1)``.  Every answer carries the
-certificate the theorem gives, checked before it is reported:
-multipliers when the implication holds, a feasible point that violates
-it when it fails, and multipliers that combine the pairs into
-``0 <= -1`` when the system itself is inconsistent.  Nothing is
-sampled.
+theorem the same way, and every answer carries the certificate the
+theorem gives, checked before it is reported.  Nothing is sampled.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
@@ -30,7 +25,7 @@ import numpy as np
 
 from .certificates import CertificateReport
 from .cones import positive_relative_test
-from .linalg import DEFAULT_TOL, _member, add_member_check, as_matrix, as_vector, generator_matrix, nnls
+from .linalg import DEFAULT_TOL, _member, _scale, as_matrix, as_vector, generator_matrix, nnls
 
 # most lifted solves `generalized_farkas` makes towards a point passing S x <= p
 FEASIBLE_ROUNDS = 3
@@ -43,7 +38,7 @@ class FarkasTag(str, Enum):
 
 @dataclass(frozen=True)
 class FarkasVerification:
-    """Residuals backing the declared alternative.
+    """Residuals backing the declared alternative (`FarkasOutcome.verification`).
 
     System 1: ``primal_residual = ||A^T y - b||`` and ``dual_violation``
     is the worst negativity of y.  System 2: ``dual_violation`` is the
@@ -58,10 +53,20 @@ class FarkasVerification:
 
 @dataclass(frozen=True, eq=False)
 class FarkasOutcome:
+    """The solvable system's ``tag`` and its ``y`` or ``x`` for ``(A, b)``."""
+
     tag: FarkasTag
     y: Optional[np.ndarray]
     x: Optional[np.ndarray]
-    verification: FarkasVerification
+    A: np.ndarray
+    b: np.ndarray
+
+    @property
+    def verification(self) -> FarkasVerification:
+        A, b, y, x = self.A, self.b, self.y, self.x
+        if self.tag is FarkasTag.SYSTEM1:
+            return FarkasVerification(float(np.linalg.norm(b - A.T @ y)), max(0.0, -float(y.min(initial=0.0))), 0.0)
+        return FarkasVerification(0.0, max(0.0, float((A @ x).max(initial=0.0))), float(b @ x - 0.5 * (x @ x)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,6 +87,7 @@ class GenFarkasReport:
     ``sampled_implication_holds`` keeps its name and its meaning, "no
     violation found": it is False exactly when ``violator`` is set.
     ``samples_used`` is the number of points checked against the system.
+    ``S`` (rows s_j), ``p``, ``b`` and ``r`` are the problem as coerced.
     """
 
     member_plain: bool
@@ -93,6 +99,10 @@ class GenFarkasReport:
     multipliers: Optional[np.ndarray]
     violator: Optional[np.ndarray]
     infeasibility_multipliers: Optional[np.ndarray]
+    S: np.ndarray
+    p: np.ndarray
+    b: np.ndarray
+    r: float
 
 
 def farkas_alternative(A, b, tol: float = DEFAULT_TOL) -> FarkasOutcome:
@@ -108,60 +118,45 @@ def farkas_alternative(A, b, tol: float = DEFAULT_TOL) -> FarkasOutcome:
     Am = as_matrix(A)
     bv = as_vector(b)
     test = positive_relative_test(Am, bv, tol)
+    # the test holds copies: its generators are the rows of A, its target b
     if test.member:
-        y = test.coefficients
-        ver = FarkasVerification(
-            primal_residual=float(np.linalg.norm(bv - Am.T @ y)),
-            dual_violation=max(0.0, -float(y.min(initial=0.0))),
-            strict_gap=0.0,
-        )
-        return FarkasOutcome(FarkasTag.SYSTEM1, y=y, x=None, verification=ver)
-    x = test.witness
-    row_products = Am @ x
-    ver = FarkasVerification(
-        primal_residual=0.0,
-        dual_violation=max(0.0, float(row_products.max(initial=0.0))),
-        strict_gap=float(bv @ x - 0.5 * (x @ x)),
-    )
-    return FarkasOutcome(FarkasTag.SYSTEM2, y=None, x=x, verification=ver)
+        return FarkasOutcome(FarkasTag.SYSTEM1, y=test.coefficients, x=None, A=test.S.T, b=test.x)
+    return FarkasOutcome(FarkasTag.SYSTEM2, y=None, x=test.witness, A=test.S.T, b=test.x)
 
 
-def farkas_certificate(A, b, outcome: FarkasOutcome, tol: float = DEFAULT_TOL) -> CertificateReport:
-    """Re-check a Farkas certificate from A, b and its own y or x.
+def farkas_certificate(outcome: FarkasOutcome, tol: float = DEFAULT_TOL) -> CertificateReport:
+    """Re-check a Farkas certificate from the outcome's A, b and its own y or x.
 
     ``certificate_verifies``: the certificate of the tag is present, alone
-    and of the right length (else it is the only check), and a system-2 x
-    fails the membership rule: a shorter one is rounding of an exact fit.
+    and a vector of the right length (else it is the only check, failing
+    at any tol), and a system-2 x fails the membership rule: a shorter
+    one is rounding of an exact fit.
     """
-    Am = as_matrix(A)
-    bv = as_vector(b)
+    Am, bv = outcome.A, outcome.b
     system1 = outcome.tag is FarkasTag.SYSTEM1
-    cert, other, size = (outcome.y, outcome.x, Am.shape[0]) if system1 else (outcome.x, outcome.y, bv.size)
-    v = None if cert is None else as_vector(cert)
+    v, other, size = (outcome.y, outcome.x, Am.shape[0]) if system1 else (outcome.x, outcome.y, bv.size)
     report = CertificateReport()
-    if v is None or other is not None or v.size != size:
-        report.add("certificate_verifies", 1.0, False)
+    if v is None or other is not None or np.shape(v) != (size,):
+        report.add("certificate_verifies", 1.0, 0.0)
         return report
     if system1:
-        add_member_check(report, "primal_residual", Am.T @ v - bv, bv, tol)
-        violation = max(0.0, -float(v.min(initial=0.0)))
-        report.add("multipliers_nonnegative", violation, violation <= tol)
+        report.add("primal_residual", np.linalg.norm(Am.T @ v - bv), _scale(bv, tol))
+        report.add("multipliers_nonnegative", max(0.0, -float(v.min(initial=0.0))), tol)
         verified = True
     else:
         row_norms = np.linalg.norm(Am, axis=1)
         ratios = (Am @ v) / np.where(row_norms > 0, row_norms, 1.0)
-        normalized = max(0.0, float(ratios.max(initial=0.0))) / (1.0 + float(np.linalg.norm(v)))
-        report.add("dual_violation_normalized", normalized, normalized <= tol)
-        gap = float(bv @ v - 0.5 * (v @ v))
-        report.add("strict_gap_positive", max(0.0, -gap), gap > 0.0)
+        report.add("dual_violation_normalized", max(0.0, float(ratios.max(initial=0.0))) / (1.0 + float(np.linalg.norm(v))), tol)
+        report.add_margin("strict_gap_positive", bv @ v - 0.5 * (v @ v))
         verified = not _member(v, bv, tol)
-    report.add("certificate_verifies", float(not verified), verified)
+    report.add("certificate_verifies", float(not verified), 0.0)
     return report
 
 
 def verify_outcome(A, b, outcome: FarkasOutcome, tol: float = DEFAULT_TOL) -> bool:
-    """Whether `farkas_certificate` passes; the benchmark checks Farkas answers with it."""
-    return farkas_certificate(A, b, outcome, tol).passed
+    """Whether `farkas_certificate` passes on (A, b), which need not be the
+    problem the outcome holds; the benchmark checks Farkas answers with it."""
+    return farkas_certificate(replace(outcome, A=as_matrix(A), b=as_vector(b)), tol).passed
 
 
 def _slack(pvals: np.ndarray, tol: float) -> float:
@@ -176,7 +171,7 @@ def implication_multipliers_hold(S, p, b, r, lam, mu, tol: float = DEFAULT_TOL) 
     (b, r)`` by the membership rule, within ``tol (1 + ||(b, r)||)``.
     Then ``<b, x> = <lam, S x> <= lam . p <= r`` for every feasible x.
     """
-    lam = as_vector(lam)
+    lam = np.asarray(lam, dtype=float)
     if (lam.size and lam.min() < 0.0) or mu < 0.0:
         return False
     return _member(np.append(S.T @ lam - b, lam @ p + mu - r), np.append(b, r), tol)
@@ -204,16 +199,11 @@ def infeasibility_residual(S, p, lam) -> float:
     when a pair is scaled.  It is 1.0, its largest value, when a sign
     condition fails.
     """
-    lam = as_vector(lam)
+    lam = np.asarray(lam, dtype=float)
     if lam.size == 0 or lam.min() < 0.0 or not lam @ p < 0.0:
         return 1.0
     lifted_norms = np.linalg.norm(np.column_stack([S, p]), axis=1)
     return float(np.linalg.norm(S.T @ lam) / (lam @ lifted_norms))
-
-
-def _pairs_matrix(pairs, dim: int):
-    S = generator_matrix([s for s, _ in pairs], dim=dim).T
-    return S, np.array([float(p) for _, p in pairs])
 
 
 def _balance_unit(gaps, r, b, row_norm: float) -> float:
@@ -300,7 +290,8 @@ def generalized_farkas(pairs, b, r, tol: float = DEFAULT_TOL) -> GenFarkasReport
     """
     bv = as_vector(b)
     r = float(r)
-    S, pvals = _pairs_matrix(pairs, bv.size)
+    S = generator_matrix([s for s, _ in pairs], dim=bv.size).T
+    pvals = np.array([float(p) for _, p in pairs])
 
     row_norm = float(np.linalg.norm(S, axis=1).max(initial=0.0))
     unit = _balance_unit(pvals, r, bv, row_norm)
@@ -356,22 +347,33 @@ def generalized_farkas(pairs, b, r, tol: float = DEFAULT_TOL) -> GenFarkasReport
         multipliers=multipliers,
         violator=violator,
         infeasibility_multipliers=refuted,
+        S=S,
+        p=pvals,
+        b=bv,
+        r=r,
     )
 
 
-def implication_certificate(pairs, b, result: GenFarkasReport, tol: float = DEFAULT_TOL) -> CertificateReport:
+def implication_certificate(result: GenFarkasReport, tol: float = DEFAULT_TOL) -> CertificateReport:
     """Re-check a `generalized_farkas` report against ``<s_j, x> <= p_j``: its
-    flags agree, and a feasible point or infeasibility multipliers pass."""
-    S, pvals = _pairs_matrix(pairs, as_vector(b).size)
+    flags agree, and a feasible point or infeasibility multipliers pass,
+    as do ``multipliers`` and ``violator`` when set."""
+    S, pvals, b, r = result.S, result.p, result.b, result.r
     plain, aug, holds = result.member_plain, result.member_augmented, result.sampled_implication_holds
     report = CertificateReport()
-    report.add("membership_monotone", float(plain and not aug), (not plain) or aug)
-    report.add("sampled_implication_consistent", float((plain or aug) and not holds), not (plain or aug) or holds)
+    report.add("membership_monotone", float(plain and not aug), 0.0)
+    report.add("sampled_implication_consistent", float((plain or aug) and not holds), 0.0)
+    lam = result.infeasibility_multipliers
     if result.feasible_point is not None:
         gaps = pvals - S @ result.feasible_point
-        report.add("feasibility_hypothesis", max(0.0, -float(gaps.min(initial=0.0))), bool(np.all(gaps >= -_slack(pvals, tol))))
+        report.add("feasibility_hypothesis", max(0.0, -float(gaps.min(initial=0.0))), _slack(pvals, tol))
+    elif lam is None:
+        report.add("feasibility_hypothesis", 1.0, 0.0)
     else:
-        lam = result.infeasibility_multipliers
-        residual = 1.0 if lam is None else infeasibility_residual(S, pvals, lam)
-        report.add("feasibility_hypothesis", residual, lam is not None and residual <= tol)
+        report.add("feasibility_hypothesis", infeasibility_residual(S, pvals, lam), tol)
+    proof = result.multipliers
+    if proof is not None:
+        report.add("implication_multipliers", float(not implication_multipliers_hold(S, pvals, b, r, proof[:-1], proof[-1], tol)), 0.0)
+    if result.violator is not None:
+        report.add("implication_violator", float(not violator_holds(S, pvals, b, r, result.violator, tol)), 0.0)
     return report

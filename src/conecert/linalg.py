@@ -1,11 +1,11 @@
 """Dense linear-algebra substrate.
 
-Coercion of vectors and generator sets (`as_vector`, `as_matrix`,
-`generator_matrix`), the library's one tolerance scale
-``tol (1 + ||v||)`` (`_scale`) and membership rule (`_member`, checked
-by `add_member_check`), and nonnegative least squares (`nnls`).  The
-membership tests built on them, with their separating witnesses, are in
-`cones`.  Everything here is a pure function of its arguments and safe
+Coercion of vectors, matrices and generator sets (`as_vector` and
+`generator_matrix` copy, so a result may hold what they return without
+aliasing its caller's arrays; `as_matrix` does not), the one tolerance
+scale ``tol (1 + ||v||)`` (`_scale`: the membership rule `_member` and
+the threshold of its checks), and nonnegative least squares (`nnls`).
+The membership tests built on them are in `cones`.  Everything here is a pure function of its arguments and safe
 to call from multiple threads.  The rank rule (`svd_factors`; numpy's
 ``matrix_rank`` applies the same cut-off) and Caratheodory reduction of
 positive combinations (`caratheodory_reduce`) have had no caller in the
@@ -13,20 +13,9 @@ library since each answer became one Lawson-Hanson solve; they stay
 here, outside the package namespace, only while the benchmark's traced
 run still wraps them by name.
 
-`nnls` is the Lawson-Hanson active-set method on a thin QR factor
-``Q R`` of its support, kept up to date pivot by pivot, together with
-the inverse ``T = R^-1``, so that a pivot costs mat-vecs and no LAPACK
-solve.  A blocking step deletes its columns from the factor in place:
-the factor of the columns before the first deleted one stands, and only
-the kept columns after it are re-triangularised, by one small QR.  T is
-formed only by bordering, as a column enters, or from the inverse of
-that fresh triangle, bordered by the block that stands; it is never
-carried through a downdate, and the rank rule keeps every diagonal
-entry of R away from zero.  Each `NnlsResult` reports its ``pivots``
-and, in ``drops``, how many columns each blocking step removed.  A
-caller that expects the support in some of the columns fits over those
-first (`cones.verify_characterization`'s face test); `nnls` has no
-entry-order option.
+`nnls` is the Lawson-Hanson active-set method on a thin QR factor of
+its support, kept up to date pivot by pivot, so that a pivot costs
+mat-vecs and no LAPACK solve; its docstring gives the details.
 """
 
 from __future__ import annotations
@@ -37,7 +26,6 @@ from typing import Optional
 
 import numpy as np
 
-from .certificates import CertificateReport
 from .errors import IterationLimit
 
 DEFAULT_TOL = 1e-9
@@ -50,8 +38,8 @@ _SUBNORMAL = float(np.finfo(float).smallest_subnormal)
 
 
 def as_vector(x) -> np.ndarray:
-    """Coerce to a finite 1-d float array."""
-    v = np.atleast_1d(np.asarray(x, dtype=float))
+    """Copy to a finite 1-d float array."""
+    v = np.array(x, dtype=float, ndmin=1)
     if v.ndim != 1:
         raise ValueError("expected a vector")
     if not np.all(np.isfinite(v)):
@@ -77,9 +65,9 @@ def generator_matrix(vectors, dim: Optional[int] = None) -> np.ndarray:
     when `dim` is given the rows must have that length.  A set with no
     rows is legal (it denotes the cone {0} / span {0}), but then `dim`
     must be supplied; an m x 0 array with ``dim = 0`` is m generators of
-    R^0.  The result may be a view of an array input.
+    R^0.  The result is a view of a copy, never of an array input.
     """
-    G = np.asarray(vectors, dtype=float)
+    G = np.array(vectors, dtype=float)
     if G.ndim == 2 and dim is not None and G.shape[1] != dim:
         raise ValueError(f"vectors of length {G.shape[1]}, expected {dim}")
     if G.ndim and G.shape[0] == 0:
@@ -141,11 +129,6 @@ def _member(residual, target, tol: float) -> bool:
     """The membership rule: a least-squares fit of ``target`` over a cone or
     span reaches it when ``||residual|| <= _scale(target)``."""
     return bool(np.linalg.norm(residual) <= _scale(target, tol))
-
-
-def add_member_check(report: CertificateReport, name: str, residual, target, tol: float) -> None:
-    """Check ``name``: ``||residual||`` passes the membership rule for ``target``."""
-    report.add(name, float(np.linalg.norm(residual)), _member(residual, target, tol))
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,6 +8,8 @@ grid to the moments of the orthonormal shifted-Legendre basis.  Any
 moment vector is (sqrt(b - a), 0, ..., 0).  The support of that one
 Lawson-Hanson solve is already an independent set of evaluation vectors,
 so it is the rule, and it is checked against the spec's own moments.
+The rule holds its spec, and `rule_certificate(rule, tol)` re-checks it
+against that spec alone.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from .certificates import CertificateReport
 from .errors import BadInterval, MomentFitFailed
 from .legendre import LegendreBasis, chebyshev_points
-from .linalg import nnls
+from .linalg import DEFAULT_TOL, nnls
 
 # moment mismatch allowed in a finished rule, scaled by 1 + |moment_0|
 EXACTNESS_TOL = 1e-8
@@ -26,17 +28,24 @@ EXACTNESS_TOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Nodes (strictly increasing) and positive weights, exact to degree n."""
+    """Nodes (strictly increasing) and positive weights matching the
+    moments of ``spec``, exact to its degree on its interval."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    degree: int
-    interval: tuple
+    spec: MomentSpec
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=float))
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
-        object.__setattr__(self, "interval", (float(self.interval[0]), float(self.interval[1])))
+
+    @property
+    def degree(self) -> int:
+        return self.spec.degree
+
+    @property
+    def interval(self) -> tuple:
+        return self.spec.interval
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,7 +66,7 @@ class MomentSpec:
             raise BadInterval(f"need a < b, got [{a}, {b}]")
         if self.degree < 0:
             raise ValueError("degree must be nonnegative")
-        moments = np.asarray(self.moments, dtype=float)
+        moments = np.array(self.moments, dtype=float)
         if moments.shape != (self.degree + 1,):
             raise ValueError(f"degree {self.degree} needs {self.degree + 1} moments, got shape {moments.shape}")
         if not np.all(np.isfinite(moments)):
@@ -113,7 +122,7 @@ def positive_quadrature(spec: MomentSpec, grid_size: int) -> QuadratureRule:
 
     # the support indices and the grid both ascend, so the nodes do too
     support = np.flatnonzero(sol.rho > 1e-12)
-    rule = QuadratureRule(nodes=grid[support], weights=sol.rho[support], degree=n, interval=(a, b))
+    rule = QuadratureRule(nodes=grid[support], weights=sol.rho[support], spec=spec)
     error = _moment_error(rule, spec)
     if error > EXACTNESS_TOL:
         raise MomentFitFailed(f"moment fit missed by {error:.3e} on a {grid_size}-point grid")
@@ -135,16 +144,15 @@ def verify_exactness(rule: QuadratureRule, n: int) -> float:
     return _moment_error(rule, integral_moments(n, *rule.interval))
 
 
-def rule_certificate(spec: MomentSpec, rule: QuadratureRule) -> CertificateReport:
-    """Re-check a rule against the degree, interval and moments of ``spec``,
-    at the construction's own thresholds: `EXACTNESS_TOL` and 1e-12."""
-    (a, b), n = spec.interval, spec.degree
-    exactness = _moment_error(rule, spec)
-    min_weight = float(rule.weights.min(initial=np.inf))
+def rule_certificate(rule: QuadratureRule, tol: float = DEFAULT_TOL) -> CertificateReport:
+    """Re-check a rule against the degree, interval and moments of its
+    spec, at the construction's own thresholds, `EXACTNESS_TOL` and
+    1e-12; ``tol`` sets none of them."""
+    (a, b), n = rule.interval, rule.degree
     outside = max(0.0, float(a - rule.nodes.min(initial=a)), float(rule.nodes.max(initial=b) - b))
     report = CertificateReport()
-    report.add("basis_exactness", exactness, exactness <= EXACTNESS_TOL)
-    report.add("node_count_bound", float(rule.nodes.size - (n + 1)), rule.nodes.size <= n + 1)
-    report.add("weights_positive", max(0.0, 1e-12 - min_weight), min_weight > 1e-12)
-    report.add("nodes_in_interval", outside, rule.nodes.size == 0 or (rule.nodes.min() >= a - 1e-12 and rule.nodes.max() <= b + 1e-12))
+    report.add("basis_exactness", _moment_error(rule, rule.spec), EXACTNESS_TOL)
+    report.add("node_count_bound", rule.nodes.size - (n + 1), 0.0)
+    report.add_margin("weights_positive", float(rule.weights.min(initial=np.inf)) - 1e-12)
+    report.add("nodes_in_interval", outside, 1e-12)
     return report

@@ -1,8 +1,11 @@
 """Every ``*_certificate`` re-checks the result it is given and solves nothing.
 
-Each result is computed first; then ``nnls`` is replaced, in every module
-that binds it, by a function that raises, and each certificate must
-still return a passing report.
+One table pairs each solve with its certificate.  Each result is computed
+first; then ``nnls``, ``as_vector`` and ``generator_matrix`` are replaced,
+in every module that binds them, by a function that raises, and
+``certificate(result)`` must still return a passing report: the
+certificate reads the problem the result holds and neither solves nor
+coerces.
 """
 
 import importlib
@@ -37,49 +40,76 @@ BOX = [([1.0, 0.0], 1.0), ([0.0, 1.0], 1.0), ([-1.0, 0.0], 1.0), ([0.0, -1.0], 1
 SPEC = integral_moments(5, 0.0, 1.0)
 SHAPE = ShapeProblem(n=4, r=1, grid=chebyshev_points(30), target=LegendrePoly(np.array([0.3, -1.0, 0.5, 0.2, -0.1])))
 
-
-def _certificates() -> dict:
-    """Each certificate's call, on a result already computed."""
-    member = positive_relative_test(K, X)
-    span = span_membership(K, X)
-    gen = project_generated(K, X)
-    dual = project_dual(K, X)
-    farkas = farkas_alternative(K, X)
-    pairs = generalized_farkas(BOX, [1.0, 1.0], 3.0)
-    rule = positive_quadrature(SPEC, 48)
-    shape = project_shape(SHAPE)
-    return {
-        "cone_membership": lambda: cone_membership_certificate(K, X, member),
-        "span_membership": lambda: span_membership_certificate(K, X, span),
-        "generated_projection": lambda: generated_projection_certificate(K, X, gen),
-        "dual_projection": lambda: dual_projection_certificate(K, X, dual),
-        "farkas": lambda: farkas_certificate(K, X, farkas),
-        "implication": lambda: implication_certificate(BOX, [1.0, 1.0], pairs),
-        "rule": lambda: rule_certificate(SPEC, rule),
-        "shape": lambda: shape_certificate(SHAPE, shape),
-    }
+# name -> (solve, certificate)
+RESULTS = {
+    "cone_membership": (lambda: positive_relative_test(K, X), cone_membership_certificate),
+    "span_membership": (lambda: span_membership(K, X), span_membership_certificate),
+    "generated_projection": (lambda: project_generated(K, X), generated_projection_certificate),
+    "dual_projection": (lambda: project_dual(K, X), dual_projection_certificate),
+    "farkas": (lambda: farkas_alternative(K, X), farkas_certificate),
+    "implication": (lambda: generalized_farkas(BOX, [1.0, 1.0], 3.0), implication_certificate),
+    "rule": (lambda: positive_quadrature(SPEC, 48), rule_certificate),
+    "shape": (lambda: project_shape(SHAPE), shape_certificate),
+}
 
 
 def _no_solve(*args, **kwargs):
-    raise AssertionError("a certificate called the solver")
+    raise AssertionError("a certificate called the solver or a coercion")
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["cone_membership", "span_membership", "generated_projection", "dual_projection", "farkas", "implication", "rule", "shape"],
-)
+@pytest.mark.parametrize("name", list(RESULTS))
 def test_certificate_does_not_solve(monkeypatch, name):
-    certify = _certificates()[name]
+    solve, certificate = RESULTS[name]
+    result = solve()
     for module in ("linalg", "cones", "farkas", "quadrature", "shape"):
         mod = importlib.import_module(f"conecert.{module}")
-        if hasattr(mod, "nnls"):
-            monkeypatch.setattr(mod, "nnls", _no_solve)
-    assert certify().passed
+        for function in ("nnls", "as_vector", "generator_matrix"):
+            if hasattr(mod, function):
+                monkeypatch.setattr(mod, function, _no_solve)
+    assert certificate(result).passed
 
 
 def test_report_lookup_of_an_absent_check():
     report = CertificateReport()
-    report.add("present", 0.0, True)
+    report.add("present", 0.0, 0.0)
     assert report["present"].passed
     with pytest.raises(KeyError):
         report["absent"]
+
+
+@pytest.mark.parametrize("residual, threshold, passed", [(0.0, 0.0, True), (1.0, 1.0, True), (1.0, 0.5, False), (np.nan, 1.0, False)])
+def test_add_judges_residual_against_threshold(residual, threshold, passed):
+    report = CertificateReport()
+    report.add("check", residual, threshold)
+    assert report["check"].passed is passed
+
+
+@pytest.mark.parametrize("margin, residual, passed", [(2.0, 0.0, True), (0.0, 0.0, False), (-3.0, 3.0, False)])
+def test_add_margin_passes_only_a_positive_margin(margin, residual, passed):
+    report = CertificateReport()
+    report.add_margin("check", margin)
+    assert (report["check"].residual, report["check"].passed) == (residual, passed)
+
+
+@pytest.mark.parametrize(
+    "solve, certificate",
+    [
+        (project_generated, generated_projection_certificate),
+        (project_dual, dual_projection_certificate),
+        (positive_relative_test, cone_membership_certificate),
+        (span_membership, span_membership_certificate),
+        (farkas_alternative, farkas_certificate),
+    ],
+)
+def test_result_does_not_alias_the_callers_arrays(solve, certificate):
+    K_array, x = np.array(K), np.array(X)
+    result = solve(K_array, x)
+
+    def observed():
+        residuals = [getattr(result, name) for name in ("kkt_residual", "orthogonality_residual", "verification") if hasattr(result, name)]
+        return [(c.name, c.residual, c.passed) for c in certificate(result).checks], residuals
+
+    before = observed()
+    K_array[:] = 7.0
+    x[:] = 5.0
+    assert observed() == before

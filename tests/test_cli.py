@@ -159,7 +159,7 @@ class TestFarkas:
             "feasible_point",
             "samples_used",
         ]
-        certs = ["membership_monotone", "sampled_implication_consistent", "feasibility_hypothesis"]
+        certs = ["membership_monotone", "sampled_implication_consistent", "feasibility_hypothesis", "implication_multipliers"]
         _check_layout(rep, "farkas", keys, certs)
         report = generalized_farkas([(s, p) for s, p in pairs], [1.0, 1.0], 3.0)
         assert rep["result"]["member_augmented"] is report.member_augmented is True
@@ -286,6 +286,7 @@ BRANCHES = {
     "system1": {"kind": "farkas", "matrix": K, "rhs": (np.array(K).T @ np.array([0.5, 0.0, 1.0, 0.0, 2.0, 0.0])).tolist()},
     "system2": {"kind": "farkas", "matrix": K, "rhs": [-1.0, 0.2, 0.1, 0.0]},
     "pairs": {"kind": "farkas", "pairs": BOX, "b": [1.0, 1.0], "r": 3.0},
+    "pairs_violated": {"kind": "farkas", "pairs": BOX, "b": [1.0, 1.0], "r": 1.0},
     "pairs_infeasible": {"kind": "farkas", "pairs": [[[1.0], 1.0], [[-1.0], -2.0]], "b": [1.0], "r": 0.0},
     "quadrature": {"kind": "quadrature", "degree": 5, "interval": [0.0, 1.0]},
     "shape": {"kind": "shape", "n": 2, "r": 1, "grid_size": 12, "target": {"legendre": [0.3, -1.0, 0.5]}},
@@ -296,7 +297,8 @@ BRANCHES = {
 }
 
 # (name, residual, pass) of each report as written before the checks moved
-# into the library; residuals are compared bit for bit
+# into the library, and since then the implication proof and refutation
+# checks appended to the pairs reports; residuals are compared bit for bit
 PINNED = {
     "dual": (
         ('difference_in_cone', 0.0, True),
@@ -348,11 +350,19 @@ PINNED = {
         ('membership_monotone', 0.0, True),
         ('sampled_implication_consistent', 0.0, True),
         ('feasibility_hypothesis', 0.0, True),
+        ('implication_multipliers', 0.0, True),
+    ),
+    "pairs_violated": (
+        ('membership_monotone', 0.0, True),
+        ('sampled_implication_consistent', 0.0, True),
+        ('feasibility_hypothesis', 0.0, True),
+        ('implication_violator', 0.0, True),
     ),
     "pairs_infeasible": (
         ('membership_monotone', 0.0, True),
         ('sampled_implication_consistent', 0.0, True),
         ('feasibility_hypothesis', 3.0414723152116605e-17, True),
+        ('implication_multipliers', 0.0, True),
     ),
     "quadrature": (
         ('basis_exactness', 1.249000902703301e-16, True),
@@ -560,6 +570,11 @@ class TestGaveUp:
         assert rep["result"] is None
         assert rep["certificates"] == [{"name": "computation_completed", "residual": 1.0, "pass": False}]
         assert rep["error"] == "IterationLimit: nnls exceeded 0 pivots"
+
+    def test_fails_at_any_tol(self, tmp_path):
+        rc, rep = _run(tmp_path, "project", {"kind": "project", "generators": K, "point": X}, "--tol", "2.0")
+        assert rc == 2
+        assert rep["certificates"] == [{"name": "computation_completed", "residual": 1.0, "pass": False}]
 
     def test_text_report(self, tmp_path):
         src, out = tmp_path / "in.json", tmp_path / "out.txt"

@@ -120,8 +120,8 @@ class TestProjectGenerated:
     def test_certificate_recomputes_reported_residuals(self):
         # the point 0 with rho = 0 reports zero residuals, but x - 0 = (1, 2)
         # has positive products with both generators
-        forged = ProjectionResult(np.zeros(2), np.zeros(2), 0.0, 0.0)
-        report = generated_projection_certificate(np.eye(2), [1.0, 2.0], forged)
+        forged = dataclasses.replace(project_generated(np.eye(2), [1.0, 2.0]), point=np.zeros(2), rho=np.zeros(2))
+        report = generated_projection_certificate(forged)
         assert report["kkt_inequalities"].residual == 2.0
         assert not report["kkt_inequalities"].passed
         assert not report.passed
@@ -130,9 +130,10 @@ class TestProjectGenerated:
 class TestProjectionResult:
     def test_active_is_read_off_rho(self):
         # 1e-12 is below the activity threshold 1e-10 * max(1, 2)
-        res = ProjectionResult(np.zeros(3), np.array([0.0, 2.0, 1e-12, 0.5]), 0.0, 0.0)
+        res = ProjectionResult("dual", np.zeros(3), np.array([0.0, 2.0, 1e-12, 0.5]), np.zeros((3, 4)), np.zeros(3))
         assert res.active.tolist() == [1, 3]
-        assert "active" not in [f.name for f in dataclasses.fields(res)]
+        stored = {f.name for f in dataclasses.fields(res)}
+        assert stored.isdisjoint({"active", "kkt_residual", "orthogonality_residual"})
 
 
 class TestProjectDual:
@@ -371,7 +372,7 @@ class TestDualProjectionCertificate:
         K, x = _recertification_instance(5)
         res = project_dual(K, x)
         monkeypatch.setattr(conecert.cones, "nnls", _no_solve)
-        report = dual_projection_certificate(K, x, res)
+        report = dual_projection_certificate(res)
         assert "fixed_point" not in _names(report)
         assert report.passed
 
@@ -381,7 +382,7 @@ class TestDualProjectionCertificate:
         # 2.6e-8 and 1.0e-8 here, though the point is right; rho reaches it
         K, x = _near_duplicate_instance(seed)
         res = project_dual(K, x)
-        report = dual_projection_certificate(K, x, res)
+        report = dual_projection_certificate(res)
         assert report.passed
         oracle = dual_projection_bruteforce(K.T, x)
         assert np.linalg.norm(res.point - oracle) <= 1e-8 * (1.0 + np.linalg.norm(x))
@@ -389,23 +390,23 @@ class TestDualProjectionCertificate:
     def test_negative_multiplier_fails(self):
         # x0 - x = (-1, 1) = S rho with rho = (-1, 1): the point 0 passes
         # every other check, but (1, 0) is the projection of (1, -1)
-        forged = ProjectionResult(np.zeros(2), np.array([-1.0, 1.0]), 0.0, 0.0)
-        report = dual_projection_certificate(np.eye(2), [1.0, -1.0], forged)
+        forged = dataclasses.replace(project_dual(np.eye(2), [1.0, -1.0]), point=np.zeros(2), rho=np.array([-1.0, 1.0]))
+        report = dual_projection_certificate(forged)
         assert report["positive_multipliers"].residual == 1.0
         assert not report["positive_multipliers"].passed
         assert [c.name for c in report.checks if not c.passed] == ["positive_multipliers"]
 
     def test_point_off_its_multipliers_fails(self):
         res = project_dual(K_EXAMPLE, [2.0, 1.0])
-        moved = ProjectionResult(res.point + [0.0, 0.5], res.rho, 0.0, 0.0)
-        report = dual_projection_certificate(K_EXAMPLE, [2.0, 1.0], moved)
+        moved = dataclasses.replace(res, point=res.point + [0.0, 0.5])
+        report = dual_projection_certificate(moved)
         assert not report["difference_in_cone"].passed
 
     def test_same_checks_as_point_only_verification(self):
         for s in range(200):
             K, x = _recertification_instance(s)
             res = project_dual(K, x)
-            report = dual_projection_certificate(K, x, res)
+            report = dual_projection_certificate(res)
             assert _checks(report)[: len(report.checks) - 2] == _checks(verify_characterization(K, x, res.point)), s
 
 
@@ -593,3 +594,25 @@ class TestIdentitySemantics:
             assert obj == obj
             assert hash(obj) == hash(obj)
         assert len({member, res}) == 2
+
+
+class TestDerivedResiduals:
+    """A projection stores no residuals: ``kkt_residual`` and
+    ``orthogonality_residual`` are derived from the problem it holds and
+    its rho, as its certificate derives them, and a forged rho or point
+    fails the certificate."""
+
+    @pytest.mark.parametrize(
+        "solve, certify, kkt_name",
+        [(project_generated, generated_projection_certificate, "kkt_inequalities"), (project_dual, dual_projection_certificate, "kkt_residual")],
+    )
+    def test_forged_rho_or_point_fails(self, solve, certify, kkt_name):
+        res = solve(K_EXAMPLE, [2.0, 1.0])
+        report = certify(res)
+        assert report.passed
+        assert report[kkt_name].residual == res.kkt_residual
+        assert report["orthogonality"].residual == res.orthogonality_residual
+        with pytest.raises(TypeError):
+            dataclasses.replace(res, kkt_residual=123.0)
+        assert not certify(dataclasses.replace(res, rho=res.rho + [0.5, 0.0])).passed
+        assert not certify(dataclasses.replace(res, point=res.point + [0.0, 0.5])).passed

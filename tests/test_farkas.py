@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,13 +8,15 @@ from hypothesis import strategies as st
 from conecert import (
     FarkasOutcome,
     FarkasTag,
-    FarkasVerification,
     farkas_alternative,
     generalized_farkas,
     verify_outcome,
 )
 from conecert.farkas import farkas_certificate, implication_certificate, implication_multipliers_hold, infeasibility_residual, violator_holds
 from oracles import nnls_bruteforce
+
+# the box |x_i| <= 1
+BOX_PAIRS = [(np.array([1.0, 0.0]), 1.0), (np.array([0.0, 1.0]), 1.0), (np.array([-1.0, 0.0]), 1.0), (np.array([0.0, -1.0]), 1.0)]
 
 
 class TestFarkasAlternative:
@@ -66,10 +70,8 @@ class TestFarkasAlternative:
             from conecert import nnls
 
             sol = nnls(A.T, b)
-            cand1 = FarkasOutcome(FarkasTag.SYSTEM1, y=sol.rho, x=None,
-                                  verification=FarkasVerification(0.0, 0.0, 0.0))
-            cand2 = FarkasOutcome(FarkasTag.SYSTEM2, y=None, x=sol.residual,
-                                  verification=FarkasVerification(0.0, 0.0, 0.0))
+            cand1 = FarkasOutcome(FarkasTag.SYSTEM1, y=sol.rho, x=None, A=A, b=b)
+            cand2 = FarkasOutcome(FarkasTag.SYSTEM2, y=None, x=sol.residual, A=A, b=b)
             ok1 = verify_outcome(A, b, cand1, tol=1e-7)
             ok2 = verify_outcome(A, b, cand2, tol=1e-7)
             if ok1 and ok2:
@@ -93,7 +95,7 @@ class TestMembershipRule:
             assert np.array_equal(out.x, [0.0, gap])
         else:
             assert out.verification.primal_residual == gap
-        assert farkas_certificate(A, b, out).passed
+        assert farkas_certificate(out).passed
 
 
 class TestVerifyOutcome:
@@ -101,36 +103,36 @@ class TestVerifyOutcome:
         out = farkas_alternative(np.eye(3), [1.0, 2.0, 3.0])
         assert verify_outcome(np.eye(3), [1.0, 2.0, 3.0], out)
 
+    def test_judged_against_the_given_problem(self):
+        # y = (1, 1) proves system 1 for the b it was solved on, not for (1, 3)
+        out = farkas_alternative(np.eye(2), [1.0, 1.0])
+        assert farkas_certificate(out).passed
+        assert not verify_outcome(np.eye(2), [1.0, 3.0], out)
+
     def test_zero_inner_product_rejected(self):
         # a "witness" orthogonal to b violates the strict inequality
         A = np.array([[1.0, 0.0]])
         b = np.array([0.0, 1.0])
-        fake = FarkasOutcome(FarkasTag.SYSTEM2, y=None, x=np.array([-1.0, 0.0]),
-                             verification=FarkasVerification(0.0, 0.0, 0.0))
+        fake = FarkasOutcome(FarkasTag.SYSTEM2, y=None, x=np.array([-1.0, 0.0]), A=A, b=b)
         assert not verify_outcome(A, b, fake)
 
     def test_zero_witness_rejected(self):
-        fake = FarkasOutcome(FarkasTag.SYSTEM2, y=None, x=np.zeros(2),
-                             verification=FarkasVerification(0.0, 0.0, 0.0))
+        fake = FarkasOutcome(FarkasTag.SYSTEM2, y=None, x=np.zeros(2), A=np.eye(2), b=np.ones(2))
         assert not verify_outcome(np.eye(2), [1.0, 1.0], fake)
 
     def test_swapped_tag_rejected(self):
         out = farkas_alternative(np.eye(2), [1.0, 1.0])
-        swapped = FarkasOutcome(FarkasTag.SYSTEM2, y=None, x=out.y,
-                                verification=out.verification)
+        swapped = dataclasses.replace(out, tag=FarkasTag.SYSTEM2, y=None, x=out.y)
         assert not verify_outcome(np.eye(2), [1.0, 1.0], swapped)
 
     def test_negative_multiplier_rejected(self):
-        fake = FarkasOutcome(FarkasTag.SYSTEM1, y=np.array([-1.0, 2.0]), x=None,
-                             verification=FarkasVerification(0.0, 0.0, 0.0))
+        fake = FarkasOutcome(FarkasTag.SYSTEM1, y=np.array([-1.0, 2.0]), x=None, A=np.eye(2), b=np.array([-1.0, 2.0]))
         assert not verify_outcome(np.eye(2), [-1.0, 2.0], fake)
 
 
 class TestMalformedOutcome:
     """An outcome whose certificate is missing, doubled or of the wrong
     length gets ``certificate_verifies`` as its only, failing, check."""
-
-    VER = FarkasVerification(0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize(
         "tag, y, x",
@@ -145,7 +147,7 @@ class TestMalformedOutcome:
     )
     def test_only_check_fails(self, tag, y, x):
         y, x = (None if v is None else np.array(v) for v in (y, x))
-        report = farkas_certificate(np.eye(2), [1.0, 1.0], FarkasOutcome(tag, y=y, x=x, verification=self.VER))
+        report = farkas_certificate(FarkasOutcome(tag, y=y, x=x, A=np.eye(2), b=np.ones(2)))
         assert [(c.name, c.residual, c.passed) for c in report.checks] == [("certificate_verifies", 1.0, False)]
 
 
@@ -453,7 +455,7 @@ class TestExactImplication:
         report = generalized_farkas(list(zip(S, p)), [1.0], 0.0)
         lam = report.infeasibility_multipliers
         assert report.sampled_implication_holds
-        consistency = implication_certificate(list(zip(S, p)), [1.0], report)["feasibility_hypothesis"]
+        consistency = implication_certificate(report)["feasibility_hypothesis"]
         assert consistency.residual == infeasibility_residual(S, p, lam) <= 1e-9
         assert infeasibility_residual(S, p, [1.0, 1.0]) == 0.0
         # forged: the same rows with lam . p >= 0, and a negative multiplier
@@ -461,6 +463,13 @@ class TestExactImplication:
         assert infeasibility_residual(S, np.array([2.0, -1.0]), [1.0, 1.0]) == 1.0
         assert infeasibility_residual(S, p, [-1.0, -1.0]) == 1.0
         assert infeasibility_residual(S, p, [1.0, 0.5]) > 1e-9
+
+    def test_missing_consistency_certificate_fails_at_any_tol(self):
+        # neither a feasible point nor multipliers: residual 1.0 must not pass at tol >= 1
+        report = generalized_farkas(BOX_PAIRS, [1.0, 1.0], 3.0)
+        forged = dataclasses.replace(report, feasible_point=None, infeasibility_multipliers=None)
+        check = implication_certificate(forged, tol=2.0)["feasibility_hypothesis"]
+        assert (check.residual, check.passed) == (1.0, False)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -489,3 +498,24 @@ class TestExactImplication:
             assert consistent != (report.infeasibility_multipliers is not None)
         assert moved.hypothesis_verified == base.hypothesis_verified
         assert moved.sampled_implication_holds == base.sampled_implication_holds
+
+
+class TestImplicationCertificate:
+    """The certificate re-checks the proof or refutation a report carries,
+    not only its flags and the feasibility hypothesis."""
+
+    def test_forged_multipliers_fail(self):
+        # x1 + x2 <= 3 holds on the box, but not by these multipliers
+        report = generalized_farkas(BOX_PAIRS, [1.0, 1.0], 3.0)
+        assert implication_certificate(report).passed
+        forged = dataclasses.replace(report, multipliers=np.array([-5.0, 7.0, 0.0, 0.0, 1.0]))
+        report = implication_certificate(forged)
+        assert [(c.name, c.residual) for c in report.checks if not c.passed] == [("implication_multipliers", 1.0)]
+
+    def test_forged_violator_fails(self):
+        # x1 + x2 <= 1 fails on the box, but (100, 100) is not a point of it
+        report = generalized_farkas(BOX_PAIRS, [1.0, 1.0], 1.0)
+        assert implication_certificate(report).passed
+        forged = dataclasses.replace(report, violator=np.array([100.0, 100.0]))
+        report = implication_certificate(forged)
+        assert [(c.name, c.residual) for c in report.checks if not c.passed] == [("implication_violator", 1.0)]

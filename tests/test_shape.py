@@ -53,7 +53,7 @@ CASES = [
 def test_residuals_match_oracle(n, r, target, grid_size):
     problem, result = _solve(n, r, target, grid_size)
     assert result.active_alphas.size > 0
-    report = shape_certificate(problem, result)
+    report = shape_certificate(result)
     assert [c.name for c in report.checks] == NAMES
     # p^(r) may dip between grid points (checkgrid_feasibility); the grid itself holds
     assert all(report[name].passed for name in NAMES[:3])
@@ -68,7 +68,7 @@ def test_residuals_match_oracle(n, r, target, grid_size):
 def test_perturbed_solution_fails(n, r, target, grid_size):
     problem, result = _solve(n, r, target, grid_size)
     moved = LegendrePoly(result.solution.coeffs + 1e-6)
-    report = shape_certificate(problem, dataclasses.replace(result, solution=moved))
+    report = shape_certificate(dataclasses.replace(result, solution=moved))
     representation, active, _ = _oracle(problem, dataclasses.replace(result, solution=moved))
     assert representation > 1e-7 and active > 1e-7
     assert not report["representation"].passed
@@ -79,9 +79,9 @@ def test_checkgrid_minimum_is_recomputed():
     # t^3 on 16 points dips below zero between them (about -7.2e-4)
     problem, result = _solve(3, 0, monomial_to_legendre([0.0, 0.0, 0.0, 1.0]), 16)
     assert result.min_derivative_on_checkgrid < -1e-7
-    assert not shape_certificate(problem, result)["checkgrid_feasibility"].passed
+    assert not shape_certificate(result)["checkgrid_feasibility"].passed
     forged = dataclasses.replace(result, min_derivative_on_checkgrid=0.0)
-    report = shape_certificate(problem, forged)
+    report = shape_certificate(forged)
     assert report["checkgrid_feasibility"].residual == -result.min_derivative_on_checkgrid
     assert not report["checkgrid_feasibility"].passed
 
