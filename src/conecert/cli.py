@@ -357,7 +357,7 @@ _PARSER = argparse.ArgumentParser(prog="conecert", description=__doc__.splitline
 _PARSER.add_argument("kind", choices=KINDS, help="problem kind; must match the file's 'kind' field")
 _PARSER.add_argument("--input", required=True, help="path to the JSON problem file")
 _PARSER.add_argument("--output", default=None, help="write the report here instead of stdout")
-_PARSER.add_argument("--tol", type=float, default=DEFAULT_TOL, help=f"certificate tolerance (default {DEFAULT_TOL:g})")
+_PARSER.add_argument("--tol", type=float, default=DEFAULT_TOL, help=f"relative tolerance of every solve and check (default {DEFAULT_TOL:g})")
 _PARSER.add_argument("--format", choices=("json", "text"), default="json")
 _PARSER.add_argument("--seed", type=int, default=0, help="echoed in the report's input_echo; no kind samples")
 _PARSER.add_argument("--dump-csv", default=None, help="also write the main result table as CSV")

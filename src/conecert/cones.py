@@ -11,7 +11,7 @@ separation theorem's two outcomes, one `Membership`: coefficients, or
 the fit's residual as a separating witness.  Each result holds its
 problem, ``S`` (the generators as columns) and ``x``, and
 ``*_certificate(result, tol)`` re-checks it from its own multipliers or
-witness, with no solve and no coercion.
+witness, with no solve and no coercion, at the library's one rule (`linalg`).
 ``verify_characterization`` checks a dual-form projection given only as
 a point, each condition separately.
 
@@ -30,9 +30,9 @@ from typing import Optional
 import numpy as np
 
 from .certificates import CertificateReport
-from .linalg import DEFAULT_TOL, _member, _products_limit, _scale, as_vector, generator_matrix, nnls
+from .linalg import DEFAULT_TOL, _lengths, _member, _products, _scale, as_vector, generator_matrix, nnls
 
-# multipliers above 1e-10 * max(1, ||rho||_inf) count as active
+# multipliers above 1e-10 * ||rho||_inf count as active
 ACTIVE_RTOL = 1e-10
 
 
@@ -40,9 +40,8 @@ ACTIVE_RTOL = 1e-10
 class ProjectionResult:
     """Projected point and multipliers on the problem ``(S, x)``: ``S rho``
     onto cone(K) for ``orientation`` ``"generated"``, ``x + S rho`` onto
-    the dual-form cone for ``"dual"``.  ``kkt_residual``, the largest
-    violation of the optimality conditions, and ``orthogonality_residual``,
-    ``|<x - p, p>|``, are derived at the point p that rho gives."""
+    the dual-form cone for ``"dual"``.  ``kkt_residual`` and
+    ``orthogonality_residual`` are derived from rho (`_optimality`)."""
 
     orientation: str
     point: np.ndarray
@@ -97,18 +96,26 @@ class ZigDecomposition:
     report: CertificateReport
 
 
+def _split_product(a, b, x) -> float:
+    """``|<a, b>| / ||x||`` (``|<a, b>|`` for x = 0) for parts a, b of x: how far
+    the split is from orthogonal, as a length.  Divided by ``||a||``, an a
+    that is rounding of 0 would give the product the size of x."""
+    nx = float(np.linalg.norm(x))
+    return abs(float(a @ b)) / (nx if nx > 0.0 else 1.0)
+
+
 def _active_indices(rho: np.ndarray) -> np.ndarray:
     if rho.size == 0:
         return np.zeros(0, dtype=int)
-    return np.flatnonzero(rho > ACTIVE_RTOL * max(1.0, float(np.abs(rho).max())))
+    return np.flatnonzero(rho > ACTIVE_RTOL * float(np.abs(rho).max()))
 
 
 def positive_relative_test(gamma, x, tol: float = DEFAULT_TOL) -> Membership:
     """Decide membership of x in the closed conical hull of gamma.
 
     A member's coefficients are nonnegative multipliers reproducing x;
-    otherwise the witness w has ``<g, w>`` below tolerance for every g
-    in gamma while ``<x, w> = ||w||^2 > 0``.
+    otherwise the witness w has ``<g, w> / ||g||`` at most ``tol ||x||``
+    for every g in gamma while ``<x, w> = ||w||^2 > 0``.
     """
     xv = as_vector(x)
     G = generator_matrix(gamma, dim=xv.size)
@@ -119,12 +126,13 @@ def positive_relative_test(gamma, x, tol: float = DEFAULT_TOL) -> Membership:
 
 
 def span_membership(gamma, x, tol: float = DEFAULT_TOL) -> Membership:
-    """Decide membership of x in span(gamma) by one least-squares fit,
-    whose residual is the witness, orthogonal to gamma.  An empty gamma
-    spans {0}; the decision is `_member`'s rule, for an empty gamma too."""
+    """Decide membership of x in span(gamma) by one least-squares fit over
+    the generators divided by their lengths, whose residual is the witness,
+    orthogonal to gamma.  An empty gamma spans {0}, by the same rule."""
     xv = as_vector(x)
     G = generator_matrix(gamma, dim=xv.size)
-    coeffs, *_ = np.linalg.lstsq(G, xv, rcond=None)
+    lengths = _lengths(G)
+    coeffs = np.linalg.lstsq(G / lengths, xv, rcond=None)[0] / lengths
     residual = xv - G @ coeffs
     if _member(residual, xv, tol):
         return Membership("span", True, coeffs, None, G, xv)
@@ -133,17 +141,18 @@ def span_membership(gamma, x, tol: float = DEFAULT_TOL) -> Membership:
 
 def _membership_checks(result: Membership, tol: float, products_name: str, products) -> CertificateReport:
     """A member's ``representation``, or the checks of a witness w:
-    ``<x, w> > 0``, ``products(S^T w)`` within `_products_limit`, and
-    ``<x, w> = ||w||^2``."""
+    ``<x, w> > 0``, ``products`` of the normalised products of gamma with
+    w, and ``<x - w, w> = 0`` (`_split_product`), each within ``_scale(x)``."""
     S, xv = result.S, result.x
+    limit = _scale(xv, tol)
     report = CertificateReport()
     if result.member:
-        report.add("representation", np.linalg.norm(xv - S @ result.coefficients), _scale(xv, tol))
+        report.add("representation", np.linalg.norm(xv - S @ result.coefficients), limit)
         return report
     w = result.witness
     report.add_margin("witness_separates", xv @ w)
-    report.add(products_name, products(S.T @ w), _products_limit(S, xv, tol))
-    report.add("witness_self_product", abs(float(xv @ w) - float(w @ w)), tol * (1.0 + float(xv @ xv)))
+    report.add(products_name, products(_products(S, w)), limit)
+    report.add("witness_self_product", _split_product(xv - w, w, xv), limit)
     return report
 
 
@@ -161,32 +170,30 @@ def span_membership_certificate(result: Membership, tol: float = DEFAULT_TOL) ->
 
 
 def _optimality(result: ProjectionResult) -> tuple:
-    """``(kkt, orthogonality)`` residuals of the point that ``rho`` gives:
-    ``S rho`` on cone(K), ``x + S rho`` on the dual-form cone."""
+    """``(kkt, orthogonality)`` at the point p that ``rho`` gives (``S rho`` or
+    ``x + S rho``): the worst normalised product with ``x - p`` above 0
+    (generated) or with p below 0 (dual), or an active one off 0, and
+    ``|<x - p, p>| / ||x||``."""
     S, xv, rho = result.S, result.x, result.rho
-    kkt = 0.0
     if result.orientation == "generated":
         point = S @ rho
-        inner = S.T @ (xv - point)
-        if inner.size:
-            kkt = max(float(np.maximum(inner, 0.0).max()), float(np.abs(rho * inner).max()))
+        inner = -_products(S, xv - point)
     else:
         point = xv + S @ rho
-        if S.shape[1]:
-            inner = S.T @ point
-            kkt = max(0.0, float((-inner).max()))
-            active = _active_indices(rho)
-            if active.size:
-                kkt = max(kkt, float(np.abs(inner[active]).max()))
-    return kkt, abs(float((xv - point) @ point))
+        inner = _products(S, point)
+    kkt = max(0.0, -float(inner.min(initial=0.0)))
+    active = _active_indices(rho)
+    if active.size:
+        kkt = max(kkt, float(np.abs(inner[active]).max()))
+    return kkt, _split_product(xv - point, point, xv)
 
 
 def _add_residual_checks(report: CertificateReport, result: ProjectionResult, kkt_name: str, tol: float) -> None:
-    """A projection's KKT residual within `_products_limit` and its
-    orthogonality residual within ``tol (1 + ||x||^2)``."""
+    """A projection's KKT and orthogonality residuals, each within ``_scale(x)``."""
     kkt, orth = _optimality(result)
-    report.add(kkt_name, kkt, _products_limit(result.S, result.x, tol))
-    report.add("orthogonality", orth, tol * (1.0 + float(result.x @ result.x)))
+    limit = _scale(result.x, tol)
+    report.add(kkt_name, kkt, limit)
+    report.add("orthogonality", orth, limit)
 
 
 def project_generated(K, x, tol: float = DEFAULT_TOL) -> ProjectionResult:
@@ -223,20 +230,19 @@ def project_dual(K, x, tol: float = DEFAULT_TOL) -> ProjectionResult:
 
 def _characterization(S, xv, x0v, tol: float, witness_e, multipliers) -> CertificateReport:
     """`verify_characterization`'s checks on ``rho = multipliers(x0 - x, face)``,
-    ``face`` the generators within the ``active_orthogonality`` threshold."""
+    ``face`` the generators within the ``active_orthogonality`` threshold;
+    products with x0 = x + S rho are judged against ``_scale(x)``."""
     report = CertificateReport()
-
     if witness_e is not None:
         report.add_margin("witness_positivity", (S.T @ witness_e).min() if S.shape[1] else 1.0)
 
-    if S.shape[1] == 0 or float((S.T @ xv).min(initial=0.0)) >= -_scale(xv, tol):
-        report.add("fixed_point", np.linalg.norm(x0v - xv), _scale(xv, tol))
+    limit = _scale(xv, tol)
+    if S.shape[1] == 0 or float(_products(S, xv).min()) >= -limit:
+        report.add("fixed_point", np.linalg.norm(x0v - xv), limit)
         return report
-
-    inner = S.T @ x0v
-    orth_scale = _scale(x0v, tol)
+    inner = _products(S, x0v)
     diff = x0v - xv
-    rho = multipliers(diff, np.flatnonzero(np.abs(inner) <= orth_scale))
+    rho = multipliers(diff, np.flatnonzero(np.abs(inner) <= limit))
     report.add("difference_in_cone", np.linalg.norm(diff - S @ rho), _scale(diff, tol))
 
     active = _active_indices(rho)
@@ -246,13 +252,10 @@ def _characterization(S, xv, x0v, tol: float, witness_e, multipliers) -> Certifi
         report.add("active_set_independent", m - np.linalg.matrix_rank(S[:, active]), 0.0)
         # the active multipliers are positive by their threshold; the rest must not be negative
         report.add("positive_multipliers", max(0.0, -float(rho.min())), 0.0)
-        report.add("active_orthogonality", np.abs(inner[active]).max(), orth_scale)
-
-    report.add("point_in_cone", max(0.0, -float(inner.min())), orth_scale)
-
-    limit = xv.size - 1 if np.linalg.norm(x0v) > 1e-8 else xv.size
-    report.add("active_count_bound", m - limit, 0.0)
-
+        report.add("active_orthogonality", np.abs(inner[active]).max(), limit)
+    report.add("point_in_cone", max(0.0, -float(inner.min())), limit)
+    bound = xv.size - 1 if np.linalg.norm(x0v) > limit else xv.size
+    report.add("active_count_bound", m - bound, 0.0)
     report.add_margin("infeasible_direction_exists", -(S.T @ xv).min())
     return report
 
@@ -266,7 +269,7 @@ def verify_characterization(K, x, x0, tol: float = DEFAULT_TOL, witness_e=None) 
       * every active generator is orthogonal to x0,
       * x0 satisfies the cone inequalities,
       * the active count m obeys ``m <= d`` (and ``m <= d - 1`` when
-        ``||x0|| > 1e-8``),
+        ``||x0|| > tol ||x||``),
       * some generator has negative inner product with x (so x was
         genuinely infeasible).
 
@@ -275,14 +278,11 @@ def verify_characterization(K, x, x0, tol: float = DEFAULT_TOL, witness_e=None) 
     the characterization only the face of x0 (the generators with
     ``|<k_i, x0>|`` within the ``active_orthogonality`` threshold) can
     carry weight, so ``x0 - x`` is first tested for membership in the
-    cone of the face alone (`positive_relative_test`).  When x0 - x is
-    a member, its `Membership` coefficients are rho on the face and rho
-    is zero off it: a fit that passes the membership rule leaves a
-    residual r with ``|<k_i, r>| <= tol (1 + ||x0 - x||) ||k_i||``, the
-    NNLS slack, for every generator, so it is optimal over all of K.
-    When it carries a witness instead, rho is one NNLS solve over all of
-    K, so a point that is not the projection is judged on the best
-    multipliers the whole cone offers.
+    cone of the face alone (`positive_relative_test`): a member's
+    coefficients are rho on the face, zero off it, and its residual r,
+    within ``tol ||x0 - x||``, meets the NNLS slack for every generator.
+    Otherwise rho is one NNLS solve over all of K, so a point that is not
+    the projection is judged on the best multipliers the cone offers.
 
     When x already lies in the cone the report instead records the
     trivial fixed-point check ``x0 == x``.  A provided ``witness_e`` adds
@@ -326,14 +326,15 @@ def zig_decompose(K, x, tol: float = DEFAULT_TOL) -> ZigDecomposition:
       (4) both expressions for the cone projection agree.
 
     y lies in the polar cone ``K^-`` within the NNLS slack
-    ``tol (1 + ||y||) ||k_i||`` exactly when ``rho`` is all zero; then
+    ``tol ||y|| ||k_i||`` exactly when ``rho`` is all zero; then
     ``pdual = y`` and ``y = x0 + z``.
 
-    ``pinv(S^T) @ v`` is computed as the minimum-norm least-squares
-    solution of ``S^T z = v`` (``np.linalg.lstsq`` at numpy's default
-    cut-off ``max(d, m) * eps * sigma_1``, the library's rank rule), one
-    solve for ``S^T x`` and ``eta``; the residual of the eta column is the
-    part of eta in the null space of S that statement (2) bounds.
+    ``pinv(S^T) @ v`` is the minimum-norm least-squares solution of
+    ``S^T z = v`` with each equation divided by ``||k_i||`` (the same z for
+    consistent equations, at a conditioning blind to the lengths), one
+    ``np.linalg.lstsq`` for ``S^T x`` and ``eta`` at the library's rank
+    rule; the eta column's residual, outside the row space, is bounded by
+    statement (2).
     """
     xv = as_vector(x)
     S = generator_matrix(K, dim=xv.size)
@@ -342,16 +343,20 @@ def zig_decompose(K, x, tol: float = DEFAULT_TOL) -> ZigDecomposition:
     pc = S @ rho
     pdual = xv - pc
     eta = np.maximum(-(S.T @ pdual), 0.0)
-    along, lift = np.linalg.lstsq(S.T, np.column_stack([S.T @ xv, eta]), rcond=None)[0].T
+    # eta_i / ||k_i||, the normalised product of k_i with -pdual
+    eta_along = np.maximum(-_products(S, pdual), 0.0)
+    along, lift = np.linalg.lstsq((S / _lengths(S)).T, np.column_stack([_products(S, xv), eta_along]), rcond=None)[0].T
     x0 = xv - along
 
+    limit = _scale(xv, tol)
     report = CertificateReport()
-    report.add("statement1_decomposition", np.linalg.norm(xv - (pc + x0 - lift)), _scale(xv, tol))
-    report.add("statement2_sign_conditions", max(0.0, -float(rho.min(initial=0.0)), -float(eta.min(initial=0.0))), tol)
-    report.add("statement2_eta_in_row_space", np.linalg.norm(eta - S.T @ lift), _scale(eta, tol))
-    report.add("statement2_complementarity", abs(float(rho @ eta)), tol * (1.0 + np.linalg.norm(rho) * np.linalg.norm(eta)))
-    report.add("statement3_dual_projection", np.linalg.norm(pdual - (x0 - lift)), _scale(xv, tol))
-    report.add("statement3_orthogonality", abs(float(x0 @ lift)), tol * (1.0 + float(xv @ xv)))
-    report.add("statement4_projection_formulas", np.linalg.norm(pc - (along + lift)), _scale(xv, tol))
+    report.add("statement1_decomposition", np.linalg.norm(xv - (pc + x0 - lift)), limit)
+    report.add("statement2_sign_conditions", max(0.0, -float(rho.min(initial=0.0)), -float(eta.min(initial=0.0))), 0.0)
+    # divided by ||k_i||, eta lies in the row space when it is S^T lift, and it must vanish where rho_i > 0
+    report.add("statement2_eta_in_row_space", np.linalg.norm(eta_along - _products(S, lift)), limit)
+    report.add("statement2_complementarity", float(eta_along[rho > 0].max(initial=0.0)), limit)
+    report.add("statement3_dual_projection", np.linalg.norm(pdual - (x0 - lift)), limit)
+    report.add("statement3_orthogonality", _split_product(x0, lift, xv), limit)
+    report.add("statement4_projection_formulas", np.linalg.norm(pc - (along + lift)), limit)
 
     return ZigDecomposition(rho=rho, x0=x0, eta=eta, z=-lift, pc=pc, pdual=pdual, report=report)

@@ -4,11 +4,11 @@ Exactly one of the two systems is solvable: either the target is a
 nonnegative combination of the matrix rows, or some vector separates it
 from their cone.  The decision is `positive_relative_test` on the rows:
 its `Membership` coefficients are the combination y, and its witness,
-the residual of the fit, *is* the separating vector x.  Every membership
-decision and check here is the library's one rule,
-``||residual|| <= tol (1 + ||target||)``.  Each result holds its
-problem, and `farkas_certificate` and `implication_certificate`
-re-check it from ``(result, tol)`` alone, without the solver.
+the residual of the fit, *is* the separating vector x.  Every decision
+and check here is the library's one rule (`linalg`), and a constraint
+``<s_j, x> <= p_j`` holds within tol times the size of its terms
+(`_excess`).  Each result holds its problem, and `farkas_certificate`
+and `implication_certificate` re-check it from ``(result, tol)`` alone.
 
 `generalized_farkas` decides the paper's finite generalized Farkas
 theorem the same way, and every answer carries the certificate the
@@ -25,7 +25,7 @@ import numpy as np
 
 from .certificates import CertificateReport
 from .cones import positive_relative_test
-from .linalg import DEFAULT_TOL, _member, _scale, as_matrix, as_vector, generator_matrix, nnls
+from .linalg import DEFAULT_TOL, _lengths, _member, _products, _scale, as_matrix, as_vector, generator_matrix, nnls
 
 # most lifted solves `generalized_farkas` makes towards a point passing S x <= p
 FEASIBLE_ROUNDS = 3
@@ -71,12 +71,10 @@ class FarkasOutcome:
 
 @dataclass(frozen=True, eq=False)
 class GenFarkasReport:
-    """Finite-index generalized Farkas equivalences, with certificates.
-
+    """Finite-index generalized Farkas equivalences, with certificates:
     ``member_plain`` tests ``(b, r)`` against the cone of the pairs
     alone, ``member_augmented`` adds the vertical ray ``(0, 1)``; both
-    are balanced solves whose decisions do not depend on the units of r.
-    Consistency of ``<s_j, x> <= p_j`` is decided by a checked
+    are balanced solves, blind to the units of x and r.  Consistency of ``<s_j, x> <= p_j`` is decided by a checked
     certificate either way: a ``feasible_point`` passing ``S x <= p``
     (then ``hypothesis_verified``), or ``infeasibility_multipliers``;
     `implication_certificate` reports the margin of that check.
@@ -84,18 +82,15 @@ class GenFarkasReport:
     The implication is decided from the augmented test, not sampled.
     ``multipliers`` (``lam`` on the pairs, then ``mu`` on ``(0, 1)``)
     prove it; ``violator`` is a feasible point refuting it.
-    ``sampled_implication_holds`` keeps its name and its meaning, "no
-    violation found": it is False exactly when ``violator`` is set.
-    ``samples_used`` is the number of points checked against the system.
-    ``S`` (rows s_j), ``p``, ``b`` and ``r`` are the problem as coerced.
+    ``sampled_implication_holds`` ("no violation found"), ``samples_used``
+    (the points checked against the system) and ``hypothesis_verified``
+    are read off ``violator`` and ``feasible_point``.  ``S`` (rows s_j),
+    ``p``, ``b`` and ``r`` are the problem as coerced.
     """
 
     member_plain: bool
     member_augmented: bool
-    sampled_implication_holds: bool
-    hypothesis_verified: bool
     feasible_point: Optional[np.ndarray]
-    samples_used: int
     multipliers: Optional[np.ndarray]
     violator: Optional[np.ndarray]
     infeasibility_multipliers: Optional[np.ndarray]
@@ -104,6 +99,10 @@ class GenFarkasReport:
     b: np.ndarray
     r: float
 
+    sampled_implication_holds = property(lambda self: self.violator is None)
+    hypothesis_verified = property(lambda self: self.feasible_point is not None)
+    samples_used = property(lambda self: int(self.feasible_point is not None))
+
 
 def farkas_alternative(A, b, tol: float = DEFAULT_TOL) -> FarkasOutcome:
     """Decide which Farkas system is solvable for (A, b).
@@ -111,9 +110,9 @@ def farkas_alternative(A, b, tol: float = DEFAULT_TOL) -> FarkasOutcome:
     System 1: ``A^T y = b`` with ``y >= 0``.  System 2: ``A x <= 0`` with
     ``<b, x> > 0``.  `positive_relative_test` of b against the rows of A
     supplies y, its coefficients, when the membership rule puts b in the
-    cone (residual at most ``tol (1 + ||b||)``).  Otherwise its witness,
-    the residual of the fit, is x: it has nonpositive products with the
-    rows and ``<b, x> = ||x||^2 > 0``.
+    cone (residual at most ``tol ||b||``).  Otherwise its witness, the
+    residual of the fit, is x: it has nonpositive products with the rows
+    and ``<b, x> = ||x||^2 > 0``.
     """
     Am = as_matrix(A)
     bv = as_vector(b)
@@ -141,12 +140,10 @@ def farkas_certificate(outcome: FarkasOutcome, tol: float = DEFAULT_TOL) -> Cert
         return report
     if system1:
         report.add("primal_residual", np.linalg.norm(Am.T @ v - bv), _scale(bv, tol))
-        report.add("multipliers_nonnegative", max(0.0, -float(v.min(initial=0.0))), tol)
+        report.add("multipliers_nonnegative", max(0.0, -float(v.min(initial=0.0))), 0.0)
         verified = True
     else:
-        row_norms = np.linalg.norm(Am, axis=1)
-        ratios = (Am @ v) / np.where(row_norms > 0, row_norms, 1.0)
-        report.add("dual_violation_normalized", max(0.0, float(ratios.max(initial=0.0))) / (1.0 + float(np.linalg.norm(v))), tol)
+        report.add("dual_violation_normalized", max(0.0, float(_products(Am.T, v).max(initial=0.0))), _scale(bv, tol))
         report.add_margin("strict_gap_positive", bv @ v - 0.5 * (v @ v))
         verified = not _member(v, bv, tol)
     report.add("certificate_verifies", float(not verified), 0.0)
@@ -159,33 +156,46 @@ def verify_outcome(A, b, outcome: FarkasOutcome, tol: float = DEFAULT_TOL) -> bo
     return farkas_certificate(replace(outcome, A=as_matrix(A), b=as_vector(b)), tol).passed
 
 
-def _slack(pvals: np.ndarray, tol: float) -> float:
-    """How far ``<s_j, x>`` may exceed ``p_j`` for x to count as feasible."""
-    return tol * (1.0 + float(np.abs(pvals).max(initial=0.0)))
+def _excess(S, p, x, tol: float):
+    """``(<s_j, x> - p_j, threshold)`` at the row nearest to failing ``<s_j, x>
+    - p_j <= tol ||(||s_j|| ||x||, p_j)||``, tol times the size of its terms."""
+    if not p.size:
+        return 0.0, 0.0
+    excess = S @ x - p
+    limits = _scale(np.column_stack([np.linalg.norm(S, axis=1) * np.linalg.norm(x), p]), tol, axis=1)
+    j = int(np.argmax(excess - limits))
+    return float(excess[j]), float(limits[j])
+
+
+def _feasible(S, p, x, tol: float) -> bool:
+    excess, limit = _excess(S, p, x, tol)
+    return excess <= limit
 
 
 def implication_multipliers_hold(S, p, b, r, lam, mu, tol: float = DEFAULT_TOL) -> bool:
     """Check that ``(lam, mu)`` prove ``<b, x> <= r`` on ``{S x <= p}``.
 
     Requires ``lam >= 0``, ``mu >= 0`` and ``(S^T lam, lam . p + mu) =
-    (b, r)`` by the membership rule, within ``tol (1 + ||(b, r)||)``.
-    Then ``<b, x> = <lam, S x> <= lam . p <= r`` for every feasible x.
+    (b, r)`` by the membership rule, the last coordinate divided by
+    `_balance_unit`.  Then ``<b, x> = <lam, S x> <= lam . p <= r`` for
+    every feasible x.
     """
     lam = np.asarray(lam, dtype=float)
     if (lam.size and lam.min() < 0.0) or mu < 0.0:
         return False
-    return _member(np.append(S.T @ lam - b, lam @ p + mu - r), np.append(b, r), tol)
+    unit = _balance_unit(S, p, b, r)
+    return _member(np.append(S.T @ lam - b, (lam @ p + mu - r) / unit), np.append(b, r / unit), tol)
 
 
 def violator_holds(S, p, b, r, x, tol: float = DEFAULT_TOL) -> bool:
     """Check that x satisfies ``S x <= p`` and ``<b, x> > r``.
 
-    Feasibility is tested at `generalized_farkas`'s slack
-    ``tol (1 + max |p_j|)``, the violation beyond ``tol (1 + |r|)``.
+    Both are judged at the rule of `_excess`, the second as the row ``(b, r)``.
     """
-    if not np.all(S @ x - p <= _slack(p, tol)):
+    if not _feasible(S, p, x, tol):
         return False
-    return bool(b @ x > r + tol * (1.0 + abs(r)))
+    excess, limit = _excess(b[None], np.array([r]), x, tol)
+    return excess > limit
 
 
 def infeasibility_residual(S, p, lam) -> float:
@@ -206,23 +216,25 @@ def infeasibility_residual(S, p, lam) -> float:
     return float(np.linalg.norm(S.T @ lam) / (lam @ lifted_norms))
 
 
-def _balance_unit(gaps, r, b, row_norm: float) -> float:
-    size = max(float(np.abs(gaps).max(initial=0.0)), abs(r))
-    scale = max(row_norm, float(np.linalg.norm(b)))
-    return max(size / scale, 1.0) if scale else 1.0
+def _balance_unit(S, gaps, b, r) -> float:
+    """``|r| / ||b||``, the distance of ``<b, x> = r`` from the origin in the
+    units of x (else the largest ``|gaps_j| / ||s_j||``, else 1): dividing the
+    last lifted coordinate by it balances ``(b, r)`` in any units."""
+    norm_b = float(np.linalg.norm(b))
+    if r and norm_b:
+        return abs(r) / norm_b
+    norms = np.linalg.norm(S, axis=1)
+    far = float((np.abs(gaps[norms > 0.0]) / norms[norms > 0.0]).max(initial=0.0))
+    return far if far else 1.0
 
 
 def _augmented_test(S, gaps, b, r, unit: float, tol: float):
     """Balanced NNLS of ``(b, r)`` over the pairs ``(s_j, gaps_j)`` and ``(0, 1)``.
 
-    The last coordinate is divided by ``unit = max(1, max(|gaps_j|, |r|) /
-    max(max_j ||s_j||, ||b||))``.  That maps the cone onto the cone of
-    the scaled pairs and fixes the ray ``(0, 1)``, so membership is
-    unchanged, but the stopping tolerance and the membership threshold
-    (``tol (1 + ||target||)`` of the scaled target) no longer grow with
-    the gaps and r.  Returns the membership flag, the multipliers
-    ``(lam, mu)`` with mu scaled back up by ``unit``, and the residual
-    ``(u, t)`` with t divided by ``unit``, which still separates:
+    The last coordinate is divided by ``unit`` (`_balance_unit`), which
+    leaves membership unchanged.  Returns the membership flag, the
+    multipliers ``(lam, mu)`` with mu scaled back up by ``unit``, and the
+    residual ``(u, t)`` with t divided by ``unit``, which still separates:
     ``<s_j, u> + t gaps_j <= 0``, ``t <= 0`` and ``<b, u> + t r > 0``.
     """
     columns = np.column_stack([S, gaps / unit])
@@ -252,18 +264,13 @@ def generalized_farkas(pairs, b, r, tol: float = DEFAULT_TOL) -> GenFarkasReport
     `tol`.  Otherwise the residual ``(w, t)`` has ``t < 0`` and
     ``w / -t`` is the feasible point nearest the origin, solved from the
     pairs carrying multipliers (tight there) rather than divided by the
-    cancelling ``t``.  It is kept only if it passes ``S x <= p`` at the
-    slack ``tol (1 + max |p_j|)``; one that misses it is refined by the
-    same step taken from it.
+    cancelling ``t``.  It is kept only if it passes `_excess`'s rule; one
+    that misses it is refined by the same step taken from it.
 
     The implication.  For a consistent system it holds exactly when
-    ``(b, r)`` lies in the augmented cone.  That test is one balanced
-    NNLS solve (`_augmented_test`): the last coordinate is divided so
-    that the p_j and r are no larger than the s_j and b, which leaves
-    membership unchanged but keeps the size of r from setting the
-    stopping tolerance and the membership threshold; ``member_plain`` is
-    the same test without ``(0, 1)``, balanced by the same divisor.  Its
-    multipliers ``(lam, mu)``, mu scaled back to the units of r, are the
+    ``(b, r)`` lies in the augmented cone: one balanced NNLS solve
+    (`_augmented_test`); ``member_plain`` is the same test without
+    ``(0, 1)``.  Its multipliers ``(lam, mu)``, mu scaled back to the units of r, are the
     proof and are reported once `implication_multipliers_hold` passes.
     When it does not, the residual ``(u, t)`` of that solve, t brought back to
     the units of r, separates: ``<s_j, u> + t p_j <= 0``, ``t <= 0`` and
@@ -275,48 +282,48 @@ def generalized_farkas(pairs, b, r, tol: float = DEFAULT_TOL) -> GenFarkasReport
     ``(s_j, p_j - <s_j, x_f>)`` and the target ``(b, r - <b, x_f>)``: the
     map ``(v, c) -> (v, c - <v, x_f>)`` is invertible and fixes
     ``(0, 1)``, so membership is unchanged, but the witness is measured
-    from a point of the system.  It is balanced in the same way, with the
-    centred gaps and ``r - <b, x_f>`` in place of the p_j and r.  When x_f
-    is the origin the centred test is the augmented solve already made,
-    and its residual is reused.  The candidate ``x_f + a u`` takes a at
-    twice the step that reaches ``r + tol (1 + |r|)``, or halfway from
-    there to ``1 / -t`` when that is nearer: the end point ``u / -t`` lies
-    on the pairs tight at the solve, where rounding in u is multiplied by
+    from a point of the system; the divisor, a length, is the same.  When
+    x_f is the origin the augmented solve's residual is reused.  The
+    candidate ``x_f + a u`` takes a at twice the step that reaches r plus
+    `violator_holds`'s threshold at x_f, or halfway from there to
+    ``1 / -t`` when that is nearer: the end point ``u / -t`` lies on the
+    pairs tight at the solve, where rounding in u is multiplied by
     ``1 / -t``.  It is reported once `violator_holds` passes.
-
-    ``sampled_implication_holds`` is False exactly when a violator is
-    reported; ``samples_used`` counts the points checked against the
-    system, 1 when it is consistent and 0 otherwise.
     """
     bv = as_vector(b)
     r = float(r)
     S = generator_matrix([s for s, _ in pairs], dim=bv.size).T
     pvals = np.array([float(p) for _, p in pairs])
 
-    row_norm = float(np.linalg.norm(S, axis=1).max(initial=0.0))
-    unit = _balance_unit(pvals, r, bv, row_norm)
+    unit = _balance_unit(S, pvals, bv, r)
     plain = positive_relative_test(np.column_stack([S, pvals / unit]), np.append(bv, r / unit), tol)
     member, aug, w = _augmented_test(S, pvals, bv, r, unit, tol)
 
-    # dividing the gaps by the worst violation over the largest ||s_j||
-    # balances the lifted pairs; it scales the point, not which pairs are tight
-    slack = _slack(pvals, tol)
+    # dividing the gaps by the point's largest distance -gaps_j / ||s_j|| outside
+    # a half-space balances the lifted pairs, and dividing each pair by its
+    # largest entry keeps the other gaps from overflowing; neither changes the cone
+    row_norms = np.linalg.norm(S, axis=1)
+    rows = row_norms > 0.0
     point, gaps = np.zeros(bv.size), pvals
     below = np.append(np.zeros(bv.size), -1.0)
     refuted = None
     for _ in range(FEASIBLE_ROUNDS):
-        if np.all(gaps >= -slack):
+        if _feasible(S, pvals, point, tol):
             break
-        unit = -gaps.min() / row_norm if row_norm else 1.0
-        sol = nnls(np.column_stack([S, gaps / unit]).T, below, tol)
+        reach = float((np.maximum(-gaps[rows], 0.0) / row_norms[rows]).max(initial=0.0)) or 1.0
+        size = np.maximum(reach * np.abs(S).max(axis=1, initial=0.0), np.abs(gaps))
+        size[size == 0.0] = 1.0
+        sol = nnls(np.column_stack([S * (reach / size)[:, None], gaps / size]).T, below, tol)
         if _member(sol.residual, below, tol):
-            refuted = sol.rho  # (0, -1) is in the lifted cone
+            refuted = sol.rho * (reach / size)  # (0, -1) is in the lifted cone
             break
         tight = np.flatnonzero(sol.rho)
-        point = point + np.linalg.lstsq(S[tight], gaps[tight], rcond=None)[0]
+        # each tight equation divided by ||s_j||: the same solution, at a cut-off blind to their lengths
+        lengths = _lengths(S[tight].T)
+        point = point + np.linalg.lstsq(S[tight] / lengths[:, None], gaps[tight] / lengths, rcond=None)[0]
         gaps = pvals - S @ point
 
-    feasible = point if np.all(gaps >= -slack) else None
+    feasible = point if _feasible(S, pvals, point, tol) else None
     if refuted is not None and infeasibility_residual(S, pvals, refuted) > tol:
         refuted = None
 
@@ -324,14 +331,14 @@ def generalized_farkas(pairs, b, r, tol: float = DEFAULT_TOL) -> GenFarkasReport
     if member and implication_multipliers_hold(S, pvals, bv, r, aug[:-1], aug[-1], tol):
         multipliers = aug
     elif feasible is not None:
-        r_c = r - float(bv @ feasible)
+        excess, margin = _excess(bv[None], np.array([r]), feasible, tol)
         if feasible.any():
-            w = _augmented_test(S, gaps, bv, r_c, _balance_unit(gaps, r_c, bv, row_norm), tol)[2]
+            w = _augmented_test(S, gaps, bv, -excess, unit, tol)[2]
         u, t = w[:-1], min(float(w[-1]), 0.0)
         rate = float(bv @ u)
         candidate = feasible
         if rate > 0.0:
-            need = max(r_c + tol * (1.0 + abs(r)), 0.0) / rate
+            need = max(margin - excess, 0.0) / rate
             spare = 0.5 * (1.0 + t * need)
             candidate = feasible + (need + (spare / -t if spare < -t * need else need)) * u
         if violator_holds(S, pvals, bv, r, candidate, tol):
@@ -340,10 +347,7 @@ def generalized_farkas(pairs, b, r, tol: float = DEFAULT_TOL) -> GenFarkasReport
     return GenFarkasReport(
         member_plain=plain.member,
         member_augmented=member,
-        sampled_implication_holds=violator is None,
-        hypothesis_verified=feasible is not None,
         feasible_point=feasible,
-        samples_used=int(feasible is not None),
         multipliers=multipliers,
         violator=violator,
         infeasibility_multipliers=refuted,
@@ -365,8 +369,8 @@ def implication_certificate(result: GenFarkasReport, tol: float = DEFAULT_TOL) -
     report.add("sampled_implication_consistent", float((plain or aug) and not holds), 0.0)
     lam = result.infeasibility_multipliers
     if result.feasible_point is not None:
-        gaps = pvals - S @ result.feasible_point
-        report.add("feasibility_hypothesis", max(0.0, -float(gaps.min(initial=0.0))), _slack(pvals, tol))
+        excess, limit = _excess(S, pvals, result.feasible_point, tol)
+        report.add("feasibility_hypothesis", max(0.0, excess), limit)
     elif lam is None:
         report.add("feasibility_hypothesis", 1.0, 0.0)
     else:

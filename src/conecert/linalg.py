@@ -3,15 +3,16 @@
 Coercion of vectors, matrices and generator sets (`as_vector` and
 `generator_matrix` copy, so a result may hold what they return without
 aliasing its caller's arrays; `as_matrix` does not), the one tolerance
-scale ``tol (1 + ||v||)`` (`_scale`: the membership rule `_member` and
-the threshold of its checks), and nonnegative least squares (`nnls`).
-The membership tests built on them are in `cones`.  Everything here is a pure function of its arguments and safe
-to call from multiple threads.  The rank rule (`svd_factors`; numpy's
-``matrix_rank`` applies the same cut-off) and Caratheodory reduction of
-positive combinations (`caratheodory_reduce`) have had no caller in the
-library since each answer became one Lawson-Hanson solve; they stay
-here, outside the package namespace, only while the benchmark's traced
-run still wraps them by name.
+rule and nonnegative least squares (`nnls`).  The rule: a residual
+passes when it is at most ``tol`` times the size of the largest term it
+is computed from, ``_scale(v) = tol ||v||``, where a product with a
+generator is the normalised ``<k_i, w> / ||k_i||`` (`_products`).  The
+NNLS slack, `_member` and every certificate threshold are written with
+these two, so no answer depends on the units of x or of a generator.
+Everything here is pure and thread-safe.  The rank rule (`svd_factors`)
+and Caratheodory reduction (`caratheodory_reduce`) have no caller in the
+library; they stay, outside the package namespace, only while the
+benchmark's traced run wraps them by name.
 
 `nnls` is the Lawson-Hanson active-set method on a thin QR factor of
 its support, kept up to date pivot by pivot, so that a pivot costs
@@ -115,14 +116,22 @@ def svd_factors(M) -> SvdFactors:
     return SvdFactors(u=u[:, keep], singular_values=s[keep], vt=vt[keep], rank_tol=cutoff)
 
 
-def _scale(v, tol: float) -> float:
-    """The tolerance scale ``tol (1 + ||v||)``: the one place it is written."""
-    return tol * (1.0 + float(np.linalg.norm(v)))
+def _scale(v, tol: float, axis=None):
+    """``tol ||v||``: the threshold of a residual computed from terms no larger
+    than v (with ``axis``, one per row or column)."""
+    return tol * np.linalg.norm(v, axis=axis)
 
 
-def _products_limit(G, x, tol: float) -> float:
-    """``_scale(x) max(1, max ||g||)``: the bound on products ``<g, w>`` of g in G."""
-    return _scale(x, tol) * max(1.0, float(np.linalg.norm(G, axis=0).max(initial=0.0)))
+def _lengths(S) -> np.ndarray:
+    """``||k_i||`` of each column k_i of S, 1 for a zero column."""
+    norms = np.linalg.norm(S, axis=0)
+    return np.where(norms > 0.0, norms, 1.0)
+
+
+def _products(S, w) -> np.ndarray:
+    """``<k_i, w> / ||k_i||`` for each column k_i of S (0 for a zero column):
+    the component of w along k_i, judged against ``_scale`` of w's terms."""
+    return (S.T @ w) / _lengths(S)
 
 
 def _member(residual, target, tol: float) -> bool:
@@ -173,9 +182,9 @@ def nnls(S, x, tol: float = DEFAULT_TOL) -> NnlsResult:
     Lawson-Hanson iteration with lowest-index tie-breaking on entering
     variables.  At the returned point the residual ``r = x - S @ rho``
     satisfies the projection optimality conditions: ``<r, k_i>`` is at
-    most ``tol * (1 + ||x||) * ||k_i||`` for every column ``k_i``, and
-    columns carrying positive multipliers are orthogonal to ``r``
-    (complementarity).  ``S @ rho`` is then the nearest point of the
+    most ``tol * ||x|| * ||k_i||`` for every column ``k_i`` (so x = 0
+    returns rho = 0 at once), and columns carrying positive multipliers
+    are orthogonal to ``r``.  ``S @ rho`` is then the nearest point of the
     generated cone.
 
     The support columns are kept as the factor Q of a thin QR
@@ -205,39 +214,27 @@ def nnls(S, x, tol: float = DEFAULT_TOL) -> NnlsResult:
       When only trailing columns go, the factor left is already that of
       the kept columns, and no QR runs.
 
-    T is safe to keep because it is formed only by bordering or from the
-    inverse of a fresh QR triangle, never carried through a downdate.
-    Every diagonal entry of R passed the rank rule below when its column
-    entered, and dropping columns only lengthens the part of each later
-    column orthogonal to those before it, so the diagonal of the fresh
-    triangle is no shorter and no ``1 / r_kk`` divides by a vanishing
-    pivot.
+    T is safe to keep: it is formed only by bordering or from the inverse
+    of a fresh QR triangle, whose diagonal is no shorter than when each
+    column entered past the rank rule below, as dropping columns only
+    lengthens the part of a later column orthogonal to those before it.
 
     The gradient ``S^T r`` that picks the entering column is taken from
-    the factor's residual ``x - Q Q^T x``.  It stays accurate where
-    ``x - S @ rho`` would carry rounding of order ``eps ||S|| ||rho||``
-    (large multipliers on badly scaled columns) and could let a column
-    re-enter forever; the returned ``residual`` is ``x - S @ rho``.
+    the factor's residual ``x - Q Q^T x``, accurate where ``x - S @ rho``
+    would carry rounding of order ``eps ||S|| ||rho||`` and could let a
+    column re-enter forever; the returned ``residual`` is ``x - S @ rho``.
 
     An entering column whose part orthogonal to the support is at or
     below the library rank rule (``d * eps * ||k_i||``) lies in the span
     of the support to working precision, so its positive gradient is
-    rounding.  As in Lawson and Hanson's NNLS it is passed over for that
-    choice and the next candidate is tried; when none is left the solve
-    returns.  The support therefore stays linearly independent, with at
-    most ``min(d, m)`` columns, and no multiplier comes from a division by
-    a vanishing pivot.  Likewise, as in Lawson and Hanson's NNLS, a
-    candidate is passed over when its trial multiplier ``(Q^T x)_k / r_kk``
-    on the grown support is not positive.  In exact arithmetic a positive
-    gradient makes it positive, so its sign is rounding too; entering such
-    a column would only see it dropped again at once, leave the factor
-    as it was, and pick the same column again until the pivot budget ran
-    out.
-
-    Columns enter by largest gradient alone.  A caller that expects the
-    support in a subset of the columns fits over that subset first and,
-    only when the fit fails, over all of S (the face test of
-    `cones.verify_characterization`).
+    rounding.  As in Lawson and Hanson's NNLS it is passed over and the
+    next candidate is tried; when none is left the solve returns.  The
+    support therefore stays linearly independent, with at most
+    ``min(d, m)`` columns.  Likewise a candidate is passed over when its
+    trial multiplier ``(Q^T x)_k / r_kk`` is not positive: a positive
+    gradient makes it positive in exact arithmetic, and entering such a
+    column would only see it dropped at once and picked again until the
+    pivot budget ran out.
 
     Parameters
     ----------
@@ -245,7 +242,8 @@ def nnls(S, x, tol: float = DEFAULT_TOL) -> NnlsResult:
         Generators as columns; m may be zero.
     x : array, shape (d,)
     tol : float
-        Relative KKT slack used as the stopping threshold.
+        Relative KKT slack used as the stopping threshold: a column enters
+        only while ``<r, k_i> / ||k_i||`` exceeds ``tol ||x||``.
 
     Raises
     ------

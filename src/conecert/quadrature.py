@@ -7,9 +7,10 @@ grid to the moments of the orthonormal shifted-Legendre basis.  Any
 `MomentSpec` may be fitted; for integration (`integral_moments`) the
 moment vector is (sqrt(b - a), 0, ..., 0).  The support of that one
 Lawson-Hanson solve is already an independent set of evaluation vectors,
-so it is the rule, and it is checked against the spec's own moments.
-The rule holds its spec, and `rule_certificate(rule, tol)` re-checks it
-against that spec alone.
+so it is the rule, and it is checked against the spec's own moments,
+within ``tol ||moments||`` (the library's one rule), so that no answer
+depends on the units of [a, b].  The rule holds its spec, and
+`rule_certificate(rule, tol)` re-checks it against that spec alone.
 """
 
 from __future__ import annotations
@@ -20,10 +21,7 @@ import numpy as np
 from .certificates import CertificateReport
 from .errors import BadInterval, MomentFitFailed
 from .legendre import LegendreBasis, chebyshev_points
-from .linalg import DEFAULT_TOL, nnls
-
-# moment mismatch allowed in a finished rule, scaled by 1 + |moment_0|
-EXACTNESS_TOL = 1e-8
+from .linalg import DEFAULT_TOL, _member, _scale, nnls
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,61 +96,54 @@ def positive_quadrature(spec: MomentSpec, grid_size: int) -> QuadratureRule:
 
     Candidate nodes are Chebyshev points of the interval (clustered at
     the endpoints for conditioning); weights come from one nonnegative
-    least-squares fit to the moments.  The Lawson-Hanson support is a
-    linearly independent set of evaluation vectors in R^(n+1), which caps
-    it at n + 1 nodes; weights at or below 1e-12 are dropped.
-
-    Any `MomentSpec` is fitted, not only `integral_moments`, and the
-    rule returned is checked against the spec's own moments.
+    least-squares fit to the moments at `DEFAULT_TOL`.  The Lawson-Hanson
+    support, the nodes of positive weight, is a linearly independent set
+    of evaluation vectors in R^(n+1), which caps it at n + 1 nodes.  Any
+    `MomentSpec` is fitted, and the rule is checked against its moments.
 
     Raises
     ------
     MomentFitFailed
-        If the rule returned misses a moment of ``spec`` by more than
-        ``1e-8 (1 + |moment_0|)`` (grid too coarse; retry denser).
+        If the moments of the rule miss those of ``spec`` by more than
+        ``DEFAULT_TOL ||moments||`` (grid too coarse; retry denser).
     """
     a, b = spec.interval
     n = spec.degree
     if grid_size < 4 * (n + 1):
         raise ValueError("grid_size must be at least 4 (n + 1)")
     grid = chebyshev_points(grid_size, a, b)
-    E = shifted_basis_values(n, a, b, grid)
-
-    sol = nnls(E, spec.moments, tol=1e-12)
-
+    sol = nnls(shifted_basis_values(n, a, b, grid), spec.moments, DEFAULT_TOL)
     # the support indices and the grid both ascend, so the nodes do too
-    support = np.flatnonzero(sol.rho > 1e-12)
+    support = np.flatnonzero(sol.rho)
     rule = QuadratureRule(nodes=grid[support], weights=sol.rho[support], spec=spec)
-    error = _moment_error(rule, spec)
-    if error > EXACTNESS_TOL:
-        raise MomentFitFailed(f"moment fit missed by {error:.3e} on a {grid_size}-point grid")
+    residual = _moment_residual(rule, spec)
+    if not _member(residual, spec.moments, DEFAULT_TOL):
+        limit = _scale(spec.moments, DEFAULT_TOL)
+        raise MomentFitFailed(f"moment fit missed by {np.linalg.norm(residual):.3e} > {limit:.3e} on a {grid_size}-point grid")
     return rule
 
 
-def _moment_error(rule: QuadratureRule, spec: MomentSpec) -> float:
-    """Worst moment error of the rule against ``spec``, on the interval and
-    moments of ``spec``, relative to ``1 + |moment_0|``; 1 for an empty rule."""
-    if rule.nodes.size == 0:
-        return 1.0
+def _moment_residual(rule: QuadratureRule, spec: MomentSpec) -> np.ndarray:
+    """The moments of the rule less those of ``spec``, on the spec's interval."""
     E = shifted_basis_values(spec.degree, *spec.interval, rule.nodes)
-    err = float(np.abs(E @ rule.weights - spec.moments).max())
-    return err / (1.0 + abs(float(spec.moments[0])))
+    return E @ rule.weights - spec.moments
 
 
 def verify_exactness(rule: QuadratureRule, n: int) -> float:
-    """Worst relative moment error over degrees <= n on the rule's own interval."""
-    return _moment_error(rule, integral_moments(n, *rule.interval))
+    """Moment error over degrees <= n on the rule's interval, over ``||moments||``."""
+    spec = integral_moments(n, *rule.interval)
+    return float(np.linalg.norm(_moment_residual(rule, spec)) / np.linalg.norm(spec.moments))
 
 
 def rule_certificate(rule: QuadratureRule, tol: float = DEFAULT_TOL) -> CertificateReport:
     """Re-check a rule against the degree, interval and moments of its
-    spec, at the construction's own thresholds, `EXACTNESS_TOL` and
-    1e-12; ``tol`` sets none of them."""
+    spec: the moment error within ``tol ||moments||``, the nodes within
+    ``tol ||(a, b)||`` of [a, b], and weights strictly positive."""
     (a, b), n = rule.interval, rule.degree
     outside = max(0.0, float(a - rule.nodes.min(initial=a)), float(rule.nodes.max(initial=b) - b))
     report = CertificateReport()
-    report.add("basis_exactness", _moment_error(rule, rule.spec), EXACTNESS_TOL)
+    report.add("basis_exactness", np.linalg.norm(_moment_residual(rule, rule.spec)), _scale(rule.spec.moments, tol))
     report.add("node_count_bound", rule.nodes.size - (n + 1), 0.0)
-    report.add_margin("weights_positive", float(rule.weights.min(initial=np.inf)) - 1e-12)
-    report.add("nodes_in_interval", outside, 1e-12)
+    report.add_margin("weights_positive", float(rule.weights.min(initial=np.inf)))
+    report.add("nodes_in_interval", outside, _scale(rule.interval, tol))
     return report

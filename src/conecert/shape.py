@@ -11,7 +11,9 @@ Grid feasibility is certified exactly; between grid points the
 derivative may dip below zero by O(spacing^2), which the result reports
 as the minimum over a ten-times-denser check grid rather than hiding.
 A `ShapeResult` holds its `ShapeProblem`, and `shape_certificate(result,
-tol)` re-checks it against that problem alone.
+tol)` re-checks it against that problem alone: each derivative value
+``p^(r)(t)``, divided by the length of the representer at t, is judged
+against ``tol ||target||`` (the library's one rule).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from .certificates import CertificateReport
 from .cones import project_dual
 from .legendre import LegendreBasis, chebyshev_points, derivative_matrix
-from .linalg import DEFAULT_TOL, _scale, as_vector
+from .linalg import DEFAULT_TOL, _products, _scale, as_vector
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,10 +97,9 @@ class ShapeResult:
     problem: ShapeProblem
 
 
-def _checkgrid_min(problem: ShapeProblem, coeffs) -> float:
-    """Minimum of p^(r) over the check grid, ``chebyshev_points(10 * grid.size)``."""
-    check_grid = chebyshev_points(10 * problem.grid.size)
-    return float((coeffs @ LegendreBasis(problem.n).values(check_grid, problem.r)).min())
+def _checkgrid_representers(problem: ShapeProblem) -> np.ndarray:
+    """Representers of p -> p^(r)(t) at the check grid, ``chebyshev_points(10 * grid.size)``."""
+    return LegendreBasis(problem.n).values(chebyshev_points(10 * problem.grid.size), problem.r)
 
 
 def project_shape(problem: ShapeProblem, tol: float = DEFAULT_TOL) -> ShapeResult:
@@ -113,7 +114,7 @@ def project_shape(problem: ShapeProblem, tol: float = DEFAULT_TOL) -> ShapeResul
         solution=solution,
         active_alphas=problem.grid[active],
         rho=proj.rho[active],
-        min_derivative_on_checkgrid=_checkgrid_min(problem, solution.coeffs),
+        min_derivative_on_checkgrid=float((solution.coeffs @ _checkgrid_representers(problem)).min()),
         problem=problem,
     )
 
@@ -122,16 +123,17 @@ def shape_certificate(result: ShapeResult, tol: float = DEFAULT_TOL) -> Certific
     """Re-check a `project_shape` result on its problem through `LegendreBasis`, not the solver
     state or the reported minimum, and the bound ``m <= (n - r + 2) / 2`` unless p^(r) vanishes."""
     problem = result.problem
-    sol, target, n, r = result.solution, problem.target, problem.n, problem.r
+    p, target, n, r = result.solution.coeffs, problem.target.coeffs, problem.n, problem.r
     basis = LegendreBasis(n)
     # column j evaluates the r-th derivative at active_alphas[j]
     representers = basis.values(result.active_alphas, r)
-    sol_scale = _scale(sol.coeffs, tol)
-    bound_ok = np.linalg.norm(derivative_matrix(n, r) @ sol.coeffs) <= 1e-8 or result.active_alphas.size <= 0.5 * (n - r + 2)
+    limit = _scale(target, tol)
+    vanishes = np.abs(_products(derivative_matrix(n, r).T, p)).max() <= limit
+    bound_ok = vanishes or result.active_alphas.size <= 0.5 * (n - r + 2)
     report = CertificateReport()
-    report.add("representation", np.linalg.norm(sol.coeffs - target.coeffs - representers @ result.rho), _scale(target.coeffs, tol))
-    report.add("active_derivative_zero", np.abs(sol.coeffs @ representers).max(initial=0.0), sol_scale)
-    report.add("grid_feasibility", max(0.0, -float((sol.coeffs @ basis.values(problem.grid, r)).min())), sol_scale)
-    report.add("checkgrid_feasibility", max(0.0, -_checkgrid_min(problem, sol.coeffs)), 1e-7)
+    report.add("representation", np.linalg.norm(p - target - representers @ result.rho), limit)
+    report.add("active_derivative_zero", np.abs(_products(representers, p)).max(initial=0.0), limit)
+    report.add("grid_feasibility", max(0.0, -float(_products(basis.values(problem.grid, r), p).min())), limit)
+    report.add("checkgrid_feasibility", max(0.0, -float(_products(_checkgrid_representers(problem), p).min())), limit)
     report.add("active_count_bound", float(not bound_ok), 0.0)
     return report

@@ -120,17 +120,20 @@ def zig_statement_flags(S, x, rho, tol=1e-9):
     eta = np.maximum(-(S.T @ pdual), 0.0)
     x0 = x - St_pinv @ (S.T @ x)
     lift = St_pinv @ eta
-    scale = 1.0 + np.linalg.norm(x)
+    # every residual is a length, judged against tol ||x||; eta and S^T lift
+    # are products with the generators, divided by their lengths
+    scale = tol * np.linalg.norm(x)
+    colnorm = np.linalg.norm(S, axis=0)
+    unit = np.where(colnorm > 0.0, colnorm, 1.0)
     sign = max(0.0, -float(rho.min(initial=0.0)), -float(eta.min(initial=0.0)))
     return {
-        "statement1_decomposition": np.linalg.norm(x - (pc + x0 - lift)) <= tol * scale,
-        "statement2_sign_conditions": sign <= tol,
-        "statement2_eta_in_row_space": np.linalg.norm(null_space_part(S, eta)) <= tol * (1.0 + np.linalg.norm(eta)),
-        "statement2_complementarity": abs(float(rho @ eta))
-        <= tol * (1.0 + np.linalg.norm(rho) * np.linalg.norm(eta)),
-        "statement3_dual_projection": np.linalg.norm(pdual - (x0 - lift)) <= tol * scale,
-        "statement3_orthogonality": abs(float(x0 @ lift)) <= tol * (1.0 + float(x @ x)),
-        "statement4_projection_formulas": np.linalg.norm(pc - St_pinv @ (S.T @ x + eta)) <= tol * scale,
+        "statement1_decomposition": np.linalg.norm(x - (pc + x0 - lift)) <= scale,
+        "statement2_sign_conditions": sign <= 0.0,
+        "statement2_eta_in_row_space": np.linalg.norm((eta - S.T @ lift) / unit) <= scale,
+        "statement2_complementarity": float((eta / unit)[rho > 0].max(initial=0.0)) <= scale,
+        "statement3_dual_projection": np.linalg.norm(pdual - (x0 - lift)) <= scale,
+        "statement3_orthogonality": abs(float(x0 @ lift)) <= scale * np.linalg.norm(x),
+        "statement4_projection_formulas": np.linalg.norm(pc - St_pinv @ (S.T @ x + eta)) <= scale,
     }
 
 

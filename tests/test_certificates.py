@@ -52,6 +52,23 @@ RESULTS = {
     "shape": (lambda: project_shape(SHAPE), shape_certificate),
 }
 
+# inputs where a product is divided by a zero length or a threshold is 0:
+# a zero generator, an empty K, x = 0 (b = 0 for the Farkas system)
+EDGES = {
+    "zero_generator": (K + [[0.0, 0.0, 0.0]], X),
+    "empty_K": (np.zeros((0, 3)), X),
+    "x_zero": (K, [0.0, 0.0, 0.0]),
+    "zero_generator_x_zero": (K + [[0.0, 0.0, 0.0]], [0.0, 0.0, 0.0]),
+}
+for edge, (gens, x) in EDGES.items():
+    RESULTS.update({
+        f"cone_membership-{edge}": (lambda g=gens, x=x: positive_relative_test(g, x), cone_membership_certificate),
+        f"span_membership-{edge}": (lambda g=gens, x=x: span_membership(g, x), span_membership_certificate),
+        f"generated_projection-{edge}": (lambda g=gens, x=x: project_generated(g, x), generated_projection_certificate),
+        f"dual_projection-{edge}": (lambda g=gens, x=x: project_dual(g, x), dual_projection_certificate),
+        f"farkas-{edge}": (lambda g=gens, x=x: farkas_alternative(np.reshape(g, (-1, 3)), x), farkas_certificate),
+    })
+
 
 def _no_solve(*args, **kwargs):
     raise AssertionError("a certificate called the solver or a coercion")

@@ -129,7 +129,7 @@ class TestProjectGenerated:
 
 class TestProjectionResult:
     def test_active_is_read_off_rho(self):
-        # 1e-12 is below the activity threshold 1e-10 * max(1, 2)
+        # 1e-12 is below the activity threshold 1e-10 * max rho = 2e-10
         res = ProjectionResult("dual", np.zeros(3), np.array([0.0, 2.0, 1e-12, 0.5]), np.zeros((3, 4)), np.zeros(3))
         assert res.active.tolist() == [1, 3]
         stored = {f.name for f in dataclasses.fields(res)}
@@ -492,6 +492,15 @@ class TestFaceFirstRecertification:
         assert face_first.passed
 
 
+def _polar_part(S, x):
+    """``zig_decompose``'s ``pdual`` of x, a point of the polar cone; 0 when x
+    lies in cone(S), where pdual is rounding of 0 whose direction is noise
+    and, judged at its own size, not a polar point."""
+    if positive_relative_test(list(S.T), x).member:
+        return np.zeros_like(x)
+    return zig_decompose(list(S.T), x).pdual
+
+
 class TestDualConeDecompose:
     """A dual-cone element y (``rho`` all zero) splits as ``y = nu + z`` with
     ``nu = pdual - z`` in the null space of ``S^T``."""
@@ -522,7 +531,7 @@ class TestDualConeDecompose:
         rng = np.random.default_rng(67)
         for _ in range(100):
             S, x = random_cone_instance(rng, d_max=5, m_max=6)
-            y = zig_decompose(list(S.T), x).pdual  # a genuine dual-cone element
+            y = _polar_part(S, x)  # a genuine dual-cone element
             dec = zig_decompose(list(S.T), y, tol=1e-7)
             assert not dec.rho.any()
             nu = dec.pdual - dec.z
@@ -579,11 +588,12 @@ class TestZigDecompose:
             assert flags == zig_statement_flags(S, x, dec.rho), trial
             scale = 1e-9 * (1.0 + np.linalg.norm(x))
             assert np.linalg.norm(dec.z + pinv(S.T) @ dec.eta) <= scale, trial
-            dual = zig_decompose(list(S.T), dec.pdual, tol=1e-7)
+            y = _polar_part(S, x)
+            dual = zig_decompose(list(S.T), y, tol=1e-7)
             assert not dual.rho.any(), trial
-            inner = S.T @ dec.pdual
+            inner = S.T @ y
             assert np.linalg.norm(dual.z + pinv(S.T) @ dual.eta) <= scale, trial
-            assert np.linalg.norm(dual.x0 - (dec.pdual - pinv(S.T) @ inner)) <= scale, trial
+            assert np.linalg.norm(dual.x0 - (y - pinv(S.T) @ inner)) <= scale, trial
 
 
 class TestIdentitySemantics:

@@ -84,7 +84,7 @@ class TestFarkasAlternative:
 
 
 class TestMembershipRule:
-    """System 1 exactly when the residual is within ``tol (1 + ||b||)``, about 2e-9 here."""
+    """System 1 exactly when the residual is within ``tol ||b||``, 1e-9 here (a gap of 1e-9 is on it)."""
 
     @pytest.mark.parametrize("gap, tag", [(5e-8, FarkasTag.SYSTEM2), (5e-9, FarkasTag.SYSTEM2), (1e-9, FarkasTag.SYSTEM1)])
     def test_decision_and_certificate_agree(self, gap, tag):
@@ -519,3 +519,16 @@ class TestImplicationCertificate:
         forged = dataclasses.replace(report, violator=np.array([100.0, 100.0]))
         report = implication_certificate(forged)
         assert [(c.name, c.residual) for c in report.checks if not c.passed] == [("implication_violator", 1.0)]
+
+    def test_flags_are_read_off_the_certificates(self):
+        # the two forged reports of the earlier finding cannot be built: the
+        # flags are properties of feasible_point and violator, not fields
+        infeasible = generalized_farkas([(np.array([1.0]), 1.0), (np.array([-1.0]), -2.0)], [1.0], 0.0)
+        assert (infeasible.hypothesis_verified, infeasible.samples_used) == (False, 0)
+        with pytest.raises(TypeError):
+            dataclasses.replace(infeasible, hypothesis_verified=True, samples_used=7)
+        violated = generalized_farkas(BOX_PAIRS, [1.0, 1.0], 1.0)
+        assert violated.violator is not None and not violated.sampled_implication_holds
+        with pytest.raises(TypeError):
+            dataclasses.replace(violated, sampled_implication_holds=True, member_augmented=False)
+        assert dataclasses.replace(violated, violator=None).sampled_implication_holds

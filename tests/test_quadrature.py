@@ -190,3 +190,26 @@ class TestRuleCertificate:
         rule = positive_quadrature(integral_moments(6, 0.0, 1.0), 28)
         report = rule_certificate(dataclasses.replace(rule, spec=integral_moments(6, 0.0, 2.0)))
         assert not report["basis_exactness"].passed
+
+    def test_tol_sets_the_thresholds(self):
+        # a rule off its moments by 1e-6 of ||moments|| passes at tol 1e-5 and fails at 1e-9
+        rule = positive_quadrature(integral_moments(4, 0.0, 1.0), 40)
+        off = dataclasses.replace(rule, weights=rule.weights * (1.0 + 1e-6))
+        assert rule_certificate(off, tol=1e-5).passed
+        assert not rule_certificate(off)["basis_exactness"].passed
+        # nodes 1e-7 past b = 1: inside tol ||(a, b)|| = 1e-6, outside 1e-9
+        past = dataclasses.replace(rule, nodes=rule.nodes + 1e-7 * (rule.nodes == rule.nodes.max()))
+        assert rule_certificate(past, tol=1e-6)["nodes_in_interval"].passed
+        assert not rule_certificate(past)["nodes_in_interval"].passed
+
+
+class TestUnits:
+    @pytest.mark.parametrize("width", [1e-10, 1e-14, 1e6])
+    def test_narrow_and_wide_intervals(self, width):
+        # the fit's tolerance is relative: [0, 1e-10] and [0, 1e-14] missed by
+        # 2.7e-8 and 1.0 when weights at or below 1e-12 were dropped
+        rule = positive_quadrature(integral_moments(6, 0.0, width), 56)
+        assert rule_certificate(rule).passed
+        unit = positive_quadrature(integral_moments(6, 0.0, 1.0), 56)
+        assert rule.nodes.size == unit.nodes.size
+        assert np.isclose(rule.weights.sum(), width, rtol=1e-12, atol=0.0)
