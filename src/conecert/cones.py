@@ -30,9 +30,9 @@ from typing import Optional
 import numpy as np
 
 from .certificates import CertificateReport
-from .linalg import DEFAULT_TOL, _lengths, _member, _products, _scale, as_vector, generator_matrix, nnls
+from .linalg import DEFAULT_TOL, _lengths, _member, _norm, _products, _scale, as_vector, generator_matrix, nnls
 
-# multipliers above 1e-10 * ||rho||_inf count as active
+# generators whose share rho_i ||k_i|| is above 1e-10 times the largest count as active
 ACTIVE_RTOL = 1e-10
 
 
@@ -51,16 +51,16 @@ class ProjectionResult:
 
     @property
     def active(self) -> np.ndarray:
-        """The generators whose multipliers are above the activity threshold."""
-        return _active_indices(self.rho)
+        """The generators whose share ``rho_i ||k_i||`` is above the activity threshold."""
+        return _active_indices(self.rho, _lengths(self.S))
 
     @property
     def kkt_residual(self) -> float:
-        return _optimality(self)[0]
+        return _optimality(self, _lengths(self.S))[0]
 
     @property
     def orthogonality_residual(self) -> float:
-        return _optimality(self)[1]
+        return _optimality(self, _lengths(self.S))[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,14 +100,16 @@ def _split_product(a, b, x) -> float:
     """``|<a, b>| / ||x||`` (``|<a, b>|`` for x = 0) for parts a, b of x: how far
     the split is from orthogonal, as a length.  Divided by ``||a||``, an a
     that is rounding of 0 would give the product the size of x."""
-    nx = float(np.linalg.norm(x))
+    nx = float(_norm(x))
     return abs(float(a @ b)) / (nx if nx > 0.0 else 1.0)
 
 
-def _active_indices(rho: np.ndarray) -> np.ndarray:
+def _active_indices(rho: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The generators whose share ``rho_i ||k_i||`` of ``S rho`` is above ACTIVE_RTOL times the largest."""
     if rho.size == 0:
         return np.zeros(0, dtype=int)
-    return np.flatnonzero(rho > ACTIVE_RTOL * float(np.abs(rho).max()))
+    share = rho * lengths
+    return np.flatnonzero(share > ACTIVE_RTOL * float(np.abs(share).max()))
 
 
 def positive_relative_test(gamma, x, tol: float = DEFAULT_TOL) -> Membership:
@@ -147,10 +149,11 @@ def _membership_checks(result: Membership, tol: float, products_name: str, produ
     limit = _scale(xv, tol)
     report = CertificateReport()
     if result.member:
-        report.add("representation", np.linalg.norm(xv - S @ result.coefficients), limit)
+        report.add("representation", _norm(xv - S @ result.coefficients), limit)
         return report
     w = result.witness
-    report.add_margin("witness_separates", xv @ w)
+    xs, ws = np.ldexp([xv, w], -np.frexp(_norm(xv))[1])  # exact: the product neither underflows nor overflows
+    report.add_margin("witness_separates", xs @ ws)
     report.add(products_name, products(_products(S, w)), limit)
     report.add("witness_self_product", _split_product(xv - w, w, xv), limit)
     return report
@@ -169,7 +172,7 @@ def span_membership_certificate(result: Membership, tol: float = DEFAULT_TOL) ->
     return _membership_checks(result, tol, "witness_orthogonality", lambda p: float(np.abs(p).max(initial=0.0)))
 
 
-def _optimality(result: ProjectionResult) -> tuple:
+def _optimality(result: ProjectionResult, lengths) -> tuple:
     """``(kkt, orthogonality)`` at the point p that ``rho`` gives (``S rho`` or
     ``x + S rho``): the worst normalised product with ``x - p`` above 0
     (generated) or with p below 0 (dual), or an active one off 0, and
@@ -177,20 +180,20 @@ def _optimality(result: ProjectionResult) -> tuple:
     S, xv, rho = result.S, result.x, result.rho
     if result.orientation == "generated":
         point = S @ rho
-        inner = -_products(S, xv - point)
+        inner = -_products(S, xv - point, lengths)
     else:
         point = xv + S @ rho
-        inner = _products(S, point)
+        inner = _products(S, point, lengths)
     kkt = max(0.0, -float(inner.min(initial=0.0)))
-    active = _active_indices(rho)
+    active = _active_indices(rho, lengths)
     if active.size:
         kkt = max(kkt, float(np.abs(inner[active]).max()))
     return kkt, _split_product(xv - point, point, xv)
 
 
-def _add_residual_checks(report: CertificateReport, result: ProjectionResult, kkt_name: str, tol: float) -> None:
+def _add_residual_checks(report: CertificateReport, result: ProjectionResult, kkt_name: str, tol: float, lengths) -> None:
     """A projection's KKT and orthogonality residuals, each within ``_scale(x)``."""
-    kkt, orth = _optimality(result)
+    kkt, orth = _optimality(result, lengths)
     limit = _scale(result.x, tol)
     report.add(kkt_name, kkt, limit)
     report.add("orthogonality", orth, limit)
@@ -209,8 +212,8 @@ def generated_projection_certificate(result: ProjectionResult, tol: float = DEFA
     gives, ``point = S rho``."""
     report = CertificateReport()
     report.add("multipliers_nonnegative", max(0.0, -float(result.rho.min(initial=0.0))), 0.0)
-    _add_residual_checks(report, result, "kkt_inequalities", tol)
-    report.add("representation", np.linalg.norm(result.point - result.S @ result.rho), _scale(result.x, tol))
+    _add_residual_checks(report, result, "kkt_inequalities", tol, _lengths(result.S))
+    report.add("representation", _norm(result.point - result.S @ result.rho), _scale(result.x, tol))
     return report
 
 
@@ -228,33 +231,33 @@ def project_dual(K, x, tol: float = DEFAULT_TOL) -> ProjectionResult:
     return ProjectionResult("dual", xv + S @ rho, rho, S, xv)
 
 
-def _characterization(S, xv, x0v, tol: float, witness_e, multipliers) -> CertificateReport:
+def _characterization(S, xv, x0v, tol: float, witness_e, multipliers, lengths) -> CertificateReport:
     """`verify_characterization`'s checks on ``rho = multipliers(x0 - x, face)``,
-    ``face`` the generators within the ``active_orthogonality`` threshold;
-    products with x0 = x + S rho are judged against ``_scale(x)``."""
+    ``face`` the generators within the ``active_orthogonality`` threshold; products
+    with x0 = x + S rho are judged against ``_scale(x)``, ranks on unit generators."""
     report = CertificateReport()
     if witness_e is not None:
         report.add_margin("witness_positivity", (S.T @ witness_e).min() if S.shape[1] else 1.0)
 
     limit = _scale(xv, tol)
-    if S.shape[1] == 0 or float(_products(S, xv).min()) >= -limit:
-        report.add("fixed_point", np.linalg.norm(x0v - xv), limit)
+    if S.shape[1] == 0 or float(_products(S, xv, lengths).min()) >= -limit:
+        report.add("fixed_point", _norm(x0v - xv), limit)
         return report
-    inner = _products(S, x0v)
+    inner = _products(S, x0v, lengths)
     diff = x0v - xv
     rho = multipliers(diff, np.flatnonzero(np.abs(inner) <= limit))
-    report.add("difference_in_cone", np.linalg.norm(diff - S @ rho), _scale(diff, tol))
+    report.add("difference_in_cone", _norm(diff - S @ rho), _scale(diff, tol))
 
-    active = _active_indices(rho)
+    active = _active_indices(rho, lengths)
     m = int(active.size)
     report.add("active_set_nonempty", float(m == 0), 0.0)
     if m:
-        report.add("active_set_independent", m - np.linalg.matrix_rank(S[:, active]), 0.0)
+        report.add("active_set_independent", m - np.linalg.matrix_rank(S[:, active] / lengths[active]), 0.0)
         # the active multipliers are positive by their threshold; the rest must not be negative
         report.add("positive_multipliers", max(0.0, -float(rho.min())), 0.0)
         report.add("active_orthogonality", np.abs(inner[active]).max(), limit)
     report.add("point_in_cone", max(0.0, -float(inner.min())), limit)
-    bound = xv.size - 1 if np.linalg.norm(x0v) > limit else xv.size
+    bound = xv.size - 1 if _norm(x0v) > limit else xv.size
     report.add("active_count_bound", m - bound, 0.0)
     report.add_margin("infeasible_direction_exists", -(S.T @ xv).min())
     return report
@@ -301,15 +304,16 @@ def verify_characterization(K, x, x0, tol: float = DEFAULT_TOL, witness_e=None) 
         rho[face] = fit.coefficients
         return rho
 
-    return _characterization(S, xv, as_vector(x0), tol, witness_e, multipliers)
+    return _characterization(S, xv, as_vector(x0), tol, witness_e, multipliers, _lengths(S))
 
 
 def dual_projection_certificate(result: ProjectionResult, tol: float = DEFAULT_TOL, witness_e=None) -> CertificateReport:
     """`verify_characterization`'s checks on a `project_dual` result's own
     rho, with no solve, then the residuals rho gives; a length-d
     ``witness_e`` adds ``witness_positivity``."""
-    report = _characterization(result.S, result.x, result.point, tol, witness_e, lambda diff, face: result.rho)
-    _add_residual_checks(report, result, "kkt_residual", tol)
+    lengths = _lengths(result.S)
+    report = _characterization(result.S, result.x, result.point, tol, witness_e, lambda diff, face: result.rho, lengths)
+    _add_residual_checks(report, result, "kkt_residual", tol, lengths)
     return report
 
 
@@ -350,13 +354,13 @@ def zig_decompose(K, x, tol: float = DEFAULT_TOL) -> ZigDecomposition:
 
     limit = _scale(xv, tol)
     report = CertificateReport()
-    report.add("statement1_decomposition", np.linalg.norm(xv - (pc + x0 - lift)), limit)
+    report.add("statement1_decomposition", _norm(xv - (pc + x0 - lift)), limit)
     report.add("statement2_sign_conditions", max(0.0, -float(rho.min(initial=0.0)), -float(eta.min(initial=0.0))), 0.0)
     # divided by ||k_i||, eta lies in the row space when it is S^T lift, and it must vanish where rho_i > 0
-    report.add("statement2_eta_in_row_space", np.linalg.norm(eta_along - _products(S, lift)), limit)
+    report.add("statement2_eta_in_row_space", _norm(eta_along - _products(S, lift)), limit)
     report.add("statement2_complementarity", float(eta_along[rho > 0].max(initial=0.0)), limit)
-    report.add("statement3_dual_projection", np.linalg.norm(pdual - (x0 - lift)), limit)
+    report.add("statement3_dual_projection", _norm(pdual - (x0 - lift)), limit)
     report.add("statement3_orthogonality", _split_product(x0, lift, xv), limit)
-    report.add("statement4_projection_formulas", np.linalg.norm(pc - (along + lift)), limit)
+    report.add("statement4_projection_formulas", _norm(pc - (along + lift)), limit)
 
     return ZigDecomposition(rho=rho, x0=x0, eta=eta, z=-lift, pc=pc, pdual=pdual, report=report)

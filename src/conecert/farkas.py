@@ -25,7 +25,7 @@ import numpy as np
 
 from .certificates import CertificateReport
 from .cones import positive_relative_test
-from .linalg import DEFAULT_TOL, _lengths, _member, _products, _scale, as_matrix, as_vector, generator_matrix, nnls
+from .linalg import DEFAULT_TOL, _lengths, _member, _norm, _products, _scale, as_matrix, as_vector, generator_matrix, nnls
 
 # most lifted solves `generalized_farkas` makes towards a point passing S x <= p
 FEASIBLE_ROUNDS = 3
@@ -71,25 +71,19 @@ class FarkasOutcome:
 
 @dataclass(frozen=True, eq=False)
 class GenFarkasReport:
-    """Finite-index generalized Farkas equivalences, with certificates:
-    ``member_plain`` tests ``(b, r)`` against the cone of the pairs
-    alone, ``member_augmented`` adds the vertical ray ``(0, 1)``; both
-    are balanced solves, blind to the units of x and r.  Consistency of ``<s_j, x> <= p_j`` is decided by a checked
-    certificate either way: a ``feasible_point`` passing ``S x <= p``
-    (then ``hypothesis_verified``), or ``infeasibility_multipliers``;
-    `implication_certificate` reports the margin of that check.
+    """A `generalized_farkas` answer on ``S`` (rows s_j), ``p``, ``b`` and ``r``.
 
-    The implication is decided from the augmented test, not sampled.
+    Consistency of ``<s_j, x> <= p_j`` carries a ``feasible_point``
+    passing ``S x <= p`` or ``infeasibility_multipliers``.  The
+    implication is decided by `_lifted` solves, not sampled:
     ``multipliers`` (``lam`` on the pairs, then ``mu`` on ``(0, 1)``)
-    prove it; ``violator`` is a feasible point refuting it.
-    ``sampled_implication_holds`` ("no violation found"), ``samples_used``
-    (the points checked against the system) and ``hypothesis_verified``
-    are read off ``violator`` and ``feasible_point``.  ``S`` (rows s_j),
-    ``p``, ``b`` and ``r`` are the problem as coerced.
+    prove it, ``violator`` is a feasible point refuting it, and
+    ``member_plain`` says the pairs alone prove it.  ``member_augmented``,
+    ``sampled_implication_holds`` ("no violation found"),
+    ``hypothesis_verified`` and ``samples_used`` are read off these.
     """
 
     member_plain: bool
-    member_augmented: bool
     feasible_point: Optional[np.ndarray]
     multipliers: Optional[np.ndarray]
     violator: Optional[np.ndarray]
@@ -99,6 +93,7 @@ class GenFarkasReport:
     b: np.ndarray
     r: float
 
+    member_augmented = property(lambda self: self.multipliers is not None)
     sampled_implication_holds = property(lambda self: self.violator is None)
     hypothesis_verified = property(lambda self: self.feasible_point is not None)
     samples_used = property(lambda self: int(self.feasible_point is not None))
@@ -139,12 +134,13 @@ def farkas_certificate(outcome: FarkasOutcome, tol: float = DEFAULT_TOL) -> Cert
         report.add("certificate_verifies", 1.0, 0.0)
         return report
     if system1:
-        report.add("primal_residual", np.linalg.norm(Am.T @ v - bv), _scale(bv, tol))
+        report.add("primal_residual", _norm(Am.T @ v - bv), _scale(bv, tol))
         report.add("multipliers_nonnegative", max(0.0, -float(v.min(initial=0.0))), 0.0)
         verified = True
     else:
         report.add("dual_violation_normalized", max(0.0, float(_products(Am.T, v).max(initial=0.0))), _scale(bv, tol))
-        report.add_margin("strict_gap_positive", bv @ v - 0.5 * (v @ v))
+        bs, vs = np.ldexp([bv, v], -np.frexp(_norm(bv))[1])  # exact: the products neither underflow nor overflow
+        report.add_margin("strict_gap_positive", bs @ vs - 0.5 * (vs @ vs))
         verified = not _member(v, bv, tol)
     report.add("certificate_verifies", float(not verified), 0.0)
     return report
@@ -212,8 +208,8 @@ def infeasibility_residual(S, p, lam) -> float:
     lam = np.asarray(lam, dtype=float)
     if lam.size == 0 or lam.min() < 0.0 or not lam @ p < 0.0:
         return 1.0
-    lifted_norms = np.linalg.norm(np.column_stack([S, p]), axis=1)
-    return float(np.linalg.norm(S.T @ lam) / (lam @ lifted_norms))
+    lifted_norms = _norm(np.column_stack([S, p]), axis=1)
+    return float(_norm(S.T @ lam) / (lam @ lifted_norms))
 
 
 def _balance_unit(S, gaps, b, r) -> float:
@@ -228,24 +224,22 @@ def _balance_unit(S, gaps, b, r) -> float:
     return far if far else 1.0
 
 
-def _augmented_test(S, gaps, b, r, unit: float, tol: float):
-    """Balanced NNLS of ``(b, r)`` over the pairs ``(s_j, gaps_j)`` and ``(0, 1)``.
+def _lifted(S, gaps, c, q, unit: float, tol: float):
+    """Balanced NNLS of ``(c, q / unit)`` over the lifted pairs ``(s_j, gaps_j / unit)``.
 
-    The last coordinate is divided by ``unit`` (`_balance_unit`), which
-    leaves membership unchanged.  Returns the membership flag, the
-    multipliers ``(lam, mu)`` with mu scaled back up by ``unit``, and the
-    residual ``(u, t)`` with t divided by ``unit``, which still separates:
-    ``<s_j, u> + t gaps_j <= 0``, ``t <= 0`` and ``<b, u> + t r > 0``.
+    Dividing the last coordinate by ``unit`` (`_balance_unit`) leaves the
+    cone and the multipliers of the pairs unchanged.  Returns the
+    membership flag, those multipliers and the residual ``(u, t)`` with t
+    divided by ``unit``, which still separates: ``<s_j, u> + t gaps_j <= 0``
+    for every pair and ``<c, u> + t q > 0``.
     """
-    columns = np.column_stack([S, gaps / unit])
-    vertical = np.append(np.zeros(b.size), 1.0)
-    target = np.append(b, r / unit)
-    sol = nnls(np.vstack([columns, vertical]).T, target, tol)
+    target = np.append(c, q / unit)
+    sol = nnls(np.column_stack([S, gaps / unit]).T, target, tol)
     member = _member(sol.residual, target, tol)
-    rho, w = sol.rho, sol.residual
-    rho[-1] *= unit
-    w[-1] /= unit
-    return member, rho, w
+    w = sol.residual
+    with np.errstate(over="ignore"):  # a t past the float range is infinite
+        w[-1] /= unit
+    return member, sol.rho, w
 
 
 def generalized_farkas(pairs, b, r, tol: float = DEFAULT_TOL) -> GenFarkasReport:
@@ -258,36 +252,41 @@ def generalized_farkas(pairs, b, r, tol: float = DEFAULT_TOL) -> GenFarkasReport
     b, r : vector and scalar
         The candidate consequence ``<b, x> <= r``.
 
+    Every solve is one `_lifted` NNLS over lifted pairs ``(s_j, p_j)``.
+    The vertical ray ``(0, 1)`` is the pair ``(0, unit)`` of the
+    constraint ``0 <= unit``: its column stays exactly ``(0, 1)``, and mu
+    is its multiplier times ``unit``.
+
     Consistency.  The system is infeasible exactly when ``(0, -1)`` lies
-    in the cone of the lifted pairs ``(s_j, p_j)``; the multipliers of
-    that solve are reported once `infeasibility_residual` is at most
-    `tol`.  Otherwise the residual ``(w, t)`` has ``t < 0`` and
-    ``w / -t`` is the feasible point nearest the origin, solved from the
-    pairs carrying multipliers (tight there) rather than divided by the
-    cancelling ``t``.  It is kept only if it passes `_excess`'s rule; one
-    that misses it is refined by the same step taken from it.
+    in the cone of the lifted pairs; that solve's multipliers above tol
+    are reported once `infeasibility_residual` is at most `tol`.  Otherwise
+    the residual ``(w, t)`` has ``t < 0`` and ``w / -t`` is the feasible
+    point nearest the origin, solved from the pairs carrying multipliers
+    (tight there) rather than divided by the cancelling ``t``.  It is kept
+    if it passes `_excess`'s rule, else refined by the same solve on the
+    gaps left at it.  Each pair is balanced by the point's largest
+    distance ``-gaps_j / ||s_j||`` outside a half-space and divided by its
+    largest entry, so no gap overflows; neither changes the cone.
 
     The implication.  For a consistent system it holds exactly when
-    ``(b, r)`` lies in the augmented cone: one balanced NNLS solve
-    (`_augmented_test`); ``member_plain`` is the same test without
-    ``(0, 1)``.  Its multipliers ``(lam, mu)``, mu scaled back to the units of r, are the
-    proof and are reported once `implication_multipliers_hold` passes.
-    When it does not, the residual ``(u, t)`` of that solve, t brought back to
-    the units of r, separates: ``<s_j, u> + t p_j <= 0``, ``t <= 0`` and
-    ``<b, u> + t r > 0``.  So ``a u`` is feasible for ``0 <= a <= 1 / -t``
-    (for every a when ``t = 0``, u being a recession direction), and
+    ``(b, r)`` lies in the augmented cone; the multipliers ``(lam, mu)``
+    of a member are the proof, reported once `implication_multipliers_hold`
+    passes, and ``member_plain`` is that check on a member of the solve
+    without ``(0, 1)``, with ``mu = 0``.  Otherwise the
+    residual ``(u, t)`` separates: ``<s_j, u> + t p_j <= 0``, ``t <= 0``
+    and ``<b, u> + t r > 0``.  So ``a u`` is feasible for ``0 <= a <= 1 /
+    -t`` (for every a when ``t = 0``, u being a recession direction), and
     ``<b, a u>`` exceeds r from some ``a < 1 / -t`` on.
 
-    The test is solved centred at the feasible point x_f, on the pairs
-    ``(s_j, p_j - <s_j, x_f>)`` and the target ``(b, r - <b, x_f>)``: the
-    map ``(v, c) -> (v, c - <v, x_f>)`` is invertible and fixes
+    The refutation is solved centred at the feasible point x_f, on the
+    pairs ``(s_j, p_j - <s_j, x_f>)`` and the target ``(b, r - <b, x_f>)``:
+    the map ``(v, c) -> (v, c - <v, x_f>)`` is invertible and fixes
     ``(0, 1)``, so membership is unchanged, but the witness is measured
-    from a point of the system; the divisor, a length, is the same.  When
-    x_f is the origin the augmented solve's residual is reused.  The
-    candidate ``x_f + a u`` takes a at twice the step that reaches r plus
-    `violator_holds`'s threshold at x_f, or halfway from there to
-    ``1 / -t`` when that is nearer: the end point ``u / -t`` lies on the
-    pairs tight at the solve, where rounding in u is multiplied by
+    from a point of the system (at the origin the first residual serves).
+    The candidate ``x_f + a u`` takes ``a = min(2 need, (need + 1 / -t) /
+    2)`` (``2 need`` when ``t = 0``), need being the step that reaches r
+    plus `violator_holds`'s threshold at x_f: the end point ``u / -t`` lies
+    on the pairs tight at the solve, where rounding in u is multiplied by
     ``1 / -t``.  It is reported once `violator_holds` passes.
     """
     bv = as_vector(b)
@@ -296,16 +295,18 @@ def generalized_farkas(pairs, b, r, tol: float = DEFAULT_TOL) -> GenFarkasReport
     pvals = np.array([float(p) for _, p in pairs])
 
     unit = _balance_unit(S, pvals, bv, r)
-    plain = positive_relative_test(np.column_stack([S, pvals / unit]), np.append(bv, r / unit), tol)
-    member, aug, w = _augmented_test(S, pvals, bv, r, unit, tol)
+    with_ray = np.vstack([S, np.zeros(bv.size)])
 
-    # dividing the gaps by the point's largest distance -gaps_j / ||s_j|| outside
-    # a half-space balances the lifted pairs, and dividing each pair by its
-    # largest entry keeps the other gaps from overflowing; neither changes the cone
+    def augmented(gaps, q):
+        return _lifted(with_ray, np.append(gaps, unit), bv, q, unit, tol)
+
+    plain_member, plain, _ = _lifted(S, pvals, bv, r, unit, tol)
+    member, aug, w = augmented(pvals, r)
+    aug[-1] *= unit
+
     row_norms = np.linalg.norm(S, axis=1)
     rows = row_norms > 0.0
     point, gaps = np.zeros(bv.size), pvals
-    below = np.append(np.zeros(bv.size), -1.0)
     refuted = None
     for _ in range(FEASIBLE_ROUNDS):
         if _feasible(S, pvals, point, tol):
@@ -313,11 +314,11 @@ def generalized_farkas(pairs, b, r, tol: float = DEFAULT_TOL) -> GenFarkasReport
         reach = float((np.maximum(-gaps[rows], 0.0) / row_norms[rows]).max(initial=0.0)) or 1.0
         size = np.maximum(reach * np.abs(S).max(axis=1, initial=0.0), np.abs(gaps))
         size[size == 0.0] = 1.0
-        sol = nnls(np.column_stack([S * (reach / size)[:, None], gaps / size]).T, below, tol)
-        if _member(sol.residual, below, tol):
-            refuted = sol.rho * (reach / size)  # (0, -1) is in the lifted cone
+        infeasible, rho, _ = _lifted(S * (reach / size)[:, None], gaps / size, np.zeros(bv.size), -1.0, 1.0, tol)
+        if infeasible:
+            refuted = np.where(rho > tol, rho, 0.0) * (reach / size)  # (0, -1) is in the cone; rho <= tol is rounding
             break
-        tight = np.flatnonzero(sol.rho)
+        tight = np.flatnonzero(rho)
         # each tight equation divided by ||s_j||: the same solution, at a cut-off blind to their lengths
         lengths = _lengths(S[tight].T)
         point = point + np.linalg.lstsq(S[tight] / lengths[:, None], gaps[tight] / lengths, rcond=None)[0]
@@ -333,20 +334,18 @@ def generalized_farkas(pairs, b, r, tol: float = DEFAULT_TOL) -> GenFarkasReport
     elif feasible is not None:
         excess, margin = _excess(bv[None], np.array([r]), feasible, tol)
         if feasible.any():
-            w = _augmented_test(S, gaps, bv, -excess, unit, tol)[2]
+            w = augmented(gaps, -excess)[2]
         u, t = w[:-1], min(float(w[-1]), 0.0)
         rate = float(bv @ u)
         candidate = feasible
         if rate > 0.0:
             need = max(margin - excess, 0.0) / rate
-            spare = 0.5 * (1.0 + t * need)
-            candidate = feasible + (need + (spare / -t if spare < -t * need else need)) * u
+            candidate = feasible + (min(2.0 * need, 0.5 * (need - 1.0 / t)) if t else 2.0 * need) * u
         if violator_holds(S, pvals, bv, r, candidate, tol):
             violator = candidate
 
     return GenFarkasReport(
-        member_plain=plain.member,
-        member_augmented=member,
+        member_plain=plain_member and implication_multipliers_hold(S, pvals, bv, r, plain, 0.0, tol),
         feasible_point=feasible,
         multipliers=multipliers,
         violator=violator,
@@ -360,13 +359,13 @@ def generalized_farkas(pairs, b, r, tol: float = DEFAULT_TOL) -> GenFarkasReport
 
 def implication_certificate(result: GenFarkasReport, tol: float = DEFAULT_TOL) -> CertificateReport:
     """Re-check a `generalized_farkas` report against ``<s_j, x> <= p_j``: its
-    flags agree, and a feasible point or infeasibility multipliers pass,
-    as do ``multipliers`` and ``violator`` when set."""
+    flags agree, the implication holds by multipliers or vacuously or fails
+    at a violator, and every certificate it carries passes."""
     S, pvals, b, r = result.S, result.p, result.b, result.r
-    plain, aug, holds = result.member_plain, result.member_augmented, result.sampled_implication_holds
+    aug, holds = result.member_augmented, result.sampled_implication_holds
     report = CertificateReport()
-    report.add("membership_monotone", float(plain and not aug), 0.0)
-    report.add("sampled_implication_consistent", float((plain or aug) and not holds), 0.0)
+    report.add("membership_monotone", float(result.member_plain and not aug), 0.0)
+    report.add("sampled_implication_consistent", float(holds != (aug or result.feasible_point is None)), 0.0)
     lam = result.infeasibility_multipliers
     if result.feasible_point is not None:
         excess, limit = _excess(S, pvals, result.feasible_point, tol)

@@ -6,9 +6,9 @@ aliasing its caller's arrays; `as_matrix` does not), the one tolerance
 rule and nonnegative least squares (`nnls`).  The rule: a residual
 passes when it is at most ``tol`` times the size of the largest term it
 is computed from, ``_scale(v) = tol ||v||``, where a product with a
-generator is the normalised ``<k_i, w> / ||k_i||`` (`_products`).  The
-NNLS slack, `_member` and every certificate threshold are written with
-these two, so no answer depends on the units of x or of a generator.
+generator is the normalised ``<k_i, w> / ||k_i||`` (`_products`), each
+norm by `_norm`, exact at any scale.  `_member` and every certificate
+threshold use them, so no answer depends on the units of x or k_i.
 Everything here is pure and thread-safe.  The rank rule (`svd_factors`)
 and Caratheodory reduction (`caratheodory_reduce`) have no caller in the
 library; they stay, outside the package namespace, only while the
@@ -116,28 +116,40 @@ def svd_factors(M) -> SvdFactors:
     return SvdFactors(u=u[:, keep], singular_values=s[keep], vt=vt[keep], rank_tol=cutoff)
 
 
+def _norm(v, axis=None):
+    """``||v||`` (with ``axis``, of each row or column) that neither underflows nor
+    overflows: where an entry reaches ``2^450`` or a nonzero v has a norm at most
+    ``2^-450``, v is first divided by a power of two near its largest entry (exact)."""
+    if np.abs(v).max(initial=0.0) < 2.0**450:
+        norms = np.linalg.norm(v, axis=axis)
+        if (norms if axis is None else norms.min(initial=np.inf)) > 2.0**-450 or not np.any(v):
+            return norms
+    e = np.frexp(np.abs(v).max(axis=axis, keepdims=True, initial=0.0))[1]
+    return np.ldexp(np.linalg.norm(np.ldexp(v, -e), axis=axis, keepdims=True), e).squeeze(axis)[()]
+
+
 def _scale(v, tol: float, axis=None):
     """``tol ||v||``: the threshold of a residual computed from terms no larger
     than v (with ``axis``, one per row or column)."""
-    return tol * np.linalg.norm(v, axis=axis)
+    return tol * _norm(v, axis)
 
 
 def _lengths(S) -> np.ndarray:
     """``||k_i||`` of each column k_i of S, 1 for a zero column."""
-    norms = np.linalg.norm(S, axis=0)
+    norms = _norm(S, 0)
     return np.where(norms > 0.0, norms, 1.0)
 
 
-def _products(S, w) -> np.ndarray:
-    """``<k_i, w> / ||k_i||`` for each column k_i of S (0 for a zero column):
-    the component of w along k_i, judged against ``_scale`` of w's terms."""
-    return (S.T @ w) / _lengths(S)
+def _products(S, w, lengths=None) -> np.ndarray:
+    """``<k_i, w> / ||k_i||`` for each column k_i of S (0 for a zero column; pass
+    ``_lengths(S)`` if held): w's component along k_i, judged against ``_scale``."""
+    return (S.T @ w) / (_lengths(S) if lengths is None else lengths)
 
 
 def _member(residual, target, tol: float) -> bool:
     """The membership rule: a least-squares fit of ``target`` over a cone or
     span reaches it when ``||residual|| <= _scale(target)``."""
-    return bool(np.linalg.norm(residual) <= _scale(target, tol))
+    return bool(_norm(residual) <= _scale(target, tol))
 
 
 @dataclass(frozen=True, eq=False)

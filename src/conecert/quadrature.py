@@ -21,7 +21,7 @@ import numpy as np
 from .certificates import CertificateReport
 from .errors import BadInterval, MomentFitFailed
 from .legendre import LegendreBasis, chebyshev_points
-from .linalg import DEFAULT_TOL, _member, _scale, nnls
+from .linalg import DEFAULT_TOL, _member, _norm, _scale, nnls
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,7 +142,7 @@ def rule_certificate(rule: QuadratureRule, tol: float = DEFAULT_TOL) -> Certific
     (a, b), n = rule.interval, rule.degree
     outside = max(0.0, float(a - rule.nodes.min(initial=a)), float(rule.nodes.max(initial=b) - b))
     report = CertificateReport()
-    report.add("basis_exactness", np.linalg.norm(_moment_residual(rule, rule.spec)), _scale(rule.spec.moments, tol))
+    report.add("basis_exactness", _norm(_moment_residual(rule, rule.spec)), _scale(rule.spec.moments, tol))
     report.add("node_count_bound", rule.nodes.size - (n + 1), 0.0)
     report.add_margin("weights_positive", float(rule.weights.min(initial=np.inf)))
     report.add("nodes_in_interval", outside, _scale(rule.interval, tol))

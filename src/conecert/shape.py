@@ -25,7 +25,7 @@ import numpy as np
 from .certificates import CertificateReport
 from .cones import project_dual
 from .legendre import LegendreBasis, chebyshev_points, derivative_matrix
-from .linalg import DEFAULT_TOL, _products, _scale, as_vector
+from .linalg import DEFAULT_TOL, _norm, _products, _scale, as_vector
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,15 +86,16 @@ class ShapeResult:
 
     ``rho`` are the strictly positive multipliers on ``active_alphas``
     (the Lawson-Hanson support, an independent representer set);
-    ``min_derivative_on_checkgrid`` is the continuum feasibility margin;
-    ``problem`` is the problem solved.
+    ``problem`` is the problem solved.  ``min_derivative_on_checkgrid``,
+    the continuum feasibility margin, is derived from the two.
     """
 
     solution: LegendrePoly
     active_alphas: np.ndarray
     rho: np.ndarray
-    min_derivative_on_checkgrid: float
     problem: ShapeProblem
+
+    min_derivative_on_checkgrid = property(lambda self: float((self.solution.coeffs @ _checkgrid_representers(self.problem)).min()))
 
 
 def _checkgrid_representers(problem: ShapeProblem) -> np.ndarray:
@@ -114,7 +115,6 @@ def project_shape(problem: ShapeProblem, tol: float = DEFAULT_TOL) -> ShapeResul
         solution=solution,
         active_alphas=problem.grid[active],
         rho=proj.rho[active],
-        min_derivative_on_checkgrid=float((solution.coeffs @ _checkgrid_representers(problem)).min()),
         problem=problem,
     )
 
@@ -131,7 +131,7 @@ def shape_certificate(result: ShapeResult, tol: float = DEFAULT_TOL) -> Certific
     vanishes = np.abs(_products(derivative_matrix(n, r).T, p)).max() <= limit
     bound_ok = vanishes or result.active_alphas.size <= 0.5 * (n - r + 2)
     report = CertificateReport()
-    report.add("representation", np.linalg.norm(p - target - representers @ result.rho), limit)
+    report.add("representation", _norm(p - target - representers @ result.rho), limit)
     report.add("active_derivative_zero", np.abs(_products(representers, p)).max(initial=0.0), limit)
     report.add("grid_feasibility", max(0.0, -float(_products(basis.values(problem.grid, r), p).min())), limit)
     report.add("checkgrid_feasibility", max(0.0, -float(_products(_checkgrid_representers(problem), p).min())), limit)

@@ -26,6 +26,7 @@ from conecert import (
     project_shape,
     span_membership,
 )
+from test_farkas import UNDECIDED
 
 TOP_KEYS = ["kind", "input_echo", "result", "certificates", "runtime_ms"]
 
@@ -194,6 +195,16 @@ class TestFarkas:
         assert rc == 0
         assert rep["result"]["hypothesis_verified"] is True
         assert -rep["result"]["feasible_point"][0] <= -1e8 + 1e-9 * (1.0 + 1e8)
+
+
+    def test_pairs_undecided(self, tmp_path):
+        # a consistent system whose report neither proves nor refutes the
+        # implication fails its certificate, and the report is still written
+        rc, rep = _run(tmp_path, "farkas", UNDECIDED)
+        assert rc == 2
+        assert rep["result"]["sampled_implication_holds"] is True and rep["result"]["member_augmented"] is False
+        failed = [c["name"] for c in rep["certificates"] if not c["pass"]]
+        assert failed == ["sampled_implication_consistent"]
 
 
 class TestQuadrature:

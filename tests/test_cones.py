@@ -16,6 +16,7 @@ from conecert import (
     zig_decompose,
 )
 from conecert.cones import _characterization, dual_projection_certificate, generated_projection_certificate
+from conecert.linalg import _lengths
 from oracles import (
     dual_cone_rays,
     dual_projection_bruteforce,
@@ -458,7 +459,7 @@ class TestFaceFirstRecertification:
             patched.setattr(conecert.cones, "nnls", counted)
             face_first = verify_characterization(K, x, point)
         S = K.T
-        cold = _characterization(S, x, point, 1e-9, None, lambda diff, face: nnls(S, diff, 1e-9).rho)
+        cold = _characterization(S, x, point, 1e-9, None, lambda diff, face: nnls(S, diff, 1e-9).rho, _lengths(S))
         return face_first, cold, len(solves)
 
     def test_same_checks_as_cold_resolve_600(self, monkeypatch):

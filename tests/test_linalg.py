@@ -3,9 +3,13 @@ import pytest
 
 import conecert.linalg
 
-from conecert import IterationLimit, nnls, span_membership
+from conecert import (FarkasOutcome, FarkasTag, IterationLimit, farkas_alternative, integral_moments, nnls, positive_quadrature,
+                      span_membership)
+from conecert.cones import span_membership_certificate
+from conecert.farkas import farkas_certificate
 from conecert.legendre import LegendreBasis, chebyshev_points
-from conecert.linalg import _delete_columns, caratheodory_reduce, svd_factors
+from conecert.linalg import _delete_columns, _norm, caratheodory_reduce, svd_factors
+from conecert.quadrature import rule_certificate
 from oracles import nnls_bruteforce, random_cone_instance
 
 _EPS = float(np.finfo(float).eps)
@@ -93,6 +97,48 @@ class TestSpanMembership:
             assert abs(float(x @ r) - float(r @ r)) <= 1e-9 * (1.0 + float(x @ x))
             G = np.column_stack(gamma)
             assert float(np.abs(G.T @ r).max()) <= 1e-9 * (1.0 + np.linalg.norm(x))
+
+
+class TestNorm:
+    """`_norm` is ``np.linalg.norm`` where the squares of the entries neither
+    underflow nor overflow, and the exact rescaled length elsewhere."""
+
+    def test_matches_numpy_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for _ in range(500):
+            M = rng.standard_normal((3, int(rng.integers(1, 6)))) * 10.0 ** rng.uniform(-100.0, 100.0)
+            for axis in (None, 0, 1):
+                assert np.array_equal(_norm(M, axis), np.linalg.norm(M, axis=axis))
+
+    @pytest.mark.parametrize("power", [-900, -600, 600, 1000])
+    def test_rescaling_is_exact(self, power):
+        rng = np.random.default_rng(13)
+        M = rng.standard_normal((4, 3))
+        for axis in (None, 0, 1):
+            assert np.array_equal(_norm(np.ldexp(M, power), axis), np.ldexp(np.linalg.norm(M, axis=axis), power))
+
+    @pytest.mark.parametrize(
+        "solve, certificate, answer, expected",
+        [
+            (lambda: farkas_alternative([[1.0]], [-1e-200]), farkas_certificate, "tag", FarkasTag.SYSTEM2),
+            (lambda: span_membership([], [1e-300]), span_membership_certificate, "member", False),
+            (lambda: span_membership([], [1e200, 1e200]), span_membership_certificate, "member", False),
+            # the interval (0, 1e-300) is a tuple whose norm takes the rescaled path
+            (lambda: positive_quadrature(integral_moments(3, 0.0, 1e-300), 32), rule_certificate, "degree", 3),
+        ],
+        ids=["farkas-1e-200", "span-1e-300", "span-1e200", "quadrature-1e-300"],
+    )
+    def test_decisions_at_the_ends_of_the_float_range(self, solve, certificate, answer, expected):
+        # a norm that underflowed to 0 put -1e-200 in the cone of (1) and 1e-300 in the
+        # empty span; one that overflowed raised a RuntimeWarning, an error in this suite
+        result = solve()
+        assert getattr(result, answer) == expected
+        assert certificate(result).passed
+
+    def test_underflowing_system1_fails(self):
+        # y = 0 leaves A^T y - b = 1e-200, which is not within tol ||b||
+        forged = FarkasOutcome(FarkasTag.SYSTEM1, y=np.zeros(1), x=None, A=np.ones((1, 1)), b=np.array([-1e-200]))
+        assert not farkas_certificate(forged)["primal_residual"].passed
 
 
 class TestGeneratorMatrix:

@@ -80,11 +80,14 @@ def test_checkgrid_minimum_is_recomputed():
     problem, result = _solve(3, 0, monomial_to_legendre([0.0, 0.0, 0.0, 1.0]), 16)
     assert result.min_derivative_on_checkgrid < -1e-7
     assert not shape_certificate(result)["checkgrid_feasibility"].passed
-    forged = dataclasses.replace(result, min_derivative_on_checkgrid=0.0)
-    report = shape_certificate(forged)
-    # the residual is the recomputed minimum, divided by the representer's length at its point
-    assert report["checkgrid_feasibility"].residual == shape_certificate(result)["checkgrid_feasibility"].residual > 0.0
-    assert not report["checkgrid_feasibility"].passed
+    # the minimum is derived from the solution, so it cannot be forged
+    with pytest.raises(TypeError):
+        dataclasses.replace(result, min_derivative_on_checkgrid=0.0)
+    # the residual is the recomputed minimum, each value divided by its representer's length
+    representers = _representers(3, 0, chebyshev_points(160))
+    assert result.min_derivative_on_checkgrid == pytest.approx(float((result.solution.coeffs @ representers).min()), rel=1e-9)
+    normalised = (result.solution.coeffs @ representers) / np.linalg.norm(representers, axis=0)
+    assert shape_certificate(result)["checkgrid_feasibility"].residual == pytest.approx(-float(normalised.min()), rel=1e-9)
 
 
 @pytest.mark.parametrize(

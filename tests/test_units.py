@@ -35,9 +35,6 @@ def _powers(lo, hi):
 
 
 SCALES = _powers(-12.0, 12.0)
-# multipliers scale by 1 / c_i, and activity is judged relative to max rho
-# with ACTIVE_RTOL = 1e-10, so per-generator factors stay within 1e-4..1e4
-GENERATOR_SCALES = _powers(-4.0, 4.0)
 
 
 def _cone_problem():
@@ -96,7 +93,7 @@ class TestCones:
     @settings(max_examples=150, deadline=None)
     @given(_cone_problem().flatmap(lambda kx: st.tuples(
         st.just(kx),
-        st.lists(GENERATOR_SCALES, min_size=len(kx[0]), max_size=len(kx[0])),
+        st.lists(SCALES, min_size=len(kx[0]), max_size=len(kx[0])),
         st.permutations(range(len(kx[0]))),
         st.integers(0, max(len(kx[0]) - 1, 0)),
     )))
@@ -161,6 +158,27 @@ class TestQuadrature:
         # rules, and rounding can pick the other one
         assert _flags(rule_certificate(scaled)) == _flags(rule_certificate(rule))
         assert rule_certificate(rule).passed
+
+
+class TestActivity:
+    """Activity is judged on each generator's share ``rho_i ||k_i||`` of the
+    projection, and the rank of the active set on unit generators."""
+
+    def test_activity_does_not_depend_on_generator_lengths(self):
+        # rho = (1e-6, 1e6): both generators carry weight, as on unit generators
+        res = project_dual([[1e6, 0.0], [0.0, 1e-6]], [-1.0, -1.0])
+        assert res.active.tolist() == project_dual(np.eye(2), [-1.0, -1.0]).active.tolist() == [0, 1]
+
+    def test_active_set_rank_does_not_depend_on_generator_lengths(self):
+        # unscaled, both generators are active and independent; ranked as raw columns,
+        # (1e8, 0, -1e8) and (-1e-7, 0, 0) fell under the rank cut-off of the longer one
+        K = np.array([[1.0, 0.0, -1.0], [-1.0, 0.0, 0.0]])
+        x = np.array([0.0, 0.0, 1.0])
+        for scales in ([1.0, 1.0], [1e8, 1e-7]):
+            res = project_dual(K * np.array(scales)[:, None], x)
+            assert res.active.tolist() == [0, 1]
+            report = dual_projection_certificate(res)
+            assert report["active_set_independent"].passed and report.passed
 
 
 class TestRandomSystems:
