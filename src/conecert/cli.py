@@ -2,9 +2,11 @@
 
 Reads a JSON problem file, dispatches to the library, and emits the
 result's certificate report as JSON (the documented schema) or as text.
-A handler per kind only parses and solves; `run` then certifies the
-result with the library's check function for it (``*_certificate``,
-which takes ``(result, tol)``) and serializes.  Exit status: 0 when all
+A handler per kind only parses and solves, and returns the library's
+result.  One table, `REPORTS`, gives each result its report: the
+library's check function for it (``*_certificate``, which takes
+``(result, tol)``) and the fields the report shows; `run` looks the
+result up once, certifies and serializes.  Exit status: 0 when all
 certificates pass, 2 when a result was produced but some certificate
 failed (or the solver gave up), 1 on malformed input.
 
@@ -36,27 +38,26 @@ from .cones import (cone_membership_certificate, dual_projection_certificate, ge
                     positive_relative_test, project_dual, project_generated, span_membership, span_membership_certificate)
 from .errors import IterationLimit, MomentFitFailed
 from .farkas import FarkasOutcome, GenFarkasReport, farkas_alternative, farkas_certificate, generalized_farkas, implication_certificate
-from .legendre import chebyshev_points, legendre_to_monomial, monomial_to_legendre
+from .legendre import chebyshev_points, monomial_to_legendre
 from .linalg import DEFAULT_TOL, as_vector, generator_matrix
 from .quadrature import QuadratureRule, integral_moments, positive_quadrature, rule_certificate
 from .shape import LegendrePoly, ShapeProblem, ShapeResult, default_grid, project_shape, shape_certificate
 
-KINDS = ("project", "farkas", "quadrature", "shape", "membership")
+_PROJECTION_FIELDS = ("orientation", "point", "rho", "active", "kkt_residual", "orthogonality_residual")
+_MEMBERSHIP_FIELDS = ("mode", "member", "coefficients", "witness")
+_PAIRS_FIELDS = ("member_plain", "member_augmented", "sampled_implication_holds", "hypothesis_verified", "feasible_point", "samples_used")
 
-# the fields (some of them properties) of each result that its report shows
-PROJECT_FIELDS = ("orientation", "point", "rho", "active", "kkt_residual", "orthogonality_residual")
-PAIRS_FIELDS = ("member_plain", "member_augmented", "sampled_implication_holds", "hypothesis_verified", "feasible_point", "samples_used")
-
-# the check function of a result, by its type or a projection's orientation or a membership's mode
-CERTIFICATES = {
-    FarkasOutcome: farkas_certificate,
-    GenFarkasReport: implication_certificate,
-    QuadratureRule: rule_certificate,
-    ShapeResult: shape_certificate,
-    "generated": generated_projection_certificate,
-    "dual": dual_projection_certificate,
-    "span": span_membership_certificate,
-    "cone": cone_membership_certificate,
+# each result's check function and the fields (some of them properties) its
+# report shows, by its type or a projection's orientation or a membership's mode
+REPORTS = {
+    FarkasOutcome: (farkas_certificate, ("tag", "y", "x", "verification")),
+    GenFarkasReport: (implication_certificate, _PAIRS_FIELDS),
+    QuadratureRule: (rule_certificate, ("nodes", "weights", "degree", "interval")),
+    ShapeResult: (shape_certificate, ("legendre_coeffs", "monomial_coeffs", "active_alphas", "rho", "min_derivative_on_checkgrid", "distance")),
+    "generated": (generated_projection_certificate, _PROJECTION_FIELDS),
+    "dual": (dual_projection_certificate, _PROJECTION_FIELDS),
+    "span": (span_membership_certificate, _MEMBERSHIP_FIELDS),
+    "cone": (cone_membership_certificate, _MEMBERSHIP_FIELDS),
 }
 
 
@@ -149,6 +150,15 @@ def _int_field(data, name, path, low: int, required=True):
     return value
 
 
+def _convert(raw, where: str, convert, *args):
+    """``convert(raw, *args)`` of a value that `_numbers` admits; a refusal
+    (ValueError or TypeError) is an InputError at ``where``."""
+    try:
+        return convert(_numbers(raw, where), *args)
+    except (ValueError, TypeError) as exc:
+        raise InputError(f"{where}: {exc}") from exc
+
+
 def _vector_field(data, name, path, required=True):
     """A finite vector; an optional field that is absent or null reads as None."""
     raw = _field(data, name, path, required)
@@ -156,10 +166,7 @@ def _vector_field(data, name, path, required=True):
         if required:
             raise InputError(f"{path}: field '{name}' must be a vector, not null")
         return None
-    try:
-        return as_vector(_numbers(raw, f"{path}: field '{name}'"))
-    except (ValueError, TypeError) as exc:
-        raise InputError(f"{path}: field '{name}': {exc}") from exc
+    return _convert(raw, f"{path}: field '{name}'", as_vector)
 
 
 def _vectors_field(data, name, path, dim: int) -> np.ndarray:
@@ -167,14 +174,17 @@ def _vectors_field(data, name, path, dim: int) -> np.ndarray:
     raw = _field(data, name, path)
     if not isinstance(raw, list):
         raise InputError(f"{path}: field '{name}' must be a list of vectors")
-    try:
-        return generator_matrix(_numbers(raw, f"{path}: field '{name}'"), dim=dim)
-    except (ValueError, TypeError) as exc:
-        raise InputError(f"{path}: field '{name}': {exc}") from exc
+    return _convert(raw, f"{path}: field '{name}'", generator_matrix, dim)
+
+
+def _two(raw, first, second):
+    """``(first(a), second(b))`` of a two-entry list ``[a, b]``."""
+    a, b = raw
+    return first(a), second(b)
 
 
 # ---------------------------------------------------------------------------
-# per-kind handlers parse and solve: return (result dict, result, certificate keyword arguments)
+# per-kind handlers parse and solve, and return the library's result
 
 
 def _handle_project(data: dict, path: str, tol: float):
@@ -186,11 +196,8 @@ def _handle_project(data: dict, path: str, tol: float):
     witness = _vector_field(data, "witness_e", path, required=False)
     if witness is not None and witness.size != x.size:
         raise InputError(f"{path}: field 'witness_e' has length {witness.size}, expected {x.size}")
-    if orientation == "generated":
-        res, hypotheses = project_generated(S.T, x, tol), {}
-    else:
-        res, hypotheses = project_dual(S.T, x, tol), {"witness_e": witness}
-    return _json(res, PROJECT_FIELDS), res, hypotheses
+    # a generated cone needs no pointedness hypothesis: its witness is ignored
+    return project_generated(S.T, x, tol) if orientation == "generated" else project_dual(S.T, x, tol, witness)
 
 
 def _handle_farkas(data: dict, path: str, tol: float):
@@ -199,45 +206,29 @@ def _handle_farkas(data: dict, path: str, tol: float):
         if not isinstance(raw_pairs, list):
             raise InputError(f"{path}: field 'pairs' must be a list of [vector, scalar] pairs")
         b = _vector_field(data, "b", path)
-        pairs = []
-        for i, entry in enumerate(raw_pairs):
-            where = f"{path}: field 'pairs[{i}]'"
-            try:
-                s, p = entry
-                s, p = as_vector(_numbers(s, where)), float(_numbers(p, where))
-            except (ValueError, TypeError) as exc:
-                raise InputError(f"{where}: {exc}") from exc
+        pairs = [_convert(entry, f"{path}: field 'pairs[{i}]'", _two, as_vector, float) for i, entry in enumerate(raw_pairs)]
+        for i, (s, _) in enumerate(pairs):
             if s.size != b.size:
-                raise InputError(f"{where}: vector of length {s.size}, expected {b.size}")
-            pairs.append((s, p))
+                raise InputError(f"{path}: field 'pairs[{i}]': vector of length {s.size}, expected {b.size}")
         r = _field(data, "r", path)
         if isinstance(r, bool) or not isinstance(r, (int, float)):
             raise InputError(f"{path}: field 'r' must be a number")
-        gen = generalized_farkas(pairs, b, float(r), tol)
-        return _json(gen, PAIRS_FIELDS), gen, {}
+        return generalized_farkas(pairs, b, float(r), tol)
 
     b = _vector_field(data, "rhs", path)
-    A = _vectors_field(data, "matrix", path, b.size).T
-    outcome = farkas_alternative(A, b, tol)
-    return _json(outcome, ("tag", "y", "x", "verification")), outcome, {}
+    return farkas_alternative(_vectors_field(data, "matrix", path, b.size).T, b, tol)
 
 
 def _handle_quadrature(data: dict, path: str, tol: float):
     degree = _int_field(data, "degree", path, 0)
-    interval = _numbers(_field(data, "interval", path), f"{path}: field 'interval'")
-    try:
-        a, b = (float(v) for v in interval)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{path}: field 'interval' must be [a, b]") from exc
-    grid_size = _int_field(data, "grid_size", path, 4 * (degree + 1), required=False)
-    if grid_size is None:
-        grid_size = 8 * (degree + 1)
+    a, b = _convert(_field(data, "interval", path), f"{path}: field 'interval'", _two, float, float)
+    # a given grid_size is at least 4 (degree + 1), so `or` replaces only an absent one
+    grid_size = _int_field(data, "grid_size", path, 4 * (degree + 1), required=False) or 8 * (degree + 1)
     try:
         spec = integral_moments(degree, a, b)
     except ValueError as exc:  # BadInterval, or moments past the float range
         raise InputError(f"{path}: {exc}") from exc
-    rule = positive_quadrature(spec, grid_size)
-    return _json(rule, ("nodes", "weights", "degree", "interval")), rule, {}
+    return positive_quadrature(spec, grid_size)
 
 
 def _parse_shape_target(data: dict, path: str, n: int) -> LegendrePoly:
@@ -269,16 +260,7 @@ def _handle_shape(data: dict, path: str, tol: float):
         problem = ShapeProblem(n=n, r=r, grid=grid, target=target)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
-    res = project_shape(problem, tol)
-    sol = res.solution
-    return {
-        "legendre_coeffs": sol.coeffs.tolist(),
-        "monomial_coeffs": legendre_to_monomial(sol.coeffs).tolist(),
-        "active_alphas": res.active_alphas.tolist(),
-        "rho": res.rho.tolist(),
-        "min_derivative_on_checkgrid": float(res.min_derivative_on_checkgrid),
-        "distance": float(np.linalg.norm(sol.coeffs - target.coeffs)),
-    }, res, {}
+    return project_shape(problem, tol)
 
 
 # membership mode -> solve
@@ -291,8 +273,7 @@ def _handle_membership(data: dict, path: str, tol: float):
         raise InputError(f"{path}: field 'mode' must be 'span' or 'cone'")
     x = _vector_field(data, "point", path)
     G = _vectors_field(data, "vectors", path, x.size)
-    res = MEMBERSHIP[mode](G.T, x, tol)
-    return _json(res, ("mode", "member", "coefficients", "witness")), res, {}
+    return MEMBERSHIP[mode](G.T, x, tol)
 
 
 _HANDLERS = {
@@ -354,7 +335,7 @@ def _dump_csv(report: dict, csv_path: str) -> None:
 # entry points
 
 _PARSER = argparse.ArgumentParser(prog="conecert", description=__doc__.splitlines()[0])
-_PARSER.add_argument("kind", choices=KINDS, help="problem kind; must match the file's 'kind' field")
+_PARSER.add_argument("kind", choices=tuple(_HANDLERS), help="problem kind; must match the file's 'kind' field")
 _PARSER.add_argument("--input", required=True, help="path to the JSON problem file")
 _PARSER.add_argument("--output", default=None, help="write the report here instead of stdout")
 _PARSER.add_argument("--tol", type=float, default=DEFAULT_TOL, help=f"relative tolerance of every solve and check (default {DEFAULT_TOL:g})")
@@ -379,19 +360,19 @@ def run(argv=None) -> int:
         kind = _field(data, "kind", args.input)
         if kind != args.kind:
             raise InputError(f"{args.input}: file kind '{kind}' does not match requested kind '{args.kind}'")
-        result, solved, hypotheses = _HANDLERS[args.kind](data, args.input, args.tol)
-        error = None
+        solved = _HANDLERS[args.kind](data, args.input, args.tol)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (IterationLimit, MomentFitFailed) as exc:
-        result = None
+        result, error = None, f"{type(exc).__name__}: {exc}"
         certificates = CertificateReport()
         # no result to check: fails at any tol
         certificates.add("computation_completed", 1.0, 0.0)
-        error = f"{type(exc).__name__}: {exc}"
     else:
-        certificates = CERTIFICATES[getattr(solved, "orientation", getattr(solved, "mode", type(solved)))](solved, args.tol, **hypotheses)
+        certify, names = REPORTS[getattr(solved, "orientation", getattr(solved, "mode", type(solved)))]
+        result, error = _json(solved, names), None
+        certificates = certify(solved, args.tol)
 
     report = {
         "kind": args.kind,

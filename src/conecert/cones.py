@@ -40,14 +40,15 @@ ACTIVE_RTOL = 1e-10
 class ProjectionResult:
     """Projected point and multipliers on the problem ``(S, x)``: ``S rho``
     onto cone(K) for ``orientation`` ``"generated"``, ``x + S rho`` onto
-    the dual-form cone for ``"dual"``.  ``kkt_residual`` and
-    ``orthogonality_residual`` are derived from rho (`_optimality`)."""
+    the dual-form cone for ``"dual"``, whose problem may add ``witness_e``.
+    ``kkt_residual`` and ``orthogonality_residual`` come from rho (`_optimality`)."""
 
     orientation: str
     point: np.ndarray
     rho: np.ndarray
     S: np.ndarray
     x: np.ndarray
+    witness_e: Optional[np.ndarray] = None
 
     @property
     def active(self) -> np.ndarray:
@@ -217,18 +218,23 @@ def generated_projection_certificate(result: ProjectionResult, tol: float = DEFA
     return report
 
 
-def project_dual(K, x, tol: float = DEFAULT_TOL) -> ProjectionResult:
+def project_dual(K, x, tol: float = DEFAULT_TOL, witness_e=None) -> ProjectionResult:
     """Project x onto the dual-form cone ``{y : <y, k> >= 0 for all k in K}``.
 
     Computed as ``x + P_cone(K)(-x)``, a consequence of the Moreau
     decomposition.  The multipliers are those of the one Lawson-Hanson
     solve, whose support is linearly independent by construction; the
-    projected point satisfies ``<k_i, x0> = 0`` on the active set.
+    projected point satisfies ``<k_i, x0> = 0`` on the active set.  A given
+    ``witness_e``, the pointedness hypothesis ``<k, e> > 0`` for every k, is
+    kept on the result for `dual_projection_certificate` to check; it must
+    be a finite vector of x's length (else ValueError).
     """
     xv = as_vector(x)
     S = generator_matrix(K, dim=xv.size)
+    if witness_e is not None and (witness_e := as_vector(witness_e)).size != xv.size:
+        raise ValueError(f"witness_e has length {witness_e.size}, expected {xv.size}")
     rho = nnls(S, -xv, tol).rho
-    return ProjectionResult("dual", xv + S @ rho, rho, S, xv)
+    return ProjectionResult("dual", xv + S @ rho, rho, S, xv, witness_e)
 
 
 def _characterization(S, xv, x0v, tol: float, witness_e, multipliers, lengths) -> CertificateReport:
@@ -307,12 +313,12 @@ def verify_characterization(K, x, x0, tol: float = DEFAULT_TOL, witness_e=None) 
     return _characterization(S, xv, as_vector(x0), tol, witness_e, multipliers, _lengths(S))
 
 
-def dual_projection_certificate(result: ProjectionResult, tol: float = DEFAULT_TOL, witness_e=None) -> CertificateReport:
+def dual_projection_certificate(result: ProjectionResult, tol: float = DEFAULT_TOL) -> CertificateReport:
     """`verify_characterization`'s checks on a `project_dual` result's own
-    rho, with no solve, then the residuals rho gives; a length-d
-    ``witness_e`` adds ``witness_positivity``."""
+    rho, with no solve, then the residuals rho gives; the result's
+    ``witness_e``, if it has one, adds ``witness_positivity`` first."""
     lengths = _lengths(result.S)
-    report = _characterization(result.S, result.x, result.point, tol, witness_e, lambda diff, face: result.rho, lengths)
+    report = _characterization(result.S, result.x, result.point, tol, result.witness_e, lambda diff, face: result.rho, lengths)
     _add_residual_checks(report, result, "kkt_residual", tol, lengths)
     return report
 

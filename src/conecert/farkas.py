@@ -65,7 +65,7 @@ class FarkasOutcome:
     def verification(self) -> FarkasVerification:
         A, b, y, x = self.A, self.b, self.y, self.x
         if self.tag is FarkasTag.SYSTEM1:
-            return FarkasVerification(float(np.linalg.norm(b - A.T @ y)), max(0.0, -float(y.min(initial=0.0))), 0.0)
+            return FarkasVerification(float(_norm(b - A.T @ y)), max(0.0, -float(y.min(initial=0.0))), 0.0)
         return FarkasVerification(0.0, max(0.0, float((A @ x).max(initial=0.0))), float(b @ x - 0.5 * (x @ x)))
 
 
@@ -118,17 +118,17 @@ def farkas_alternative(A, b, tol: float = DEFAULT_TOL) -> FarkasOutcome:
     return FarkasOutcome(FarkasTag.SYSTEM2, y=None, x=test.witness, A=test.S.T, b=test.x)
 
 
-def farkas_certificate(outcome: FarkasOutcome, tol: float = DEFAULT_TOL) -> CertificateReport:
-    """Re-check a Farkas certificate from the outcome's A, b and its own y or x.
+def farkas_certificate(result: FarkasOutcome, tol: float = DEFAULT_TOL) -> CertificateReport:
+    """Re-check a Farkas certificate from the result's A, b and its own y or x.
 
     ``certificate_verifies``: the certificate of the tag is present, alone
     and a vector of the right length (else it is the only check, failing
     at any tol), and a system-2 x fails the membership rule: a shorter
     one is rounding of an exact fit.
     """
-    Am, bv = outcome.A, outcome.b
-    system1 = outcome.tag is FarkasTag.SYSTEM1
-    v, other, size = (outcome.y, outcome.x, Am.shape[0]) if system1 else (outcome.x, outcome.y, bv.size)
+    Am, bv = result.A, result.b
+    system1 = result.tag is FarkasTag.SYSTEM1
+    v, other, size = (result.y, result.x, Am.shape[0]) if system1 else (result.x, result.y, bv.size)
     report = CertificateReport()
     if v is None or other is not None or np.shape(v) != (size,):
         report.add("certificate_verifies", 1.0, 0.0)
@@ -158,7 +158,7 @@ def _excess(S, p, x, tol: float):
     if not p.size:
         return 0.0, 0.0
     excess = S @ x - p
-    limits = _scale(np.column_stack([np.linalg.norm(S, axis=1) * np.linalg.norm(x), p]), tol, axis=1)
+    limits = _scale(np.column_stack([_norm(S, axis=1) * _norm(x), p]), tol, axis=1)
     j = int(np.argmax(excess - limits))
     return float(excess[j]), float(limits[j])
 
@@ -216,10 +216,10 @@ def _balance_unit(S, gaps, b, r) -> float:
     """``|r| / ||b||``, the distance of ``<b, x> = r`` from the origin in the
     units of x (else the largest ``|gaps_j| / ||s_j||``, else 1): dividing the
     last lifted coordinate by it balances ``(b, r)`` in any units."""
-    norm_b = float(np.linalg.norm(b))
+    norm_b = float(_norm(b))
     if r and norm_b:
         return abs(r) / norm_b
-    norms = np.linalg.norm(S, axis=1)
+    norms = _norm(S, axis=1)
     far = float((np.abs(gaps[norms > 0.0]) / norms[norms > 0.0]).max(initial=0.0))
     return far if far else 1.0
 
@@ -304,12 +304,13 @@ def generalized_farkas(pairs, b, r, tol: float = DEFAULT_TOL) -> GenFarkasReport
     member, aug, w = augmented(pvals, r)
     aug[-1] *= unit
 
-    row_norms = np.linalg.norm(S, axis=1)
+    row_norms = _norm(S, axis=1)
     rows = row_norms > 0.0
     point, gaps = np.zeros(bv.size), pvals
-    refuted = None
+    feasible = refuted = None
     for _ in range(FEASIBLE_ROUNDS):
         if _feasible(S, pvals, point, tol):
+            feasible = point
             break
         reach = float((np.maximum(-gaps[rows], 0.0) / row_norms[rows]).max(initial=0.0)) or 1.0
         size = np.maximum(reach * np.abs(S).max(axis=1, initial=0.0), np.abs(gaps))
@@ -323,8 +324,8 @@ def generalized_farkas(pairs, b, r, tol: float = DEFAULT_TOL) -> GenFarkasReport
         lengths = _lengths(S[tight].T)
         point = point + np.linalg.lstsq(S[tight] / lengths[:, None], gaps[tight] / lengths, rcond=None)[0]
         gaps = pvals - S @ point
-
-    feasible = point if _feasible(S, pvals, point, tol) else None
+    else:  # the rounds ran out: judge the last refined point
+        feasible = point if _feasible(S, pvals, point, tol) else None
     if refuted is not None and infeasibility_residual(S, pvals, refuted) > tol:
         refuted = None
 

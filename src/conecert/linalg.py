@@ -142,8 +142,10 @@ def _lengths(S) -> np.ndarray:
 
 def _products(S, w, lengths=None) -> np.ndarray:
     """``<k_i, w> / ||k_i||`` for each column k_i of S (0 for a zero column; pass
-    ``_lengths(S)`` if held): w's component along k_i, judged against ``_scale``."""
-    return (S.T @ w) / (_lengths(S) if lengths is None else lengths)
+    ``_lengths(S)`` if held): w's component along k_i, judged against ``_scale``,
+    from k_i divided by a power of two near its length (exact), so it does not underflow."""
+    unit, e = np.frexp(_lengths(S) if lengths is None else lengths)
+    return (np.ldexp(S, -e).T @ w) / unit
 
 
 def _member(residual, target, tol: float) -> bool:

@@ -135,15 +135,15 @@ def verify_exactness(rule: QuadratureRule, n: int) -> float:
     return float(np.linalg.norm(_moment_residual(rule, spec)) / np.linalg.norm(spec.moments))
 
 
-def rule_certificate(rule: QuadratureRule, tol: float = DEFAULT_TOL) -> CertificateReport:
+def rule_certificate(result: QuadratureRule, tol: float = DEFAULT_TOL) -> CertificateReport:
     """Re-check a rule against the degree, interval and moments of its
     spec: the moment error within ``tol ||moments||``, the nodes within
     ``tol ||(a, b)||`` of [a, b], and weights strictly positive."""
-    (a, b), n = rule.interval, rule.degree
-    outside = max(0.0, float(a - rule.nodes.min(initial=a)), float(rule.nodes.max(initial=b) - b))
+    (a, b), n = result.interval, result.degree
+    outside = max(0.0, float(a - result.nodes.min(initial=a)), float(result.nodes.max(initial=b) - b))
     report = CertificateReport()
-    report.add("basis_exactness", _norm(_moment_residual(rule, rule.spec)), _scale(rule.spec.moments, tol))
-    report.add("node_count_bound", rule.nodes.size - (n + 1), 0.0)
-    report.add_margin("weights_positive", float(rule.weights.min(initial=np.inf)))
-    report.add("nodes_in_interval", outside, _scale(rule.interval, tol))
+    report.add("basis_exactness", _norm(_moment_residual(result, result.spec)), _scale(result.spec.moments, tol))
+    report.add("node_count_bound", result.nodes.size - (n + 1), 0.0)
+    report.add_margin("weights_positive", float(result.weights.min(initial=np.inf)))
+    report.add("nodes_in_interval", outside, _scale(result.interval, tol))
     return report

@@ -24,7 +24,7 @@ import numpy as np
 
 from .certificates import CertificateReport
 from .cones import project_dual
-from .legendre import LegendreBasis, chebyshev_points, derivative_matrix
+from .legendre import LegendreBasis, chebyshev_points, derivative_matrix, legendre_to_monomial
 from .linalg import DEFAULT_TOL, _norm, _products, _scale, as_vector
 
 
@@ -86,8 +86,9 @@ class ShapeResult:
 
     ``rho`` are the strictly positive multipliers on ``active_alphas``
     (the Lawson-Hanson support, an independent representer set);
-    ``problem`` is the problem solved.  ``min_derivative_on_checkgrid``,
-    the continuum feasibility margin, is derived from the two.
+    ``problem`` is the problem solved.  The coefficients in either basis,
+    the ``distance`` from the target and ``min_derivative_on_checkgrid``,
+    the continuum feasibility margin, are derived from the two.
     """
 
     solution: LegendrePoly
@@ -95,7 +96,10 @@ class ShapeResult:
     rho: np.ndarray
     problem: ShapeProblem
 
+    legendre_coeffs = property(lambda self: self.solution.coeffs)
+    monomial_coeffs = property(lambda self: legendre_to_monomial(self.solution.coeffs))
     min_derivative_on_checkgrid = property(lambda self: float((self.solution.coeffs @ _checkgrid_representers(self.problem)).min()))
+    distance = property(lambda self: float(_norm(self.solution.coeffs - self.problem.target.coeffs)))
 
 
 def _checkgrid_representers(problem: ShapeProblem) -> np.ndarray:

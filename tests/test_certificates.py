@@ -9,6 +9,7 @@ coerces.
 """
 
 import importlib
+import inspect
 
 import numpy as np
 import pytest
@@ -46,6 +47,7 @@ RESULTS = {
     "span_membership": (lambda: span_membership(K, X), span_membership_certificate),
     "generated_projection": (lambda: project_generated(K, X), generated_projection_certificate),
     "dual_projection": (lambda: project_dual(K, X), dual_projection_certificate),
+    "dual_projection_witness": (lambda: project_dual(K, X, witness_e=[1.0, 0.0, 0.0]), dual_projection_certificate),
     "farkas": (lambda: farkas_alternative(K, X), farkas_certificate),
     "implication": (lambda: generalized_farkas(BOX, [1.0, 1.0], 3.0), implication_certificate),
     "rule": (lambda: positive_quadrature(SPEC, 48), rule_certificate),
@@ -84,6 +86,15 @@ def test_certificate_does_not_solve(monkeypatch, name):
             if hasattr(mod, function):
                 monkeypatch.setattr(mod, function, _no_solve)
     assert certificate(result).passed
+
+
+@pytest.mark.parametrize("module", ["cones", "farkas", "quadrature", "shape"])
+def test_every_certificate_takes_result_and_tol(module):
+    mod = importlib.import_module(f"conecert.{module}")
+    certificates = [f for name, f in vars(mod).items() if name.endswith("_certificate") and f.__module__ == mod.__name__]
+    assert certificates
+    for certificate in certificates:
+        assert list(inspect.signature(certificate).parameters) == ["result", "tol"], certificate.__name__
 
 
 def test_report_lookup_of_an_absent_check():

@@ -5,6 +5,7 @@ the report back.  Reports are compared with the library's own results
 bit for bit, which pins down both the dispatch and the float format.
 """
 
+import contextlib
 import json
 
 import numpy as np
@@ -417,6 +418,36 @@ def test_certificates_pinned(tmp_path, branch):
     rc, rep = _run(tmp_path, problem["kind"], problem)
     assert rc == 0
     assert [(c["name"], c["residual"], c["pass"]) for c in rep["certificates"]] == list(PINNED[branch])
+
+
+# files at the ends of the float range: (problem, exit status, failing checks).
+# `nnls` scores raw columns, so it misses a generator of 1e-200 (the products
+# with the residual underflow) and leaves the implication undecided on entries
+# of 1e200, overflowing on the way (a RuntimeWarning); each certificate says so
+EXTREME = {
+    "farkas_tiny": ({"kind": "farkas", "matrix": [[1e-200]], "rhs": [1e-200]}, 2, ["dual_violation_normalized"]),
+    "cone_tiny": ({"kind": "membership", "mode": "cone", "vectors": [[1e-200]], "point": [1e-200]}, 2, ["witness_nonpositive_products"]),
+    "generated_tiny": ({"kind": "project", "orientation": "generated", "generators": [[1e-200]], "point": [1e-200]}, 2, ["kkt_inequalities"]),
+    # the square of ||b|| is past the float range: `_balance_unit` needs `_norm`
+    "pairs_long_b": ({"kind": "farkas", "pairs": [[[1.0, 1.0], 1.0]], "b": [1e200, 1e200], "r": 1.0}, 2, ["sampled_implication_consistent"]),
+    # so is that of ||s_1||, which `_excess` multiplies by ||x|| = 0 at the origin
+    "pairs_long_row": (
+        {"kind": "farkas", "pairs": [[[1e200, 1e200], 1.0], [[-1.0, 0.0], 1.0]], "b": [1.0, 0.0], "r": 5.0},
+        2,
+        ["sampled_implication_consistent"],
+    ),
+    # the distance from the target is finite where its square is not, and json.dumps refuses inf
+    "shape_1e200": ({"kind": "shape", "n": 3, "r": 1, "target": {"legendre": [1e200, 0, 0, -1e200]}}, 0, []),
+}
+
+
+@pytest.mark.parametrize("name", list(EXTREME))
+def test_ends_of_the_float_range(tmp_path, name):
+    problem, code, failing = EXTREME[name]
+    with pytest.warns(RuntimeWarning, match="overflow") if "pairs" in problem else contextlib.nullcontext():
+        rc, rep = _run(tmp_path, problem["kind"], problem)
+    assert rc == code
+    assert [c["name"] for c in rep["certificates"] if not c["pass"]] == failing
 
 
 class TestEntryPoints:

@@ -17,6 +17,7 @@ from conecert import (
 )
 from conecert.cones import _characterization, dual_projection_certificate, generated_projection_certificate
 from conecert.linalg import _lengths
+from test_cli import K as K_POINTED, X as X_POINTED
 from oracles import (
     dual_cone_rays,
     dual_projection_bruteforce,
@@ -402,6 +403,22 @@ class TestDualProjectionCertificate:
         moved = dataclasses.replace(res, point=res.point + [0.0, 0.5])
         report = dual_projection_certificate(moved)
         assert not report["difference_in_cone"].passed
+
+    def test_witness_is_part_of_the_problem(self):
+        # every generator of the cli's pointed cone has a positive first coordinate
+        res = project_dual(K_POINTED, X_POINTED, witness_e=[1, 0, 0, 0])
+        report = dual_projection_certificate(res)
+        assert np.array_equal(res.witness_e, [1.0, 0.0, 0.0, 0.0])
+        assert report.checks[0].name == "witness_positivity"
+        assert report.passed
+        # <k, e> < 0 for some generator, and the projection itself is right
+        off = dual_projection_certificate(project_dual(K_POINTED, X_POINTED, witness_e=[0, 1, 0, 0]))
+        assert [c.name for c in off.checks if not c.passed] == ["witness_positivity"]
+        assert project_generated(K_POINTED, X_POINTED).witness_e is None
+
+    def test_witness_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="witness_e has length 2, expected 4"):
+            project_dual(K_POINTED, X_POINTED, witness_e=[1.0, 0.0])
 
     def test_same_checks_as_point_only_verification(self):
         for s in range(200):

@@ -8,7 +8,7 @@ from conecert import (FarkasOutcome, FarkasTag, IterationLimit, farkas_alternati
 from conecert.cones import span_membership_certificate
 from conecert.farkas import farkas_certificate
 from conecert.legendre import LegendreBasis, chebyshev_points
-from conecert.linalg import _delete_columns, _norm, caratheodory_reduce, svd_factors
+from conecert.linalg import _delete_columns, _norm, _products, caratheodory_reduce, svd_factors
 from conecert.quadrature import rule_certificate
 from oracles import nnls_bruteforce, random_cone_instance
 
@@ -139,6 +139,22 @@ class TestNorm:
         # y = 0 leaves A^T y - b = 1e-200, which is not within tol ||b||
         forged = FarkasOutcome(FarkasTag.SYSTEM1, y=np.zeros(1), x=None, A=np.ones((1, 1)), b=np.array([-1e-200]))
         assert not farkas_certificate(forged)["primal_residual"].passed
+
+
+class TestProducts:
+    """`_products` divides each column by a power of two near its length
+    before the product, which changes no value in the normal range."""
+
+    def test_matches_raw_products_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        for _ in range(500):
+            S = rng.standard_normal((4, int(rng.integers(1, 6)))) * 10.0 ** rng.uniform(-100.0, 100.0, size=1)
+            w = rng.standard_normal(4) * 10.0 ** rng.uniform(-100.0, 100.0)
+            assert np.array_equal(_products(S, w), (S.T @ w) / np.linalg.norm(S, axis=0))
+
+    def test_tiny_generator_and_vector(self):
+        # the raw product 1e-400 underflows to 0
+        assert _products(np.array([[1e-200]]), np.array([1e-200]))[0] == 1e-200
 
 
 class TestGeneratorMatrix:
