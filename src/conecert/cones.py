@@ -243,10 +243,11 @@ def _characterization(S, xv, x0v, tol: float, witness_e, multipliers, lengths) -
     with x0 = x + S rho are judged against ``_scale(x)``, ranks on unit generators."""
     report = CertificateReport()
     if witness_e is not None:
-        report.add_margin("witness_positivity", (S.T @ witness_e).min() if S.shape[1] else 1.0)
+        report.add_margin("witness_positivity", _products(S, witness_e, lengths).min() if S.shape[1] else 1.0)
 
     limit = _scale(xv, tol)
-    if S.shape[1] == 0 or float(_products(S, xv, lengths).min()) >= -limit:
+    inner_x = _products(S, xv, lengths)
+    if S.shape[1] == 0 or float(inner_x.min()) >= -limit:
         report.add("fixed_point", _norm(x0v - xv), limit)
         return report
     inner = _products(S, x0v, lengths)
@@ -265,7 +266,7 @@ def _characterization(S, xv, x0v, tol: float, witness_e, multipliers, lengths) -
     report.add("point_in_cone", max(0.0, -float(inner.min())), limit)
     bound = xv.size - 1 if _norm(x0v) > limit else xv.size
     report.add("active_count_bound", m - bound, 0.0)
-    report.add_margin("infeasible_direction_exists", -(S.T @ xv).min())
+    report.add_margin("infeasible_direction_exists", -inner_x.min())
     return report
 
 

@@ -14,9 +14,9 @@ and Caratheodory reduction (`caratheodory_reduce`) have no caller in the
 library; they stay, outside the package namespace, only while the
 benchmark's traced run wraps them by name.
 
-`nnls` is the Lawson-Hanson active-set method on a thin QR factor of
-its support, kept up to date pivot by pivot, so that a pivot costs
-mat-vecs and no LAPACK solve; its docstring gives the details.
+`nnls` is the Lawson-Hanson active-set method on an orthogonal factor
+of its support, kept up to date pivot by pivot, so that a pivot costs
+mat-vecs and no LAPACK call; its docstring gives the details.
 """
 
 from __future__ import annotations
@@ -167,27 +167,25 @@ class NnlsResult:
     drops: tuple
 
 
-def _delete_columns(A, Q, T, qtb, cols, k: int, hit) -> int:
+def _delete_columns(Q, T, qtb, cols, k: int, hit) -> int:
     """Delete the support positions ``hit`` (sorted) from the factor
     ``A[:, cols[:k]] = Q[:, :k] R`` with ``T = R^-1`` and ``qtb = Q^T b``,
-    in place, as the `nnls` docstring describes; return the new support
-    size."""
-    p = int(hit[0])
-    keep = np.ones(k - p, dtype=bool)
-    keep[hit - p] = False
-    after = cols[p:k][keep]
-    k2 = p + after.size
-    if k2 > p:
-        M = Q[:, :k].T @ A[:, after]
-        qs, rs = np.linalg.qr(M[p:])
-        Q[:, p:k2] = Q[:, p:k] @ qs
-        qtb[p:k2] = qtb[p:k] @ qs
-        T22 = np.linalg.inv(rs)
-        T[p:k2, p:k2] = T22
-        # M[:p] is R12, the new R's block beside R11 = R[:p, :p]
-        T[:p, p:k2] = (T[:p, :p] @ M[:p]) @ -T22
-        cols[p:k2] = after
-    return k2
+    in place, one Householder reflection each, as the `nnls` docstring
+    describes; return the new support size."""
+    for p in hit[::-1]:
+        # H maps row p of T, orthogonal to every other column of R, onto the last axis
+        y = T[p, :k] / np.abs(T[p, :k]).max()
+        y /= math.sqrt(y @ y)
+        y[-1] += math.copysign(1.0, y[-1])
+        v = y / math.sqrt(abs(y[-1]))
+        Q[:, :k] -= np.outer(Q[:, :k] @ v, v)
+        T[:k, :k] -= np.outer(T[:k, :k] @ v, v)
+        qtb[:k] -= (v @ qtb[:k]) * v
+        k -= 1
+        T[p, :k] = T[k, :k]
+        cols[p] = cols[k]
+        T[k, :k] = 0.0
+    return k
 
 
 def nnls(S, x, tol: float = DEFAULT_TOL) -> NnlsResult:
@@ -201,37 +199,36 @@ def nnls(S, x, tol: float = DEFAULT_TOL) -> NnlsResult:
     are orthogonal to ``r``.  ``S @ rho`` is then the nearest point of the
     generated cone.
 
-    The support columns are kept as the factor Q of a thin QR
-    ``S[:, support] = Q R``, together with ``Q^T x`` and the inverse
-    ``T = R^-1`` (Lawson & Hanson, *Solving Least Squares Problems*, 1974,
-    ch. 23), in buffers of ``min(d, m)`` columns allocated once per
-    call; R itself is not stored.  Each pivot's least-squares solution on
-    the support is then one product ``z = T Q^T x``: no fresh
-    least-squares problem and no LU solve.  The factor is of the columns
-    themselves, not of the Gram matrix ``S^T S``, whose condition number
-    is the square.
+    The support columns are kept as a factor ``S[:, support] = Q R`` with
+    Q orthonormal and R invertible (triangular until the first blocking
+    step), together with ``Q^T x`` and the inverse ``T = R^-1`` (Lawson &
+    Hanson, *Solving Least Squares Problems*, 1974, ch. 23-24), in buffers
+    of ``min(d, m)`` columns allocated once per call; R itself is not
+    stored.  Each pivot's least-squares solution on the support is then
+    one product ``z = T Q^T x``, right for any invertible R: no fresh
+    least-squares problem, no LU solve and no LAPACK call after set-up.
+    The factor is of the columns themselves, not of the Gram matrix
+    ``S^T S``, whose condition number is the square.
 
     * An entering column is appended to Q by one Gram-Schmidt step with
       one reorthogonalisation, O(d k) for a support of k columns, which
       also gives its column ``R[:k, k]`` and ``r_kk`` of R, and borders T
       with one mat-vec: ``T[k, k] = 1 / r_kk`` and
       ``T[:k, k] = -T[:k, :k] R[:k, k] / r_kk``.
-    * A blocking step deletes its columns from the factor in place
-      (Lawson & Hanson, ch. 24; Golub & Van Loan, *Matrix Computations*,
-      sec. 6.5).  With p the first deleted position and t the kept
-      columns after it, one product ``Q[:, :k]^T S[:, kept]`` gives the
-      block R12 above row p and the (k - p) x t block below it that the
-      deletion leaves out of triangular form; one QR of that block,
-      O(d k t) with the products, rotates Q[:, p:k] and ``Q^T x`` and
-      gives the new triangle, whose inverse is the new block T22, with
-      ``T12 = -T11 R12 T22``; the block T[:p, :p] stands.
-      When only trailing columns go, the factor left is already that of
-      the kept columns, and no QR runs.
+    * A blocking step deletes its positions in descending order, each
+      by one Householder reflection H, O(d k) (Golub & Van Loan, *Matrix
+      Computations*, sec. 5.1).  Row p of T is orthogonal to every column
+      of R but the p-th, as ``T R = I``; H maps it to a multiple of
+      e_{k-1} and is applied as ``Q <- Q H``, ``T <- T H``,
+      ``Q^T x <- H Q^T x``.  Then no other column of ``H R`` reaches
+      row k - 1, so the first k - 1 columns of Q span the kept columns,
+      and the rows of T but the p-th, on their first k - 1 entries, are
+      the new T.  Support position k - 1 moves into p.
 
-    T is safe to keep: it is formed only by bordering or from the inverse
-    of a fresh QR triangle, whose diagonal is no shorter than when each
-    column entered past the rank rule below, as dropping columns only
-    lengthens the part of a later column orthogonal to those before it.
+    T is safe to keep: it changes only by bordering, past the rank rule
+    below, and by orthogonal reflections, which keep its norm
+    ``1 / sigma_min(R)``; deleting a column cannot shrink the smallest
+    singular value of R, since singular values interlace.
 
     The gradient ``S^T r`` that picks the entering column is taken from
     the factor's residual ``x - Q Q^T x``, accurate where ``x - S @ rho``
@@ -279,13 +276,12 @@ def nnls(S, x, tol: float = DEFAULT_TOL) -> NnlsResult:
     slack = _scale(b, tol) * colnorm
     # an entering column whose remainder is at or below floor * ||a|| is dependent
     floor = d * _EPS
-    # thin QR of the support, A[:, cols[:k]] = Q[:, :k] @ R, kept as Q and T = R^-1
+    # the factor of the support, A[:, cols[:k]] = Q[:, :k] @ R, kept as Q and T = R^-1
     kmax = min(d, m)
     cols = np.empty(kmax, dtype=np.intp)
     Q = np.empty((d, kmax))
-    # T is upper triangular: an entering column writes on and above the
-    # diagonal, a blocking step the inverse of a QR triangle and the block
-    # above it, so the zeros below it are written once, here
+    # an entering column writes T's new column and needs zeros in its new
+    # row: they are written here, and a blocking step zeroes the row it frees
     T = np.zeros((kmax, kmax))
     qtb = np.empty(kmax)
     k = 0
@@ -350,7 +346,7 @@ def nnls(S, x, tol: float = DEFAULT_TOL) -> NnlsResult:
             np.maximum(current, 0.0, out=current)
             rho[sup] = current
             drops.append(int(hit.size))
-            k = _delete_columns(A, Q, T, qtb, cols, k, hit)
+            k = _delete_columns(Q, T, qtb, cols, k, hit)
         resid = b - Q[:, :k] @ qtb[:k]
 
     return NnlsResult(rho=rho, residual=b - A @ rho, pivots=pivots, drops=tuple(drops))

@@ -352,7 +352,7 @@ PINNED = {
         ('representation', 0.0, True),
     ),
     "system1": (
-        ('primal_residual', 0.0, True),
+        ('primal_residual', 4.965068306494546e-16, True),
         ('multipliers_nonnegative', 0.0, True),
         ('certificate_verifies', 0.0, True),
     ),

@@ -420,6 +420,15 @@ class TestDualProjectionCertificate:
         with pytest.raises(ValueError, match="witness_e has length 2, expected 4"):
             project_dual(K_POINTED, X_POINTED, witness_e=[1.0, 0.0])
 
+    def test_sign_checks_do_not_underflow(self):
+        # <k, e> = 1e-400 and <k, x> = -1e-400 underflow to zero as raw products;
+        # the other failures of this report come from nnls's raw scores
+        K, x, e = [[1e-200, 0.0]], [-1e-200, 1e-200], [1e-200, 0.0]
+        res = project_dual(K, x, witness_e=e)
+        for report in (dual_projection_certificate(res), verify_characterization(K, x, res.point, witness_e=e)):
+            assert report["witness_positivity"].passed
+            assert report["infeasible_direction_exists"].passed
+
     def test_same_checks_as_point_only_verification(self):
         for s in range(200):
             K, x = _recertification_instance(s)

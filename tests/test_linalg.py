@@ -269,20 +269,35 @@ def _pivots_add_up(res):
     return res.pivots == np.count_nonzero(res.rho) + sum(res.drops) + len(res.drops)
 
 
+def _refuse_linalg(m):
+    """Make every `np.linalg` routine but `norm` raise, within the monkeypatch context m."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a np.linalg routine was called")
+
+    for name in set(np.linalg.__all__) - {"norm", "LinAlgError"}:
+        m.setattr(np.linalg, name, refuse)
+
+
 @pytest.fixture
-def qr_blocks(monkeypatch):
-    """The shape of every block that a blocking step of `nnls`
-    re-triangularises, in order: ``(k - p, t)`` for a support of k columns,
-    first deleted position p and t kept columns after it."""
-    shapes = []
-    qr = np.linalg.qr
+def deletions(monkeypatch):
+    """`nnls` with every `np.linalg` routine but `norm` (the lengths it takes at
+    set-up) made to raise during the call, and the ``(k, hit)`` of each column
+    deletion it makes, in order: the support size and the deleted positions."""
+    seen = []
+    delete = conecert.linalg._delete_columns
 
-    def spy(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return qr(a, *args, **kwargs)
+    def spy(Q, T, qtb, cols, k, hit):
+        seen.append((k, tuple(int(h) for h in hit)))
+        return delete(Q, T, qtb, cols, k, hit)
 
-    monkeypatch.setattr(np.linalg, "qr", spy)
-    return shapes
+    def solve(*args, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(conecert.linalg, "_delete_columns", spy)
+            _refuse_linalg(m)
+            return nnls(*args, **kwargs)
+
+    return solve, seen
 
 
 def _legendre_polar_target(grid, points, r):
@@ -317,36 +332,37 @@ class TestNnlsFactor:
         assert _objective_matches_oracle(S, x, res)
 
     # Integer instances whose one blocking step deletes a known position.
-    # Each case: S, x, drops, and the block shape (k - p, t) of its QR.
+    # Each case: S, x, drops, and the support size and deleted positions.
     @pytest.mark.parametrize(
-        "S, x, drops, blocks",
+        "S, x, drops, deleted",
         [
-            pytest.param([[-3, -3, -2, 0], [-2, 2, -3, -2], [3, 2, 3, 1]], [0, -2, 2], (1,), [(3, 2)], id="first-of-3"),
+            pytest.param([[-3, -3, -2, 0], [-2, 2, -3, -2], [3, 2, 3, 1]], [0, -2, 2], (1,), [(3, (0,))], id="first-of-3"),
             pytest.param(
-                [[0, 1, -3, -3, 1], [2, 3, 2, 0, 3], [-3, 1, 0, 1, 3], [-2, 2, -3, 0, -3]], [-2, 3, -1, 1], (1,), [(4, 3)],
+                [[0, 1, -3, -3, 1], [2, 3, 2, 0, 3], [-3, 1, 0, 1, 3], [-2, 2, -3, 0, -3]], [-2, 3, -1, 1], (1,), [(4, (0,))],
                 id="first-of-4",
             ),
             pytest.param(
-                [[-1, 0, 3, -2, 2, -2], [-1, 3, -1, 0, -1, -3], [-1, 1, 0, 2, -1, 1]], [2, 3, -1], (1,), [(2, 1)],
+                [[-1, 0, 3, -2, 2, -2], [-1, 3, -1, 0, -1, -3], [-1, 1, 0, 2, -1, 1]], [2, 3, -1], (1,), [(3, (1,))],
                 id="middle-of-3",
             ),
             pytest.param(
                 [[3, -3, 2, 1, 1, 1], [2, 2, 2, -1, -2, 0], [1, -1, 2, 1, 3, 1], [3, 0, 3, 1, -3, -1]], [-1, 2, 0, -1], (1,),
-                [(3, 2)], id="middle-of-4",
+                [(4, (1,))], id="middle-of-4",
             ),
             # positions 0 and 2 of 4 reach zero at the same step
             pytest.param(
                 [[0, 1, 0, 1, 0, 0, -1, 0], [0, 1, -1, 1, 0, 0, -1, -1], [-1, -1, 1, 0, -1, 1, -1, 0], [1, 1, -1, -1, 1, -1, 0, -1]],
-                [0, -3, -2, -1], (2,), [(4, 2)], id="two-non-adjacent",
+                [0, -3, -2, -1], (2,), [(4, (0, 2))], id="two-non-adjacent",
             ),
         ],
     )
-    def test_blocking_step_deletes_a_known_position(self, qr_blocks, S, x, drops, blocks):
+    def test_blocking_step_deletes_a_known_position(self, deletions, S, x, drops, deleted):
+        solve, seen = deletions
         S = np.array(S, dtype=float)
         x = np.array(x, dtype=float)
-        res = nnls(S, x)
+        res = solve(S, x)
         assert res.drops == drops
-        assert qr_blocks == blocks
+        assert seen == deleted
         assert _pivots_add_up(res)
         assert _kkt_holds(S, x, res)
         assert _objective_matches_oracle(S, x, res)
@@ -377,25 +393,36 @@ class TestNnlsFactor:
         q, r = np.linalg.qr(A[:, cols[:k]])
         Q[:, :k], T[:k, :k], qtb[:k] = q, np.linalg.inv(r), q.T @ b
         hit = np.array(hit)
-        p = int(hit[0])
-        before = Q[:, :p].copy(), T[:p, :p].copy(), qtb[:p].copy()
         kept = np.delete(cols[:k], hit)
-        if hit[-1] == k - 1 and hit.size == k - p:
-            # only trailing positions go: the factor left stands and no QR runs
-            monkeypatch.setattr(np.linalg, "qr", None)
-        k2 = _delete_columns(A, Q, T, qtb, cols, k, hit)
+        with monkeypatch.context() as m:
+            _refuse_linalg(m)
+            k2 = _delete_columns(Q, T, qtb, cols, k, hit)
         assert k2 == kept.size
-        assert np.array_equal(cols[:k2], kept)
+        assert np.array_equal(np.sort(cols[:k2]), np.sort(kept))
         Qk, Tk = Q[:, :k2], T[:k2, :k2]
-        assert np.array_equal(Qk[:, :p], before[0])
-        assert np.array_equal(Tk[:p, :p], before[1])
-        assert np.array_equal(qtb[:p], before[2])
-        assert not np.tril(Tk, -1).any()
         assert np.linalg.norm(Qk.T @ Qk - np.eye(k2)) <= 1e-13
-        assert np.linalg.norm(A[:, kept] @ Tk - Qk) <= 1e-13 * np.linalg.norm(Qk)
+        assert np.linalg.norm(A[:, cols[:k2]] @ Tk - Qk) <= 1e-13 * np.linalg.norm(Qk)
         assert np.linalg.norm(qtb[:k2] - Qk.T @ b) <= 1e-13 * np.linalg.norm(b)
 
-    def test_in_cone_targets_with_long_blocks_after_the_deleted_column(self, qr_blocks):
+    def test_successive_deletions_keep_the_factor_of_near_parallel_pairs(self):
+        # each odd column is its even neighbour plus 1e-3 noise; deleting one
+        # random position at a time from 60 down to 3 must not let the factor drift
+        rng = np.random.default_rng(89)
+        d, m = 60, 80
+        for _ in range(20):
+            A = rng.standard_normal((d, m))
+            A[:, 1::2] = A[:, ::2] + 1e-3 * rng.standard_normal((d, m // 2))
+            cols = np.arange(d, dtype=np.intp)
+            Q, R = np.linalg.qr(A[:, :d])
+            T, qtb = np.linalg.inv(R), Q.T @ rng.standard_normal(d)
+            k = d
+            while k > 3:
+                k = _delete_columns(Q, T, qtb, cols, k, np.array([rng.integers(k)]))
+                Qk = Q[:, :k]
+                assert np.linalg.norm(A[:, cols[:k]] @ T[:k, :k] - Qk) <= 1e-10 * np.linalg.norm(Qk)
+
+    def test_in_cone_targets_with_long_blocks_after_the_deleted_column(self, deletions):
+        solve, seen = deletions
         rng = np.random.default_rng(73)
         for d in (20, 30, 40, 50, 60):
             for _ in range(2):
@@ -406,15 +433,16 @@ class TestNnlsFactor:
                 S[0] = np.abs(S[0]) + 1.0
                 cols = rng.choice(5 * d, size=d // 3, replace=False)
                 x = S[:, cols] @ rng.uniform(0.5, 1.5, size=cols.size)
-                res = nnls(S, x)
+                res = solve(S, x)
                 assert len(res.drops) > 0
                 assert _pivots_add_up(res)
                 assert _kkt_holds(S, x, res)
                 assert _objective_matches_oracle(S, x, res, best=0.0)
-        # some blocking step re-triangularised twenty or more columns after p
-        assert max(t for _, t in qr_blocks) >= 20
+        # some blocking step kept twenty or more columns after its first deleted position
+        assert max(k - hit[0] - len(hit) for k, hit in seen) >= 20
 
-    def test_near_parallel_legendre_representers(self, qr_blocks):
+    def test_near_parallel_legendre_representers(self, deletions):
+        solve, seen = deletions
         # the shape cone at n = 12, r = 2 on 260 Chebyshev points: the columns
         # are the second-derivative representers, neighbours nearly parallel.
         # The target is a point of the cone of five columns J plus the
@@ -431,12 +459,13 @@ class TestNnlsFactor:
             x = V[:, J] @ rng.uniform(0.5, 1.5, size=5) + q
             # a tolerance below the default, so that the objective is the
             # optimum to far below the default's slack on columns of norm ~1e4
-            res = nnls(V, x, tol=1e-12)
+            res = solve(V, x, tol=1e-12)
             assert len(res.drops) >= 10
             assert _pivots_add_up(res)
             assert _kkt_holds(V, x, res, tol=1e-12)
             assert _objective_matches_oracle(V, x, res, best=float(q @ q))
-        assert len(qr_blocks) >= 30
+        # thirty or more blocking steps kept columns after their first deleted position
+        assert sum(k - hit[0] - len(hit) > 0 for k, hit in seen) >= 30
 
     def test_drops_random_against_oracle(self):
         rng = np.random.default_rng(31)
