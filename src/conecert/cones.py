@@ -16,8 +16,9 @@ witness, with no solve and no coercion, at the library's one rule (`linalg`).
 a point, each condition separately.
 
 ``zig_decompose`` is the one decomposition of x through the synthesis
-operator S of cone(K); its corollaries, Moreau's split and the split of
-a polar-cone point by the null space of ``S^T``, are read off its fields.
+operator S of cone(K), and ``zig_certificate`` re-checks it; its
+corollaries, Moreau's split and the split of a polar-cone point by the
+null space of ``S^T``, are read off its fields.
 
 All functions are pure and safe to call concurrently.
 """
@@ -80,7 +81,7 @@ class Membership:
 
 @dataclass(frozen=True, eq=False)
 class ZigDecomposition:
-    """Joint cone/dual-cone decomposition through the synthesis operator.
+    """Joint cone/dual-cone decomposition of x through the synthesis operator S.
 
     ``x = pc + x0 + z`` with ``pc = S rho`` and ``z = -pinv(S^T) eta``;
     ``pc + pdual = x`` is Moreau's split, and when x lies in ``K^-``
@@ -94,7 +95,8 @@ class ZigDecomposition:
     z: np.ndarray
     pc: np.ndarray
     pdual: np.ndarray
-    report: CertificateReport
+    S: np.ndarray
+    x: np.ndarray
 
 
 def _split_product(a, b, x) -> float:
@@ -330,11 +332,8 @@ def zig_decompose(K, x, tol: float = DEFAULT_TOL) -> ZigDecomposition:
     Returns ``rho`` and ``eta`` nonnegative with ``<rho, eta> = 0``,
     ``x0`` the component of x in the null space of ``S^T``,
     ``z = -pinv(S^T) eta``, and the two Moreau parts ``pc`` and
-    ``pdual``; the attached report certifies
-      (1) ``x = S rho + x0 + z``,
-      (2) the sign and orthogonality conditions on rho and eta,
-      (3) ``pdual = x0 + z`` with ``<x0, z> = 0``,
-      (4) both expressions for the cone projection agree.
+    ``pdual``, from `project_generated`'s rho and point; `zig_certificate`
+    re-checks it.
 
     y lies in the polar cone ``K^-`` within the NNLS slack
     ``tol ||y|| ||k_i||`` exactly when ``rho`` is all zero; then
@@ -345,20 +344,27 @@ def zig_decompose(K, x, tol: float = DEFAULT_TOL) -> ZigDecomposition:
     consistent equations, at a conditioning blind to the lengths), one
     ``np.linalg.lstsq`` for ``S^T x`` and ``eta`` at the library's rank
     rule; the eta column's residual, outside the row space, is bounded by
-    statement (2).
+    `zig_certificate`'s statement (2).
     """
-    xv = as_vector(x)
-    S = generator_matrix(K, dim=xv.size)
-    sol = nnls(S, xv, tol)
-    rho = sol.rho
-    pc = S @ rho
+    proj = project_generated(K, x, tol)
+    S, xv, pc = proj.S, proj.x, proj.point
     pdual = xv - pc
     eta = np.maximum(-(S.T @ pdual), 0.0)
     # eta_i / ||k_i||, the normalised product of k_i with -pdual
     eta_along = np.maximum(-_products(S, pdual), 0.0)
     along, lift = np.linalg.lstsq((S / _lengths(S)).T, np.column_stack([_products(S, xv), eta_along]), rcond=None)[0].T
-    x0 = xv - along
+    return ZigDecomposition(rho=proj.rho, x0=xv - along, eta=eta, z=-lift, pc=pc, pdual=pdual, S=S, x=xv)
 
+
+def zig_certificate(result: ZigDecomposition, tol: float = DEFAULT_TOL) -> CertificateReport:
+    """Re-check a `zig_decompose` result from its own fields:
+      (1) ``x = S rho + x0 + z``,
+      (2) the sign and orthogonality conditions on rho and eta,
+      (3) ``pdual = x0 + z`` with ``<x0, z> = 0``,
+      (4) both expressions for the cone projection agree."""
+    S, xv, rho, eta, x0, pc, pdual = result.S, result.x, result.rho, result.eta, result.x0, result.pc, result.pdual
+    lift = -result.z
+    eta_along = np.maximum(-_products(S, pdual), 0.0)
     limit = _scale(xv, tol)
     report = CertificateReport()
     report.add("statement1_decomposition", _norm(xv - (pc + x0 - lift)), limit)
@@ -368,6 +374,5 @@ def zig_decompose(K, x, tol: float = DEFAULT_TOL) -> ZigDecomposition:
     report.add("statement2_complementarity", float(eta_along[rho > 0].max(initial=0.0)), limit)
     report.add("statement3_dual_projection", _norm(pdual - (x0 - lift)), limit)
     report.add("statement3_orthogonality", _split_product(x0, lift, xv), limit)
-    report.add("statement4_projection_formulas", _norm(pc - (along + lift)), limit)
-
-    return ZigDecomposition(rho=rho, x0=x0, eta=eta, z=-lift, pc=pc, pdual=pdual, report=report)
+    report.add("statement4_projection_formulas", _norm(pc - ((xv - x0) + lift)), limit)
+    return report

@@ -42,8 +42,10 @@ class FarkasVerification:
 
     System 1: ``primal_residual = ||A^T y - b||`` and ``dual_violation``
     is the worst negativity of y.  System 2: ``dual_violation`` is the
-    worst positive row product ``<a_i, x>`` and ``strict_gap = <b, x> -
-    ||x||^2 / 2`` (positive for a valid witness).
+    worst positive normalised row product ``<a_i, x> / ||a_i||`` and
+    ``strict_gap = <b, x> - ||x||^2 / 2`` (positive for a valid witness)
+    is taken on b and x divided by one power of two near ``||b||`` (exact),
+    so it is finite at any scale.  `farkas_certificate` judges these numbers.
     """
 
     primal_residual: float
@@ -65,8 +67,9 @@ class FarkasOutcome:
     def verification(self) -> FarkasVerification:
         A, b, y, x = self.A, self.b, self.y, self.x
         if self.tag is FarkasTag.SYSTEM1:
-            return FarkasVerification(float(_norm(b - A.T @ y)), max(0.0, -float(y.min(initial=0.0))), 0.0)
-        return FarkasVerification(0.0, max(0.0, float((A @ x).max(initial=0.0))), float(b @ x - 0.5 * (x @ x)))
+            return FarkasVerification(float(_norm(A.T @ y - b)), max(0.0, -float(y.min(initial=0.0))), 0.0)
+        bs, xs = np.ldexp([b, x], -np.frexp(_norm(b))[1])  # exact: the products neither underflow nor overflow
+        return FarkasVerification(0.0, max(0.0, float(_products(A.T, x).max(initial=0.0))), float(bs @ xs - 0.5 * (xs @ xs)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,9 +112,7 @@ def farkas_alternative(A, b, tol: float = DEFAULT_TOL) -> FarkasOutcome:
     residual of the fit, is x: it has nonpositive products with the rows
     and ``<b, x> = ||x||^2 > 0``.
     """
-    Am = as_matrix(A)
-    bv = as_vector(b)
-    test = positive_relative_test(Am, bv, tol)
+    test = positive_relative_test(A, b, tol)
     # the test holds copies: its generators are the rows of A, its target b
     if test.member:
         return FarkasOutcome(FarkasTag.SYSTEM1, y=test.coefficients, x=None, A=test.S.T, b=test.x)
@@ -124,23 +125,24 @@ def farkas_certificate(result: FarkasOutcome, tol: float = DEFAULT_TOL) -> Certi
     ``certificate_verifies``: the certificate of the tag is present, alone
     and a vector of the right length (else it is the only check, failing
     at any tol), and a system-2 x fails the membership rule: a shorter
-    one is rounding of an exact fit.
+    one is rounding of an exact fit.  The other checks judge the
+    result's own `verification`.
     """
-    Am, bv = result.A, result.b
+    bv = result.b
     system1 = result.tag is FarkasTag.SYSTEM1
-    v, other, size = (result.y, result.x, Am.shape[0]) if system1 else (result.x, result.y, bv.size)
+    v, other, size = (result.y, result.x, result.A.shape[0]) if system1 else (result.x, result.y, bv.size)
     report = CertificateReport()
     if v is None or other is not None or np.shape(v) != (size,):
         report.add("certificate_verifies", 1.0, 0.0)
         return report
+    found = result.verification
     if system1:
-        report.add("primal_residual", _norm(Am.T @ v - bv), _scale(bv, tol))
-        report.add("multipliers_nonnegative", max(0.0, -float(v.min(initial=0.0))), 0.0)
+        report.add("primal_residual", found.primal_residual, _scale(bv, tol))
+        report.add("multipliers_nonnegative", found.dual_violation, 0.0)
         verified = True
     else:
-        report.add("dual_violation_normalized", max(0.0, float(_products(Am.T, v).max(initial=0.0))), _scale(bv, tol))
-        bs, vs = np.ldexp([bv, v], -np.frexp(_norm(bv))[1])  # exact: the products neither underflow nor overflow
-        report.add_margin("strict_gap_positive", bs @ vs - 0.5 * (vs @ vs))
+        report.add("dual_violation_normalized", found.dual_violation, _scale(bv, tol))
+        report.add_margin("strict_gap_positive", found.strict_gap)
         verified = not _member(v, bv, tol)
     report.add("certificate_verifies", float(not verified), 0.0)
     return report

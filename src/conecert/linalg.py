@@ -9,14 +9,15 @@ is computed from, ``_scale(v) = tol ||v||``, where a product with a
 generator is the normalised ``<k_i, w> / ||k_i||`` (`_products`), each
 norm by `_norm`, exact at any scale.  `_member` and every certificate
 threshold use them, so no answer depends on the units of x or k_i.
-Everything here is pure and thread-safe.  The rank rule (`svd_factors`)
-and Caratheodory reduction (`caratheodory_reduce`) have no caller in the
-library; they stay, outside the package namespace, only while the
-benchmark's traced run wraps them by name.
+Everything here is pure and thread-safe.
 
 `nnls` is the Lawson-Hanson active-set method on an orthogonal factor
 of its support, kept up to date pivot by pivot, so that a pivot costs
-mat-vecs and no LAPACK call; its docstring gives the details.
+mat-vecs and no LAPACK call; its docstring gives the details.  Its
+support is linearly independent by its rank rule, so Caratheodory
+reduction (`caratheodory_reduce`) is that support.  The truncated SVD
+(`svd_factors`) has no caller in the library; both stay, outside the
+package namespace, only while the benchmark's traced run wraps them.
 """
 
 from __future__ import annotations
@@ -84,11 +85,9 @@ def generator_matrix(vectors, dim: Optional[int] = None) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SvdFactors:
-    """Thin SVD truncated at the rank tolerance.
-
-    Singular values are sorted descending and strictly above
-    ``rank_tol = max(rows, cols) * eps * sigma_1``.
-    """
+    """Thin SVD, singular values descending and strictly above ``rank_tol =
+    max(rows, cols) * eps * sigma_1``, a cutoff of its own: the library's
+    rank rule is `nnls`'s ``d * eps * ||a_j||``."""
 
     u: np.ndarray
     singular_values: np.ndarray
@@ -101,7 +100,7 @@ class SvdFactors:
 
 
 def svd_factors(M) -> SvdFactors:
-    """Truncated SVD of M with the library-wide rank rule."""
+    """Truncated SVD of M at the cutoff of `SvdFactors`."""
     A = as_matrix(M)
     if min(A.shape) == 0:
         return SvdFactors(
@@ -363,13 +362,10 @@ class CaratheodoryResult:
 def caratheodory_reduce(vectors, weights) -> CaratheodoryResult:
     """Rewrite a positive combination over a linearly independent subset.
 
-    While the selected columns are rank deficient, a unit null-space
-    direction ``eta`` is stepped against the weights (``t = min w_i /
-    eta_i`` over ``eta_i > 0``) so one weight reaches zero; the weighted
-    sum is unchanged along null directions.  A final least-squares polish
-    re-solves the surviving weights against the original sum.  At most d
-    vectors survive and they are linearly independent at the rank
-    tolerance.
+    The subset is the support of `nnls` on the weighted sum: its columns
+    are linearly independent by `nnls`'s rank rule, so there are at most
+    d of them, and its multipliers are strictly positive (Caratheodory's
+    theorem as Lawson and Hanson's active-set method constructs it).
 
     Parameters
     ----------
@@ -386,36 +382,6 @@ def caratheodory_reduce(vectors, weights) -> CaratheodoryResult:
         raise ValueError("one weight per vector is required")
     if np.any(w <= 0.0):
         raise ValueError("weights must be strictly positive")
-
-    target = V @ w
-    idx = np.arange(V.shape[1])
-    wact = w.copy()
-
-    while idx.size:
-        A = V[:, idx]
-        u, s, vt = np.linalg.svd(A, full_matrices=True)
-        cutoff = max(A.shape) * _EPS * (float(s[0]) if s.size else 0.0)
-        rank = int(np.count_nonzero(s > cutoff))
-        if rank == idx.size:
-            break
-        eta = vt[-1]
-        if eta.max() <= 0.0:
-            eta = -eta
-        pos = eta > 1e-12
-        ratios = wact[pos] / eta[pos]
-        t = float(ratios.min())
-        wact = wact - t * eta
-        keep = wact > 64.0 * _EPS * max(1.0, float(wact.max(initial=0.0)))
-        idx = idx[keep]
-        wact = wact[keep]
-
-    if idx.size:
-        polished, *_ = np.linalg.lstsq(V[:, idx], target, rcond=None)
-        # keep the drift-corrected weights only if they stay nonnegative
-        if polished.min(initial=0.0) >= -1e-12 * max(1.0, float(np.abs(polished).max(initial=0.0))):
-            wact = np.maximum(polished, 0.0)
-            keep = wact > 0.0
-            idx = idx[keep]
-            wact = wact[keep]
-
-    return CaratheodoryResult(indices=idx, weights=wact)
+    rho = nnls(V, V @ w).rho
+    idx = np.flatnonzero(rho)
+    return CaratheodoryResult(indices=idx, weights=rho[idx])

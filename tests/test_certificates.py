@@ -28,9 +28,10 @@ from conecert import (
     project_generated,
     project_shape,
     span_membership,
+    zig_decompose,
 )
 from conecert.cones import (cone_membership_certificate, dual_projection_certificate, generated_projection_certificate,
-                            span_membership_certificate)
+                            span_membership_certificate, zig_certificate)
 from conecert.farkas import farkas_certificate, implication_certificate
 from conecert.quadrature import rule_certificate
 from conecert.shape import shape_certificate
@@ -52,6 +53,7 @@ RESULTS = {
     "implication": (lambda: generalized_farkas(BOX, [1.0, 1.0], 3.0), implication_certificate),
     "rule": (lambda: positive_quadrature(SPEC, 48), rule_certificate),
     "shape": (lambda: project_shape(SHAPE), shape_certificate),
+    "zig": (lambda: zig_decompose(K, X), zig_certificate),
 }
 
 # inputs where a product is divided by a zero length or a threshold is 0:
@@ -69,6 +71,7 @@ for edge, (gens, x) in EDGES.items():
         f"generated_projection-{edge}": (lambda g=gens, x=x: project_generated(g, x), generated_projection_certificate),
         f"dual_projection-{edge}": (lambda g=gens, x=x: project_dual(g, x), dual_projection_certificate),
         f"farkas-{edge}": (lambda g=gens, x=x: farkas_alternative(np.reshape(g, (-1, 3)), x), farkas_certificate),
+        f"zig-{edge}": (lambda g=gens, x=x: zig_decompose(g, x), zig_certificate),
     })
 
 

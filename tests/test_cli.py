@@ -436,6 +436,9 @@ EXTREME = {
         2,
         ["sampled_implication_consistent"],
     ),
+    # the system-2 verification is taken on b and x divided by a power of two near ||b||,
+    # so it stays finite where <b, x> - ||x||^2 / 2 is not, and json.dumps refuses NaN
+    "farkas_long_rhs": ({"kind": "farkas", "matrix": [[1.0, 0.0]], "rhs": [0.0, 1e160]}, 0, []),
     # the distance from the target is finite where its square is not, and json.dumps refuses inf
     "shape_1e200": ({"kind": "shape", "n": 3, "r": 1, "target": {"legendre": [1e200, 0, 0, -1e200]}}, 0, []),
 }

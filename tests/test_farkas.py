@@ -99,6 +99,35 @@ class TestFarkasAlternative:
         assert both == 0
         assert neither == 0
 
+    @pytest.mark.parametrize("A, b", [([1.0, 0.0], [1.0, 0.0]), (np.eye(2), [1.0, 0.0, 0.0])], ids=["1-d A", "b of the wrong length"])
+    def test_malformed_problem_raises(self, A, b):
+        with pytest.raises(ValueError):
+            farkas_alternative(A, b)
+
+    def test_empty_matrix_is_the_zero_cone(self):
+        out = farkas_alternative([], [1.0, 2.0])
+        assert out.tag is FarkasTag.SYSTEM2
+        assert np.array_equal(out.x, [1.0, 2.0])
+        assert out.A.shape == (0, 2)
+        assert farkas_certificate(out).passed
+        out = farkas_alternative([], [0.0, 0.0])
+        assert out.tag is FarkasTag.SYSTEM1
+        assert out.y.size == 0
+        assert farkas_certificate(out).passed
+
+    @pytest.mark.parametrize("b", [[2.0, 1.0], [-1.0, 0.5], [0.0, 1e160], [0.0, 1e-160]])
+    def test_certificate_judges_the_verification(self, b):
+        # the residuals are computed once, by `verification`, and are finite at any scale
+        out = farkas_alternative([[1.0, 0.0], [1.0, 1.0]], b)
+        found = dataclasses.astuple(out.verification)
+        assert np.all(np.isfinite(found))
+        checks = {c.name: c.residual for c in farkas_certificate(out).checks}
+        if out.tag is FarkasTag.SYSTEM1:
+            assert (checks["primal_residual"], checks["multipliers_nonnegative"]) == found[:2]
+        else:
+            assert checks["dual_violation_normalized"] == found[1]
+            assert found[2] > 0.0 and checks["strict_gap_positive"] == 0.0
+
 
 class TestMembershipRule:
     """System 1 exactly when the residual is within ``tol ||b||``, 1e-9 here (a gap of 1e-9 is on it)."""

@@ -652,6 +652,27 @@ class TestCaratheodoryReduce:
         assert np.linalg.norm(np.asarray(total)) <= 1e-12 if res.indices.size else True
         assert res.indices.size <= 1
 
+    def test_is_the_support_of_one_nnls_solve(self, monkeypatch):
+        # no SVD or least-squares routine: `nnls` takes only `np.linalg.norm`, at set-up
+        calls = []
+        solve = conecert.linalg.nnls
+
+        def spy(*args, **kwargs):
+            calls.append(solve(*args, **kwargs))
+            return calls[-1]
+
+        rng = np.random.default_rng(31)
+        V = rng.standard_normal((3, 6))
+        V[:, 5] = 2.0 * V[:, 0]
+        w = rng.uniform(0.1, 3.0, size=6)
+        with monkeypatch.context() as m:
+            m.setattr(conecert.linalg, "nnls", spy)
+            _refuse_linalg(m)
+            res = caratheodory_reduce(list(V.T), w)
+        assert len(calls) == 1
+        assert np.array_equal(res.indices, np.flatnonzero(calls[0].rho))
+        assert np.array_equal(res.weights, calls[0].rho[res.indices])
+
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(ValueError):
             caratheodory_reduce([[1.0, 0.0]], [0.0])

@@ -25,7 +25,7 @@ from conecert import (
     zig_decompose,
 )
 from conecert.cones import (cone_membership_certificate, dual_projection_certificate, generated_projection_certificate,
-                            span_membership_certificate)
+                            span_membership_certificate, zig_certificate)
 from conecert.farkas import farkas_certificate, implication_certificate
 from conecert.quadrature import rule_certificate
 
@@ -68,7 +68,7 @@ def _solves(K, x):
         out[name] = (res.point, _flags(certificate(res)))
     outcome = farkas_alternative(K, x)
     out["farkas"] = (outcome.tag, _flags(farkas_certificate(outcome)))
-    out["zig"] = (None, _flags(zig_decompose(K, x).report))
+    out["zig"] = (None, _flags(zig_certificate(zig_decompose(K, x))))
     return out
 
 
