@@ -361,18 +361,18 @@ def zig_certificate(result: ZigDecomposition, tol: float = DEFAULT_TOL) -> Certi
       (1) ``x = S rho + x0 + z``,
       (2) the sign and orthogonality conditions on rho and eta,
       (3) ``pdual = x0 + z`` with ``<x0, z> = 0``,
-      (4) both expressions for the cone projection agree."""
-    S, xv, rho, eta, x0, pc, pdual = result.S, result.x, result.rho, result.eta, result.x0, result.pc, result.pdual
-    lift = -result.z
+      (4) both expressions for the cone projection agree, ``pc = S rho`` and ``pc = x - x0 - z``
+          with ``S^T x0 = 0``; so pc is the projection.  z's null-space part is not checked."""
+    S, xv, rho, eta, x0, z, pc, pdual = result.S, result.x, result.rho, result.eta, result.x0, result.z, result.pc, result.pdual
     eta_along = np.maximum(-_products(S, pdual), 0.0)
     limit = _scale(xv, tol)
     report = CertificateReport()
-    report.add("statement1_decomposition", _norm(xv - (pc + x0 - lift)), limit)
+    report.add("statement1_decomposition", _norm(xv - (pc + x0 + z)), limit)
     report.add("statement2_sign_conditions", max(0.0, -float(rho.min(initial=0.0)), -float(eta.min(initial=0.0))), 0.0)
-    # divided by ||k_i||, eta lies in the row space when it is S^T lift, and it must vanish where rho_i > 0
-    report.add("statement2_eta_in_row_space", _norm(eta_along - _products(S, lift)), limit)
+    # divided by ||k_i||, eta lies in the row space when it is -S^T z, and it must vanish where rho_i > 0
+    report.add("statement2_eta_in_row_space", _norm(eta_along + _products(S, z)), limit)
     report.add("statement2_complementarity", float(eta_along[rho > 0].max(initial=0.0)), limit)
-    report.add("statement3_dual_projection", _norm(pdual - (x0 - lift)), limit)
-    report.add("statement3_orthogonality", _split_product(x0, lift, xv), limit)
-    report.add("statement4_projection_formulas", _norm(pc - ((xv - x0) + lift)), limit)
+    report.add("statement3_dual_projection", _norm(pdual - (x0 + z)), limit)
+    report.add("statement3_orthogonality", _split_product(x0, z, xv), limit)
+    report.add("statement4_projection_formulas", max(_norm(pc - S @ rho), _norm(_products(S, x0))), limit)
     return report

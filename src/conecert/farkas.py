@@ -43,9 +43,10 @@ class FarkasVerification:
     System 1: ``primal_residual = ||A^T y - b||`` and ``dual_violation``
     is the worst negativity of y.  System 2: ``dual_violation`` is the
     worst positive normalised row product ``<a_i, x> / ||a_i||`` and
-    ``strict_gap = <b, x> - ||x||^2 / 2`` (positive for a valid witness)
-    is taken on b and x divided by one power of two near ``||b||`` (exact),
-    so it is finite at any scale.  `farkas_certificate` judges these numbers.
+    ``strict_gap = (<b, x> - ||x||^2 / 2) / ||b||^2``, unit-free, positive
+    for a valid witness (``||x||^2 / (2 ||b||^2)`` for `farkas_alternative`'s),
+    and taken on b and x divided by a power of two near ``||b||`` (exact).
+    `farkas_certificate` judges these numbers.
     """
 
     primal_residual: float
@@ -69,7 +70,8 @@ class FarkasOutcome:
         if self.tag is FarkasTag.SYSTEM1:
             return FarkasVerification(float(_norm(A.T @ y - b)), max(0.0, -float(y.min(initial=0.0))), 0.0)
         bs, xs = np.ldexp([b, x], -np.frexp(_norm(b))[1])  # exact: the products neither underflow nor overflow
-        return FarkasVerification(0.0, max(0.0, float(_products(A.T, x).max(initial=0.0))), float(bs @ xs - 0.5 * (xs @ xs)))
+        gap = (bs @ xs - 0.5 * (xs @ xs)) / (float(bs @ bs) or 1.0)
+        return FarkasVerification(0.0, max(0.0, float(_products(A.T, x).max(initial=0.0))), float(gap))
 
 
 @dataclass(frozen=True, eq=False)

@@ -362,10 +362,11 @@ class CaratheodoryResult:
 def caratheodory_reduce(vectors, weights) -> CaratheodoryResult:
     """Rewrite a positive combination over a linearly independent subset.
 
-    The subset is the support of `nnls` on the weighted sum: its columns
-    are linearly independent by `nnls`'s rank rule, so there are at most
-    d of them, and its multipliers are strictly positive (Caratheodory's
-    theorem as Lawson and Hanson's active-set method constructs it).
+    The subset is the support of `nnls` on the weighted sum: its columns are linearly
+    independent by `nnls`'s rank rule, so there are at most d of them, and its multipliers
+    are strictly positive (Caratheodory's theorem as Lawson and Hanson's active-set method
+    constructs it).  The sum lies in the cone, so `nnls` runs to rounding, at ``tol =
+    eps``: its default slack would drop a vector of small weight.
 
     Parameters
     ----------
@@ -382,6 +383,6 @@ def caratheodory_reduce(vectors, weights) -> CaratheodoryResult:
         raise ValueError("one weight per vector is required")
     if np.any(w <= 0.0):
         raise ValueError("weights must be strictly positive")
-    rho = nnls(V, V @ w).rho
+    rho = nnls(V, V @ w, _EPS).rho
     idx = np.flatnonzero(rho)
     return CaratheodoryResult(indices=idx, weights=rho[idx])

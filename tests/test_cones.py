@@ -591,6 +591,19 @@ class TestZigDecompose:
         assert np.allclose(dec.pc, [0.0, -1.0], atol=1e-10)
         assert zig_certificate(dec).passed
 
+    def test_tampered_decompositions_fail(self):
+        # x = (1, 0) lies in cone{(1, 0)}, not in its polar cone: claiming
+        # pc = 0 with all of x in the null space of S^T satisfies (1)-(3)
+        dec = zig_decompose([[1.0, 0.0]], [1.0, 0.0])
+        zero = np.zeros(2)
+        polar = dataclasses.replace(dec, rho=np.zeros(1), pc=zero, pdual=dec.x, x0=dec.x, eta=np.zeros(1), z=zero)
+        checks = zig_certificate(polar)
+        assert [c.name for c in checks.checks if not c.passed] == ["statement4_projection_formulas"]
+        assert checks["statement4_projection_formulas"].residual == 1.0
+        # pc that is not S rho
+        moved = dataclasses.replace(dec, pc=dec.pc + [0.0, 1.0], x0=dec.x0 - [0.0, 1.0], pdual=dec.pdual - [0.0, 1.0])
+        assert [c.name for c in zig_certificate(moved).checks if not c.passed] == ["statement4_projection_formulas"]
+
     def test_all_statements_random(self):
         rng = np.random.default_rng(71)
         for _ in range(100):

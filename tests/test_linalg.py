@@ -635,6 +635,21 @@ class TestCaratheodoryReduce:
         assert list(res.indices) == [0, 1]
         assert np.allclose(res.weights, [1.0, 2.0], atol=1e-12)
 
+    def test_small_weights_are_kept(self):
+        # an independent vector of weight 5e-10 is at nnls's default slack
+        res = caratheodory_reduce([[1.0, 0.0], [0.0, 1.0]], [1.0, 5e-10])
+        assert list(res.indices) == [0, 1]
+        assert np.allclose(res.weights, [1.0, 5e-10], rtol=1e-12, atol=0.0)
+        rng = np.random.default_rng(37)
+        for _ in range(300):
+            d = int(rng.integers(1, 7))
+            V = rng.standard_normal((d, int(rng.integers(1, 11))))
+            w = 10.0 ** rng.uniform(-12.0, 0.5, size=V.shape[1])
+            res = caratheodory_reduce(list(V.T), w)
+            sel = V[:, res.indices]
+            assert res.indices.size == 0 or np.linalg.matrix_rank(sel) == res.indices.size
+            assert np.linalg.norm(sel @ res.weights - V @ w) <= 1e-14 * (1.0 + np.linalg.norm(V @ w))
+
     def test_three_vectors_in_the_plane(self):
         vectors = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 1.0])]
         res = caratheodory_reduce(vectors, [1.0, 1.0, 1.0])
