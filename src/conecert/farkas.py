@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -56,7 +57,8 @@ class FarkasVerification:
 
 @dataclass(frozen=True, eq=False)
 class FarkasOutcome:
-    """The solvable system's ``tag`` and its ``y`` or ``x`` for ``(A, b)``."""
+    """The solvable system's ``tag`` and its ``y`` or ``x`` for ``(A, b)``;
+    ``verification`` is derived from them on the first read and kept."""
 
     tag: FarkasTag
     y: Optional[np.ndarray]
@@ -64,7 +66,7 @@ class FarkasOutcome:
     A: np.ndarray
     b: np.ndarray
 
-    @property
+    @cached_property
     def verification(self) -> FarkasVerification:
         A, b, y, x = self.A, self.b, self.y, self.x
         if self.tag is FarkasTag.SYSTEM1:

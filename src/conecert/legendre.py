@@ -1,12 +1,15 @@
-"""Orthonormal Legendre basis on [-1, 1].
+"""Orthonormal Legendre basis p_k = sqrt((2k + 1) / 2) P_k on [-1, 1].
 
-Values and derivatives come from the three-term recurrence and its
-differentiated form; differentiation in coefficient space uses the
-classic expansion of P'_j over lower-degree polynomials.  The first few
-members are sqrt(2)/2, sqrt(6)/2 t, sqrt(10)/4 (3t^2 - 1), ...
+The first members are sqrt(2)/2, sqrt(6)/2 t, sqrt(10)/4 (3t^2 - 1), ...
+Derivative values come from the Gegenbauer identity
+P_k^(r) = (2r - 1)!! C_{k-r}^(r+1/2) and the Gegenbauer recurrence (NIST
+DLMF 18.9.19 and 18.9.1), which is Legendre's own at r = 0.  Coefficient-space
+differentiation is numpy's `legder`.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -30,25 +33,18 @@ class LegendreBasis:
             raise ValueError("derivative order must be nonnegative")
         scalar = np.isscalar(t) or np.ndim(t) == 0
         ts = np.atleast_1d(np.asarray(t, dtype=float))
-        n = self.n
-        # P[k, s] = s-th derivative of the classic polynomial P_k at ts
-        P = np.zeros((n + 1, r + 1, ts.size))
-        P[0, 0] = 1.0
-        if n >= 1:
-            P[1, 0] = ts
-            if r >= 1:
-                P[1, 1] = 1.0
-        # the recurrence differentiated s times, for all orders at once:
-        # (k + 1) P_{k+1}^(s) = (2k + 1) (t P_k^(s) + s P_k^(s-1)) - k P_{k-1}^(s)
-        orders = np.arange(1, r + 1)[:, None]
-        for k in range(1, n):
-            term = ts * P[k]
-            if r:
-                term[1:] += orders * P[k, :-1]
-            term *= 2 * k + 1
-            term -= k * P[k - 1]
-            np.divide(term, k + 1, out=P[k + 1])
-        vals = self.norms[:, None] * P[:, r]
+        # P[k] = P_k^(r)(ts) = (2r - 1)!! C_{k-r}(ts), with C_j = C_j^(r+1/2) and P_k^(r) = 0 below k = r
+        P = np.zeros((self.n + 1, ts.size))
+        # the first two rows, C_0 and C_1 = (2r + 1) t C_0; the slices are empty past n
+        P[r : r + 1] = math.prod(range(1, 2 * r, 2))
+        P[r + 1 : r + 2] = math.prod(range(1, 2 * r + 2, 2)) * ts
+        # j C_j = (2j + 2r - 1) t C_{j-1} - (j + 2r - 1) C_{j-2} at j = k - r
+        for k in range(r + 2, self.n + 1):
+            term = ts * P[k - 1]
+            term *= 2 * k - 1
+            term -= (k + r - 1) * P[k - 2]
+            np.divide(term, k - r, out=P[k])
+        vals = self.norms[:, None] * P
         return vals[:, 0] if scalar else vals
 
 
@@ -61,13 +57,8 @@ def derivative_matrix(n: int, r: int) -> np.ndarray:
     if not 0 <= r <= n:
         raise ValueError("need 0 <= r <= n")
     norms = np.sqrt((2 * np.arange(n + 1) + 1) / 2.0)
-    D1 = np.zeros((n + 1, n + 1))
-    for j in range(1, n + 1):
-        for k in range(j - 1, -1, -2):
-            D1[k, j] = (2 * k + 1) * norms[j] / norms[k]
-    D = np.eye(n + 1)
-    for _ in range(r):
-        D = D1 @ D
+    D = np.zeros((n + 1, n + 1))
+    D[: n + 1 - r] = np.polynomial.legendre.legder(np.diag(norms), r) / norms[: n + 1 - r, None]
     return D
 
 

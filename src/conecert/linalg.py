@@ -229,6 +229,12 @@ def nnls(S, x, tol: float = DEFAULT_TOL) -> NnlsResult:
     ``1 / sigma_min(R)``; deleting a column cannot shrink the smallest
     singular value of R, since singular values interlace.
 
+    The solve runs on S and x divided by powers of two near their largest
+    entries, and rho is scaled back.  That is exact unless an entry lies
+    some 1e308 times below the largest, so the pivots are those of the raw
+    data, while column lengths and scores stay in the float range for
+    entries of 1e-200 or 1e200.
+
     The gradient ``S^T r`` that picks the entering column is taken from
     the factor's residual ``x - Q Q^T x``, accurate where ``x - S @ rho``
     would carry rounding of order ``eps ||S|| ||rho||`` and could let a
@@ -262,14 +268,16 @@ def nnls(S, x, tol: float = DEFAULT_TOL) -> NnlsResult:
     ValueError
         On mismatched shapes or a ``tol`` that is not positive and finite.
     """
-    A = as_matrix(S)
-    b = as_vector(x)
-    d, m = A.shape
-    if b.size != d:
+    S, x = as_matrix(S), as_vector(x)
+    d, m = S.shape
+    if x.size != d:
         raise ValueError("dimension mismatch between S and x")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be positive and finite")
     budget = PIVOTS_PER_ENTRY * m * d
+    # power-of-two scaling (see above): the pivots are the raw data's, and no score leaves the float range
+    eS, ex = (math.frexp(np.abs(v).max(initial=0.0))[1] for v in (S, x))
+    A, b = np.ldexp(S, -eS), np.ldexp(x, -ex)
 
     colnorm = np.linalg.norm(A, axis=0)
     slack = _scale(b, tol) * colnorm
@@ -348,7 +356,8 @@ def nnls(S, x, tol: float = DEFAULT_TOL) -> NnlsResult:
             k = _delete_columns(Q, T, qtb, cols, k, hit)
         resid = b - Q[:, :k] @ qtb[:k]
 
-    return NnlsResult(rho=rho, residual=b - A @ rho, pivots=pivots, drops=tuple(drops))
+    rho = np.ldexp(rho, ex - eS)
+    return NnlsResult(rho=rho, residual=x - S @ rho, pivots=pivots, drops=tuple(drops))
 
 
 @dataclass(frozen=True, eq=False)

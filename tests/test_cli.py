@@ -13,6 +13,7 @@ import pytest
 
 import conecert.cli as cli
 from conecert import (
+    FarkasVerification,
     IterationLimit,
     LegendrePoly,
     ShapeProblem,
@@ -138,6 +139,16 @@ class TestFarkas:
         out = farkas_alternative(K, rhs)
         _same(rep["result"]["x"], out.x)
         assert rep["result"]["verification"]["strict_gap"] == out.verification.strict_gap
+
+    @pytest.mark.parametrize("rhs", [[1.0, 0.0, 0.0, 0.0], [-1.0, 0.2, 0.1, 0.0]], ids=["system1", "system2"])
+    def test_verification_is_computed_once(self, tmp_path, monkeypatch, rhs):
+        # the certificate and the report's `verification` field read one computation
+        made = []
+        monkeypatch.setattr("conecert.farkas.FarkasVerification", lambda *args: made.append(args) or FarkasVerification(*args))
+        rc, rep = _run(tmp_path, "farkas", {"kind": "farkas", "matrix": K, "rhs": rhs})
+        assert rc == 0
+        assert len(made) == 1
+        assert list(rep["result"]["verification"].values()) == list(made[0])
 
     def test_system2_just_off_the_cone(self, tmp_path):
         # the residual 5e-8 is above the membership rule's tol ||b||
@@ -421,21 +432,16 @@ def test_certificates_pinned(tmp_path, branch):
 
 
 # files at the ends of the float range: (problem, exit status, failing checks).
-# `nnls` scores raw columns, so it misses a generator of 1e-200 (the products
-# with the residual underflow) and leaves the implication undecided on entries
-# of 1e200, overflowing on the way (a RuntimeWarning); each certificate says so
+# `nnls` solves on S and x divided by powers of two near their largest entries,
+# so a generator of 1e-200 and entries of 1e200 are found as at unit scale
 EXTREME = {
-    "farkas_tiny": ({"kind": "farkas", "matrix": [[1e-200]], "rhs": [1e-200]}, 2, ["dual_violation_normalized"]),
-    "cone_tiny": ({"kind": "membership", "mode": "cone", "vectors": [[1e-200]], "point": [1e-200]}, 2, ["witness_nonpositive_products"]),
-    "generated_tiny": ({"kind": "project", "orientation": "generated", "generators": [[1e-200]], "point": [1e-200]}, 2, ["kkt_inequalities"]),
-    # the square of ||b|| is past the float range: `_balance_unit` needs `_norm`
+    "farkas_tiny": ({"kind": "farkas", "matrix": [[1e-200]], "rhs": [1e-200]}, 0, []),
+    "cone_tiny": ({"kind": "membership", "mode": "cone", "vectors": [[1e-200]], "point": [1e-200]}, 0, []),
+    "generated_tiny": ({"kind": "project", "orientation": "generated", "generators": [[1e-200]], "point": [1e-200]}, 0, []),
+    # the refutation step's rate <b, u> overflows (a RuntimeWarning) and leaves the implication undecided
     "pairs_long_b": ({"kind": "farkas", "pairs": [[[1.0, 1.0], 1.0]], "b": [1e200, 1e200], "r": 1.0}, 2, ["sampled_implication_consistent"]),
-    # so is that of ||s_1||, which `_excess` multiplies by ||x|| = 0 at the origin
-    "pairs_long_row": (
-        {"kind": "farkas", "pairs": [[[1e200, 1e200], 1.0], [[-1.0, 0.0], 1.0]], "b": [1.0, 0.0], "r": 5.0},
-        2,
-        ["sampled_implication_consistent"],
-    ),
+    # the square of ||s_1|| is past the float range; `_excess` multiplies it by ||x|| = 0 at the origin
+    "pairs_long_row": ({"kind": "farkas", "pairs": [[[1e200, 1e200], 1.0], [[-1.0, 0.0], 1.0]], "b": [1.0, 0.0], "r": 5.0}, 0, []),
     # the system-2 verification is taken on b and x divided by a power of two near ||b||,
     # so it stays finite where <b, x> - ||x||^2 / 2 is not, and json.dumps refuses NaN
     "farkas_long_rhs": ({"kind": "farkas", "matrix": [[1.0, 0.0]], "rhs": [0.0, 1e160]}, 0, []),
@@ -447,7 +453,7 @@ EXTREME = {
 @pytest.mark.parametrize("name", list(EXTREME))
 def test_ends_of_the_float_range(tmp_path, name):
     problem, code, failing = EXTREME[name]
-    with pytest.warns(RuntimeWarning, match="overflow") if "pairs" in problem else contextlib.nullcontext():
+    with pytest.warns(RuntimeWarning, match="overflow") if name == "pairs_long_b" else contextlib.nullcontext():
         rc, rep = _run(tmp_path, problem["kind"], problem)
     assert rc == code
     assert [c["name"] for c in rep["certificates"] if not c["pass"]] == failing

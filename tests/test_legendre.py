@@ -48,7 +48,7 @@ def _close(got, expected):
 
 
 @pytest.mark.parametrize("r", range(4))
-@pytest.mark.parametrize("n", range(13))
+@pytest.mark.parametrize("n", [*range(13), 20, 30, 40])
 def test_values_match_numpy(n, r):
     basis = LegendreBasis(n)
     got = basis.values(T, r)
@@ -60,6 +60,14 @@ def test_values_match_numpy(n, r):
         _close(scalar, _oracle(n, r, float(t)))
 
 
+def test_values_are_legendres_recurrence_exactly():
+    # at r = 0 the recurrence is numpy's, operation for operation, so quadrature sees the same numbers
+    t = np.concatenate([T, np.random.default_rng(0).uniform(-1.0, 1.0, 200)])
+    for n in range(41):
+        basis = LegendreBasis(n)
+        assert np.array_equal(basis.values(t), basis.norms[:, None] * L.legvander(t, n).T)
+
+
 @pytest.mark.parametrize("n", [0, 1, 5, 12])
 def test_orthonormal_on_gauss_nodes(n):
     nodes, weights = L.leggauss(n + 1)  # exact to degree 2n + 1
@@ -67,7 +75,7 @@ def test_orthonormal_on_gauss_nodes(n):
     _close((V * weights) @ V.T, np.eye(n + 1))
 
 
-@pytest.mark.parametrize("n, r", [(0, 0), (3, 1), (6, 2), (12, 3), (4, 4)])
+@pytest.mark.parametrize("n, r", [(0, 0), (3, 1), (6, 2), (12, 3), (4, 4), (40, 3)])
 def test_derivative_matrix_differentiates(n, r):
     c = np.random.default_rng(n + 10 * r).standard_normal(n + 1)
     D = derivative_matrix(n, r)

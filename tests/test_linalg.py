@@ -211,6 +211,15 @@ class TestNnls:
         with pytest.raises(IterationLimit):
             nnls(np.eye(2), [1.0, 1.0])
 
+    @pytest.mark.parametrize("k, j", [(k, j) for k in (-900, 0, 900) for j in (-900, 0, 900) if abs(j - k) <= 900])
+    def test_rescaling_is_exact(self, k, j):
+        # S and x are divided by powers of two near their largest entries, so the pivots are
+        # those at unit scale; past |j - k| = 900, rho itself leaves the float range
+        rng = np.random.default_rng(31)
+        for _ in range(50):
+            S, x = random_cone_instance(rng, d_max=6, m_max=8)
+            assert np.array_equal(nnls(np.ldexp(S, k), np.ldexp(x, j)).rho, np.ldexp(nnls(S, x).rho, j - k))
+
     def test_kkt_conditions_random(self):
         rng = np.random.default_rng(19)
         for _ in range(200):
