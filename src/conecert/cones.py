@@ -13,7 +13,8 @@ problem, ``S`` (the generators as columns) and ``x``, and
 ``*_certificate(result, tol)`` re-checks it from its own multipliers or
 witness, with no solve and no coercion, at the library's one rule (`linalg`).
 ``verify_characterization`` checks a dual-form projection given only as
-a point, each condition separately.
+a point, each condition separately, on multipliers from one solve
+started from the point's face.
 
 ``zig_decompose`` is the one decomposition of x through the synthesis
 operator S of cone(K), and ``zig_certificate`` re-checks it; its
@@ -105,6 +106,13 @@ def _split_product(a, b, x) -> float:
     that is rounding of 0 would give the product the size of x."""
     nx = float(_norm(x))
     return abs(float(a @ b)) / (nx if nx > 0.0 else 1.0)
+
+
+def _of_length(v, name: str, d: int) -> Optional[np.ndarray]:
+    """``as_vector(v)`` (None stays None), which must have length d (else ValueError)."""
+    if v is not None and (v := as_vector(v)).size != d:
+        raise ValueError(f"{name} has length {v.size}, expected {d}")
+    return v
 
 
 def _active_indices(rho: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -233,8 +241,7 @@ def project_dual(K, x, tol: float = DEFAULT_TOL, witness_e=None) -> ProjectionRe
     """
     xv = as_vector(x)
     S = generator_matrix(K, dim=xv.size)
-    if witness_e is not None and (witness_e := as_vector(witness_e)).size != xv.size:
-        raise ValueError(f"witness_e has length {witness_e.size}, expected {xv.size}")
+    witness_e = _of_length(witness_e, "witness_e", xv.size)
     rho = nnls(S, -xv, tol).rho
     return ProjectionResult("dual", xv + S @ rho, rho, S, xv, witness_e)
 
@@ -289,31 +296,21 @@ def verify_characterization(K, x, x0, tol: float = DEFAULT_TOL, witness_e=None) 
     `dual_projection_certificate` reads them off the result instead.  By
     the characterization only the face of x0 (the generators with
     ``|<k_i, x0>|`` within the ``active_orthogonality`` threshold) can
-    carry weight, so ``x0 - x`` is first tested for membership in the
-    cone of the face alone (`positive_relative_test`): a member's
-    coefficients are rho on the face, zero off it, and its residual r,
-    within ``tol ||x0 - x||``, meets the NNLS slack for every generator.
-    Otherwise rho is one NNLS solve over all of K, so a point that is not
-    the projection is judged on the best multipliers the cone offers.
+    carry weight, so rho is one NNLS solve over all of K started from the
+    face (`nnls`'s ``support``): at the projection the face's multipliers
+    end it in one pivot, and a point that is not the projection is judged
+    on the best multipliers the cone offers.
 
     When x already lies in the cone the report instead records the
     trivial fixed-point check ``x0 == x``.  A provided ``witness_e`` adds
-    a positivity check of the compactness/pointedness hypothesis.
+    a positivity check of the compactness/pointedness hypothesis.  ``x0``
+    and a given ``witness_e`` must be finite vectors of x's length (else
+    ValueError).
     """
     xv = as_vector(x)
     S = generator_matrix(K, dim=xv.size)
-    if witness_e is not None:
-        witness_e = as_vector(witness_e)
-
-    def multipliers(diff, face):
-        fit = positive_relative_test(S[:, face].T, diff, tol)
-        if not fit.member:
-            return nnls(S, diff, tol).rho
-        rho = np.zeros(S.shape[1])
-        rho[face] = fit.coefficients
-        return rho
-
-    return _characterization(S, xv, as_vector(x0), tol, witness_e, multipliers, _lengths(S))
+    x0v, witness_e = _of_length(x0, "x0", xv.size), _of_length(witness_e, "witness_e", xv.size)
+    return _characterization(S, xv, x0v, tol, witness_e, lambda diff, face: nnls(S, diff, tol, face).rho, _lengths(S))
 
 
 def dual_projection_certificate(result: ProjectionResult, tol: float = DEFAULT_TOL) -> CertificateReport:

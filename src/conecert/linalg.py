@@ -13,7 +13,8 @@ Everything here is pure and thread-safe.
 
 `nnls` is the Lawson-Hanson active-set method on an orthogonal factor
 of its support, kept up to date pivot by pivot, so that a pivot costs
-mat-vecs and no LAPACK call; its docstring gives the details.  Its
+mat-vecs and no LAPACK call, and it can start from a given support,
+factored once at set-up; its docstring gives the details.  Its
 support is linearly independent by its rank rule, so Caratheodory
 reduction (`caratheodory_reduce`) is that support.  The truncated SVD
 (`svd_factors`) has no caller in the library; both stay, outside the
@@ -156,9 +157,9 @@ def _member(residual, target, tol: float) -> bool:
 @dataclass(frozen=True, eq=False)
 class NnlsResult:
     """Nonnegative multipliers, the residual ``x - S @ rho``, ``pivots``, the
-    number of inner least-squares solves performed, and ``drops``, the
-    number of columns each blocking step removed from the support, in
-    order."""
+    number of inner least-squares solves performed (a start's set-up solve
+    among them), and ``drops``, the number of columns each blocking step
+    removed from the support, in order."""
 
     rho: np.ndarray
     residual: np.ndarray
@@ -187,7 +188,7 @@ def _delete_columns(Q, T, qtb, cols, k: int, hit) -> int:
     return k
 
 
-def nnls(S, x, tol: float = DEFAULT_TOL) -> NnlsResult:
+def nnls(S, x, tol: float = DEFAULT_TOL, support=None) -> NnlsResult:
     """Active-set solve of ``min ||S @ rho - x||`` over ``rho >= 0``.
 
     Lawson-Hanson iteration with lowest-index tie-breaking on entering
@@ -252,6 +253,20 @@ def nnls(S, x, tol: float = DEFAULT_TOL) -> NnlsResult:
     column would only see it dropped at once and picked again until the
     pivot budget ran out.
 
+    A ``support`` (column indices, a set) starts the solve from those
+    columns.  At set-up one ``np.linalg.qr`` factors them, with ``T =
+    inv(R)`` and ``Q^T x``; a column whose ``|r_jj|`` (its remainder
+    against the kept start columns before it) is at or below
+    ``max(tol, d * eps) * ||k_j||`` is dropped and the rest factored
+    again.  Its score is at most ``||x|| r_jj`` while those columns are
+    in the support, so below the cut it could never pass the entering
+    slack; at ``d * eps`` a 1e-12 near-duplicate kept weight beside its
+    twin.  The inner loop then runs from rho = 0, where the ratio test
+    drops every non-positive multiplier, and the outer loop follows as
+    usual.  ``pivots`` counts the set-up solve: a start at the optimal
+    support returns after one.  No support, or an empty one, is the cold
+    solve.
+
     Parameters
     ----------
     S : array, shape (d, m)
@@ -260,13 +275,16 @@ def nnls(S, x, tol: float = DEFAULT_TOL) -> NnlsResult:
     tol : float
         Relative KKT slack used as the stopping threshold: a column enters
         only while ``<r, k_i> / ||k_i||`` exceeds ``tol ||x||``.
+    support : sequence of int, optional
+        Columns of S to start from (see above).
 
     Raises
     ------
     IterationLimit
         If the pivot budget ``PIVOTS_PER_ENTRY * m * d`` runs out (degenerate input).
     ValueError
-        On mismatched shapes or a ``tol`` that is not positive and finite.
+        On mismatched shapes, a ``tol`` that is not positive and finite, or
+        a support that is not integer indices in ``[0, m)``.
     """
     S, x = as_matrix(S), as_vector(x)
     d, m = S.shape
@@ -274,6 +292,9 @@ def nnls(S, x, tol: float = DEFAULT_TOL) -> NnlsResult:
         raise ValueError("dimension mismatch between S and x")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be positive and finite")
+    start = np.empty(0, dtype=np.intp) if support is None else np.unique(np.asarray(support))
+    if start.size and (start.dtype.kind not in "iu" or not 0 <= start[0] <= start[-1] < m):
+        raise ValueError(f"support must hold column indices in [0, {m})")
     budget = PIVOTS_PER_ENTRY * m * d
     # power-of-two scaling (see above): the pivots are the raw data's, and no score leaves the float range
     eS, ex = (math.frexp(np.abs(v).max(initial=0.0))[1] for v in (S, x))
@@ -291,13 +312,48 @@ def nnls(S, x, tol: float = DEFAULT_TOL) -> NnlsResult:
     # row: they are written here, and a blocking step zeroes the row it frees
     T = np.zeros((kmax, kmax))
     qtb = np.empty(kmax)
-    k = 0
+    # a start column whose remainder is at or below max(tol, floor) * ||a|| could never enter
+    while start.size:
+        q, r = np.linalg.qr(A[:, start])
+        kept = np.abs(np.diagonal(r)) > max(tol, floor) * colnorm[start[:d]]
+        start, r = start[:d][kept], r[:, :d]
+        if kept.all():
+            break
+    k = start.size
+    if k:
+        cols[:k], Q[:, :k], T[:k, :k], qtb[:k] = start, q, np.linalg.inv(r), q.T @ b
     rho = np.zeros(m)
-    resid = b.copy()
     pivots = 0
     drops = []
 
     while True:
+        # least squares on the support and its blocking steps; a start's comes first, from rho = 0
+        while k:
+            pivots += 1
+            if pivots > budget:
+                raise IterationLimit(f"nnls exceeded {budget} pivots on a {d}x{m} system")
+            sup = cols[:k]
+            z = T[:k, :k] @ qtb[:k]
+            if z.min() > 0.0:
+                rho[sup] = z
+                break
+            blocking = np.flatnonzero(z <= 0.0)
+            if blocking.size == 0:
+                raise IterationLimit("nnls inner loop stalled on degenerate input")
+            current = rho[sup]
+            held = current[blocking]
+            # held >= 0 >= z, so the denominator is zero only where held is
+            # zero too, and that ratio is zero
+            ratios = held / np.maximum(held - z[blocking], _SUBNORMAL)
+            alpha = float(ratios.min())
+            current += alpha * (z - current)
+            hit = blocking[ratios <= alpha * (1.0 + 1e-12)]
+            current[hit] = 0.0
+            np.maximum(current, 0.0, out=current)
+            rho[sup] = current
+            drops.append(int(hit.size))
+            k = _delete_columns(Q, T, qtb, cols, k, hit)
+        resid = b - Q[:, :k] @ qtb[:k] if k else b
         score = A.T @ resid
         score[score <= slack] = -np.inf
         score[cols[:k]] = -np.inf
@@ -328,33 +384,6 @@ def nnls(S, x, tol: float = DEFAULT_TOL) -> NnlsResult:
         T[k, k] = 1.0 / rkk
         T[:k, k] = (T[:k, :k] @ (c + c2)) * -T[k, k]
         k += 1
-
-        while True:
-            pivots += 1
-            if pivots > budget:
-                raise IterationLimit(f"nnls exceeded {budget} pivots on a {d}x{m} system")
-            sup = cols[:k]
-            z = T[:k, :k] @ qtb[:k]
-            if z.size and z.min() > 0.0:
-                rho[sup] = z
-                break
-            blocking = np.flatnonzero(z <= 0.0)
-            if blocking.size == 0:
-                raise IterationLimit("nnls inner loop stalled on degenerate input")
-            current = rho[sup]
-            held = current[blocking]
-            # held >= 0 >= z, so the denominator is zero only where held is
-            # zero too, and that ratio is zero
-            ratios = held / np.maximum(held - z[blocking], _SUBNORMAL)
-            alpha = float(ratios.min())
-            current += alpha * (z - current)
-            hit = blocking[ratios <= alpha * (1.0 + 1e-12)]
-            current[hit] = 0.0
-            np.maximum(current, 0.0, out=current)
-            rho[sup] = current
-            drops.append(int(hit.size))
-            k = _delete_columns(Q, T, qtb, cols, k, hit)
-        resid = b - Q[:, :k] @ qtb[:k]
 
     rho = np.ldexp(rho, ex - eS)
     return NnlsResult(rho=rho, residual=x - S @ rho, pivots=pivots, drops=tuple(drops))

@@ -189,3 +189,30 @@ def random_cone_instance(rng, d_max, m_max, scale=2.0):
     S = rng.standard_normal((d, m))
     x = scale * rng.standard_normal(d)
     return S, x
+
+
+def monotone_generators(d):
+    """The rows ``e_{i+1} - e_i``, i < d - 1: their dual-form cone is the
+    nondecreasing vectors of R^d."""
+    return np.diff(np.eye(d), axis=0)
+
+
+def pava(x):
+    """Nearest nondecreasing vector to x by pool-adjacent-violators (Barlow,
+    Bartholomew, Bremner & Brunk, *Statistical Inference under Order
+    Restrictions*, 1972): a block whose mean exceeds the next one's is
+    pooled with it, until the block means are nondecreasing."""
+    blocks = []  # [sum, count] of each block, left to right
+    for v in np.asarray(x, dtype=float):
+        blocks.append([v, 1])
+        while len(blocks) > 1 and blocks[-2][0] / blocks[-2][1] > blocks[-1][0] / blocks[-1][1]:
+            total, count = blocks.pop()
+            blocks[-1][0] += total
+            blocks[-1][1] += count
+    return np.repeat([total / count for total, count in blocks], [count for _, count in blocks])
+
+
+def orthant_projection(x):
+    """Nearest point of the nonnegative orthant, the dual-form cone of the
+    unit vectors: ``max(x, 0)``."""
+    return np.maximum(np.asarray(x, dtype=float), 0.0)

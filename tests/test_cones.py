@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conecert.cones
 from conecert import (
@@ -21,8 +23,11 @@ from test_cli import K as K_POINTED, X as X_POINTED
 from oracles import (
     dual_cone_rays,
     dual_projection_bruteforce,
+    monotone_generators,
     null_space_part,
+    orthant_projection,
     orthonormal_dual_projection,
+    pava,
     pinv,
     random_cone_instance,
     zig_statement_flags,
@@ -350,6 +355,14 @@ class TestVerifyCharacterization:
         assert not report["witness_positivity"].passed
         assert not report.passed
 
+    def test_witness_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="witness_e has length 3, expected 2"):
+            verify_characterization([[1, 0], [0, 1]], [-1, -1], [0, 0], witness_e=[1, 0, 0])
+
+    def test_point_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="x0 has length 3, expected 2"):
+            verify_characterization([[1, 0], [0, 1]], [-1, -1], [0, 0, 0])
+
 
 def _near_duplicate_instance(s):
     """Dual projection problem s of a near-duplicate generator set: d in
@@ -468,55 +481,105 @@ def _checks(report):
 
 
 class TestFaceFirstRecertification:
-    """x0 - x is fitted over the face of x0 first, and over all generators
-    only when that fit fails; the certificate must read exactly as with
-    one cold solve over all generators."""
+    """x0 - x is fitted by one solve over all generators started from the
+    face of x0; the certificate must read exactly as with one cold solve."""
 
     def _both(self, monkeypatch, K, x, point):
-        """The face-first report, the cold report, and the number of solves
-        the face-first one made: one for the face fit, two with the fallback."""
+        """The face-first report, the cold report, and the solves the
+        face-first one made, each as its start support and its rho."""
         solves = []
 
-        def counted(S, b, tol):
-            solves.append(S.shape)
-            return nnls(S, b, tol)
+        def counted(S, b, tol, support=None):
+            res = nnls(S, b, tol, support)
+            solves.append((support, res.rho))
+            return res
 
         with monkeypatch.context() as patched:
             patched.setattr(conecert.cones, "nnls", counted)
             face_first = verify_characterization(K, x, point)
         S = K.T
         cold = _characterization(S, x, point, 1e-9, None, lambda diff, face: nnls(S, diff, 1e-9).rho, _lengths(S))
-        return face_first, cold, len(solves)
+        return face_first, cold, solves
 
     def test_same_checks_as_cold_resolve_600(self, monkeypatch):
-        # each projection, and the same point moved 1% of ||x||: only the
-        # moved points, whose difference misses the face's cone, fall back
-        nontrivial = fallbacks = 0
+        # each projection, and the same point moved 1% of ||x||: the moved
+        # points' differences miss the face's cone, so the solve carries on past it
+        nontrivial = off_face = 0
         for s in range(600):
             K, x = _recertification_instance(s)
             point = project_dual(K, x).point
             face_first, cold, solves = self._both(monkeypatch, K, x, point)
             assert _checks(face_first) == _checks(cold), s
-            assert solves <= 1, s
+            assert len(solves) <= 1, s
             nontrivial += "fixed_point" not in _names(cold)
             direction = np.random.default_rng(10_000 + s).standard_normal(x.size)
             moved = point + 0.01 * np.linalg.norm(x) * direction / np.linalg.norm(direction)
             face_first, cold, solves = self._both(monkeypatch, K, x, moved)
             assert _checks(face_first) == _checks(cold), s
-            fallbacks += solves == 2
+            assert len(solves) <= 1, s
+            if solves:
+                face, rho = solves[0]
+                off_face += bool(np.delete(rho, face).any())
         assert nontrivial > 500
-        assert fallbacks > 500
+        assert off_face > 500
 
     def test_near_duplicate_seed_63(self, monkeypatch):
-        # both twins lie on the face here; a solve that put the whole face
-        # into the factor at once kept weight on both and failed
-        # active_count_bound, where the face fit's pivots pick one
+        # both twins lie on the face here; a start factored at the rank rule
+        # d eps kept weight on both and failed active_count_bound, where the
+        # start's rule max(tol, d eps) drops the second twin at set-up
         K, x = _recertification_instance(63)
         face_first, cold, _ = self._both(monkeypatch, K, x, project_dual(K, x).point)
         assert "fixed_point" not in _names(cold)
         assert _checks(face_first) == _checks(cold)
         assert face_first["active_count_bound"].passed
         assert face_first.passed
+
+
+# vectors of length 1..200 made of constant runs of small integers, so
+# with ties, times a scale
+_RUNS = st.tuples(
+    st.lists(st.tuples(st.integers(-20, 20), st.integers(1, 30)), min_size=1, max_size=40),
+    st.floats(1e-6, 1e6),
+).map(lambda runs_scale: runs_scale[1] * np.repeat(*np.array(runs_scale[0]).T)[:200].astype(float))
+
+
+def _random_walk(d, seed):
+    """A random walk of d unit normal steps plus unit normal noise."""
+    rng = np.random.default_rng(seed)
+    return np.cumsum(rng.standard_normal(d)) + rng.standard_normal(d)
+
+
+class TestKnownAnswerCones:
+    """The monotone cone (rows e_{i+1} - e_i) against pool-adjacent-violators
+    and the orthant (rows e_i) against max(x, 0): dual-form cones whose
+    projections have closed forms independent of the library."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_RUNS)
+    def test_monotone_cone_is_pava(self, x):
+        K, fit = monotone_generators(x.size), pava(x)
+        assert np.linalg.norm(project_dual(K, x).point - fit) <= 1e-10 * np.linalg.norm(x)
+        assert verify_characterization(K, x, fit).passed
+
+    @settings(max_examples=100, deadline=None)
+    @given(_RUNS)
+    def test_orthant_is_max_with_zero(self, x):
+        K, fit = np.eye(x.size), orthant_projection(x)
+        assert np.linalg.norm(project_dual(K, x).point - fit) <= 1e-10 * np.linalg.norm(x)
+        assert verify_characterization(K, x, fit).passed
+
+    @pytest.mark.parametrize("d", [50, 200, 500])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_start_at_pavas_ties_returns_in_one_pivot(self, d, seed):
+        # project_dual's solve, started from the constraints PAVA's fit holds
+        # with equality; cold, it takes one pivot per entering constraint
+        x = _random_walk(d, seed)
+        S, fit = monotone_generators(d).T, pava(x)
+        res = nnls(S, -x, support=np.flatnonzero(np.diff(fit) == 0.0))
+        assert res.pivots == 1
+        assert np.linalg.norm(x + S @ res.rho - fit) <= 1e-10 * np.linalg.norm(x)
+        if d <= 200:
+            assert np.linalg.norm(project_dual(S.T, x).point - fit) <= 1e-10 * np.linalg.norm(x)
 
 
 def _polar_part(S, x):

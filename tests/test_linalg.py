@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conecert.linalg
 
@@ -211,6 +213,12 @@ class TestNnls:
         with pytest.raises(IterationLimit):
             nnls(np.eye(2), [1.0, 1.0])
 
+    def test_iteration_limit_raised_on_a_start(self, monkeypatch):
+        # the set-up solve is a pivot like any other
+        monkeypatch.setattr(conecert.linalg, "PIVOTS_PER_ENTRY", 0)
+        with pytest.raises(IterationLimit):
+            nnls(np.eye(2), [1.0, 1.0], support=[0, 1])
+
     @pytest.mark.parametrize("k, j", [(k, j) for k in (-900, 0, 900) for j in (-900, 0, 900) if abs(j - k) <= 900])
     def test_rescaling_is_exact(self, k, j):
         # S and x are divided by powers of two near their largest entries, so the pivots are
@@ -292,7 +300,9 @@ def _refuse_linalg(m):
 def deletions(monkeypatch):
     """`nnls` with every `np.linalg` routine but `norm` (the lengths it takes at
     set-up) made to raise during the call, and the ``(k, hit)`` of each column
-    deletion it makes, in order: the support size and the deleted positions."""
+    deletion it makes, in order: the support size and the deleted positions.
+    A call given a ``support`` may also call `qr` and `inv`, which factor the
+    start; each such call is recorded in order too, as ``"qr"`` or ``"inv"``."""
     seen = []
     delete = conecert.linalg._delete_columns
 
@@ -300,10 +310,22 @@ def deletions(monkeypatch):
         seen.append((k, tuple(int(h) for h in hit)))
         return delete(Q, T, qtb, cols, k, hit)
 
+    def recorded(name):
+        routine = getattr(np.linalg, name)
+
+        def call(*args, **kwargs):
+            seen.append(name)
+            return routine(*args, **kwargs)
+
+        return call
+
     def solve(*args, **kwargs):
         with monkeypatch.context() as m:
             m.setattr(conecert.linalg, "_delete_columns", spy)
+            setup = {name: recorded(name) for name in ("qr", "inv")} if kwargs.get("support") is not None else {}
             _refuse_linalg(m)
+            for name, call in setup.items():
+                m.setattr(np.linalg, name, call)
             return nnls(*args, **kwargs)
 
     return solve, seen
@@ -631,6 +653,78 @@ class TestNnlsFactor:
         obj = float(res.residual @ res.residual)
         assert abs(obj - ref_norm**2) <= 1e-9 * float(x @ x)
         assert np.array_equal(np.flatnonzero(res.rho), np.flatnonzero(ref))
+
+
+def _same_objective(S, x, res, cold):
+    """``||x - S rho||`` of res within 1e-10 ||x|| of the cold solve's."""
+    return abs(np.linalg.norm(res.residual) - np.linalg.norm(cold.residual)) <= 1e-10 * np.linalg.norm(x)
+
+
+class TestNnlsStart:
+    """`nnls` started from a given support."""
+
+    def test_no_support_is_the_cold_solve(self):
+        rng = np.random.default_rng(37)
+        instances = [random_cone_instance(rng, d_max=6, m_max=8) for _ in range(100)]
+        instances.append((rng.standard_normal((60, 300)), rng.standard_normal(60)))
+        for S, x in instances:
+            cold = nnls(S, x)
+            for support in (None, (), np.zeros(0, dtype=int)):
+                res = nnls(S, x, support=support)
+                assert np.array_equal(res.rho, cold.rho) and np.array_equal(res.residual, cold.residual)
+                assert (res.pivots, res.drops) == (cold.pivots, cold.drops)
+
+    @pytest.mark.parametrize("d, m", [(5, 12), (20, 80), (60, 300)])
+    def test_the_cold_support_returns_in_one_pivot(self, d, m):
+        rng = np.random.default_rng(41 + d)
+        for _ in range(20):
+            S, x = rng.standard_normal((d, m)), rng.standard_normal(d)
+            cold = nnls(S, x)
+            res = nnls(S, x, support=np.flatnonzero(cold.rho))
+            assert res.pivots == 1 and res.drops == ()
+            assert _same_objective(S, x, res, cold)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_any_start_reaches_the_cold_objective(self, data):
+        d, m = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 16))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        S = rng.standard_normal((d, m))
+        # copies and 1e-12 near-duplicates of other columns
+        for i, j, gap in data.draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1), st.sampled_from([0.0, 1e-12])), max_size=4)):
+            S[:, j] = S[:, i] + gap * np.linalg.norm(S[:, i]) * rng.standard_normal(d)
+        # a target off the cone, or a positive combination of a few columns
+        x = rng.standard_normal(d) if data.draw(st.booleans()) else S[:, : min(m, 3)] @ rng.uniform(0.5, 1.5, min(m, 3))
+        # any index list, repeats and more than d columns included
+        start = data.draw(st.lists(st.integers(0, m - 1), max_size=2 * m))
+        res = nnls(S, x, support=start)
+        assert _same_objective(S, x, res, nnls(S, x))
+        assert _kkt_holds(S, x, res)
+
+    @pytest.mark.parametrize("support", [[-1], [3], [0, 1, 7], [0.0, 1.0], [True, False, True]])
+    def test_support_not_column_indices(self, support):
+        with pytest.raises(ValueError, match="support must hold column indices"):
+            nnls(np.eye(3), [1.0, 2.0, 3.0], support=support)
+
+    def test_start_factored_once_at_set_up(self, deletions):
+        # half the answer's support and a quarter of d other columns: entries
+        # and blocking steps follow set-up's one qr and one inv, with no
+        # LAPACK call of their own
+        solve, seen = deletions
+        rng = np.random.default_rng(97)
+        for d in (10, 20, 40):
+            S, x = rng.standard_normal((d, 4 * d)), rng.standard_normal(d)
+            cold = nnls(S, x)
+            support = np.flatnonzero(cold.rho)
+            start = np.concatenate([support[::2], rng.choice(np.setdiff1d(np.arange(4 * d), support), d // 4, replace=False)])
+            seen.clear()
+            res = solve(S, x, support=start)
+            assert seen[:2] == ["qr", "inv"]
+            assert "qr" not in seen[2:] and "inv" not in seen[2:]
+            assert len(seen) > 4 and len(res.drops) > 2
+            assert np.setdiff1d(np.flatnonzero(res.rho), start).size > 2
+            assert _same_objective(S, x, res, cold)
+            assert _kkt_holds(S, x, res)
 
 
 class TestCaratheodoryReduce:
