@@ -309,16 +309,15 @@ def _render_text(report: dict) -> str:
 
 
 def _dump_csv(report: dict, csv_path: str) -> None:
+    """A header, then one row per node, component or sample of the result;
+    a run with no result writes the header alone."""
     kind = report["kind"]
     result = report["result"] or {}
     if kind == "quadrature":
         rows = ["node,weight"] + [f"{t!r},{w!r}" for t, w in zip(result.get("nodes", []), result.get("weights", []))]
     elif kind == "shape":
-        coeffs = result.get("monomial_coeffs", [])
-        rows = ["t,solution"]
-        for t in np.linspace(-1.0, 1.0, 201).tolist():
-            val = float(np.polynomial.polynomial.polyval(t, coeffs)) if coeffs else 0.0
-            rows.append(f"{t!r},{val!r}")
+        ts = np.linspace(-1.0, 1.0, 201).tolist() if result else []
+        rows = ["t,solution"] + [f"{t!r},{float(np.polynomial.polynomial.polyval(t, result['monomial_coeffs']))!r}" for t in ts]
     else:
         if kind == "project":
             column, vec = "point", result.get("point", [])

@@ -84,10 +84,10 @@ class Membership:
 class ZigDecomposition:
     """Joint cone/dual-cone decomposition of x through the synthesis operator S.
 
-    ``x = pc + x0 + z`` with ``pc = S rho`` and ``z = -pinv(S^T) eta``;
-    ``pc + pdual = x`` is Moreau's split, and when x lies in ``K^-``
-    (``rho`` all zero) ``x0`` and ``z`` are its parts in and orthogonal
-    to the null space of ``S^T``.
+    ``x = pc + x0 + z`` with ``pc = S rho``; ``pc + pdual = x`` is Moreau's
+    split, and ``x0`` and ``z`` are the parts of pdual in the null space of
+    ``S^T`` and in the range of S.  z equals ``-pinv(S^T) eta`` whenever the
+    NNLS solve leaves no positive product ``<k_i, pdual>``.
     """
 
     rho: np.ndarray
@@ -117,10 +117,8 @@ def _of_length(v, name: str, d: int) -> Optional[np.ndarray]:
 
 def _active_indices(rho: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The generators whose share ``rho_i ||k_i||`` of ``S rho`` is above ACTIVE_RTOL times the largest."""
-    if rho.size == 0:
-        return np.zeros(0, dtype=int)
     share = rho * lengths
-    return np.flatnonzero(share > ACTIVE_RTOL * float(np.abs(share).max()))
+    return np.flatnonzero(share > ACTIVE_RTOL * float(np.abs(share).max(initial=0.0)))
 
 
 def positive_relative_test(gamma, x, tol: float = DEFAULT_TOL) -> Membership:
@@ -138,14 +136,20 @@ def positive_relative_test(gamma, x, tol: float = DEFAULT_TOL) -> Membership:
     return Membership("cone", False, None, sol.residual, G, xv)
 
 
+def _span_fit(S, xv) -> np.ndarray:
+    """Coefficients c of the minimum-norm least-squares fit of x over the columns
+    of S divided by their lengths: ``S c`` is the projection of x onto range(S)."""
+    lengths = _lengths(S)
+    return np.linalg.lstsq(S / lengths, xv, rcond=None)[0] / lengths
+
+
 def span_membership(gamma, x, tol: float = DEFAULT_TOL) -> Membership:
     """Decide membership of x in span(gamma) by one least-squares fit over
-    the generators divided by their lengths, whose residual is the witness,
-    orthogonal to gamma.  An empty gamma spans {0}, by the same rule."""
+    the generators divided by their lengths (`_span_fit`), whose residual is
+    the witness, orthogonal to gamma.  An empty gamma spans {0}, by the same rule."""
     xv = as_vector(x)
     G = generator_matrix(gamma, dim=xv.size)
-    lengths = _lengths(G)
-    coeffs = np.linalg.lstsq(G / lengths, xv, rcond=None)[0] / lengths
+    coeffs = _span_fit(G, xv)
     residual = xv - G @ coeffs
     if _member(residual, xv, tol):
         return Membership("span", True, coeffs, None, G, xv)
@@ -195,10 +199,8 @@ def _optimality(result: ProjectionResult, lengths) -> tuple:
     else:
         point = xv + S @ rho
         inner = _products(S, point, lengths)
-    kkt = max(0.0, -float(inner.min(initial=0.0)))
     active = _active_indices(rho, lengths)
-    if active.size:
-        kkt = max(kkt, float(np.abs(inner[active]).max()))
+    kkt = max(0.0, -float(inner.min(initial=0.0)), float(np.abs(inner[active]).max(initial=0.0)))
     return kkt, _split_product(xv - point, point, xv)
 
 
@@ -248,20 +250,23 @@ def project_dual(K, x, tol: float = DEFAULT_TOL, witness_e=None) -> ProjectionRe
 
 def _characterization(S, xv, x0v, tol: float, witness_e, multipliers, lengths) -> CertificateReport:
     """`verify_characterization`'s checks on ``rho = multipliers(x0 - x, face)``,
-    ``face`` the generators within the ``active_orthogonality`` threshold; products
-    with x0 = x + S rho are judged against ``_scale(x)``, ranks on unit generators."""
+    ``face`` the generators within the ``active_orthogonality`` threshold where
+    it can be the support (x0 off the apex, at most d generators), else None;
+    products with x0 = x + S rho are judged against ``_scale(x)``, ranks on unit generators."""
     report = CertificateReport()
     if witness_e is not None:
-        report.add_margin("witness_positivity", _products(S, witness_e, lengths).min() if S.shape[1] else 1.0)
+        report.add_margin("witness_positivity", _products(S, witness_e, lengths).min(initial=np.inf))
 
     limit = _scale(xv, tol)
     inner_x = _products(S, xv, lengths)
-    if S.shape[1] == 0 or float(inner_x.min()) >= -limit:
+    if float(inner_x.min(initial=0.0)) >= -limit:
         report.add("fixed_point", _norm(x0v - xv), limit)
         return report
     inner = _products(S, x0v, lengths)
     diff = x0v - xv
-    rho = multipliers(diff, np.flatnonzero(np.abs(inner) <= limit))
+    off_apex = _norm(x0v) > limit
+    face = np.flatnonzero(np.abs(inner) <= limit)
+    rho = multipliers(diff, face if off_apex and face.size <= xv.size else None)
     report.add("difference_in_cone", _norm(diff - S @ rho), _scale(diff, tol))
 
     active = _active_indices(rho, lengths)
@@ -273,7 +278,7 @@ def _characterization(S, xv, x0v, tol: float, witness_e, multipliers, lengths) -
         report.add("positive_multipliers", max(0.0, -float(rho.min())), 0.0)
         report.add("active_orthogonality", np.abs(inner[active]).max(), limit)
     report.add("point_in_cone", max(0.0, -float(inner.min())), limit)
-    bound = xv.size - 1 if _norm(x0v) > limit else xv.size
+    bound = xv.size - 1 if off_apex else xv.size
     report.add("active_count_bound", m - bound, 0.0)
     report.add_margin("infeasible_direction_exists", -inner_x.min())
     return report
@@ -299,7 +304,8 @@ def verify_characterization(K, x, x0, tol: float = DEFAULT_TOL, witness_e=None) 
     carry weight, so rho is one NNLS solve over all of K started from the
     face (`nnls`'s ``support``): at the projection the face's multipliers
     end it in one pivot, and a point that is not the projection is judged
-    on the best multipliers the cone offers.
+    on the best multipliers the cone offers.  A face that cannot be the
+    support (x0 = 0, or more than d generators) is no start: the solve is cold.
 
     When x already lies in the cone the report instead records the
     trivial fixed-point check ``x0 == x``.  A provided ``witness_e`` adds
@@ -326,31 +332,31 @@ def dual_projection_certificate(result: ProjectionResult, tol: float = DEFAULT_T
 def zig_decompose(K, x, tol: float = DEFAULT_TOL) -> ZigDecomposition:
     """Decompose x through the synthesis operator of cone(K).
 
-    Returns ``rho`` and ``eta`` nonnegative with ``<rho, eta> = 0``,
-    ``x0`` the component of x in the null space of ``S^T``,
-    ``z = -pinv(S^T) eta``, and the two Moreau parts ``pc`` and
-    ``pdual``, from `project_generated`'s rho and point; `zig_certificate`
-    re-checks it.
+    Returns ``rho`` and ``eta = max(-S^T pdual, 0)``, nonnegative with
+    ``<rho, eta> = 0``, the two Moreau parts ``pc`` and ``pdual`` from
+    `project_generated`'s rho and point, and the split of pdual by the
+    null space of ``S^T``.  With ``P x`` the projection of x onto the range
+    of S, the fit `span_membership` makes (`_span_fit`), ``x0 = x - P x``
+    is the part of x in that null space and ``z = P x - pc`` the part of
+    pdual in the range of S, so ``x = pc + x0 + z`` and ``pdual = x0 + z``
+    hold by construction; `zig_certificate` re-checks it.  x0 is the fit's
+    residual fitted once more, as Gram-Schmidt reorthogonalises: nearly
+    parallel generators make c large, and with it the rounding of ``x - S c``.
+
+    z equals ``-pinv(S^T) eta`` whenever the NNLS solve leaves no positive
+    product ``<k_i, pdual>``; one it leaves inside its slack is kept in z
+    and cut from eta, and `zig_certificate`'s statement (2) bounds it.
 
     y lies in the polar cone ``K^-`` within the NNLS slack
     ``tol ||y|| ||k_i||`` exactly when ``rho`` is all zero; then
     ``pdual = y`` and ``y = x0 + z``.
-
-    ``pinv(S^T) @ v`` is the minimum-norm least-squares solution of
-    ``S^T z = v`` with each equation divided by ``||k_i||`` (the same z for
-    consistent equations, at a conditioning blind to the lengths), one
-    ``np.linalg.lstsq`` for ``S^T x`` and ``eta`` at the library's rank
-    rule; the eta column's residual, outside the row space, is bounded by
-    `zig_certificate`'s statement (2).
     """
     proj = project_generated(K, x, tol)
     S, xv, pc = proj.S, proj.x, proj.point
     pdual = xv - pc
-    eta = np.maximum(-(S.T @ pdual), 0.0)
-    # eta_i / ||k_i||, the normalised product of k_i with -pdual
-    eta_along = np.maximum(-_products(S, pdual), 0.0)
-    along, lift = np.linalg.lstsq((S / _lengths(S)).T, np.column_stack([_products(S, xv), eta_along]), rcond=None)[0].T
-    return ZigDecomposition(rho=proj.rho, x0=xv - along, eta=eta, z=-lift, pc=pc, pdual=pdual, S=S, x=xv)
+    x0 = xv - S @ _span_fit(S, xv)
+    x0 -= S @ _span_fit(S, x0)
+    return ZigDecomposition(rho=proj.rho, x0=x0, eta=np.maximum(-(S.T @ pdual), 0.0), z=xv - x0 - pc, pc=pc, pdual=pdual, S=S, x=xv)
 
 
 def zig_certificate(result: ZigDecomposition, tol: float = DEFAULT_TOL) -> CertificateReport:

@@ -5,12 +5,14 @@ positive weights that integrates every polynomial of degree <= n exactly.
 The construction here fits nonnegative weights on a Chebyshev candidate
 grid to the moments of the orthonormal shifted-Legendre basis.  Any
 `MomentSpec` may be fitted; for integration (`integral_moments`) the
-moment vector is (sqrt(b - a), 0, ..., 0).  The support of that one
-Lawson-Hanson solve is already an independent set of evaluation vectors,
-so it is the rule, and it is checked against the spec's own moments,
-within ``tol ||moments||`` (the library's one rule), so that no answer
-depends on the units of [a, b].  The rule holds its spec, and
-`rule_certificate(rule, tol)` re-checks it against that spec alone.
+moment vector is (sqrt(b - a), 0, ..., 0).  A rule exists exactly when
+the moments lie in the cone of the grid's evaluation vectors, so the fit
+is the cone module's membership test (`positive_relative_test`), within
+``tol ||moments||`` (the library's one rule), and no answer depends on
+the units of [a, b].  The support of its one Lawson-Hanson solve is an
+independent set of evaluation vectors, so it is the rule.  The rule
+holds its spec, and `rule_certificate(rule, tol)` re-checks it against
+that spec alone.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import CertificateReport
+from .cones import positive_relative_test
 from .errors import BadInterval, MomentFitFailed
 from .legendre import LegendreBasis, chebyshev_points
-from .linalg import DEFAULT_TOL, _member, _norm, _scale, nnls
+from .linalg import DEFAULT_TOL, _norm, _scale
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,32 +98,31 @@ def positive_quadrature(spec: MomentSpec, grid_size: int) -> QuadratureRule:
     """Construct a positive rule matching the moments, on <= n + 1 nodes.
 
     Candidate nodes are Chebyshev points of the interval (clustered at
-    the endpoints for conditioning); weights come from one nonnegative
-    least-squares fit to the moments at `DEFAULT_TOL`.  The Lawson-Hanson
-    support, the nodes of positive weight, is a linearly independent set
-    of evaluation vectors in R^(n+1), which caps it at n + 1 nodes.  Any
-    `MomentSpec` is fitted, and the rule is checked against its moments.
+    the endpoints for conditioning); the weights are the coefficients of
+    one `positive_relative_test` of the moments against the candidates'
+    evaluation vectors at `DEFAULT_TOL`.  Its Lawson-Hanson support, the
+    nodes of positive weight, is a linearly independent set of evaluation
+    vectors in R^(n+1), which caps it at n + 1 nodes.  Any `MomentSpec` is
+    fitted.
 
     Raises
     ------
     MomentFitFailed
-        If the moments of the rule miss those of ``spec`` by more than
-        ``DEFAULT_TOL ||moments||`` (grid too coarse; retry denser).
+        If the moments are not a member of that cone: the fit misses them
+        by more than ``DEFAULT_TOL ||moments||`` (grid too coarse; retry denser).
     """
     a, b = spec.interval
     n = spec.degree
     if grid_size < 4 * (n + 1):
         raise ValueError("grid_size must be at least 4 (n + 1)")
     grid = chebyshev_points(grid_size, a, b)
-    sol = nnls(shifted_basis_values(n, a, b, grid), spec.moments, DEFAULT_TOL)
-    # the support indices and the grid both ascend, so the nodes do too
-    support = np.flatnonzero(sol.rho)
-    rule = QuadratureRule(nodes=grid[support], weights=sol.rho[support], spec=spec)
-    residual = _moment_residual(rule, spec)
-    if not _member(residual, spec.moments, DEFAULT_TOL):
+    fit = positive_relative_test(shifted_basis_values(n, a, b, grid).T, spec.moments, DEFAULT_TOL)
+    if not fit.member:
         limit = _scale(spec.moments, DEFAULT_TOL)
-        raise MomentFitFailed(f"moment fit missed by {np.linalg.norm(residual):.3e} > {limit:.3e} on a {grid_size}-point grid")
-    return rule
+        raise MomentFitFailed(f"moment fit missed by {_norm(fit.witness):.3e} > {limit:.3e} on a {grid_size}-point grid")
+    # the grid ascends, so the nodes do too
+    support = fit.coefficients > 0.0
+    return QuadratureRule(nodes=grid[support], weights=fit.coefficients[support], spec=spec)
 
 
 def _moment_residual(rule: QuadratureRule, spec: MomentSpec) -> np.ndarray:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import conecert.cli as cli
+import conecert.linalg
 from conecert import (
     FarkasVerification,
     IterationLimit,
@@ -680,3 +681,20 @@ class TestOtherFormats:
         rc, _ = _run(tmp_path, kind, problem, "--dump-csv", str(csv))
         assert rc == 0
         assert csv.read_text().splitlines()[0] == header
+
+    @pytest.mark.parametrize(
+        "kind, problem, header",
+        [
+            ("project", {"kind": "project", "generators": K, "point": X}, "component,point"),
+            ("quadrature", {"kind": "quadrature", "degree": 3, "interval": [-1.0, 1.0]}, "node,weight"),
+            ("shape", {"kind": "shape", "n": 2, "r": 1, "grid_size": 12, "target": {"legendre": [0.3, -1.0, 0.5]}}, "t,solution"),
+        ],
+    )
+    def test_csv_of_a_run_that_gave_up_is_the_header(self, tmp_path, monkeypatch, kind, problem, header):
+        # with no pivot allowed every solve raises IterationLimit: no result, so no rows
+        monkeypatch.setattr(conecert.linalg, "PIVOTS_PER_ENTRY", 0)
+        csv = tmp_path / "table.csv"
+        rc, rep = _run(tmp_path, kind, problem, "--dump-csv", str(csv))
+        assert rc == 2
+        assert rep["result"] is None and rep["error"].startswith("IterationLimit")
+        assert csv.read_text().splitlines() == [header]

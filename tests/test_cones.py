@@ -523,6 +523,37 @@ class TestFaceFirstRecertification:
         assert nontrivial > 500
         assert off_face > 500
 
+    def test_face_is_a_start_only_where_it_can_be_the_support(self, monkeypatch):
+        # at x0 = 0, or with more than d generators, set-up would factor the face
+        # and the inner loop drop most of it again: there the solve is cold, and
+        # a started solve hardly ever takes more pivots than a cold one
+        started = slower = 0
+        for s in range(600):
+            K, x = _recertification_instance(s)
+            point = project_dual(K, x).point
+            solves = []
+
+            def counted(S, b, tol, support=None):
+                solves.append((support, nnls(S, b, tol, support)))
+                return solves[-1][1]
+
+            with monkeypatch.context() as patched:
+                patched.setattr(conecert.cones, "nnls", counted)
+                verify_characterization(K, x, point)
+            if not solves:
+                continue
+            [(support, res)] = solves
+            limit = 1e-9 * np.linalg.norm(x)
+            face = np.flatnonzero(np.abs(K @ point) / np.linalg.norm(K, axis=1) <= limit)
+            if np.linalg.norm(point) > limit and face.size <= x.size:
+                assert np.array_equal(support, face), s
+                started += 1
+                slower += res.pivots > nnls(K.T, point - x).pivots
+            else:
+                assert support is None, s
+        assert started > 100
+        assert slower <= 1
+
     def test_near_duplicate_seed_63(self, monkeypatch):
         # both twins lie on the face here; a start factored at the rank rule
         # d eps kept weight on both and failed active_count_bound, where the
@@ -666,6 +697,31 @@ class TestZigDecompose:
         # pc that is not S rho
         moved = dataclasses.replace(dec, pc=dec.pc + [0.0, 1.0], x0=dec.x0 - [0.0, 1.0], pdual=dec.pdual - [0.0, 1.0])
         assert [c.name for c in zig_certificate(moved).checks if not c.passed] == ["statement4_projection_formulas"]
+
+    @pytest.mark.parametrize(
+        "key, twin, tol, trials",
+        [
+            # the solve can stop with a product <k_i, pdual> positive inside its
+            # slack; a z fitted to eta, where it is clipped to 0, missed statements
+            # (1) and (3) by the product over sigma_min
+            ([5, 0], 1e-3, 1e-6, (333, 546, 1639)),
+            ([5, 2], 1e-3, 1e-6, (826, 1307, 1362, 1612)),
+            # twins 1e-6 apart make the span fit's coefficients about 1e6 |x|: with
+            # x0 = x - S c taken once, S^T x0 missed statements (2) and (4)
+            ([6, 0], 1e-6, 1e-9, (82, 128, 156, 180, 303)),
+        ],
+    )
+    def test_nearly_parallel_generators(self, key, twin, tol, trials):
+        # K's last generator is its first plus `twin` N(0, I); of 2,000 cones
+        # drawn per key, the trials listed are those the splits above failed
+        rng = np.random.default_rng(key)
+        for trial in range(max(trials) + 1):
+            d, m = int(rng.integers(2, 7)), int(rng.integers(2, 9))
+            K = rng.standard_normal((m, d))
+            K[-1] = K[0] + twin * rng.standard_normal(d)
+            x = rng.standard_normal(d)
+            if trial in trials:
+                assert zig_certificate(zig_decompose(K, x, tol=tol), tol=tol).passed, trial
 
     def test_all_statements_random(self):
         rng = np.random.default_rng(71)
