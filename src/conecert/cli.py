@@ -322,7 +322,7 @@ def _dump_csv(report: dict, csv_path: str) -> None:
         if kind == "project":
             column, vec = "point", result.get("point", [])
         elif kind == "farkas":
-            column, vec = "value", result.get("y") or result.get("x") or []
+            column, vec = "value", result.get("y") or result.get("x") or result.get("feasible_point") or []
         else:
             column, vec = "value", result.get("coefficients") or result.get("witness") or []
         rows = [f"component,{column}"] + [f"{i},{v!r}" for i, v in enumerate(vec)]

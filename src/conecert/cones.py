@@ -121,16 +121,18 @@ def _active_indices(rho: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.flatnonzero(share > ACTIVE_RTOL * float(np.abs(share).max(initial=0.0)))
 
 
-def positive_relative_test(gamma, x, tol: float = DEFAULT_TOL) -> Membership:
+def positive_relative_test(gamma, x, tol: float = DEFAULT_TOL, support=None) -> Membership:
     """Decide membership of x in the closed conical hull of gamma.
 
     A member's coefficients are nonnegative multipliers reproducing x;
     otherwise the witness w has ``<g, w> / ||g||`` at most ``tol ||x||``
-    for every g in gamma while ``<x, w> = ||w||^2 > 0``.
+    for every g in gamma while ``<x, w> = ||w||^2 > 0``.  ``support``
+    (indices into gamma) is passed to `nnls` as its start: it changes
+    the pivots taken, not the decision or the meaning of the witness.
     """
     xv = as_vector(x)
     G = generator_matrix(gamma, dim=xv.size)
-    sol = nnls(G, xv, tol)
+    sol = nnls(G, xv, tol, support)
     if _member(sol.residual, xv, tol):
         return Membership("cone", True, sol.rho, None, G, xv)
     return Membership("cone", False, None, sol.residual, G, xv)

@@ -292,7 +292,8 @@ def nnls(S, x, tol: float = DEFAULT_TOL, support=None) -> NnlsResult:
         raise ValueError("dimension mismatch between S and x")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be positive and finite")
-    start = np.empty(0, dtype=np.intp) if support is None else np.unique(np.asarray(support))
+    # sorted(set()), not np.unique, whose first call in a process imports numpy.ma (about 10 ms)
+    start = np.empty(0, dtype=np.intp) if support is None else np.array(sorted(set(np.ravel(support).tolist())))
     if start.size and (start.dtype.kind not in "iu" or not 0 <= start[0] <= start[-1] < m):
         raise ValueError(f"support must hold column indices in [0, {m})")
     budget = PIVOTS_PER_ENTRY * m * d

@@ -392,7 +392,7 @@ PINNED = {
         ('implication_multipliers', 0.0, True),
     ),
     "quadrature": (
-        ('basis_exactness', 3.447170978769293e-16, True),
+        ('basis_exactness', 2.833924464077117e-16, True),
         ('node_count_bound', 0.0, True),
         ('weights_positive', 0.0, True),
         ('nodes_in_interval', 0.0, True),
@@ -666,6 +666,17 @@ class TestOtherFormats:
         assert lines[0] == "node,weight"
         rows = [tuple(float(v) for v in line.split(",")) for line in lines[1:]]
         assert rows == list(zip(rep["result"]["nodes"], rep["result"]["weights"]))
+
+    def test_csv_pairs(self, tmp_path):
+        # a pairs result has neither y nor x: its rows are the feasible point
+        csv = tmp_path / "point.csv"
+        rc, rep = _run(tmp_path, "farkas", {"kind": "farkas", "pairs": BOX, "b": [1.0, 1.0], "r": 3.0}, "--dump-csv", str(csv))
+        assert rc == 0
+        lines = csv.read_text().splitlines()
+        assert lines[0] == "component,value"
+        rows = [(int(i), float(v)) for i, v in (line.split(",") for line in lines[1:])]
+        assert rows == list(enumerate(rep["result"]["feasible_point"]))
+        assert len(rows) == 2
 
     @pytest.mark.parametrize(
         "kind, problem, header",

@@ -3,14 +3,18 @@ import dataclasses
 import numpy as np
 import pytest
 
+import conecert.cones
 from conecert import (
     BadInterval,
     MomentFitFailed,
     MomentSpec,
     integral_moments,
     positive_quadrature,
+    positive_relative_test,
 )
-from conecert.quadrature import rule_certificate, verify_exactness
+from conecert.legendre import chebyshev_points
+from conecert.linalg import nnls
+from conecert.quadrature import rule_certificate, shifted_basis_values, verify_exactness
 
 
 def _apply_rule(rule, f):
@@ -142,6 +146,57 @@ class TestPositiveQuadrature:
             L = max(abs(a), abs(b), 1.0)
             scale = sum(abs(c) * L ** (k + 1) for k, c in enumerate(coeffs))
             assert abs(got - exact) <= 1e-7 * (1.0 + scale)
+
+
+# nonnegative weights on [-1, 1]: the integral and four others, two of them not smooth
+WEIGHTS = {
+    "1": np.ones_like,
+    "1+t": lambda t: 1.0 + t,
+    "|t|": np.abs,
+    "exp(3t)": lambda t: np.exp(3.0 * t),
+    "sqrt(1-t^2)": lambda t: np.sqrt(1.0 - t * t),
+}
+
+
+def _weight_spec(weight, n):
+    """The moments of ``weight`` on [-1, 1], by 200-point Gauss-Legendre."""
+    t, g = np.polynomial.legendre.leggauss(200)
+    return MomentSpec((-1.0, 1.0), n, shifted_basis_values(n, -1.0, 1.0, t) @ (g * WEIGHTS[weight](t)))
+
+
+class TestClenshawCurtisStart:
+    """The fit starts `nnls` at the n + 1 grid points nearest the
+    Clenshaw-Curtis nodes; the start changes the pivots, not the answer."""
+
+    @pytest.mark.parametrize("weight", list(WEIGHTS))
+    @pytest.mark.parametrize("n", [0, 1, 7, 12, 20, 40])
+    @pytest.mark.parametrize("per_moment", [4, 8])
+    def test_same_decision_as_the_cold_test(self, weight, n, per_moment):
+        spec, grid_size = _weight_spec(weight, n), per_moment * (n + 1)
+        E = shifted_basis_values(n, -1.0, 1.0, chebyshev_points(grid_size))
+        cold = positive_relative_test(E.T, spec.moments)
+        try:
+            rule = positive_quadrature(spec, grid_size)
+        except MomentFitFailed:
+            rule = None
+        assert (rule is not None) == cold.member
+        if rule is not None:
+            assert rule_certificate(rule).passed
+
+    @pytest.mark.parametrize("n", [7, 12, 20, 30, 40])
+    def test_the_integral_takes_one_pivot(self, monkeypatch, n):
+        # the Clenshaw-Curtis weights are positive, so the start is the answer
+        solves = []
+
+        def spy(*args, **kwargs):
+            solves.append(nnls(*args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(conecert.cones, "nnls", spy)
+        rule = positive_quadrature(integral_moments(n, -1.0, 1.0), 8 * (n + 1))
+        assert [sol.pivots for sol in solves] == [1]
+        assert rule.nodes.size == n + 1
+        assert rule_certificate(rule).passed
 
 
 class TestApplyRule:
