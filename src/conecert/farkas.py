@@ -342,8 +342,10 @@ def generalized_farkas(pairs, b, r, tol: float = DEFAULT_TOL) -> GenFarkasReport
         excess, margin = _excess(bv[None], np.array([r]), feasible, tol)
         if feasible.any():
             w = augmented(gaps, -excess)[2]
-        u, t = w[:-1], min(float(w[-1]), 0.0)
-        rate = float(bv @ u)
+        # the witness divided by its length, so that <b, u> stays in the float range for entries of 1e200
+        length = float(_norm(w[:-1])) or 1.0
+        u, t = w[:-1] / length, min(float(w[-1]), 0.0) / length
+        rate = float(_products(bv[:, None], u)[0]) * float(_norm(bv))
         candidate = feasible
         if rate > 0.0:
             need = max(margin - excess, 0.0) / rate

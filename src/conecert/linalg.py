@@ -12,13 +12,14 @@ threshold use them, so no answer depends on the units of x or k_i.
 Everything here is pure and thread-safe.
 
 `nnls` is the Lawson-Hanson active-set method on an orthogonal factor
-of its support, kept up to date pivot by pivot, so that a pivot costs
-mat-vecs and no LAPACK call, and it can start from a given support,
-factored once at set-up; its docstring gives the details.  Its
-support is linearly independent by its rank rule, so Caratheodory
-reduction (`caratheodory_reduce`) is that support.  The truncated SVD
-(`svd_factors`) has no caller in the library; both stay, outside the
-package namespace, only while the benchmark's traced run wraps them.
+of its support, kept up to date pivot by pivot in one buffer
+``[Q^T x; Q; R^-1]``, so that a pivot costs mat-vecs and no LAPACK
+call, and it can start from a given support, factored once at set-up;
+its docstring gives the details.  Its support is linearly independent
+by its rank rule, so Caratheodory reduction (`caratheodory_reduce`) is
+that support.  The truncated SVD (`svd_factors`) has no caller in the
+library; both stay, outside the package namespace, only while the
+benchmark's traced run wraps them.
 """
 
 from __future__ import annotations
@@ -167,20 +168,19 @@ class NnlsResult:
     drops: tuple
 
 
-def _delete_columns(Q, T, qtb, cols, k: int, hit) -> int:
+def _delete_columns(F, cols, k: int, hit) -> int:
     """Delete the support positions ``hit`` (sorted) from the factor
-    ``A[:, cols[:k]] = Q[:, :k] R`` with ``T = R^-1`` and ``qtb = Q^T b``,
-    in place, one Householder reflection each, as the `nnls` docstring
-    describes; return the new support size."""
+    ``A[:, cols[:k]] = Q R`` in `nnls`'s one buffer ``F = [Q^T b; Q; T]``,
+    ``T = R^-1`` its last ``cols.size`` rows, in place, one Householder
+    reflection each as the `nnls` docstring describes; return the new support size."""
+    T = F[-cols.size:]
     for p in hit[::-1]:
         # H maps row p of T, orthogonal to every other column of R, onto the last axis
         y = T[p, :k] / np.abs(T[p, :k]).max()
         y /= math.sqrt(y @ y)
         y[-1] += math.copysign(1.0, y[-1])
         v = y / math.sqrt(abs(y[-1]))
-        Q[:, :k] -= np.outer(Q[:, :k] @ v, v)
-        T[:k, :k] -= np.outer(T[:k, :k] @ v, v)
-        qtb[:k] -= (v @ qtb[:k]) * v
+        F[:, :k] -= np.outer(F[:, :k] @ v, v)
         k -= 1
         T[p, :k] = T[k, :k]
         cols[p] = cols[k]
@@ -202,13 +202,13 @@ def nnls(S, x, tol: float = DEFAULT_TOL, support=None) -> NnlsResult:
     The support columns are kept as a factor ``S[:, support] = Q R`` with
     Q orthonormal and R invertible (triangular until the first blocking
     step), together with ``Q^T x`` and the inverse ``T = R^-1`` (Lawson &
-    Hanson, *Solving Least Squares Problems*, 1974, ch. 23-24), in buffers
-    of ``min(d, m)`` columns allocated once per call; R itself is not
-    stored.  Each pivot's least-squares solution on the support is then
-    one product ``z = T Q^T x``, right for any invertible R: no fresh
-    least-squares problem, no LU solve and no LAPACK call after set-up.
-    The factor is of the columns themselves, not of the Gram matrix
-    ``S^T S``, whose condition number is the square.
+    Hanson, *Solving Least Squares Problems*, 1974, ch. 23-24), stacked in
+    one buffer ``F = [Q^T x; Q; T]`` of ``min(d, m)`` columns allocated
+    once per call; R itself is not stored.  Each pivot's least-squares
+    solution on the support is then one product ``z = T Q^T x``, right
+    for any invertible R: no fresh least-squares problem, no LU solve and
+    no LAPACK call after set-up.  The factor is of the columns themselves,
+    not of the Gram matrix ``S^T S``, whose condition number is the square.
 
     * An entering column is appended to Q by one Gram-Schmidt step with
       one reorthogonalisation, O(d k) for a support of k columns, which
@@ -219,8 +219,8 @@ def nnls(S, x, tol: float = DEFAULT_TOL, support=None) -> NnlsResult:
       by one Householder reflection H, O(d k) (Golub & Van Loan, *Matrix
       Computations*, sec. 5.1).  Row p of T is orthogonal to every column
       of R but the p-th, as ``T R = I``; H maps it to a multiple of
-      e_{k-1} and is applied as ``Q <- Q H``, ``T <- T H``,
-      ``Q^T x <- H Q^T x``.  Then no other column of ``H R`` reaches
+      e_{k-1} and is applied once to the stacked buffer, ``F <- F H``,
+      with ``Q^T x`` a row of F.  Then no other column of ``H R`` reaches
       row k - 1, so the first k - 1 columns of Q span the kept columns,
       and the rows of T but the p-th, on their first k - 1 entries, are
       the new T.  Support position k - 1 moves into p.
@@ -305,14 +305,13 @@ def nnls(S, x, tol: float = DEFAULT_TOL, support=None) -> NnlsResult:
     slack = _scale(b, tol) * colnorm
     # an entering column whose remainder is at or below floor * ||a|| is dependent
     floor = d * _EPS
-    # the factor of the support, A[:, cols[:k]] = Q[:, :k] @ R, kept as Q and T = R^-1
+    # the factor of the support, A[:, cols[:k]] = Q[:, :k] @ R, kept as one buffer [Q^T b; Q; T = R^-1]
     kmax = min(d, m)
     cols = np.empty(kmax, dtype=np.intp)
-    Q = np.empty((d, kmax))
     # an entering column writes T's new column and needs zeros in its new
     # row: they are written here, and a blocking step zeroes the row it frees
-    T = np.zeros((kmax, kmax))
-    qtb = np.empty(kmax)
+    F = np.zeros((1 + d + kmax, kmax))
+    qtb, Q, T = F[0], F[1 : 1 + d], F[1 + d :]
     # a start column whose remainder is at or below max(tol, floor) * ||a|| could never enter
     while start.size:
         q, r = np.linalg.qr(A[:, start])
@@ -353,8 +352,8 @@ def nnls(S, x, tol: float = DEFAULT_TOL, support=None) -> NnlsResult:
             np.maximum(current, 0.0, out=current)
             rho[sup] = current
             drops.append(int(hit.size))
-            k = _delete_columns(Q, T, qtb, cols, k, hit)
-        resid = b - Q[:, :k] @ qtb[:k] if k else b
+            k = _delete_columns(F, cols, k, hit)
+        resid = b - Q[:, :k] @ qtb[:k]
         score = A.T @ resid
         score[score <= slack] = -np.inf
         score[cols[:k]] = -np.inf

@@ -723,6 +723,23 @@ class TestZigDecompose:
             if trial in trials:
                 assert zig_certificate(zig_decompose(K, x, tol=tol), tol=tol).passed, trial
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="CHANGES.md FOUND, ROADMAP item 17: on twin generators statement3_orthogonality "
+        "|<x0, z>| / ||x|| is 8.39e-9 against a threshold of 3.78e-9",
+    )
+    def test_twin_generators_far_apart_in_scale(self):
+        # rows 0 and 2 are twins 1e-8 apart, row 2 scaled by about 2e3; the same
+        # projection passes generated_projection_certificate
+        K = [
+            [-0.07886404844705087, -0.10866053446013146, -0.3812935173953468, 0.11940501835428294, 0.08909277897833673, 0.1410841027983981],
+            [-74.52637488630513, 137.80268179391368, -81.90045472900431, -88.33330364345501, -4.759192523138461, -8.996720741313128],
+            [-153.63945439053634, -211.6876647526203, -742.8192264173299, 232.61959995431766, 173.5666252797476, 274.8538278764449],
+        ]
+        x = [0.2936387075986489, -0.4368330286414848, 0.9400996018591236, -2.0238039203471403, -1.2408792683260033, 2.7387916481967514]
+        assert generated_projection_certificate(project_generated(K, x)).passed
+        assert zig_certificate(zig_decompose(K, x)).passed
+
     def test_all_statements_random(self):
         rng = np.random.default_rng(71)
         for _ in range(100):

@@ -306,9 +306,9 @@ def deletions(monkeypatch):
     seen = []
     delete = conecert.linalg._delete_columns
 
-    def spy(Q, T, qtb, cols, k, hit):
+    def spy(F, cols, k, hit):
         seen.append((k, tuple(int(h) for h in hit)))
-        return delete(Q, T, qtb, cols, k, hit)
+        return delete(F, cols, k, hit)
 
     def recorded(name):
         routine = getattr(np.linalg, name)
@@ -418,16 +418,17 @@ class TestNnlsFactor:
         A = rng.standard_normal((d, m))
         b = rng.standard_normal(d)
         cols = rng.permutation(m)[:d].astype(np.intp)
-        Q = np.full((d, d), np.nan)
-        T = np.zeros((d, d))
-        qtb = np.full(d, np.nan)
+        # F = [qtb^T; Q; T] as `nnls` keeps it, with NaN where no support column has been
+        F = np.full((1 + 2 * d, d), np.nan)
+        F[1 + d :] = 0.0
+        qtb, Q, T = F[0], F[1 : 1 + d], F[1 + d :]
         q, r = np.linalg.qr(A[:, cols[:k]])
         Q[:, :k], T[:k, :k], qtb[:k] = q, np.linalg.inv(r), q.T @ b
         hit = np.array(hit)
         kept = np.delete(cols[:k], hit)
         with monkeypatch.context() as m:
             _refuse_linalg(m)
-            k2 = _delete_columns(Q, T, qtb, cols, k, hit)
+            k2 = _delete_columns(F, cols, k, hit)
         assert k2 == kept.size
         assert np.array_equal(np.sort(cols[:k2]), np.sort(kept))
         Qk, Tk = Q[:, :k2], T[:k2, :k2]
@@ -445,10 +446,11 @@ class TestNnlsFactor:
             A[:, 1::2] = A[:, ::2] + 1e-3 * rng.standard_normal((d, m // 2))
             cols = np.arange(d, dtype=np.intp)
             Q, R = np.linalg.qr(A[:, :d])
-            T, qtb = np.linalg.inv(R), Q.T @ rng.standard_normal(d)
+            F = np.vstack([Q.T @ rng.standard_normal(d), Q, np.linalg.inv(R)])
+            Q, T = F[1 : 1 + d], F[1 + d :]
             k = d
             while k > 3:
-                k = _delete_columns(Q, T, qtb, cols, k, np.array([rng.integers(k)]))
+                k = _delete_columns(F, cols, k, np.array([rng.integers(k)]))
                 Qk = Q[:, :k]
                 assert np.linalg.norm(A[:, cols[:k]] @ T[:k, :k] - Qk) <= 1e-10 * np.linalg.norm(Qk)
 
