@@ -11,8 +11,12 @@ and check here is the library's one rule (`linalg`), and a constraint
 and `implication_certificate` re-check it from ``(result, tol)`` alone.
 
 `generalized_farkas` decides the paper's finite generalized Farkas
-theorem the same way, and every answer carries the certificate the
-theorem gives, checked before it is reported.  Nothing is sampled.
+theorem the same way, by two lifted tests: Gale's consistency test of
+``S x <= p`` and the membership of ``(b, r)`` in the augmented cone.  A
+failed implication is refuted by a violator, a solution of ``S x <= p,
+<b, x> >= r + margin`` found by the same consistency test.  Every answer
+carries the certificate the theorem gives, checked before it is
+reported.  Nothing is sampled.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .certificates import CertificateReport
 from .cones import positive_relative_test
 from .linalg import DEFAULT_TOL, _lengths, _member, _norm, _products, _scale, as_matrix, as_vector, generator_matrix, nnls
 
-# most lifted solves `generalized_farkas` makes towards a point passing S x <= p
+# most lifted solves `_find_point` makes, and most margins `generalized_farkas` tries
 FEASIBLE_ROUNDS = 3
 
 
@@ -82,10 +86,11 @@ class GenFarkasReport:
 
     Consistency of ``<s_j, x> <= p_j`` carries a ``feasible_point``
     passing ``S x <= p`` or ``infeasibility_multipliers``.  The
-    implication is decided by `_lifted` solves, not sampled:
-    ``multipliers`` (``lam`` on the pairs, then ``mu`` on ``(0, 1)``)
-    prove it, ``violator`` is a feasible point refuting it, and
-    ``member_plain`` says the pairs alone prove it.  ``member_augmented``,
+    implication is decided by lifted solves, not sampled: ``multipliers``
+    (``lam`` on the pairs, then ``mu`` on ``(0, 1)``) prove it,
+    ``violator``, a solution of ``S x <= p, <b, x> >= r + margin`` found
+    by the consistency test, refutes it, and ``member_plain`` says the
+    pairs alone prove it.  ``member_augmented``,
     ``sampled_implication_holds`` ("no violation found"),
     ``hypothesis_verified`` and ``samples_used`` are read off these.
     """
@@ -235,17 +240,54 @@ def _lifted(S, gaps, c, q, unit: float, tol: float):
 
     Dividing the last coordinate by ``unit`` (`_balance_unit`) leaves the
     cone and the multipliers of the pairs unchanged.  Returns the
-    membership flag, those multipliers and the residual ``(u, t)`` with t
-    divided by ``unit``, which still separates: ``<s_j, u> + t gaps_j <= 0``
-    for every pair and ``<c, u> + t q > 0``.
+    membership flag and those multipliers.
     """
     target = np.append(c, q / unit)
     sol = nnls(np.column_stack([S, gaps / unit]).T, target, tol)
-    member = _member(sol.residual, target, tol)
-    w = sol.residual
-    with np.errstate(over="ignore"):  # a t past the float range is infinite
-        w[-1] /= unit
-    return member, sol.rho, w
+    return _member(sol.residual, target, tol), sol.rho
+
+
+def _find_point(S, p, tol: float):
+    """``(feasible, refuted)``: a point passing ``S x <= p`` or multipliers
+    proving the system infeasible, each None when not found.
+
+    The system is infeasible exactly when ``(0, -1)`` lies in the cone of
+    the lifted pairs ``(s_j, p_j)``; that solve's multipliers above tol
+    are kept once `infeasibility_residual` is at most `tol`.  Otherwise
+    the residual ``(w, t)`` has ``t < 0`` and ``w / -t`` is the feasible
+    point nearest the origin, solved from the pairs carrying multipliers
+    (tight there) rather than divided by the cancelling ``t``.  It is kept
+    if it passes `_excess`'s rule, else refined by the same solve on the
+    gaps left at it, at most `FEASIBLE_ROUNDS` solves in all.  Each pair
+    is balanced by the point's largest distance ``-gaps_j / ||s_j||``
+    outside a half-space and divided by its largest entry, so no gap
+    overflows; neither changes the cone.
+    """
+    row_norms = _norm(S, axis=1)
+    rows = row_norms > 0.0
+    point, gaps = np.zeros(S.shape[1]), p
+    feasible = refuted = None
+    for _ in range(FEASIBLE_ROUNDS):
+        if _feasible(S, p, point, tol):
+            feasible = point
+            break
+        reach = float((np.maximum(-gaps[rows], 0.0) / row_norms[rows]).max(initial=0.0)) or 1.0
+        size = np.maximum(reach * np.abs(S).max(axis=1, initial=0.0), np.abs(gaps))
+        size[size == 0.0] = 1.0
+        infeasible, rho = _lifted(S * (reach / size)[:, None], gaps / size, np.zeros(S.shape[1]), -1.0, 1.0, tol)
+        if infeasible:
+            refuted = np.where(rho > tol, rho, 0.0) * (reach / size)  # (0, -1) is in the cone; rho <= tol is rounding
+            break
+        tight = np.flatnonzero(rho)
+        # each tight equation divided by ||s_j||: the same solution, at a cut-off blind to their lengths
+        lengths = _lengths(S[tight].T)
+        point = point + np.linalg.lstsq(S[tight] / lengths[:, None], gaps[tight] / lengths, rcond=None)[0]
+        gaps = p - S @ point
+    else:  # the rounds ran out: judge the last refined point
+        feasible = point if _feasible(S, p, point, tol) else None
+    if refuted is not None and infeasibility_residual(S, p, refuted) > tol:
+        refuted = None
+    return feasible, refuted
 
 
 def generalized_farkas(pairs, b, r, tol: float = DEFAULT_TOL) -> GenFarkasReport:
@@ -258,42 +300,25 @@ def generalized_farkas(pairs, b, r, tol: float = DEFAULT_TOL) -> GenFarkasReport
     b, r : vector and scalar
         The candidate consequence ``<b, x> <= r``.
 
-    Every solve is one `_lifted` NNLS over lifted pairs ``(s_j, p_j)``.
-    The vertical ray ``(0, 1)`` is the pair ``(0, unit)`` of the
-    constraint ``0 <= unit``: its column stays exactly ``(0, 1)``, and mu
-    is its multiplier times ``unit``.
+    Consistency is `_find_point`, Gale's test on the lifted pairs.  For a
+    consistent system the implication holds exactly when ``(b, r)`` lies
+    in the augmented cone, the lifted pairs and the vertical ray ``(0,
+    1)``: one `_lifted` solve, the ray being the pair ``(0, unit)`` of the
+    constraint ``0 <= unit``, whose column stays exactly ``(0, 1)``; mu is
+    its multiplier times ``unit``.  The multipliers ``(lam, mu)`` of a
+    member are the proof, reported once `implication_multipliers_hold`
+    passes.  ``member_plain`` is that check on a member of the solve
+    without ``(0, 1)``, with ``mu = 0``; it runs only on a proof, as the
+    pairs' cone lies inside the augmented one.
 
-    Consistency.  The system is infeasible exactly when ``(0, -1)`` lies
-    in the cone of the lifted pairs; that solve's multipliers above tol
-    are reported once `infeasibility_residual` is at most `tol`.  Otherwise
-    the residual ``(w, t)`` has ``t < 0`` and ``w / -t`` is the feasible
-    point nearest the origin, solved from the pairs carrying multipliers
-    (tight there) rather than divided by the cancelling ``t``.  It is kept
-    if it passes `_excess`'s rule, else refined by the same solve on the
-    gaps left at it.  Each pair is balanced by the point's largest
-    distance ``-gaps_j / ||s_j||`` outside a half-space and divided by its
-    largest entry, so no gap overflows; neither changes the cone.
-
-    The implication.  For a consistent system it holds exactly when
-    ``(b, r)`` lies in the augmented cone; the multipliers ``(lam, mu)``
-    of a member are the proof, reported once `implication_multipliers_hold`
-    passes, and ``member_plain`` is that check on a member of the solve
-    without ``(0, 1)``, with ``mu = 0``.  Otherwise the
-    residual ``(u, t)`` separates: ``<s_j, u> + t p_j <= 0``, ``t <= 0``
-    and ``<b, u> + t r > 0``.  So ``a u`` is feasible for ``0 <= a <= 1 /
-    -t`` (for every a when ``t = 0``, u being a recession direction), and
-    ``<b, a u>`` exceeds r from some ``a < 1 / -t`` on.
-
-    The refutation is solved centred at the feasible point x_f, on the
-    pairs ``(s_j, p_j - <s_j, x_f>)`` and the target ``(b, r - <b, x_f>)``:
-    the map ``(v, c) -> (v, c - <v, x_f>)`` is invertible and fixes
-    ``(0, 1)``, so membership is unchanged, but the witness is measured
-    from a point of the system (at the origin the first residual serves).
-    The candidate ``x_f + a u`` takes ``a = min(2 need, (need + 1 / -t) /
-    2)`` (``2 need`` when ``t = 0``), need being the step that reaches r
-    plus `violator_holds`'s threshold at x_f: the end point ``u / -t`` lies
-    on the pairs tight at the solve, where rounding in u is multiplied by
-    ``1 / -t``.  It is reported once `violator_holds` passes.
+    Otherwise the implication fails exactly when ``S x <= p, <b, x> > r``
+    is consistent, and the violator is the point `_find_point` gives for
+    ``S x <= p, <b, x> >= r + margin``.  The margin starts at twice
+    `violator_holds`'s threshold at the feasible point (at a point of norm
+    ``unit`` when that is 0, at ``x = 0`` with ``r = 0``).  While a point
+    falls short of the threshold at itself, the margin becomes twice the
+    larger of the two, at most `FEASIBLE_ROUNDS` tries in all; a point of
+    the system passes ``S x <= p`` already.
     """
     bv = as_vector(b)
     r = float(r)
@@ -301,60 +326,30 @@ def generalized_farkas(pairs, b, r, tol: float = DEFAULT_TOL) -> GenFarkasReport
     pvals = np.array([float(p) for _, p in pairs])
 
     unit = _balance_unit(S, pvals, bv, r)
-    with_ray = np.vstack([S, np.zeros(bv.size)])
-
-    def augmented(gaps, q):
-        return _lifted(with_ray, np.append(gaps, unit), bv, q, unit, tol)
-
-    plain_member, plain, _ = _lifted(S, pvals, bv, r, unit, tol)
-    member, aug, w = augmented(pvals, r)
+    member, aug = _lifted(np.vstack([S, np.zeros(bv.size)]), np.append(pvals, unit), bv, r, unit, tol)
     aug[-1] *= unit
+    multipliers = aug if member and implication_multipliers_hold(S, pvals, bv, r, aug[:-1], aug[-1], tol) else None
+    member_plain = False
+    if multipliers is not None:
+        plain_member, plain = _lifted(S, pvals, bv, r, unit, tol)
+        member_plain = plain_member and implication_multipliers_hold(S, pvals, bv, r, plain, 0.0, tol)
 
-    row_norms = _norm(S, axis=1)
-    rows = row_norms > 0.0
-    point, gaps = np.zeros(bv.size), pvals
-    feasible = refuted = None
-    for _ in range(FEASIBLE_ROUNDS):
-        if _feasible(S, pvals, point, tol):
-            feasible = point
-            break
-        reach = float((np.maximum(-gaps[rows], 0.0) / row_norms[rows]).max(initial=0.0)) or 1.0
-        size = np.maximum(reach * np.abs(S).max(axis=1, initial=0.0), np.abs(gaps))
-        size[size == 0.0] = 1.0
-        infeasible, rho, _ = _lifted(S * (reach / size)[:, None], gaps / size, np.zeros(bv.size), -1.0, 1.0, tol)
-        if infeasible:
-            refuted = np.where(rho > tol, rho, 0.0) * (reach / size)  # (0, -1) is in the cone; rho <= tol is rounding
-            break
-        tight = np.flatnonzero(rho)
-        # each tight equation divided by ||s_j||: the same solution, at a cut-off blind to their lengths
-        lengths = _lengths(S[tight].T)
-        point = point + np.linalg.lstsq(S[tight] / lengths[:, None], gaps[tight] / lengths, rcond=None)[0]
-        gaps = pvals - S @ point
-    else:  # the rounds ran out: judge the last refined point
-        feasible = point if _feasible(S, pvals, point, tol) else None
-    if refuted is not None and infeasibility_residual(S, pvals, refuted) > tol:
-        refuted = None
-
-    multipliers = violator = None
-    if member and implication_multipliers_hold(S, pvals, bv, r, aug[:-1], aug[-1], tol):
-        multipliers = aug
-    elif feasible is not None:
-        excess, margin = _excess(bv[None], np.array([r]), feasible, tol)
-        if feasible.any():
-            w = augmented(gaps, -excess)[2]
-        # the witness divided by its length, so that <b, u> stays in the float range for entries of 1e200
-        length = float(_norm(w[:-1])) or 1.0
-        u, t = w[:-1] / length, min(float(w[-1]), 0.0) / length
-        rate = float(_products(bv[:, None], u)[0]) * float(_norm(bv))
-        candidate = feasible
-        if rate > 0.0:
-            need = max(margin - excess, 0.0) / rate
-            candidate = feasible + (min(2.0 * need, 0.5 * (need - 1.0 / t)) if t else 2.0 * need) * u
-        if violator_holds(S, pvals, bv, r, candidate, tol):
-            violator = candidate
+    feasible, refuted = _find_point(S, pvals, tol)
+    violator = None
+    if multipliers is None and feasible is not None:
+        margin = 2.0 * (_excess(bv[None], np.array([r]), feasible, tol)[1] or tol * float(_norm(bv)) * unit)
+        for _ in range(FEASIBLE_ROUNDS):
+            candidate = _find_point(np.vstack([S, -bv]), np.append(pvals, -r - margin), tol)[0]
+            if candidate is None:
+                break
+            excess, limit = _excess(bv[None], np.array([r]), candidate, tol)
+            if excess > limit:
+                violator = candidate
+                break
+            margin = 2.0 * max(margin, limit)
 
     return GenFarkasReport(
-        member_plain=plain_member and implication_multipliers_hold(S, pvals, bv, r, plain, 0.0, tol),
+        member_plain=member_plain,
         feasible_point=feasible,
         multipliers=multipliers,
         violator=violator,

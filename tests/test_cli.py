@@ -210,13 +210,13 @@ class TestFarkas:
 
 
     def test_pairs_undecided(self, tmp_path):
-        # a consistent system whose report neither proves nor refutes the
-        # implication fails its certificate, and the report is still written
+        # a system strictly feasible about 1e3 from the origin whose implication
+        # fails: the report carries a violator, and every check passes
         rc, rep = _run(tmp_path, "farkas", UNDECIDED)
-        assert rc == 2
-        assert rep["result"]["sampled_implication_holds"] is True and rep["result"]["member_augmented"] is False
+        assert rc == 0
+        assert rep["result"]["sampled_implication_holds"] is False and rep["result"]["member_augmented"] is False
         failed = [c["name"] for c in rep["certificates"] if not c["pass"]]
-        assert failed == ["sampled_implication_consistent"]
+        assert failed == []
 
 
 class TestQuadrature:

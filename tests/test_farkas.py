@@ -12,6 +12,7 @@ from conecert import (
     generalized_farkas,
     verify_outcome,
 )
+from conecert import farkas
 from conecert.farkas import farkas_certificate, implication_certificate, implication_multipliers_hold, infeasibility_residual, violator_holds
 from oracles import nnls_bruteforce
 
@@ -19,8 +20,7 @@ from oracles import nnls_bruteforce
 BOX_PAIRS = [(np.array([1.0, 0.0]), 1.0), (np.array([0.0, 1.0]), 1.0), (np.array([-1.0, 0.0]), 1.0), (np.array([0.0, -1.0]), 1.0)]
 
 # a system strictly feasible about 1e3 from the origin whose implication fails:
-# linprog's maximiser (-3203.74, -1629.44) gives <b, x> = 0.695 > r, yet
-# generalized_farkas returns neither multipliers nor a violator
+# linprog's maximiser (-3203.74, -1629.44) gives <b, x> = 0.695 > r
 UNDECIDED = {
     "kind": "farkas",
     "pairs": [
@@ -391,6 +391,22 @@ class TestGeneralizedFarkas:
         assert report.samples_used == 0
 
 
+def _far_system(index):
+    """System `index` of the *far* family drawn from ``default_rng(7)``: S
+    and b standard normal, feasible at a point c of norm 10^uniform(0, 6)
+    with gaps uniform(0.1, 2), and r = <b, c> + uniform(-5, 5)."""
+    rng = np.random.default_rng(7)
+    for _ in range(index + 1):
+        n, k = int(rng.integers(1, 6)), int(rng.integers(1, 9))
+        S = rng.standard_normal((k, n))
+        b = rng.standard_normal(n)
+        c = rng.standard_normal(n)
+        c = c / np.linalg.norm(c) * 10.0 ** rng.uniform(0, 6)
+        p = S @ c + rng.uniform(0.1, 2, k)
+        r = float(b @ c + rng.uniform(-5, 5))
+    return S, p, b, r
+
+
 def _random_system(linprog, rng, far):
     """A system strictly feasible at a point within `far` of the origin, an r
     at a clear margin from max <b, x> over it (anywhere if unbounded), and
@@ -450,7 +466,8 @@ class TestExactImplication:
 
     def test_violator_with_large_gaps_at_feasible_origin(self):
         # the origin is feasible and the p_j are ~1e5 times the s_j; max <b, x>
-        # is 243,890 at (-59786, 179333) by linprog, so <b, x> <= 2e5 fails
+        # is 243,890 at (-59786, 179333) by linprog, so <b, x> <= 2e5 fails, and
+        # the violator is a point of the system with <b, x> >= 2e5 + margin
         S = np.array([[-2.07, -0.66], [-0.66, 1.95], [1.95, 0.76]])
         p = np.array([5471.0, 389159.0, 19711.0])
         b, r = np.array([0.45, 1.51]), 2e5
@@ -460,8 +477,8 @@ class TestExactImplication:
         assert violator_holds(S, p, b, r, report.violator)
 
     def test_recession_direction_violator(self):
-        # x2 <= 0 bounds nothing along x1: the residual has t = 0, and the
-        # violator is found along the recession direction
+        # x2 <= 0 bounds nothing along x1, so x2 <= 0, x1 >= 5 + margin has
+        # a point, and it is the violator
         S, p, b, r = np.array([[0.0, 1.0]]), np.array([0.0]), np.array([1.0, 0.0]), 5.0
         report = generalized_farkas(list(zip(S, p)), b, r)
         assert not report.member_augmented
@@ -469,6 +486,26 @@ class TestExactImplication:
         x = report.violator
         assert violator_holds(S, p, b, r, x)
         assert x[1] <= 0.0 and x[0] > 5.0
+
+    @pytest.mark.parametrize("pairs, b", [(BOX_PAIRS, [1.0, 1.0]), ([(np.array([0.0, 1.0]), 0.0)], [1.0, 0.0]), ([], [-1.0])])
+    def test_violator_of_homogeneous_implication_at_feasible_origin(self, pairs, b):
+        # <b, x> <= 0 fails, and violator_holds's threshold at the origin is 0
+        report = generalized_farkas(pairs, b, 0.0)
+        assert report.violator is not None and implication_certificate(report).passed
+
+    def test_violator_found_on_second_try(self, monkeypatch):
+        # the point of S x <= p, <b, x> >= r + margin found first falls short of
+        # violator_holds's threshold at itself; the doubled margin reaches it
+        S = np.array([[-1.1300871646206154, -0.5443607249071664], [0.006050414894510384, -0.17736344944360424]])
+        p = np.array([-0.8931829153370813, 0.15988218506207735])
+        b, r = np.array([-1.4144878738047868, -0.2658282410436973]), 1.8646518752041161
+        calls = []
+        find_point = farkas._find_point
+        monkeypatch.setattr(farkas, "_find_point", lambda *args: calls.append(args) or find_point(*args))
+        report = generalized_farkas(list(zip(S, p)), b, r)
+        # the consistency test, then two tries
+        assert len(calls) == 3
+        assert violator_holds(S, p, b, r, report.violator)
 
     def test_multiplier_check_rejects_perturbed_multipliers(self):
         # the box |x_i| <= 1 implies x1 + 2 x2 <= 4
@@ -606,16 +643,16 @@ class TestImplicationCertificate:
         proved = generalized_farkas(BOX_PAIRS, [1.0, 1.0], 3.0)
         assert not implication_certificate(dataclasses.replace(proved, violator=violated.violator)).passed
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="CHANGES.md FOUND: the centred witness separates only to within tol (pair 3's product "
-        "is +5.1e-8), and the step of 2.3e6 along it breaks that pair by 0.12",
-    )
-    def test_undecided_system_is_refuted(self):
-        S = np.array([s for s, _ in UNDECIDED["pairs"]])
-        p = np.array([q for _, q in UNDECIDED["pairs"]])
-        b, r = np.array(UNDECIDED["b"]), UNDECIDED["r"]
-        # the implication fails at linprog's maximiser, the vertex of pairs 3 and 4
-        assert violator_holds(S, p, b, r, np.linalg.solve(S[[3, 4]], p[[3, 4]]))
-        report = generalized_farkas(UNDECIDED["pairs"], b, r)
+    # UNDECIDED and four *far* systems, each feasible far from the origin, whose implication fails
+    @pytest.mark.parametrize("far", [None, 253, 336, 912, 1153])
+    def test_undecided_system_is_refuted(self, far):
+        if far is None:
+            S = np.array([s for s, _ in UNDECIDED["pairs"]])
+            p = np.array([q for _, q in UNDECIDED["pairs"]])
+            b, r = np.array(UNDECIDED["b"]), UNDECIDED["r"]
+            # the implication fails at linprog's maximiser, the vertex of pairs 3 and 4
+            assert violator_holds(S, p, b, r, np.linalg.solve(S[[3, 4]], p[[3, 4]]))
+        else:
+            S, p, b, r = _far_system(far)
+        report = generalized_farkas(list(zip(S, p)), b, r)
         assert report.violator is not None and implication_certificate(report).passed
