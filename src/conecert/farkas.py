@@ -34,6 +34,7 @@ from .linalg import DEFAULT_TOL, _lengths, _member, _norm, _products, _scale, as
 
 # most lifted solves `_find_point` makes, and most margins `generalized_farkas` tries
 FEASIBLE_ROUNDS = 3
+_LARGEST = float(np.finfo(float).max)
 
 
 class FarkasTag(str, Enum):
@@ -226,13 +227,17 @@ def infeasibility_residual(S, p, lam) -> float:
 def _balance_unit(S, gaps, b, r) -> float:
     """``|r| / ||b||``, the distance of ``<b, x> = r`` from the origin in the
     units of x (else the largest ``|gaps_j| / ||s_j||``, else 1): dividing the
-    last lifted coordinate by it balances ``(b, r)`` in any units."""
+    last lifted coordinate by it balances ``(b, r)`` in any units.  A distance
+    past the float range becomes the largest float, so every lifted column
+    stays finite."""
     norm_b = float(_norm(b))
     if r and norm_b:
-        return abs(r) / norm_b
-    norms = _norm(S, axis=1)
-    far = float((np.abs(gaps[norms > 0.0]) / norms[norms > 0.0]).max(initial=0.0))
-    return far if far else 1.0
+        unit = abs(float(r)) / norm_b  # a Python float: inf past the float range, with no warning
+    else:
+        norms = _norm(S, axis=1)
+        with np.errstate(over="ignore"):
+            unit = float((np.abs(gaps[norms > 0.0]) / norms[norms > 0.0]).max(initial=0.0)) or 1.0
+    return min(unit, _LARGEST)
 
 
 def _lifted(S, gaps, c, q, unit: float, tol: float):

@@ -397,10 +397,10 @@ PINNED = {
         ('nodes_in_interval', 0.0, True),
     ),
     "shape": (
-        ('representation', 1.1102230246251565e-16, True),
-        ('active_derivative_zero', 2.4274933986309183e-16, True),
-        ('grid_feasibility', 2.472910204980313e-16, True),
-        ('checkgrid_feasibility', 2.4825330148251516e-16, True),
+        ('representation', 0.0, True),
+        ('active_derivative_zero', 0.0, True),
+        ('grid_feasibility', 0.0, True),
+        ('checkgrid_feasibility', 0.0, True),
         ('active_count_bound', 0.0, True),
     ),
     "span_member": (
@@ -440,6 +440,11 @@ EXTREME = {
     "generated_tiny": ({"kind": "project", "orientation": "generated", "generators": [[1e-200]], "point": [1e-200]}, 0, []),
     # the refutation step takes <b, u> along the unit witness, so it stays in the float range
     "pairs_long_b": ({"kind": "farkas", "pairs": [[[1.0, 1.0], 1.0]], "b": [1e200, 1e200], "r": 1.0}, 0, []),
+    # the plane <b, x> = r lies |r| / ||b|| = 7e499 from the origin, past the float range, so the
+    # balance unit is the largest float; the implication fails at x = 0, the report's violator
+    "pairs_far_plane": ({"kind": "farkas", "pairs": [[[1e200, 1e200], 1e-200]], "b": [1e-200, 1e-200], "r": -1e300}, 0, []),
+    # with b = 0 the balance unit is |p_1| / ||s_1|| = 1e500, the largest float too; 0 <= 0 holds
+    "pairs_far_gap": ({"kind": "farkas", "pairs": [[[1e-200, 0.0], 1e300]], "b": [0.0, 0.0], "r": 0.0}, 0, []),
     # the square of ||s_1|| is past the float range; `_excess` multiplies it by ||x|| = 0 at the origin
     "pairs_long_row": ({"kind": "farkas", "pairs": [[[1e200, 1e200], 1.0], [[-1.0, 0.0], 1.0]], "b": [1.0, 0.0], "r": 5.0}, 0, []),
     # the system-2 verification is taken on b and x divided by a power of two near ||b||,

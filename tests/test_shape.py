@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from numpy.polynomial import legendre as L
 
-from conecert import LegendrePoly, ShapeProblem, chebyshev_points, monomial_to_legendre, project_shape
-from conecert.shape import shape_certificate
+from conecert import LegendrePoly, ShapeProblem, chebyshev_points, monomial_to_legendre, project_dual, project_shape
+from conecert.shape import default_grid, shape_certificate
 
 NAMES = ["representation", "active_derivative_zero", "grid_feasibility", "checkgrid_feasibility", "active_count_bound"]
 
@@ -73,6 +73,33 @@ def test_perturbed_solution_fails(n, r, target, grid_size):
     assert representation > 1e-7 and active > 1e-7
     assert not report["representation"].passed
     assert not report["active_derivative_zero"].passed
+
+
+def _random_problems(count):
+    """``count`` problems on the default grid: n in 4..20, r in 0..2 (below n), a scaled normal target."""
+    rng = np.random.default_rng(2028)
+    problems = []
+    for _ in range(count):
+        n = int(rng.integers(4, 21))
+        r = min(int(rng.integers(0, 3)), n - 1)
+        target = rng.standard_normal(n + 1) * rng.uniform(0.1, 10.0)
+        problems.append(ShapeProblem(n=n, r=r, grid=default_grid(n), target=LegendrePoly(target)))
+    return problems
+
+
+RANDOM_PROBLEMS = _random_problems(40)
+
+
+@pytest.mark.parametrize("problem", RANDOM_PROBLEMS, ids=[f"{i}-n{p.n}-r{p.r}" for i, p in enumerate(RANDOM_PROBLEMS)])
+def test_unit_representers_keep_the_projection(problem):
+    # the solve runs on representers of length 1, which changes the entering order but not the cone:
+    # the point is the projection over the raw representers, and rho certifies it on them
+    result = project_shape(problem)
+    target = problem.target.coeffs
+    raw = project_dual(_representers(problem.n, problem.r, problem.grid).T, target)
+    assert np.linalg.norm(result.solution.coeffs - raw.point) <= 1e-11 * np.linalg.norm(target)
+    report = shape_certificate(result)
+    assert all(report[name].passed for name in NAMES[:3])
 
 
 def test_checkgrid_minimum_is_recomputed():
