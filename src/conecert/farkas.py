@@ -265,8 +265,10 @@ def _find_point(S, p, tol: float):
     if it passes `_excess`'s rule, else refined by the same solve on the
     gaps left at it, at most `FEASIBLE_ROUNDS` solves in all.  Each pair
     is balanced by the point's largest distance ``-gaps_j / ||s_j||``
-    outside a half-space and divided by its largest entry, so no gap
-    overflows; neither changes the cone.
+    outside a half-space (at most the largest float) and divided by its
+    largest entry, so no gap overflows; neither changes the cone.  A pair
+    whose largest entry passes the float range is left out of that solve;
+    its point and multipliers are still checked against every pair.
     """
     row_norms = _norm(S, axis=1)
     rows = row_norms > 0.0
@@ -276,8 +278,10 @@ def _find_point(S, p, tol: float):
         if _feasible(S, p, point, tol):
             feasible = point
             break
-        reach = float((np.maximum(-gaps[rows], 0.0) / row_norms[rows]).max(initial=0.0)) or 1.0
-        size = np.maximum(reach * np.abs(S).max(axis=1, initial=0.0), np.abs(gaps))
+        # a reach past the float range becomes the largest float, and a pair whose size passes it drops out
+        with np.errstate(over="ignore"):
+            reach = min(float((np.maximum(-gaps[rows], 0.0) / row_norms[rows]).max(initial=0.0)) or 1.0, _LARGEST)
+            size = np.maximum(reach * np.abs(S).max(axis=1, initial=0.0), np.abs(gaps))
         size[size == 0.0] = 1.0
         infeasible, rho = _lifted(S * (reach / size)[:, None], gaps / size, np.zeros(S.shape[1]), -1.0, 1.0, tol)
         if infeasible:

@@ -176,11 +176,11 @@ def _delete_columns(F, cols, k: int, hit) -> int:
     T = F[-cols.size:]
     for p in hit[::-1]:
         # H maps row p of T, orthogonal to every other column of R, onto the last axis
-        y = T[p, :k] / np.abs(T[p, :k]).max()
+        y = T[p, :k] / np.maximum.reduce(np.abs(T[p, :k]))
         y /= math.sqrt(y @ y)
         y[-1] += math.copysign(1.0, y[-1])
         v = y / math.sqrt(abs(y[-1]))
-        F[:, :k] -= np.outer(F[:, :k] @ v, v)
+        F[:, :k] -= (F[:, :k] @ v)[:, None] * v
         k -= 1
         T[p, :k] = T[k, :k]
         cols[p] = cols[k]
@@ -210,11 +210,14 @@ def nnls(S, x, tol: float = DEFAULT_TOL, support=None) -> NnlsResult:
     no LAPACK call after set-up.  The factor is of the columns themselves,
     not of the Gram matrix ``S^T S``, whose condition number is the square.
 
-    * An entering column is appended to Q by one Gram-Schmidt step with
-      one reorthogonalisation, O(d k) for a support of k columns, which
-      also gives its column ``R[:k, k]`` and ``r_kk`` of R, and borders T
-      with one mat-vec: ``T[k, k] = 1 / r_kk`` and
-      ``T[:k, k] = -T[:k, :k] R[:k, k] / r_kk``.
+    * An entering column a is appended to Q by one Gram-Schmidt step,
+      O(d k) for a support of k columns, reorthogonalised only when its
+      first pass leaves ``||v||^2 < ||a||^2 / 2`` (Daniel, Gragg, Kaufman
+      & Stewart, *Math. Comp.* 30, 1976).  A skipped pass leaves ``r_kk
+      >= ||a|| / sqrt(2)``, far above the rank rule below, so it moves no
+      decision.  The step gives ``R[:k, k]`` and ``r_kk`` and borders T
+      with one mat-vec: ``T[k, k] = 1 / r_kk``, ``T[:k, k] = -T[:k, :k]
+      R[:k, k] / r_kk``.
     * A blocking step deletes its positions in descending order, each
       by one Householder reflection H, O(d k) (Golub & Van Loan, *Matrix
       Computations*, sec. 5.1).  Row p of T is orthogonal to every column
@@ -240,6 +243,7 @@ def nnls(S, x, tol: float = DEFAULT_TOL, support=None) -> NnlsResult:
     the factor's residual ``x - Q Q^T x``, accurate where ``x - S @ rho``
     would carry rounding of order ``eps ||S|| ||rho||`` and could let a
     column re-enter forever; the returned ``residual`` is ``x - S @ rho``.
+    One comparison masks the support and the scores within the slack.
 
     An entering column whose part orthogonal to the support is at or
     below the library rank rule (``d * eps * ||k_i||``) lies in the span
@@ -301,8 +305,9 @@ def nnls(S, x, tol: float = DEFAULT_TOL, support=None) -> NnlsResult:
     eS, ex = (math.frexp(np.abs(v).max(initial=0.0))[1] for v in (S, x))
     A, b = np.ldexp(S, -eS), np.ldexp(x, -ex)
 
-    colnorm = np.linalg.norm(A, axis=0)
+    colnorm = np.sqrt(np.einsum("ij,ij->j", A, A))
     slack = _scale(b, tol) * colnorm
+    thresh = slack.copy()  # a score at or below it cannot enter: the slack off the support, inf on it
     # an entering column whose remainder is at or below floor * ||a|| is dependent
     floor = d * _EPS
     # the factor of the support, A[:, cols[:k]] = Q[:, :k] @ R, kept as one buffer [Q^T b; Q; T = R^-1]
@@ -322,6 +327,7 @@ def nnls(S, x, tol: float = DEFAULT_TOL, support=None) -> NnlsResult:
     k = start.size
     if k:
         cols[:k], Q[:, :k], T[:k, :k], qtb[:k] = start, q, np.linalg.inv(r), q.T @ b
+        thresh[start] = np.inf
     rho = np.zeros(m)
     pivots = 0
     drops = []
@@ -334,10 +340,10 @@ def nnls(S, x, tol: float = DEFAULT_TOL, support=None) -> NnlsResult:
                 raise IterationLimit(f"nnls exceeded {budget} pivots on a {d}x{m} system")
             sup = cols[:k]
             z = T[:k, :k] @ qtb[:k]
-            if z.min() > 0.0:
+            if np.minimum.reduce(z) > 0.0:
                 rho[sup] = z
                 break
-            blocking = np.flatnonzero(z <= 0.0)
+            blocking = (z <= 0.0).nonzero()[0]
             if blocking.size == 0:
                 raise IterationLimit("nnls inner loop stalled on degenerate input")
             current = rho[sup]
@@ -345,18 +351,18 @@ def nnls(S, x, tol: float = DEFAULT_TOL, support=None) -> NnlsResult:
             # held >= 0 >= z, so the denominator is zero only where held is
             # zero too, and that ratio is zero
             ratios = held / np.maximum(held - z[blocking], _SUBNORMAL)
-            alpha = float(ratios.min())
+            alpha = float(np.minimum.reduce(ratios))
             current += alpha * (z - current)
             hit = blocking[ratios <= alpha * (1.0 + 1e-12)]
             current[hit] = 0.0
             np.maximum(current, 0.0, out=current)
             rho[sup] = current
             drops.append(int(hit.size))
+            thresh[sup[hit]] = slack[sup[hit]]
             k = _delete_columns(F, cols, k, hit)
         resid = b - Q[:, :k] @ qtb[:k]
         score = A.T @ resid
-        score[score <= slack] = -np.inf
-        score[cols[:k]] = -np.inf
+        score[score <= thresh] = -np.inf
         entering = -1
         while k < kmax:
             j = int(score.argmax())
@@ -366,9 +372,12 @@ def nnls(S, x, tol: float = DEFAULT_TOL, support=None) -> NnlsResult:
             Qk = Q[:, :k]
             c = Qk.T @ a
             v = a - Qk @ c
-            c2 = Qk.T @ v
-            v -= Qk @ c2
             rkk = math.sqrt(v @ v)
+            if rkk * rkk < 0.5 * colnorm[j] * colnorm[j]:  # the first pass cancelled: a second one
+                c2 = Qk.T @ v
+                v -= Qk @ c2
+                c += c2
+                rkk = math.sqrt(v @ v)
             if rkk > floor * colnorm[j]:
                 np.divide(v, rkk, out=Q[:, k])
                 qtb[k] = Q[:, k] @ b
@@ -380,9 +389,10 @@ def nnls(S, x, tol: float = DEFAULT_TOL, support=None) -> NnlsResult:
         if entering < 0:
             break
         cols[k] = entering
-        # border T: one mat-vec of its old columns with R[:k, k] = c + c2
+        thresh[entering] = np.inf
+        # border T: one mat-vec of its old columns with R[:k, k] = c, summed over the passes
         T[k, k] = 1.0 / rkk
-        T[:k, k] = (T[:k, :k] @ (c + c2)) * -T[k, k]
+        T[:k, k] = (T[:k, :k] @ c) * -T[k, k]
         k += 1
 
     rho = np.ldexp(rho, ex - eS)

@@ -412,7 +412,7 @@ PINNED = {
         ('witness_self_product', 0.0, True),
     ),
     "cone_member": (
-        ('representation', 4.577566798522237e-16, True),
+        ('representation', 4.440892098500626e-16, True),
         ('multipliers_nonnegative', 0.0, True),
     ),
     "cone_nonmember": (
@@ -445,6 +445,15 @@ EXTREME = {
     "pairs_far_plane": ({"kind": "farkas", "pairs": [[[1e200, 1e200], 1e-200]], "b": [1e-200, 1e-200], "r": -1e300}, 0, []),
     # with b = 0 the balance unit is |p_1| / ||s_1|| = 1e500, the largest float too; 0 <= 0 holds
     "pairs_far_gap": ({"kind": "farkas", "pairs": [[[1e-200, 0.0], 1e300]], "b": [0.0, 0.0], "r": 0.0}, 0, []),
+    # x_1 <= -1e500: every solution lies past the float range, so the reach of `_find_point` is the
+    # largest float; its lifted pair is (0, -1) to within 1e-500 of its length, which proves the
+    # system infeasible at the rule of `infeasibility_residual`, and 0 <= 0 holds by multipliers
+    "pairs_far_half_space": ({"kind": "farkas", "pairs": [[[1e-200, 0.0], -1e300]], "b": [0.0, 0.0], "r": 0.0}, 0, []),
+    # the same with x_1 <= 1e-200 added: that pair's size at the largest reach passes the float
+    # range, so it is left out of the lifted solve, and the multipliers of the first still prove it
+    "pairs_far_half_space_and_near": (
+        {"kind": "farkas", "pairs": [[[1e-200, 0.0], -1e300], [[1e200, 0.0], 1.0]], "b": [0.0, 0.0], "r": 0.0}, 0, []
+    ),
     # the square of ||s_1|| is past the float range; `_excess` multiplies it by ||x|| = 0 at the origin
     "pairs_long_row": ({"kind": "farkas", "pairs": [[[1e200, 1e200], 1.0], [[-1.0, 0.0], 1.0]], "b": [1.0, 0.0], "r": 5.0}, 0, []),
     # the system-2 verification is taken on b and x divided by a power of two near ||b||,

@@ -382,8 +382,8 @@ class TestNnlsFactor:
             ),
             # positions 0 and 2 of 4 reach zero at the same step
             pytest.param(
-                [[0, 1, 0, 1, 0, 0, -1, 0], [0, 1, -1, 1, 0, 0, -1, -1], [-1, -1, 1, 0, -1, 1, -1, 0], [1, 1, -1, -1, 1, -1, 0, -1]],
-                [0, -3, -2, -1], (2,), [(4, (0, 2))], id="two-non-adjacent",
+                [[0, -1, -1, 0, 1, -1], [0, 1, 1, -1, 1, 0], [1, -1, -1, -1, 1, -1], [-1, 1, 1, 0, 0, 0]],
+                [-2, 1, -2, 0], (2,), [(4, (0, 2))], id="two-non-adjacent",
             ),
         ],
     )
@@ -555,6 +555,62 @@ class TestNnlsFactor:
                 assert np.all(np.isfinite(res.rho))
                 assert np.all(np.isfinite(res.residual))
                 assert _objective_matches_oracle(S, x, res)
+
+    def test_entering_twins_take_the_second_gram_schmidt_pass(self, monkeypatch):
+        # twins a and a + delta u, delta 1e-12 to 1e-6, among random columns scaled
+        # by 1e-3 to 1e3: a twin entering beside its sibling leaves at most delta of
+        # its length after the first pass, so the second one runs.  At tol = 1e-300
+        # every column with a positive gradient past the rank and sign rules enters,
+        # so the objective is scipy's to rounding
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+        together = []
+        delete = conecert.linalg._delete_columns
+
+        def spy(F, cols, k, hit):
+            together.append({0, 1} <= set(cols[:k].tolist()))
+            return delete(F, cols, k, hit)
+
+        monkeypatch.setattr(conecert.linalg, "_delete_columns", spy)
+        rng = np.random.default_rng(103)
+        side_by_side = 0
+        for _ in range(200):
+            d = int(rng.integers(3, 9))
+            a = rng.standard_normal(d)
+            a /= np.linalg.norm(a)
+            u = rng.standard_normal(d)
+            u -= (u @ a) * a
+            u /= np.linalg.norm(u)
+            S = np.column_stack([a, a + 10.0 ** rng.uniform(-12.0, -6.0) * u, rng.standard_normal((d, int(rng.integers(1, 2 * d))))])
+            S *= 10.0 ** rng.uniform(-3.0, 3.0, size=S.shape[1])
+            x = rng.standard_normal(d)
+            together.clear()
+            res = nnls(S, x, tol=1e-300)
+            # both twins in the support at once, at a blocking step or at the end
+            side_by_side += any(together) or bool(res.rho[0] > 0.0 and res.rho[1] > 0.0)
+            _, ref_norm = scipy_optimize.nnls(S, x)
+            assert abs(float(res.residual @ res.residual) - ref_norm**2) <= 1e-12 * float(x @ x)
+            assert _kkt_holds(S, x, res)
+        assert side_by_side >= 20
+
+    def test_well_separated_columns_take_one_gram_schmidt_pass(self):
+        # unit columns with pairwise cosines at most 0.1, scaled by 1e-3 to 1e3: a
+        # column's remainder against k <= 7 others is at least 1 - 7 (0.1)^2 / 0.4 of
+        # its squared length, above half, so the second pass never runs
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(107)
+        for _ in range(200):
+            d = int(rng.integers(3, 9))
+            m = int(rng.integers(1, d + 1))
+            Q, _ = np.linalg.qr(rng.standard_normal((d, m)))
+            U = Q + 0.01 * rng.standard_normal((d, m))
+            U /= np.linalg.norm(U, axis=0)
+            assert float(np.abs(U.T @ U - np.eye(m)).max()) <= 0.1
+            S = U * 10.0 ** rng.uniform(-3.0, 3.0, size=m)
+            x = rng.standard_normal(d)
+            res = nnls(S, x)
+            _, ref_norm = scipy_optimize.nnls(S, x)
+            assert abs(float(res.residual @ res.residual) - ref_norm**2) <= 1e-12 * float(x @ x)
+            assert _kkt_holds(S, x, res)
 
     def test_oracle_and_nnls_agree_with_scipy_on_columns_scaled_1e_minus8_to_1e8(self):
         scipy_optimize = pytest.importorskip("scipy.optimize")
