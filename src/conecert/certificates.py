@@ -8,6 +8,7 @@ residual must not exceed (`add`), or is a strict sign check on a margin
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -27,9 +28,9 @@ class CertificateReport:
         return all(c.passed for c in self.checks)
 
     def add(self, name: str, residual: float, threshold: float) -> None:
-        """Check ``name``: passes when ``residual <= threshold``."""
+        """Check ``name``: passes when ``residual <= threshold`` and the residual is finite."""
         residual = float(residual)
-        self.checks.append(CertificateCheck(name, residual, bool(residual <= threshold)))
+        self.checks.append(CertificateCheck(name, residual, bool(residual <= threshold) and math.isfinite(residual)))
 
     def add_margin(self, name: str, margin: float) -> None:
         """Strict sign check ``name``: passes when ``margin > 0``, residual ``max(0, -margin)``."""

@@ -21,6 +21,7 @@ reported.  Nothing is sampled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
@@ -166,13 +167,26 @@ def verify_outcome(A, b, outcome: FarkasOutcome, tol: float = DEFAULT_TOL) -> bo
 
 def _excess(S, p, x, tol: float):
     """``(<s_j, x> - p_j, threshold)`` at the row nearest to failing ``<s_j, x>
-    - p_j <= tol ||(||s_j|| ||x||, p_j)||``, tol times the size of its terms."""
+    - p_j <= tol ||(||s_j|| ||x||, p_j)||``, tol times the size of its terms.
+
+    Each row ``(s_j, p_j)`` and x are divided by a power of two near their
+    largest entries (exact, as in `_products`), and each row is judged on
+    them, so no product or norm leaves the float range on the way.  The
+    pair is returned in the units of the data, or, where those pass the
+    float range, divided by the power of two that brings it back: the
+    comparison is the same either way."""
     if not p.size:
         return 0.0, 0.0
-    excess = S @ x - p
-    limits = _scale(np.column_stack([_norm(S, axis=1) * _norm(x), p]), tol, axis=1)
+    er = np.frexp(np.maximum(np.abs(S).max(axis=1, initial=0.0), np.abs(p)))[1]
+    # at most 2^1000 for a subnormal x, so that p_j / 2^(er_j + e) stays finite
+    e = max(math.frexp(float(np.abs(x).max(initial=0.0)))[1], -1000)
+    s, x, q = np.ldexp(S, -er[:, None]), np.ldexp(x, -e), np.ldexp(p, -(er + e))
+    excess = s @ x - q
+    limits = tol * np.hypot(_norm(s, axis=1) * math.sqrt(x @ x), q)
     j = int(np.argmax(excess - limits))
-    return float(excess[j]), float(limits[j])
+    excess, limit = float(excess[j]), float(limits[j])
+    back = min(int(er[j]) + e, 1024 - math.frexp(max(abs(excess), limit))[1])
+    return math.ldexp(excess, back), math.ldexp(limit, back)
 
 
 def _feasible(S, p, x, tol: float) -> bool:
@@ -382,7 +396,7 @@ def implication_certificate(result: GenFarkasReport, tol: float = DEFAULT_TOL) -
     lam = result.infeasibility_multipliers
     if result.feasible_point is not None:
         excess, limit = _excess(S, pvals, result.feasible_point, tol)
-        report.add("feasibility_hypothesis", max(0.0, excess), limit)
+        report.add("feasibility_hypothesis", max(excess, 0.0), limit)  # a NaN excess stays NaN and fails
     elif lam is None:
         report.add("feasibility_hypothesis", 1.0, 0.0)
     else:

@@ -12,14 +12,14 @@ threshold use them, so no answer depends on the units of x or k_i.
 Everything here is pure and thread-safe.
 
 `nnls` is the Lawson-Hanson active-set method on an orthogonal factor
-of its support, kept up to date pivot by pivot in one buffer
-``[Q^T x; Q; R^-1]``, so that a pivot costs mat-vecs and no LAPACK
-call, and it can start from a given support, factored once at set-up;
-its docstring gives the details.  Its support is linearly independent
-by its rank rule, so Caratheodory reduction (`caratheodory_reduce`) is
-that support.  The truncated SVD (`svd_factors`) has no caller in the
-library; both stay, outside the package namespace, only while the
-benchmark's traced run wraps them.
+of its support, kept up to date pivot by pivot in one zero-padded
+buffer ``[Q^T x; Q; R^-1]``, so that a pivot costs whole-block mat-vecs
+and no LAPACK call, and it can start from a given support, factored
+once at set-up; its docstring gives the details.  Its support is
+linearly independent by its rank rule, so Caratheodory reduction
+(`caratheodory_reduce`) is that support.  The truncated SVD
+(`svd_factors`) has no caller in the library; both stay, outside the
+package namespace, only while the benchmark's traced run wraps them.
 """
 
 from __future__ import annotations
@@ -168,23 +168,29 @@ class NnlsResult:
     drops: tuple
 
 
-def _delete_columns(F, cols, k: int, hit) -> int:
+def _delete_columns(F, cols, w, k: int, hit) -> int:
     """Delete the support positions ``hit`` (sorted) from the factor
     ``A[:, cols[:k]] = Q R`` in `nnls`'s one buffer ``F = [Q^T b; Q; T]``,
-    ``T = R^-1`` its last ``cols.size`` rows, in place, one Householder
-    reflection each as the `nnls` docstring describes; return the new support size."""
+    ``T = R^-1`` its last ``cols.size`` rows, and from the multipliers ``w``,
+    held in support order like ``cols``, in place, one Householder reflection
+    each as the `nnls` docstring describes; return the new support size.
+
+    Every product runs on the whole buffer, which is exact because F's
+    columns, T's rows and w's entries at and past k are zero; the freed
+    column, row and entry are zeroed again after each deletion."""
     T = F[-cols.size:]
     for p in hit[::-1]:
-        # H maps row p of T, orthogonal to every other column of R, onto the last axis
-        y = T[p, :k] / np.maximum.reduce(np.abs(T[p, :k]))
-        y /= math.sqrt(y @ y)
-        y[-1] += math.copysign(1.0, y[-1])
-        v = y / math.sqrt(abs(y[-1]))
-        F[:, :k] -= (F[:, :k] @ v)[:, None] * v
         k -= 1
-        T[p, :k] = T[k, :k]
+        # H maps row p of T, orthogonal to every other column of R, onto axis k
+        y = T[p] / np.maximum.reduce(np.abs(T[p]))
+        y /= math.sqrt(y @ y)
+        y[k] += math.copysign(1.0, y[k])
+        v = y / math.sqrt(abs(y[k]))
+        F -= (F @ v)[:, None] * v
+        T[p] = T[k]
         cols[p] = cols[k]
-        T[k, :k] = 0.0
+        w[p] = w[k]
+        F[:, k] = T[k] = w[k] = 0.0
     return k
 
 
@@ -210,6 +216,17 @@ def nnls(S, x, tol: float = DEFAULT_TOL, support=None) -> NnlsResult:
     no LAPACK call after set-up.  The factor is of the columns themselves,
     not of the Gram matrix ``S^T S``, whose condition number is the square.
 
+    F is zero padded: for a support of k columns, F's columns at and past
+    k (those of Q, the entries of ``Q^T x``) and T's rows at and past k are
+    exactly zero.  So every product (``T Q^T x``, ``x - Q Q^T x``, ``Q^T a``,
+    ``Q c``, ``T c`` and each reflection's ``F v``) runs on whole blocks,
+    contiguous and with no slice by k; only the lengths of the BLAS sums
+    differ from products on the first k columns, so only rounding does.
+    An entering column is written into F once it is accepted, and a
+    deletion zeroes the column it frees.  The support's multipliers are
+    one vector in support order, zero past k, that moves with the support
+    positions; it is scattered into rho once, at return.
+
     * An entering column a is appended to Q by one Gram-Schmidt step,
       O(d k) for a support of k columns, reorthogonalised only when its
       first pass leaves ``||v||^2 < ||a||^2 / 2`` (Daniel, Gragg, Kaufman
@@ -217,7 +234,7 @@ def nnls(S, x, tol: float = DEFAULT_TOL, support=None) -> NnlsResult:
       >= ||a|| / sqrt(2)``, far above the rank rule below, so it moves no
       decision.  The step gives ``R[:k, k]`` and ``r_kk`` and borders T
       with one mat-vec: ``T[k, k] = 1 / r_kk``, ``T[:k, k] = -T[:k, :k]
-      R[:k, k] / r_kk``.
+      R[:k, k] / r_kk``, the product of all of T with c, zero past k.
     * A blocking step deletes its positions in descending order, each
       by one Householder reflection H, O(d k) (Golub & Van Loan, *Matrix
       Computations*, sec. 5.1).  Row p of T is orthogonal to every column
@@ -226,7 +243,9 @@ def nnls(S, x, tol: float = DEFAULT_TOL, support=None) -> NnlsResult:
       with ``Q^T x`` a row of F.  Then no other column of ``H R`` reaches
       row k - 1, so the first k - 1 columns of Q span the kept columns,
       and the rows of T but the p-th, on their first k - 1 entries, are
-      the new T.  Support position k - 1 moves into p.
+      the new T.  Support position k - 1 moves into p, in T, the support
+      and the multipliers, and column k - 1 of F, which H left holding the
+      deleted column's part, is zeroed.
 
     T is safe to keep: it changes only by bordering, past the rank rule
     below, and by orthogonal reflections, which keep its norm
@@ -234,10 +253,13 @@ def nnls(S, x, tol: float = DEFAULT_TOL, support=None) -> NnlsResult:
     singular value of R, since singular values interlace.
 
     The solve runs on S and x divided by powers of two near their largest
-    entries, and rho is scaled back.  That is exact unless an entry lies
-    some 1e308 times below the largest, so the pivots are those of the raw
-    data, while column lengths and scores stay in the float range for
-    entries of 1e-200 or 1e200.
+    entries, and rho is scaled back.  The division is exact unless an
+    entry lies some 1e308 times below the largest, so the pivots are those
+    of the raw data, while column lengths and scores stay in the float
+    range for entries of 1e-200 or 1e200.  One power of two serves all of
+    S, though: a column some 1e154 times shorter than S's largest entry
+    has a squared length below the float range, so its length and its
+    remainder read 0 and the rank rule passes it over.
 
     The gradient ``S^T r`` that picks the entering column is taken from
     the factor's residual ``x - Q Q^T x``, accurate where ``x - S @ rho``
@@ -313,8 +335,8 @@ def nnls(S, x, tol: float = DEFAULT_TOL, support=None) -> NnlsResult:
     # the factor of the support, A[:, cols[:k]] = Q[:, :k] @ R, kept as one buffer [Q^T b; Q; T = R^-1]
     kmax = min(d, m)
     cols = np.empty(kmax, dtype=np.intp)
-    # an entering column writes T's new column and needs zeros in its new
-    # row: they are written here, and a blocking step zeroes the row it frees
+    # zero padded: F's columns and T's rows at and past k stay exactly zero, so every
+    # product runs on whole blocks; an accepted column fills column k, a deletion clears it
     F = np.zeros((1 + d + kmax, kmax))
     qtb, Q, T = F[0], F[1 : 1 + d], F[1 + d :]
     # a start column whose remainder is at or below max(tol, floor) * ||a|| could never enter
@@ -328,39 +350,36 @@ def nnls(S, x, tol: float = DEFAULT_TOL, support=None) -> NnlsResult:
     if k:
         cols[:k], Q[:, :k], T[:k, :k], qtb[:k] = start, q, np.linalg.inv(r), q.T @ b
         thresh[start] = np.inf
-    rho = np.zeros(m)
+    w = np.zeros(kmax)  # the support's multipliers, in support order, zero past k
     pivots = 0
     drops = []
 
     while True:
-        # least squares on the support and its blocking steps; a start's comes first, from rho = 0
+        # least squares on the support and its blocking steps; a start's comes first, from w = 0
         while k:
             pivots += 1
             if pivots > budget:
                 raise IterationLimit(f"nnls exceeded {budget} pivots on a {d}x{m} system")
-            sup = cols[:k]
-            z = T[:k, :k] @ qtb[:k]
-            if np.minimum.reduce(z) > 0.0:
-                rho[sup] = z
+            z = T @ qtb
+            if np.minimum.reduce(z[:k]) > 0.0:
+                w = z
                 break
-            blocking = (z <= 0.0).nonzero()[0]
+            blocking = (z[:k] <= 0.0).nonzero()[0]
             if blocking.size == 0:
                 raise IterationLimit("nnls inner loop stalled on degenerate input")
-            current = rho[sup]
-            held = current[blocking]
+            held = w[blocking]
             # held >= 0 >= z, so the denominator is zero only where held is
             # zero too, and that ratio is zero
             ratios = held / np.maximum(held - z[blocking], _SUBNORMAL)
             alpha = float(np.minimum.reduce(ratios))
-            current += alpha * (z - current)
+            w += alpha * (z - w)
             hit = blocking[ratios <= alpha * (1.0 + 1e-12)]
-            current[hit] = 0.0
-            np.maximum(current, 0.0, out=current)
-            rho[sup] = current
+            w[hit] = 0.0
+            np.maximum(w, 0.0, out=w)
             drops.append(int(hit.size))
-            thresh[sup[hit]] = slack[sup[hit]]
-            k = _delete_columns(F, cols, k, hit)
-        resid = b - Q[:, :k] @ qtb[:k]
+            thresh[cols[hit]] = slack[cols[hit]]
+            k = _delete_columns(F, cols, w, k, hit)
+        resid = b - Q @ qtb
         score = A.T @ resid
         score[score <= thresh] = -np.inf
         entering = -1
@@ -369,33 +388,32 @@ def nnls(S, x, tol: float = DEFAULT_TOL, support=None) -> NnlsResult:
             if score[j] == -np.inf:
                 break
             a = A[:, j]
-            Qk = Q[:, :k]
-            c = Qk.T @ a
-            v = a - Qk @ c
+            c = Q.T @ a
+            v = a - Q @ c
             rkk = math.sqrt(v @ v)
             if rkk * rkk < 0.5 * colnorm[j] * colnorm[j]:  # the first pass cancelled: a second one
-                c2 = Qk.T @ v
-                v -= Qk @ c2
+                c2 = Q.T @ v
+                v -= Q @ c2
                 c += c2
                 rkk = math.sqrt(v @ v)
             if rkk > floor * colnorm[j]:
-                np.divide(v, rkk, out=Q[:, k])
-                qtb[k] = Q[:, k] @ b
-                # the column's trial multiplier is qtb[k] / rkk
-                if qtb[k] > 0.0:
+                v /= rkk
+                qtbk = v @ b  # the column's trial multiplier is qtbk / rkk
+                if qtbk > 0.0:
                     entering = j
                     break
             score[j] = -np.inf
         if entering < 0:
             break
-        cols[k] = entering
+        cols[k], Q[:, k], qtb[k] = entering, v, qtbk
         thresh[entering] = np.inf
-        # border T: one mat-vec of its old columns with R[:k, k] = c, summed over the passes
+        # border T: one mat-vec with R[:k, k] = c, summed over the passes (c is zero past k)
+        T[:, k] = (T @ c) * (-1.0 / rkk)
         T[k, k] = 1.0 / rkk
-        T[:k, k] = (T[:k, :k] @ c) * -T[k, k]
         k += 1
 
-    rho = np.ldexp(rho, ex - eS)
+    rho = np.zeros(m)
+    rho[cols[:k]] = np.ldexp(w[:k], ex - eS)
     return NnlsResult(rho=rho, residual=x - S @ rho, pivots=pivots, drops=tuple(drops))
 
 

@@ -108,7 +108,11 @@ def test_report_lookup_of_an_absent_check():
         report["absent"]
 
 
-@pytest.mark.parametrize("residual, threshold, passed", [(0.0, 0.0, True), (1.0, 1.0, True), (1.0, 0.5, False), (np.nan, 1.0, False)])
+@pytest.mark.parametrize(
+    "residual, threshold, passed",
+    # a residual that is not finite never passes
+    [(0.0, 0.0, True), (1.0, 1.0, True), (1.0, 0.5, False), (np.nan, 1.0, False), (np.inf, np.inf, False)],
+)
 def test_add_judges_residual_against_threshold(residual, threshold, passed):
     report = CertificateReport()
     report.add("check", residual, threshold)

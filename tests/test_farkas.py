@@ -540,6 +540,33 @@ class TestExactImplication:
         assert not violator_holds(S, p, b, r, nudged)
         assert not violator_holds(S, p, b, float(b @ x), x)
 
+    def test_point_past_the_float_range_fails_the_feasibility_check(self):
+        # x_1 <= 1e100 at x = (1e200, 0): <s_1, x> - p_1 = 1e400 has no float, and the
+        # threshold tol ||(||s_1|| ||x||, p_1)|| = 1e391 is far below it
+        report = generalized_farkas([([1e200, 0.0], 1e300)], [0.0, 1.0], 1.0)
+        assert implication_certificate(report).passed
+        forged = dataclasses.replace(report, feasible_point=np.array([1e200, 0.0]))
+        certificate = implication_certificate(forged)
+        assert np.isfinite(certificate["feasibility_hypothesis"].residual)
+        assert not certificate["feasibility_hypothesis"].passed and not certificate.passed
+
+    @pytest.mark.parametrize("x, holds", [([1e200, 1e250], True), ([1e200, 1e200], False), ([1e300, 1e10], False)])
+    def test_violator_past_the_float_range(self, x, holds):
+        # x_1 <= 1e100 with <s_1, x> - p_1 = 1e400 or more, which has no float.  At
+        # (1e200, 1e250) the threshold is tol ||s_1|| ||x|| = 1e441: x meets the row
+        # moved by 1e-50 of its length, so it passes the rule, and <b, x> = 1e250 > 1
+        S, p, b = np.array([[1e200, 0.0]]), np.array([1e300]), np.array([0.0, 1.0])
+        assert violator_holds(S, p, b, 1.0, np.array(x)) is holds
+
+    def test_rows_and_points_of_1e200_are_judged_scaled(self):
+        # <s, x> = 1e350 - 1e350 = 0 <= 1 holds, but both raw products pass the float range
+        S, p = np.array([[1e200, 1e200]]), np.array([1.0])
+        x = np.array([1e150, -1e150])
+        assert farkas._feasible(S, p, x, 1e-9)
+        # moved by 1e142 along e_1, <s, x> = 1e342 passes tol ||s|| ||x|| = 2e341
+        assert not farkas._feasible(S, p, x + np.array([1e142, 0.0]), 1e-9)
+        assert violator_holds(S, p, np.array([1.0, 0.0]), 1e149, x)
+
     def test_infeasibility_multipliers_checked(self):
         # x1 <= 1 and -x1 <= -2: 1 * (x1 <= 1) + 1 * (-x1 <= -2) reads 0 <= -1
         S, p = np.array([[1.0], [-1.0]]), np.array([1.0, -2.0])

@@ -1,3 +1,6 @@
+import inspect
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -306,9 +309,9 @@ def deletions(monkeypatch):
     seen = []
     delete = conecert.linalg._delete_columns
 
-    def spy(F, cols, k, hit):
+    def spy(F, cols, w, k, hit):
         seen.append((k, tuple(int(h) for h in hit)))
-        return delete(F, cols, k, hit)
+        return delete(F, cols, w, k, hit)
 
     def recorded(name):
         routine = getattr(np.linalg, name)
@@ -418,23 +421,29 @@ class TestNnlsFactor:
         A = rng.standard_normal((d, m))
         b = rng.standard_normal(d)
         cols = rng.permutation(m)[:d].astype(np.intp)
-        # F = [qtb^T; Q; T] as `nnls` keeps it, with NaN where no support column has been
-        F = np.full((1 + 2 * d, d), np.nan)
-        F[1 + d :] = 0.0
+        # F = [qtb^T; Q; T] and the multipliers w as `nnls` keeps them, zero past the support
+        F = np.zeros((1 + 2 * d, d))
         qtb, Q, T = F[0], F[1 : 1 + d], F[1 + d :]
         q, r = np.linalg.qr(A[:, cols[:k]])
         Q[:, :k], T[:k, :k], qtb[:k] = q, np.linalg.inv(r), q.T @ b
+        w = np.zeros(d)
+        w[:k] = rng.uniform(0.5, 1.5, size=k)
         hit = np.array(hit)
+        w[hit] = 0.0
+        held = dict(zip(cols[:k].tolist(), w[:k].tolist()))
         kept = np.delete(cols[:k], hit)
         with monkeypatch.context() as m:
             _refuse_linalg(m)
-            k2 = _delete_columns(F, cols, k, hit)
+            k2 = _delete_columns(F, cols, w, k, hit)
         assert k2 == kept.size
         assert np.array_equal(np.sort(cols[:k2]), np.sort(kept))
         Qk, Tk = Q[:, :k2], T[:k2, :k2]
         assert np.linalg.norm(Qk.T @ Qk - np.eye(k2)) <= 1e-13
         assert np.linalg.norm(A[:, cols[:k2]] @ Tk - Qk) <= 1e-13 * np.linalg.norm(Qk)
         assert np.linalg.norm(qtb[:k2] - Qk.T @ b) <= 1e-13 * np.linalg.norm(b)
+        # the padding is zero again, and each multiplier moved with its column
+        assert not F[:, k2:].any() and not T[k2:].any() and not w[k2:].any()
+        assert dict(zip(cols[:k2].tolist(), w[:k2].tolist())) == {c: held[c] for c in kept.tolist()}
 
     def test_successive_deletions_keep_the_factor_of_near_parallel_pairs(self):
         # each odd column is its even neighbour plus 1e-3 noise; deleting one
@@ -448,11 +457,13 @@ class TestNnlsFactor:
             Q, R = np.linalg.qr(A[:, :d])
             F = np.vstack([Q.T @ rng.standard_normal(d), Q, np.linalg.inv(R)])
             Q, T = F[1 : 1 + d], F[1 + d :]
+            w = np.zeros(d)
             k = d
             while k > 3:
-                k = _delete_columns(F, cols, k, np.array([rng.integers(k)]))
+                k = _delete_columns(F, cols, w, k, np.array([rng.integers(k)]))
                 Qk = Q[:, :k]
                 assert np.linalg.norm(A[:, cols[:k]] @ T[:k, :k] - Qk) <= 1e-10 * np.linalg.norm(Qk)
+                assert not F[:, k:].any() and not T[k:].any()
 
     def test_in_cone_targets_with_long_blocks_after_the_deleted_column(self, deletions):
         solve, seen = deletions
@@ -566,9 +577,9 @@ class TestNnlsFactor:
         together = []
         delete = conecert.linalg._delete_columns
 
-        def spy(F, cols, k, hit):
+        def spy(F, cols, w, k, hit):
             together.append({0, 1} <= set(cols[:k].tolist()))
-            return delete(F, cols, k, hit)
+            return delete(F, cols, w, k, hit)
 
         monkeypatch.setattr(conecert.linalg, "_delete_columns", spy)
         rng = np.random.default_rng(103)
@@ -782,6 +793,164 @@ class TestNnlsStart:
             assert len(seen) > 4 and len(res.drops) > 2
             assert np.setdiff1d(np.flatnonzero(res.rho), start).size > 2
             assert _same_objective(S, x, res, cold)
+            assert _kkt_holds(S, x, res)
+
+
+def _pointed_cone(rng, d, m):
+    """d x m Gaussian generators in the half-space x_0 > 0, as the benchmark's cones."""
+    S = rng.standard_normal((d, m))
+    S[0] = np.abs(S[0]) + 1.0
+    return S
+
+
+def _unit_shape_representers(r):
+    """The 13 x 260 representers of the shape cone at n = 12 on its default grid,
+    divided by their lengths, as `project_shape` solves over them."""
+    V = LegendreBasis(12).values(chebyshev_points(260), r)
+    return V / np.linalg.norm(V, axis=0)
+
+
+def _traced_states(S, x, **kwargs):
+    """`nnls` on (S, x) and the states its factor passes through.
+
+    A state is a dict of copies of `nnls`'s locals F, cols, w, k, A, b, ex
+    and eS.  A line tracer takes one as each pivot begins, at ``pivots +=
+    1`` (after set-up, an entering step or a deletion; tagged ``"pivot"``),
+    and one where the support's least-squares step has been accepted and
+    the entering step begins, at ``resid = b - Q @ qtb`` (``"solved"``),
+    and the last as it returns (``"return"``).  A spy on `_delete_columns`
+    takes ``"before"`` and ``"after"`` around each deletion, with A and b
+    of the last state."""
+    lines, first = inspect.getsourcelines(conecert.linalg.nnls)
+    at = {first + i: tag for i, line in enumerate(lines) for tag, stmt in (("pivot", "pivots += 1"), ("solved", "resid = b - Q @ qtb")) if line.strip() == stmt}
+    assert sorted(at.values()) == ["pivot", "solved"]
+    code = conecert.linalg.nnls.__code__
+    states = []
+
+    def copy(values):
+        return {name: np.copy(values[name]) for name in ("F", "cols", "w", "k", "A", "b", "ex", "eS")}
+
+    def line(frame, event, arg):
+        if event == "line" and frame.f_lineno in at:
+            states.append((at[frame.f_lineno], copy(frame.f_locals)))
+        elif event == "return":
+            states.append(("return", copy(frame.f_locals)))
+        return line
+
+    def call(frame, event, arg):
+        return line if frame.f_code is code else None
+
+    delete = conecert.linalg._delete_columns
+
+    def spy(F, cols, w, k, hit):
+        last = states[-1][1]
+        states.append(("before", copy(dict(last, F=F, cols=cols, w=w, k=k))))
+        k = delete(F, cols, w, k, hit)
+        states.append(("after", copy(dict(last, F=F, cols=cols, w=w, k=k))))
+        return k
+
+    previous = sys.gettrace()
+    conecert.linalg._delete_columns = spy
+    sys.settrace(call)
+    try:
+        res = nnls(S, x, **kwargs)
+    finally:
+        sys.settrace(previous)
+        conecert.linalg._delete_columns = delete
+    return res, states
+
+
+def _check_state(tag, s):
+    """The kernel's invariants on one state of `_traced_states`."""
+    F, cols, w, k, A, b = (s[name] for name in ("F", "cols", "w", "k", "A", "b"))
+    k = int(k)
+    d = A.shape[0]
+    qtb, Q, T = F[0], F[1 : 1 + d], F[1 + d :]
+    # the padding: F's columns, T's rows and the multipliers at and past k are exactly zero
+    assert not F[:, k:].any() and not T[k:].any() and not w[k:].any()
+    Qk, Tk, B = Q[:, :k], T[:k, :k], A[:, cols[:k]]
+    assert np.linalg.norm(Qk.T @ Qk - np.eye(k)) <= 1e-12
+    R = Qk.T @ B
+    # T R = I on the support, and Q spans it
+    assert np.linalg.norm(Tk @ R - np.eye(k)) <= 1e-12 * max(1.0, np.linalg.norm(Tk))
+    assert np.linalg.norm(B @ Tk - Qk) <= 1e-12 * max(1.0, np.linalg.norm(Tk))
+    assert np.linalg.norm(qtb[:k] - Qk.T @ b) <= 1e-13
+    assert w.min(initial=0.0) >= 0.0
+    if tag == "solved":
+        # the support-ordered multipliers are T Q^T b, the least-squares fit of b on cols[:k]
+        assert np.linalg.norm(w - T @ qtb) <= 1e-13 * max(1.0, np.linalg.norm(w))
+        assert w[:k].min(initial=1.0) > 0.0
+        if k:
+            fit = np.linalg.lstsq(B, b, rcond=None)[0]
+            assert np.linalg.norm(w[:k] - fit) <= 1e-12 * np.linalg.norm(Tk) * max(1.0, np.linalg.norm(fit))
+
+
+class TestNnlsInvariants:
+    """The zero-padded factor and the support-ordered multipliers after every
+    pivot and every deletion, and the objective against scipy at the
+    benchmark's shapes."""
+
+    def _instances(self):
+        rng = np.random.default_rng(109)
+        for _ in range(60):
+            S, x = random_cone_instance(rng, d_max=6, m_max=12)
+            yield S, x, {}
+        for d in (20, 60):
+            S = _pointed_cone(rng, d, 5 * d)
+            cols = rng.choice(5 * d, size=d // 3, replace=False)
+            yield S, S[:, cols] @ rng.uniform(0.5, 1.5, size=cols.size), {}
+            yield S, -rng.standard_normal(d), {}
+            start = rng.choice(5 * d, size=d // 2, replace=False)
+            yield S, rng.standard_normal(d), {"support": start}
+        for r in (0, 1, 2):
+            yield _unit_shape_representers(r), -rng.standard_normal(13), {}
+        # candidates passed over by the rank rule (parallel columns) and the sign rule
+        # (a gradient and trial multiplier of rounding), at a slack below rounding
+        for _ in range(10):
+            a, c = rng.standard_normal(3), rng.standard_normal(3)
+            yield np.column_stack([a, a, c, 2.0 * a]), rng.standard_normal(3), {"tol": 1e-300}
+            a, u, v = np.linalg.qr(rng.standard_normal((3, 3)))[0].T
+            yield np.column_stack([a, a + 1e-3 * v]), a + u, {"tol": 1e-300}
+
+    def test_padding_factor_and_multipliers_hold_at_every_step(self):
+        seen = dict.fromkeys(("pivot", "solved", "before", "after", "return"), 0)
+        for S, x, kwargs in self._instances():
+            res, states = _traced_states(S, x, **kwargs)
+            for tag, state in states:
+                seen[tag] += 1
+                _check_state(tag, state)
+            for (tag, before), (_, after) in zip(states, states[1:]):
+                if tag == "before":
+                    # each multiplier moved with its column, and the deleted ones were zero
+                    held = dict(zip(before["cols"][: before["k"]].tolist(), before["w"][: before["k"]].tolist()))
+                    kept = dict(zip(after["cols"][: after["k"]].tolist(), after["w"][: after["k"]].tolist()))
+                    assert all(held[c] == v for c, v in kept.items())
+                    assert all(v == 0.0 for c, v in held.items() if c not in kept)
+            # rho is the support-ordered multipliers, scattered once at return
+            tag, last = states[-1]
+            rho = np.zeros(S.shape[1])
+            rho[last["cols"][: last["k"]]] = np.ldexp(last["w"][: last["k"]], last["ex"] - last["eS"])
+            assert tag == "return" and np.array_equal(res.rho, rho)
+        assert seen["before"] == seen["after"] >= 50 and seen["solved"] >= 200
+
+    @pytest.mark.parametrize("shape", ["cone-60x300", "shape-13x260"])
+    def test_objective_matches_scipy_at_the_benchmark_shapes(self, shape):
+        # the benchmark's solves: 60 x 300 pointed Gaussian cones with targets off the
+        # cone, in it (a sparse positive combination) and the negative of one in it, and
+        # the shape cone's unit representers at n = 12, r = 0, 1, 2 with random targets
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(113)
+        for trial in range(24):
+            if shape == "cone-60x300":
+                S = _pointed_cone(rng, 60, 300)
+                combo = S[:, rng.choice(300, size=20, replace=False)] @ rng.uniform(0.5, 1.5, size=20)
+                x = (rng.standard_normal(60), combo, -combo)[trial % 3]
+            else:
+                S = _unit_shape_representers(trial % 3)
+                x = rng.standard_normal(13) * rng.uniform(0.5, 2.0)
+            res = nnls(S, x)
+            _, ref_norm = scipy_optimize.nnls(S, x)
+            assert abs(float(res.residual @ res.residual) - ref_norm**2) <= 1e-9 * float(x @ x)
             assert _kkt_holds(S, x, res)
 
 
