@@ -5,13 +5,29 @@ Derivative values come from the Gegenbauer identity
 P_k^(r) = (2r - 1)!! C_{k-r}^(r+1/2) and the Gegenbauer recurrence (NIST
 DLMF 18.9.19 and 18.9.1), which is Legendre's own at r = 0.  Coefficient-space
 differentiation is numpy's `legder`.
+
+`_basis_values(n, r, points)` memoises the evaluations the solvers
+separate over (`positive_quadrature`'s candidates, `project_shape`'s
+representers and their check grid), with the lengths of their columns.
+Those depend only on (n, r, points), never on a target or an interval.
+Its key is (n, r, the points' exact float64 bytes); its entries are
+read-only, and it keeps the least recently used of them within
+``MEMO_BYTES``, returning a larger entry without keeping it.  The values
+are those of `LegendreBasis.values`.  Everything here is thread-safe.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 
 import numpy as np
+
+from .linalg import _lengths
+
+# the basis-value memo keeps at most this many bytes of entries and keys
+MEMO_BYTES = 8 << 20
 
 
 class LegendreBasis:
@@ -46,6 +62,55 @@ class LegendreBasis:
             np.divide(term, k - r, out=P[k])
         vals = self.norms[:, None] * P
         return vals[:, 0] if scalar else vals
+
+
+class _ValuesMemo:
+    """Least-recently-used memo of ``(values, lengths)`` of the basis at a
+    point set, keyed by (n, r, the points' float64 bytes), within
+    ``MEMO_BYTES``.  One lock guards the table; a miss evaluates outside
+    it, so two threads may evaluate one key and the first kept wins."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._entries = OrderedDict()  # key -> ((values, lengths), bytes held)
+        self.nbytes = 0
+
+    def __call__(self, n: int, r: int, points) -> tuple:
+        ts = np.ascontiguousarray(points, dtype=float)
+        key = (int(n), int(r), ts.tobytes())
+        with self._lock:
+            held = self._entries.get(key)
+            if held is not None:
+                self._entries.move_to_end(key)
+                return held[0]
+        values = LegendreBasis(n).values(ts, r)
+        entry = (values, _lengths(values))
+        for array in entry:
+            array.flags.writeable = False
+        size = values.nbytes + entry[1].nbytes + len(key[2])
+        if size > MEMO_BYTES:
+            return entry
+        with self._lock:
+            if key not in self._entries:
+                self._entries[key] = (entry, size)
+                self.nbytes += size
+                while self.nbytes > MEMO_BYTES:
+                    self.nbytes -= self._entries.popitem(last=False)[1][1]
+            return self._entries[key][0]
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.nbytes = 0
+
+
+# ``_basis_values(n, r, points)``: the read-only values ``LegendreBasis(n).values(points, r)``
+# (column j the representer of p -> p^(r)(points[j])) and their column lengths (`_lengths`)
+_basis_values = _ValuesMemo()
 
 
 def derivative_matrix(n: int, r: int) -> np.ndarray:

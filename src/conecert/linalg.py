@@ -379,6 +379,8 @@ def nnls(S, x, tol: float = DEFAULT_TOL, support=None) -> NnlsResult:
             drops.append(int(hit.size))
             thresh[cols[hit]] = slack[cols[hit]]
             k = _delete_columns(F, cols, w, k, hit)
+        if k == kmax:  # a full support: no column can enter
+            break
         resid = b - Q @ qtb
         score = A.T @ resid
         score[score <= thresh] = -np.inf

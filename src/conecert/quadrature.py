@@ -19,6 +19,13 @@ after one pivot for 64 of the degrees 1-80, and after 3 or 4 for the
 rest.  For any other spec Lawson-Hanson corrects the signs from there.
 The rule holds its spec, and `rule_certificate(rule, tol)` re-checks it
 against that spec alone.
+
+The candidates' evaluation vectors are the basis at the grid's points on
+[-1, 1], times sqrt(2 / (b - a)), read from the memo of `legendre`
+(`_basis_values`, keyed by n, r = 0 and the points' float64 bytes,
+bounded by ``legendre.MEMO_BYTES``, thread-safe).  So every interval
+of one (degree, grid size) shares one entry; the affine map to [a, b]
+moves only rounding.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import numpy as np
 from .certificates import CertificateReport
 from .cones import positive_relative_test
 from .errors import BadInterval, MomentFitFailed
-from .legendre import LegendreBasis, chebyshev_points
+from .legendre import LegendreBasis, _basis_values, chebyshev_points
 from .linalg import DEFAULT_TOL, _norm, _scale
 
 
@@ -134,7 +141,9 @@ def positive_quadrature(spec: MomentSpec, grid_size: int) -> QuadratureRule:
         raise ValueError("grid_size must be at least 4 (n + 1)")
     grid = chebyshev_points(grid_size, a, b)
     start = np.round(np.linspace(0, grid_size - 1, n + 1)).astype(int)
-    fit = positive_relative_test(shifted_basis_values(n, a, b, grid).T, spec.moments, DEFAULT_TOL, start)
+    # the shifted basis at grid, evaluated at its preimage in [-1, 1]: one memo entry for every [a, b]
+    candidates = _basis_values(n, 0, chebyshev_points(grid_size))[0] * np.sqrt(2.0 / (b - a))
+    fit = positive_relative_test(candidates.T, spec.moments, DEFAULT_TOL, start)
     if not fit.member:
         limit = _scale(spec.moments, DEFAULT_TOL)
         raise MomentFitFailed(f"moment fit missed by {_norm(fit.witness):.3e} > {limit:.3e} on a {grid_size}-point grid")

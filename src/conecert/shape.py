@@ -18,6 +18,13 @@ A `ShapeResult` holds its `ShapeProblem`, and `shape_certificate(result,
 tol)` re-checks it against that problem alone: each derivative value
 ``p^(r)(t)``, divided by the length of the representer at t, is judged
 against ``tol ||target||`` (the library's one rule).
+
+The representers at the grid and at the check grid, with their lengths,
+are read from the memo of `legendre` (`_basis_values`, keyed by n, r and
+the points' float64 bytes, bounded by ``legendre.MEMO_BYTES``,
+thread-safe), so the solve, its certificate and the reported minimum
+evaluate each point set once; those at ``active_alphas`` are evaluated
+afresh.
 """
 
 from __future__ import annotations
@@ -28,8 +35,8 @@ import numpy as np
 
 from .certificates import CertificateReport
 from .cones import project_dual
-from .legendre import LegendreBasis, chebyshev_points, derivative_matrix, legendre_to_monomial
-from .linalg import DEFAULT_TOL, _lengths, _norm, _products, _scale, as_vector
+from .legendre import LegendreBasis, _basis_values, chebyshev_points, derivative_matrix, legendre_to_monomial
+from .linalg import DEFAULT_TOL, _norm, _products, _scale, as_vector
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,13 +110,13 @@ class ShapeResult:
 
     legendre_coeffs = property(lambda self: self.solution.coeffs)
     monomial_coeffs = property(lambda self: legendre_to_monomial(self.solution.coeffs))
-    min_derivative_on_checkgrid = property(lambda self: float((self.solution.coeffs @ _checkgrid_representers(self.problem)).min()))
+    min_derivative_on_checkgrid = property(lambda self: float((self.solution.coeffs @ _checkgrid_representers(self.problem)[0]).min()))
     distance = property(lambda self: float(_norm(self.solution.coeffs - self.problem.target.coeffs)))
 
 
-def _checkgrid_representers(problem: ShapeProblem) -> np.ndarray:
-    """Representers of p -> p^(r)(t) at the check grid, ``chebyshev_points(10 * grid.size)``."""
-    return LegendreBasis(problem.n).values(chebyshev_points(10 * problem.grid.size), problem.r)
+def _checkgrid_representers(problem: ShapeProblem) -> tuple:
+    """Representers of p -> p^(r)(t) at the check grid, ``chebyshev_points(10 * grid.size)``, and their lengths."""
+    return _basis_values(problem.n, problem.r, chebyshev_points(10 * problem.grid.size))
 
 
 def project_shape(problem: ShapeProblem, tol: float = DEFAULT_TOL) -> ShapeResult:
@@ -122,10 +129,7 @@ def project_shape(problem: ShapeProblem, tol: float = DEFAULT_TOL) -> ShapeResul
     ``rho_j = rho'_j / ||v_j||``, onto the raw representers that
     `shape_certificate` uses.
     """
-    n, r = problem.n, problem.r
-    basis = LegendreBasis(n)
-    columns = basis.values(problem.grid, r)  # column j is the representer at grid[j]
-    lengths = _lengths(columns)
+    columns, lengths = _basis_values(problem.n, problem.r, problem.grid)  # column j is the representer at grid[j]
     proj = project_dual((columns / lengths).T, problem.target.coeffs, tol)
     active = proj.active
     return ShapeResult(
@@ -141,16 +145,17 @@ def shape_certificate(result: ShapeResult, tol: float = DEFAULT_TOL) -> Certific
     state or the reported minimum, and the bound ``m <= (n - r + 2) / 2`` unless p^(r) vanishes."""
     problem = result.problem
     p, target, n, r = result.solution.coeffs, problem.target.coeffs, problem.n, problem.r
-    basis = LegendreBasis(n)
     # column j evaluates the r-th derivative at active_alphas[j]
-    representers = basis.values(result.active_alphas, r)
+    representers = LegendreBasis(n).values(result.active_alphas, r)
     limit = _scale(target, tol)
     vanishes = np.abs(_products(derivative_matrix(n, r).T, p)).max() <= limit
     bound_ok = vanishes or result.active_alphas.size <= 0.5 * (n - r + 2)
     report = CertificateReport()
     report.add("representation", _norm(p - target - representers @ result.rho), limit)
     report.add("active_derivative_zero", np.abs(_products(representers, p)).max(initial=0.0), limit)
-    report.add("grid_feasibility", max(0.0, -float(_products(basis.values(problem.grid, r), p).min())), limit)
-    report.add("checkgrid_feasibility", max(0.0, -float(_products(_checkgrid_representers(problem), p).min())), limit)
+    grid, grid_lengths = _basis_values(n, r, problem.grid)
+    checkgrid, checkgrid_lengths = _checkgrid_representers(problem)
+    report.add("grid_feasibility", max(0.0, -float(_products(grid, p, grid_lengths).min())), limit)
+    report.add("checkgrid_feasibility", max(0.0, -float(_products(checkgrid, p, checkgrid_lengths).min())), limit)
     report.add("active_count_bound", float(not bound_ok), 0.0)
     return report

@@ -4,14 +4,22 @@ The orthonormal basis function p_k is ``sqrt((2k + 1) / 2) P_k`` with P_k
 numpy's classic ``Legendre.basis(k)``.
 """
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from numpy.polynomial import Legendre
 from numpy.polynomial import legendre as L
 from numpy.polynomial import polynomial as P
 
-from conecert import chebyshev_points, integral_moments, positive_quadrature
-from conecert.legendre import LegendreBasis, derivative_matrix, legendre_to_monomial, monomial_to_legendre
+import conecert.cones
+import conecert.legendre
+import conecert.shape
+from conecert import LegendrePoly, ShapeProblem, chebyshev_points, integral_moments, positive_quadrature, project_shape
+from conecert.legendre import MEMO_BYTES, LegendreBasis, _basis_values, derivative_matrix, legendre_to_monomial, monomial_to_legendre
+from conecert.quadrature import rule_certificate, verify_exactness
+from conecert.shape import default_grid, shape_certificate
 
 T = np.linspace(-1.0, 1.0, 41)
 
@@ -108,3 +116,151 @@ def test_chebyshev_single_point_is_the_midpoint():
 def test_chebyshev_count_must_be_positive(count):
     with pytest.raises(ValueError, match="count must be positive"):
         chebyshev_points(count)
+
+
+# ---------------------------------------------------------------------------
+# the basis-value memo shared by positive_quadrature and project_shape
+
+
+@pytest.fixture
+def values_calls(monkeypatch):
+    """The sizes of the point sets `LegendreBasis.values` is called on, from a cleared memo."""
+    calls = []
+    evaluate = LegendreBasis.values
+
+    def counted(self, t, r=0):
+        calls.append(np.size(t))
+        return evaluate(self, t, r)
+
+    monkeypatch.setattr(LegendreBasis, "values", counted)
+    _basis_values.clear()
+    yield calls
+    _basis_values.clear()
+
+
+def _shape_problem(n, r, seed, grid_size=None):
+    target = LegendrePoly(np.random.default_rng(seed).standard_normal(n + 1))
+    grid = default_grid(n) if grid_size is None else chebyshev_points(grid_size)
+    return ShapeProblem(n=n, r=r, grid=grid, target=target)
+
+
+QUADRATURE_CASES = [(10, (0.0, 1.0)), (16, (-0.5, 2.25)), (38, (-3.0, 1.0)), (38, (0.125, 0.25))]
+SHAPE_CASES = [(5, 0, 1), (8, 1, 2), (12, 2, 3)]
+
+
+def _quadrature_outputs(n, interval):
+    rule = positive_quadrature(integral_moments(n, *interval), 8 * (n + 1))
+    return [rule.nodes, rule.weights]
+
+
+def _shape_outputs(n, r, seed):
+    result = project_shape(_shape_problem(n, r, seed))
+    residuals = [check.residual for check in shape_certificate(result).checks]
+    return [result.solution.coeffs, result.active_alphas, result.rho, np.array([result.min_derivative_on_checkgrid, *residuals])]
+
+
+def _all_outputs():
+    return [_quadrature_outputs(*case) for case in QUADRATURE_CASES] + [_shape_outputs(*case) for case in SHAPE_CASES]
+
+
+def _bit_identical(first, second):
+    assert len(first) == len(second)
+    for arrays, again in zip(first, second):
+        assert all(np.array_equal(x, y) and x.dtype == y.dtype for x, y in zip(arrays, again))
+
+
+def test_memo_entries_are_read_only_and_results_own_their_arrays(values_calls, monkeypatch):
+    values, lengths = _basis_values(6, 1, default_grid(6))
+    assert not values.flags.writeable and not lengths.flags.writeable
+    with pytest.raises(ValueError):
+        values[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        lengths[0] = 1.0
+
+    rule = positive_quadrature(integral_moments(10, -1.0, 1.0), 88)
+    candidates = _basis_values(10, 0, chebyshev_points(88))
+    assert not any(np.shares_memory(a, e) for a in (rule.nodes, rule.weights) for e in candidates)
+
+    projections = []
+
+    def spy(*args, **kwargs):
+        projections.append(conecert.cones.project_dual(*args, **kwargs))
+        return projections[-1]
+
+    monkeypatch.setattr(conecert.shape, "project_dual", spy)
+    problem = _shape_problem(6, 1, 0)
+    result = project_shape(problem)
+    representers = _basis_values(6, 1, problem.grid)
+    owned = (result.rho, result.solution.coeffs, result.active_alphas, projections[0].S)
+    assert not any(np.shares_memory(a, e) for a in owned for e in representers)
+
+
+def test_cold_and_warm_calls_are_bit_identical(values_calls):
+    cold = _all_outputs()
+    evaluated = len(values_calls)
+    warm = _all_outputs()
+    _bit_identical(cold, warm)
+    # only the active alphas of each shape certificate are evaluated again
+    assert len(values_calls) - evaluated == len(SHAPE_CASES)
+
+
+def test_a_grid_one_ulp_away_is_another_key(values_calls):
+    problem = _shape_problem(6, 1, 0)
+    moved = problem.grid.copy()
+    moved[5] = np.nextafter(moved[5], 1.0)
+    project_shape(problem)
+    project_shape(problem)
+    assert values_calls == [problem.grid.size] and len(_basis_values) == 1
+    project_shape(ShapeProblem(n=6, r=1, grid=moved, target=problem.target))
+    assert values_calls == [problem.grid.size] * 2 and len(_basis_values) == 2
+
+
+def test_an_entry_past_the_byte_bound_is_solved_and_not_kept(values_calls):
+    n = 40
+    grid_size = MEMO_BYTES // (8 * (n + 1)) + 1  # the values alone pass the bound
+    for _ in range(2):
+        rule = positive_quadrature(integral_moments(n, 0.0, 1.0), grid_size)
+        assert rule.nodes.size <= n + 1
+        assert rule_certificate(rule).passed
+        assert verify_exactness(rule, n) < 1e-13
+        assert len(_basis_values) == 0 and _basis_values.nbytes == 0
+    # the certificates evaluate the basis at the rule's nodes, not at the grid
+    assert [size for size in values_calls if size > n + 1] == [grid_size] * 2
+
+
+def test_least_recently_used_entries_leave_first(values_calls, monkeypatch):
+    def held(count):
+        return 4 * 8 * count  # the two rows of n = 1, the lengths and the key
+
+    grids = {count: chebyshev_points(count) for count in (100, 101, 102)}
+    monkeypatch.setattr(conecert.legendre, "MEMO_BYTES", held(100) + held(102))
+    for count in (100, 101, 100, 102):  # the 101-point grid is then the least recently used
+        _basis_values(1, 0, grids[count])
+    assert len(_basis_values) == 2 and _basis_values.nbytes == held(100) + held(102)
+    for count in (100, 102, 101):
+        _basis_values(1, 0, grids[count])
+    assert values_calls == [100, 101, 102, 101]
+
+
+def test_concurrent_calls_give_identical_results(values_calls):
+    expected = _all_outputs()
+    _basis_values.clear()
+    jobs = [(_quadrature_outputs, case, i) for i, case in enumerate(QUADRATURE_CASES)]
+    jobs += [(_shape_outputs, case, len(QUADRATURE_CASES) + i) for i, case in enumerate(SHAPE_CASES)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [(i, pool.submit(fn, *case)) for fn, case, i in jobs * 6]
+            got = [(i, future.result(timeout=120)) for i, future in futures]
+    finally:
+        sys.setswitchinterval(switch)
+    for i, outputs in got:
+        _bit_identical([expected[i]], [outputs])
+    # no lost update: the memo holds each key of the jobs once, and its byte count is theirs
+    held = len(_basis_values), _basis_values.nbytes
+    entries = [_basis_values(n, 0, chebyshev_points(8 * (n + 1))) for n in sorted({n for n, _ in QUADRATURE_CASES})]
+    for n, r, _ in SHAPE_CASES:
+        grid = default_grid(n)
+        entries += [_basis_values(n, r, grid), _basis_values(n, r, chebyshev_points(10 * grid.size))]
+    assert held == (len(entries), sum(v.nbytes + 2 * lengths.nbytes for v, lengths in entries))

@@ -268,3 +268,20 @@ class TestUnits:
         unit = positive_quadrature(integral_moments(6, 0.0, 1.0), 56)
         assert rule.nodes.size == unit.nodes.size
         assert np.isclose(rule.weights.sum(), width, rtol=1e-12, atol=0.0)
+
+
+class TestReferenceGrid:
+    """Every interval fits over the basis at one grid on [-1, 1], so a rule
+    on [a, b] is the rule on [-1, 1] with its weights times (b - a) / 2."""
+
+    @pytest.mark.parametrize("n", [10, 20, 40])
+    @pytest.mark.parametrize("interval", [(0.0, 1.0), (-4.0, 0.5), (0.25, 0.375), (-1024.0, 3072.0)])
+    def test_rule_is_the_reference_rule_rescaled(self, n, interval):
+        a, b = interval
+        grid_size = 8 * (n + 1)
+        reference = positive_quadrature(integral_moments(n, -1.0, 1.0), grid_size)
+        rule = positive_quadrature(integral_moments(n, a, b), grid_size)
+        support = np.flatnonzero(np.isin(chebyshev_points(grid_size, a, b), rule.nodes))
+        assert support.size == rule.nodes.size
+        assert support.tolist() == np.flatnonzero(np.isin(chebyshev_points(grid_size), reference.nodes)).tolist()
+        np.testing.assert_allclose(rule.weights, reference.weights * (b - a) / 2, rtol=1e-12, atol=0.0)
