@@ -20,12 +20,13 @@ rest.  For any other spec Lawson-Hanson corrects the signs from there.
 The rule holds its spec, and `rule_certificate(rule, tol)` re-checks it
 against that spec alone.
 
-The candidates' evaluation vectors are the basis at the grid's points on
-[-1, 1], times sqrt(2 / (b - a)), read from the memo of `legendre`
-(`_basis_values`, keyed by n, r = 0 and the points' float64 bytes,
-bounded by ``legendre.MEMO_BYTES``, thread-safe).  So every interval
-of one (degree, grid size) shares one entry; the affine map to [a, b]
-moves only rounding.
+The candidates' evaluation vectors are the basis at the grid's preimage
+in [-1, 1], times sqrt(2 / (b - a)), read from the memo of `legendre`
+(`_basis_values`, keyed by n, r = 0 and the preimage's float64 bytes,
+bounded by ``legendre.MEMO_BYTES``, thread-safe).  They are the values
+`shifted_basis_values` gives at the grid, bit for bit, so the fit and
+`rule_certificate` judge the same columns; a repeated (interval, degree,
+grid size) reads them from one entry.
 """
 
 from __future__ import annotations
@@ -89,10 +90,14 @@ class MomentSpec:
         object.__setattr__(self, "moments", moments)
 
 
+def _preimage(a: float, b: float, t) -> np.ndarray:
+    """The points of [-1, 1] that the affine map onto [a, b] sends to t."""
+    return (2.0 * np.asarray(t, dtype=float) - (a + b)) / (b - a)
+
+
 def shifted_basis_values(n: int, a: float, b: float, t) -> np.ndarray:
     """Values of the orthonormal Legendre basis shifted to [a, b]."""
-    u = (2.0 * np.asarray(t, dtype=float) - (a + b)) / (b - a)
-    return LegendreBasis(n).values(u) * np.sqrt(2.0 / (b - a))
+    return LegendreBasis(n).values(_preimage(a, b, t)) * np.sqrt(2.0 / (b - a))
 
 
 def integral_moments(n: int, a: float, b: float) -> MomentSpec:
@@ -141,8 +146,8 @@ def positive_quadrature(spec: MomentSpec, grid_size: int) -> QuadratureRule:
         raise ValueError("grid_size must be at least 4 (n + 1)")
     grid = chebyshev_points(grid_size, a, b)
     start = np.round(np.linspace(0, grid_size - 1, n + 1)).astype(int)
-    # the shifted basis at grid, evaluated at its preimage in [-1, 1]: one memo entry for every [a, b]
-    candidates = _basis_values(n, 0, chebyshev_points(grid_size))[0] * np.sqrt(2.0 / (b - a))
+    # shifted_basis_values(n, a, b, grid), with the basis at the preimage read from the memo
+    candidates = _basis_values(n, 0, _preimage(a, b, grid))[0] * np.sqrt(2.0 / (b - a))
     fit = positive_relative_test(candidates.T, spec.moments, DEFAULT_TOL, start)
     if not fit.member:
         limit = _scale(spec.moments, DEFAULT_TOL)

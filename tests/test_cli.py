@@ -419,7 +419,7 @@ PINNED = {
         ('implication_multipliers', 0.0, True),
     ),
     "quadrature": (
-        ('basis_exactness', 3.2899432042903513e-16, True),
+        ('basis_exactness', 2.833924464077117e-16, True),
         ('node_count_bound', 0.0, True),
         ('weights_positive', 0.0, True),
         ('nodes_in_interval', 0.0, True),

@@ -18,7 +18,7 @@ import conecert.legendre
 import conecert.shape
 from conecert import LegendrePoly, ShapeProblem, chebyshev_points, integral_moments, positive_quadrature, project_shape
 from conecert.legendre import MEMO_BYTES, LegendreBasis, _basis_values, derivative_matrix, legendre_to_monomial, monomial_to_legendre
-from conecert.quadrature import rule_certificate, verify_exactness
+from conecert.quadrature import _preimage, rule_certificate, verify_exactness
 from conecert.shape import default_grid, shape_certificate
 
 T = np.linspace(-1.0, 1.0, 41)
@@ -178,7 +178,9 @@ def test_memo_entries_are_read_only_and_results_own_their_arrays(values_calls, m
         lengths[0] = 1.0
 
     rule = positive_quadrature(integral_moments(10, -1.0, 1.0), 88)
-    candidates = _basis_values(10, 0, chebyshev_points(88))
+    evaluated = len(values_calls)
+    candidates = _basis_values(10, 0, _preimage(-1.0, 1.0, chebyshev_points(88, -1.0, 1.0)))
+    assert len(values_calls) == evaluated  # the entry the fit read
     assert not any(np.shares_memory(a, e) for a in (rule.nodes, rule.weights) for e in candidates)
 
     projections = []
@@ -259,7 +261,7 @@ def test_concurrent_calls_give_identical_results(values_calls):
         _bit_identical([expected[i]], [outputs])
     # no lost update: the memo holds each key of the jobs once, and its byte count is theirs
     held = len(_basis_values), _basis_values.nbytes
-    entries = [_basis_values(n, 0, chebyshev_points(8 * (n + 1))) for n in sorted({n for n, _ in QUADRATURE_CASES})]
+    entries = [_basis_values(n, 0, _preimage(*interval, chebyshev_points(8 * (n + 1), *interval))) for n, interval in QUADRATURE_CASES]
     for n, r, _ in SHAPE_CASES:
         grid = default_grid(n)
         entries += [_basis_values(n, r, grid), _basis_values(n, r, chebyshev_points(10 * grid.size))]
